@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .controller import (
+    checked_regret,
     run_spc,
     solve_anticipative,
     solve_here_and_now,
@@ -77,19 +78,6 @@ DEFAULT_SPEC = {
 }
 
 
-def _threads():
-    raw = os.environ.get("SPC_LAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise TreeError(f"SPC_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise TreeError(f"SPC_LAB_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _outdir(args):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -140,12 +128,8 @@ def _constants_from(tree, initial, assumption):
         assumption["alpha"],
         assumption["gamma"],
         tree=tree,
-        w_prev=(initial.x_prev, initial.u_prev),
+        w_prev=initial,
     )
-
-
-def _pair(initial):
-    return (initial.x_prev, initial.u_prev)
 
 
 def _fmt(x):
@@ -236,7 +220,7 @@ def cmd_spc(args):
     W = _single_window(args.W, tree.horizon, default=tree.horizon)
     trace = run_spc(tree, initial, W)
     star = solve_optimal(tree, initial)
-    regret = trace.J_W - star.objective
+    regret = checked_regret(trace.J_W, star.objective)
     _check_dynamics(tree, trace.x, trace.u, initial, args.tol_kkt)
     write_trace_csv(
         os.path.join(out, "trace.csv"),
@@ -257,8 +241,7 @@ def cmd_regret_sweep(args):
     out = _outdir(args)
     constants = _constants_from(tree, initial, assumption)
     windows = _parse_windows(args.W, tree.horizon)
-    workers = _threads()
-    report = regret_sweep(tree, constants, _pair(initial), windows, workers=workers)
+    report = regret_sweep(tree, constants, initial, windows)
     write_regret_csv(os.path.join(out, "regret.csv"), report)
     write_manifest(
         os.path.join(out, "run.json"),
@@ -432,7 +415,7 @@ def _suite_stability(tree, cert_paths):
 
 
 def _suite_lemmas(tree, constants, W, initial, tol):
-    reports = lemma_suite(tree, constants, W, w_prev=_pair(initial))
+    reports = lemma_suite(tree, constants, W, w_prev=initial)
     entries, failures = [], []
     for rep in reports:
         ok, bad = _points_pass(rep, tol)
@@ -445,21 +428,14 @@ def _suite_lemmas(tree, constants, W, initial, tol):
 
 
 def _suite_theorems(tree, constants, W, initial, tol, out):
-    w_prev = _pair(initial)
     reports = {
-        "optimal_policy": eisse_check(tree, constants, w_prev),
+        "optimal_policy": eisse_check(tree, constants, initial),
         "subtree_resolve": open_loop_bound_check(
-            tree, constants, (0,), W, w_prev
+            tree, constants, (0,), W, initial
         ),
-        "receding_horizon": closed_loop_bound_check(tree, constants, w_prev, W),
+        "receding_horizon": closed_loop_bound_check(tree, constants, initial, W),
     }
-    sweep = regret_sweep(
-        tree,
-        constants,
-        w_prev,
-        list(range(tree.horizon + 1)),
-        workers=_threads(),
-    )
+    sweep = regret_sweep(tree, constants, initial, list(range(tree.horizon + 1)))
     write_moments_csv(os.path.join(out, "moments.csv"), reports)
     write_regret_csv(os.path.join(out, "regret.csv"), sweep)
 
@@ -646,9 +622,7 @@ def build_parser():
         ),
         epilog=(
             "exit codes: 0 success; 2 input or validation error; "
-            "3 solver error; 4 verification failure. "
-            "Env var SPC_LAB_THREADS caps sweep parallelism (results are "
-            "byte-identical at any thread count)."
+            "3 solver error; 4 verification failure."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -769,12 +743,13 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError but is a solver failure
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -20,29 +20,15 @@ import scipy.sparse as sp
 
 from .kkt import (
     PolicySolution,
-    ScaledKKT,
-    SingularKKTError,
     SolverError,
+    factor_kkt,
     solution_map_rows,
     solve_extensive,
+    solve_kkt,
     stage_cost,
 )
 from .norms import BlockMatrix
-from .tree import ScenarioTree, TreeError, subtree_nodes
-
-
-def _pair(w_prev, nx, nu):
-    if hasattr(w_prev, "x_prev"):
-        x, u = w_prev.x_prev, w_prev.u_prev
-    else:
-        x, u = w_prev
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (nx,) or u.shape != (nu,):
-        raise TreeError(
-            f"committed pair dims ({x.shape}, {u.shape}) do not match ({nx}, {nu})"
-        )
-    return x, u
+from .tree import ScenarioTree, TreeError, committed_pair
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ def run_spc(tree, w_prev_init, W):
     """
     if W < 0:
         raise TreeError("window W must be >= 0")
-    x_init, u_init = _pair(w_prev_init, tree.nx, tree.nu)
+    x_init, u_init = committed_pair(w_prev_init, tree)
     x, u = {}, {}
     for k in range(tree.node_count):
         if k == 0:
@@ -131,20 +117,26 @@ def run_spc(tree, w_prev_init, W):
     return ClosedLoopTrace(tree, int(W), x, u, J_W, (x_init, u_init))
 
 
-def dynamic_regret(tree, w_prev, W):
-    """Policy cost, optimal cost, and their difference.
+def checked_regret(J_W, J_star):
+    """Policy cost minus optimal cost.
 
     The difference must be nonnegative up to solver accuracy; a value
-    below -1e-8 indicates a broken solve and raises.
+    below -1e-8 means the optimum is not one (a broken solve, or a
+    nonconvex problem whose stationary point is a saddle) and raises.
     """
-    J_W = run_spc(tree, w_prev, W).J_W
-    J_star = solve_optimal(tree, w_prev).objective
     regret = J_W - J_star
     if regret < -1e-8:
         raise SolverError(
             f"policy cost undercuts the optimum: regret = {regret:.3e}"
         )
-    return J_W, J_star, regret
+    return regret
+
+
+def dynamic_regret(tree, w_prev, W):
+    """Policy cost, optimal cost, and their :func:`checked_regret`."""
+    J_W = run_spc(tree, w_prev, W).J_W
+    J_star = solve_optimal(tree, w_prev).objective
+    return J_W, J_star, checked_regret(J_W, J_star)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,7 @@ def solve_here_and_now(tree, w_prev):
     trailing unscaled shared controls.
     """
     nx, nu = tree.nx, tree.nu
-    x_prev, u_prev = _pair(w_prev, nx, nu)
+    x_prev, u_prev = committed_pair(w_prev, tree)
     n = tree.node_count
     T = tree.horizon
     dim = 2 * nx * n + nu * (T + 1)
@@ -204,7 +196,7 @@ def solve_here_and_now(tree, w_prev):
         put(voff(t), voff(t), Rsum[t])
         rhs[voff(t) : voff(t) + nu] = rsum[t]
     H = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
-    z = _solve_symmetric_sparse(H, rhs)
+    z = solve_kkt(H, factor_kkt(H), rhs)
     x = {
         i: z[xoff(i) : xoff(i) + nx] / math.sqrt(tree.pi[i]) for i in range(n)
     }
@@ -214,30 +206,6 @@ def solve_here_and_now(tree, w_prev):
         for i in range(n)
     )
     return HereAndNowSolution(tree, x, v, objective)
-
-
-def _solve_symmetric_sparse(H, rhs):
-    """Shared solve path: factorize, refine once, enforce the residual
-    contract.  Mirrors the main engine's behavior for ad-hoc systems."""
-    import scipy.sparse.linalg as spla
-
-    try:
-        lu = spla.splu(H)
-    except RuntimeError as exc:
-        raise SingularKKTError(f"KKT factorization failed: {exc}") from exc
-    diag = np.abs(lu.U.diagonal())
-    worst = float(diag.min() / diag.max()) if diag.max() > 0 else 0.0
-    if worst < 1e-12:
-        raise SingularKKTError(
-            f"KKT matrix numerically singular: relative pivot {worst:.3e}",
-            pivot=worst,
-        )
-    z = lu.solve(rhs)
-    z = z + lu.solve(rhs - H @ z)
-    resid = float(np.linalg.norm(H @ z - rhs))
-    if resid > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-        raise SolverError(f"KKT residual {resid:.3e} exceeds contract")
-    return z
 
 
 def _chain_tree(tree, path):
@@ -258,7 +226,7 @@ def solve_anticipative(tree, w_prev):
     main engine; the objective is the probability-weighted sum of path
     optima.
     """
-    x_prev, u_prev = _pair(w_prev, tree.nx, tree.nu)
+    x_prev, u_prev = committed_pair(w_prev, tree)
     path_values = {}
     for leaf in tree.leaves():
         path = tree.ancestry(leaf)
@@ -322,7 +290,7 @@ class RecursionMatrices:
         """Drive the one-step recursion from the root; returns per-node
         committed pairs (equal to the receding-horizon run's)."""
         tree = self.tree
-        x_init, u_init = _pair(w_prev_init, tree.nx, tree.nu)
+        x_init, u_init = committed_pair(w_prev_init, tree)
         w = {}
         for k in range(tree.node_count):
             wpar = (

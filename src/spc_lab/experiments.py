@@ -11,20 +11,24 @@ tree and report datapoint-level pass/fail.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import (
-    dynamic_regret,
+    checked_regret,
     hypothetical_state,
     recursion_matrices,
     run_spc,
     solve_optimal,
 )
 from .kkt import solve_extensive
-from .norms import BlockVector, pi_norm_mat, pi_norm_vec
+from .norms import (
+    BlockVector,
+    pi_norm_mat,
+    pi_norm_vec,
+    stage_perturbation_moments,
+)
 from .stability import (
     GainCertificate,
     check_detectability,
@@ -32,7 +36,13 @@ from .stability import (
     compute_constants,
     perturbation_margin,
 )
-from .tree import NodeData, TreeError, build_tree_explicit, subtree_nodes
+from .tree import (
+    NodeData,
+    TreeError,
+    build_tree_explicit,
+    committed_pair,
+    subtree_nodes,
+)
 
 PASS_SLACK = 1e-9
 
@@ -297,18 +307,6 @@ def generate_certified_instance(spec):
 # moment helpers
 
 
-def stage_perturbation_moments(tree):
-    """Per-stage {E[||p||^2]}^{1/2} by exact weighted enumeration."""
-    out = {}
-    for t in range(tree.horizon + 1):
-        terms = [
-            float(tree.pi[j]) * float(tree.data[j].p @ tree.data[j].p)
-            for j in tree.stage_nodes(t)
-        ]
-        out[t] = math.sqrt(math.fsum(terms))
-    return out
-
-
 def _conditional_moment(tree, k, nodes, values):
     terms = [
         (float(tree.pi[j]) / float(tree.pi[k]))
@@ -325,16 +323,14 @@ def _max_perturbation_moment(tree, constants):
 
 
 def _pair_norm(w_prev):
-    return float(
-        np.linalg.norm(np.concatenate([np.asarray(w_prev[0]), np.asarray(w_prev[1])]))
-    )
+    return float(np.linalg.norm(np.concatenate(committed_pair(w_prev))))
 
 
 # ---------------------------------------------------------------------------
 # bound checks
 
 
-def regret_sweep(tree, constants, w_prev, W_list, workers=1):
+def regret_sweep(tree, constants, w_prev, W_list):
     """Regret at each window against the exponential regret bound.
 
     Rows carry (W, J_W, J_star, regret, bound, applies); the bound rows
@@ -357,18 +353,11 @@ def regret_sweep(tree, constants, w_prev, W_list, workers=1):
         ]
     )
 
-    def solve_point(W):
-        return dynamic_regret(tree, w_prev, W)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(W_values, pool.map(solve_point, W_values)))
-    else:
-        results = {W: solve_point(W) for W in W_values}
-
+    J_star = solve_optimal(tree, w_prev).objective
     points, rows = [], []
     for W in W_values:
-        J_W, J_star, regret = results[W]
+        J_W = run_spc(tree, w_prev, W).J_W
+        regret = checked_regret(J_W, J_star)
         bound = _mul(coeff, c.rho**W)
         applies = W >= c.W_bar_ceil
         points.append(BoundPoint(W, regret, bound, applies=applies))
@@ -383,9 +372,7 @@ def regret_sweep(tree, constants, w_prev, W_list, workers=1):
             }
         )
 
-    exact_ok = True
-    if tree.horizon in results:
-        exact_ok = results[tree.horizon][2] <= 1e-8
+    exact_ok = all(row["regret"] <= 1e-8 for row in rows if row["W"] == tree.horizon)
 
     positive = []
     for row in rows:
@@ -590,7 +577,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
     )
 
     points = []
-    w_prev_vec = np.concatenate([np.asarray(w_prev[0]), np.asarray(w_prev[1])])
+    w_prev_vec = np.concatenate(committed_pair(w_prev))
     for t in range(T + 1):
         nodes = tuple(tree.stage_nodes(t))
         expansion = {n: np.zeros(tree.nx + tree.nu) for n in nodes}

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .norms import BlockMatrix, BlockVector, pi_norm_mat
-from .tree import SYM_TOL, TreeError, subtree_nodes
+from .tree import TreeError, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
 PIVOT_TOL = 1e-12
@@ -54,12 +54,6 @@ class PolicySolution:
 
     def w(self, node):
         return np.concatenate([self.x[node], self.u[node]])
-
-    def w_vector(self):
-        """State-control blocks as a BlockVector over the solved nodes."""
-        return BlockVector(
-            self.tree, self.nodes, {n: self.w(n) for n in self.nodes}
-        )
 
 
 @dataclass(frozen=True)
@@ -121,6 +115,45 @@ class RegularityReport:
         return self.H_pass and self.FFt_pass and self.ReH_pass
 
 
+def factor_kkt(H):
+    """Sparse LU of a KKT matrix, refused when numerically singular.
+
+    Raises :class:`SingularKKTError` carrying the smallest relative pivot
+    when it falls below ``PIVOT_TOL``.
+    """
+    try:
+        lu = spla.splu(H.tocsc())
+    except RuntimeError as exc:
+        raise SingularKKTError(
+            f"KKT factorization failed: {exc}", pivot=0.0
+        ) from exc
+    diag = np.abs(lu.U.diagonal())
+    worst = float(diag.min() / diag.max()) if diag.max() > 0 else 0.0
+    if worst < PIVOT_TOL:
+        raise SingularKKTError(
+            f"KKT matrix numerically singular: relative pivot "
+            f"{worst:.3e} below {PIVOT_TOL:g}",
+            pivot=worst,
+        )
+    return lu
+
+
+def solve_kkt(H, lu, rhs):
+    """Solve ``H z = rhs`` for one or many right-hand sides with the LU of
+    ``H``: one refinement step and a hard residual contract per column."""
+    rhs = np.asarray(rhs, dtype=float)
+    z = lu.solve(rhs)
+    z = z + lu.solve(rhs - H @ z)
+    resid = np.linalg.norm(H @ z - rhs, axis=0)
+    scale = 1.0 + np.linalg.norm(rhs, axis=0)
+    worst = float(np.max(resid / scale))
+    if worst > RESIDUAL_TOL:
+        raise SolverError(
+            f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}"
+        )
+    return z
+
+
 class ScaledKKT:
     """Assembled scaled KKT system for one subtree problem.
 
@@ -164,8 +197,6 @@ class ScaledKKT:
             nd = self.tree.data[n]
             if nd.nx != nx or nd.nu != nu:
                 raise TreeError(f"node {n}: data dims do not match tree")
-            if nd.symmetry_defect() > SYM_TOL:
-                raise TreeError(f"node {n}: Q or R asymmetric beyond {SYM_TOL:g}")
             off = self.offsets[n]
             xo, uo, yo = off, off + nx, off + nx + nu
             # quadratic forms only see the symmetric part; storing it keeps
@@ -190,50 +221,18 @@ class ScaledKKT:
 
     def factor(self):
         if self._lu is None:
-            try:
-                lu = spla.splu(self.H.tocsc())
-            except RuntimeError as exc:
-                raise SingularKKTError(
-                    f"KKT factorization failed: {exc}", pivot=0.0
-                ) from exc
-            diag = np.abs(lu.U.diagonal())
-            worst = float(diag.min() / diag.max()) if diag.max() > 0 else 0.0
-            if worst < PIVOT_TOL:
-                raise SingularKKTError(
-                    f"KKT matrix numerically singular: relative pivot "
-                    f"{worst:.3e} below {PIVOT_TOL:g}",
-                    pivot=worst,
-                )
-            self._lu = lu
+            self._lu = factor_kkt(self.H)
         return self._lu
 
     def solve(self, rhs):
-        """Solve against one or many right-hand sides, with one refinement
-        step and a hard residual contract per column."""
-        lu = self.factor()
-        rhs = np.asarray(rhs, dtype=float)
-        z = lu.solve(rhs)
-        z = z + lu.solve(rhs - self.H @ z)
-        resid = np.linalg.norm(self.H @ z - rhs, axis=0)
-        scale = 1.0 + np.linalg.norm(rhs, axis=0)
-        worst = float(np.max(resid / scale))
-        if worst > RESIDUAL_TOL:
-            raise SolverError(
-                f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}"
-            )
-        return z
+        """Solve against one or many right-hand sides; see :func:`solve_kkt`."""
+        return solve_kkt(self.H, self.factor(), rhs)
 
     def scaled_rhs(self, w_prev):
         """Stacked scaled perturbation with the committed pair folded into
         the root constraint."""
         nx, nu = self.nx, self.nu
-        x_prev = np.asarray(w_prev[0], dtype=float)
-        u_prev = np.asarray(w_prev[1], dtype=float)
-        if x_prev.shape != (nx,) or u_prev.shape != (nu,):
-            raise TreeError(
-                f"committed pair dims ({x_prev.shape}, {u_prev.shape}) do not "
-                f"match tree ({nx}, {nu})"
-            )
+        x_prev, u_prev = committed_pair(w_prev, self.tree)
         rhs = np.zeros(self.dim)
         for n in self.nodes:
             nd = self.tree.data[n]
@@ -290,8 +289,6 @@ def solve_extensive(tree, k, W, w_prev):
     a :class:`PolicySolution` in original variables whose objective is
     the conditional expected cost over the subtree.
     """
-    if hasattr(w_prev, "x_prev"):
-        w_prev = (w_prev.x_prev, w_prev.u_prev)
     nodes = tuple(subtree_nodes(tree, k, W))
     system = assemble_scaled_kkt(tree, nodes, k)
     ztilde = system.solve(system.scaled_rhs(w_prev))

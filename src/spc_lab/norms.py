@@ -57,14 +57,6 @@ class BlockVector:
             return np.zeros(0)
         return np.concatenate([self.blocks[n] for n in self.nodes])
 
-    @classmethod
-    def from_stacked(cls, tree, nodes, flat, dim):
-        flat = np.asarray(flat, dtype=float)
-        blocks = {
-            n: flat[i * dim : (i + 1) * dim] for i, n in enumerate(nodes)
-        }
-        return cls(tree, tuple(nodes), blocks)
-
 
 @dataclass(frozen=True)
 class BlockMatrix:
@@ -185,13 +177,29 @@ class BlockMatrix:
         return out
 
 
+def _weighted_norm(pi, nodes, blocks):
+    terms = [float(pi[n]) * float(blocks[n] @ blocks[n]) for n in nodes]
+    return math.sqrt(math.fsum(terms))
+
+
 def pi_norm_vec(v):
     """Probability-weighted norm sqrt(sum_i pi_i ||v_i||^2)."""
-    pi = v.tree.pi
-    terms = [
-        float(pi[n]) * float(v.blocks[n] @ v.blocks[n]) for n in v.nodes
-    ]
-    return math.sqrt(math.fsum(terms))
+    return _weighted_norm(v.tree.pi, v.nodes, v.blocks)
+
+
+def stage_perturbation_moments(tree):
+    """Per-stage {E[||p_t||^2]}^{1/2} by exact weighted enumeration.
+
+    Returns ``{t: weighted norm of the stage-t perturbation blocks}`` with
+    the unshifted perturbations p = (q, r, d).
+    """
+    out = {}
+    for t in range(tree.horizon + 1):
+        nodes = tree.stage_nodes(t)
+        out[t] = _weighted_norm(
+            tree.pi, nodes, {j: tree.data[j].p for j in nodes}
+        )
+    return out
 
 
 def pi_norm_mat(M):

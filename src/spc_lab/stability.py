@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .tree import TreeError
+from .norms import stage_perturbation_moments
+from .tree import TreeError, committed_pair
 
 GAIN_TOL = 1e-10
 STAB_TOL = 1e-9
@@ -106,23 +107,6 @@ def perturbation_margin(L, alpha):
     if L < 1.0:
         raise ValueError(f"L must be >= 1, got {L}")
     return (math.sqrt(alpha) - alpha) / L
-
-
-def _stage_moments(tree):
-    """Exact per-stage conditional second moments of the perturbations.
-
-    Returns the list over stages t of E[||p_t||^2 | root], enumerated as
-    sum over stage-t nodes of pi_j * ||p_j||^2 (the unshifted p).
-    """
-    out = []
-    for t in range(tree.horizon + 1):
-        out.append(
-            math.fsum(
-                tree.pi[j] * float(tree.data[j].p @ tree.data[j].p)
-                for j in tree.stage_nodes(t)
-            )
-        )
-    return out
 
 
 def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
@@ -223,16 +207,10 @@ def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
 
     D = math.nan
     if tree is not None:
-        D = math.sqrt(max(_stage_moments(tree)))
+        D = max(stage_perturbation_moments(tree).values())
     w_bar_norm = math.nan
     if w_prev is not None:
-        if hasattr(w_prev, "w"):
-            stacked = w_prev.w
-        else:
-            stacked = np.concatenate(
-                [np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)]
-            )
-        w_bar_norm = float(np.linalg.norm(stacked))
+        w_bar_norm = float(np.linalg.norm(np.concatenate(committed_pair(w_prev))))
 
     return ConstantsBundle(
         L=L,

@@ -107,11 +107,24 @@ class InitialCondition:
         return np.concatenate([self.x_prev, self.u_prev])
 
     def check(self, tree):
-        if self.x_prev.shape != (tree.nx,) or self.u_prev.shape != (tree.nu,):
-            raise TreeError(
-                f"initial condition dims ({self.x_prev.shape[0]}, "
-                f"{self.u_prev.shape[0]}) do not match tree ({tree.nx}, {tree.nu})"
-            )
+        committed_pair(self, tree)
+
+
+def committed_pair(w_prev, tree=None):
+    """The committed state-control pair ``(x, u)`` as float arrays.
+
+    ``w_prev`` is an :class:`InitialCondition`-like object or an ``(x, u)``
+    pair.  Given a tree, the pair's dims must match it.
+    """
+    if hasattr(w_prev, "x_prev"):
+        w_prev = (w_prev.x_prev, w_prev.u_prev)
+    x, u = (np.asarray(a, dtype=float) for a in w_prev)
+    if tree is not None and (x.shape != (tree.nx,) or u.shape != (tree.nu,)):
+        raise TreeError(
+            f"committed pair dims ({x.shape}, {u.shape}) do not match tree "
+            f"({tree.nx}, {tree.nu})"
+        )
+    return x, u
 
 
 @dataclass(frozen=True)

@@ -210,15 +210,6 @@ def test_regret_sweep_applicable_rows_checked(noisy_instance):
     assert all(p.measured <= p.bound + 1e-9 * (1 + p.bound) for p in report.points)
 
 
-def test_regret_sweep_workers_agree(noisy_instance):
-    inst = noisy_instance
-    seq = regret_sweep(inst.tree, inst.constants, inst.w_prev, [0, 1, 2])
-    par = regret_sweep(
-        inst.tree, inst.constants, inst.w_prev, [0, 1, 2], workers=3
-    )
-    assert seq.details["rows"] == par.details["rows"]
-
-
 def test_regret_sweep_rejects_out_of_range_window(noisy_instance):
     inst = noisy_instance
     with pytest.raises(TreeError, match="window"):

@@ -19,6 +19,7 @@ from spc_lab import (
     solution_map,
     solution_map_rows,
     solve_extensive,
+    solve_here_and_now,
     subtree_nodes,
 )
 
@@ -195,13 +196,20 @@ def test_repeated_solves_bit_identical():
     assert a.objective == b.objective
 
 
-def test_singular_system_reports_pivot():
+@pytest.mark.parametrize(
+    "solve",
+    [lambda tree, w: solve_extensive(tree, 0, 0, w), solve_here_and_now],
+    ids=["solve_extensive", "solve_here_and_now"],
+)
+def test_singular_system_reports_pivot(solve):
+    # R = 0 leaves the control block, and here-and-now's shared stage
+    # control, without curvature
     nd = NodeData(
         A=[[0.0]], B=[[0.0]], d=[0.0], Q=[[1.0]], R=[[0.0]], q=[0.0], r=[0.0]
     )
     tree = build_tree_stagewise([[(nd, 1.0)]])
     with pytest.raises(SingularKKTError) as err:
-        solve_extensive(tree, 0, 0, (np.zeros(1), np.zeros(1)))
+        solve(tree, (np.zeros(1), np.zeros(1)))
     assert err.value.pivot < 1e-12
 
 
