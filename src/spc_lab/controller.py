@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .kkt import (
     PolicySolution,
+    ScaledKKT,
     SolverError,
     factor_kkt,
     solution_map_rows,
@@ -147,63 +148,30 @@ def solve_here_and_now(tree, w_prev):
     """Optimal cost with one shared control per stage (no recourse in u).
 
     States stay per-node; the stage control is shared by every node of
-    that stage.  Assembled in the same scaled, symmetric KKT framework
-    as the main solver: per-node scaled states and multipliers plus
-    trailing unscaled shared controls.
+    that stage.  The system is the full-tree scaled KKT system restricted
+    by ``z = E zeta``: ``E`` keeps every scaled state and multiplier and
+    maps node i's scaled control ``sqrt(pi_i) u_i`` to ``sqrt(pi_i) v_t``,
+    with the unscaled shared controls ``v_t`` trailing in ``zeta``.
     """
-    nx, nu = tree.nx, tree.nu
-    x_prev, u_prev = committed_pair(w_prev, tree)
-    n = tree.node_count
-    T = tree.horizon
-    dim = 2 * nx * n + nu * (T + 1)
-    xoff = lambda i: 2 * nx * i
-    yoff = lambda i: 2 * nx * i + nx
-    voff = lambda t: 2 * nx * n + nu * t
-    rows, cols, vals = [], [], []
-
-    def put(r0, c0, blk):
-        blk = np.asarray(blk)
-        nz = np.nonzero(blk)
-        rows.extend(r0 + nz[0])
-        cols.extend(c0 + nz[1])
-        vals.extend(blk[nz])
-
-    rhs = np.zeros(dim)
-    eye = np.eye(nx)
-    Rsum = {t: np.zeros((nu, nu)) for t in range(T + 1)}
-    rsum = {t: np.zeros(nu) for t in range(T + 1)}
-    for i in range(n):
-        nd = tree.data[i]
-        s = math.sqrt(tree.pi[i])
-        t = int(tree.stage[i])
-        put(xoff(i), xoff(i), 0.5 * (nd.Q + nd.Q.T))
-        put(xoff(i), yoff(i), eye)
-        put(yoff(i), xoff(i), eye)
-        rhs[xoff(i) : xoff(i) + nx] = s * nd.q
-        d_eff = nd.d if i != 0 else nd.d + nd.A @ x_prev + nd.B @ u_prev
-        rhs[yoff(i) : yoff(i) + nx] = s * d_eff
-        Rsum[t] += tree.pi[i] * 0.5 * (nd.R + nd.R.T)
-        rsum[t] += tree.pi[i] * nd.r
-        if i != 0:
-            par = int(tree.parent[i])
-            ratio = math.sqrt(tree.pi[i] / tree.pi[par])
-            put(yoff(i), xoff(par), -ratio * nd.A)
-            put(xoff(par), yoff(i), -ratio * nd.A.T)
-            Bsc = s * nd.B
-            put(yoff(i), voff(t - 1), -Bsc)
-            put(voff(t - 1), yoff(i), -Bsc.T)
-    for t in range(T + 1):
-        put(voff(t), voff(t), Rsum[t])
-        rhs[voff(t) : voff(t) + nu] = rsum[t]
-    H = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
-    z = solve_kkt(H, factor_kkt(H), rhs)
-    x = {
-        i: z[xoff(i) : xoff(i) + nx] / math.sqrt(tree.pi[i]) for i in range(n)
-    }
-    v = {t: z[voff(t) : voff(t) + nu] for t in range(T + 1)}
+    system = ScaledKKT(tree, range(tree.node_count), 0)
+    nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
+    # states and multipliers keep their column; node controls move to
+    # their stage's shared control, and the emptied columns are dropped
+    col = np.arange(system.dim).reshape(-1, zd)
+    col[:, nx : nx + nu] = system.dim + nu * tree.stage[:, None] + np.arange(nu)
+    val = np.ones(col.shape)
+    val[:, nx : nx + nu] = system._s[:, None]
+    E = sp.csc_matrix(
+        (val.ravel(), (np.arange(system.dim), col.ravel())),
+        shape=(system.dim, system.dim + nu * (T + 1)),
+    )[:, np.unique(col)]
+    H = (E.T @ system.H @ E).tocsc()
+    z = solve_kkt(H, factor_kkt(H), E.T @ system.scaled_rhs(w_prev))
+    x = system.unscale(E @ z)[0]
+    v = dict(enumerate(z[-nu * (T + 1) :].reshape(T + 1, nu)))
     objective = math.fsum(
         tree.pi[i] * stage_cost(tree.data[i], x[i], v[int(tree.stage[i])])
-        for i in range(n)
+        for i in range(tree.node_count)
     )
     return HereAndNowSolution(tree, x, v, objective)
 

@@ -25,6 +25,7 @@ from .controller import (
 from .kkt import solve_extensive
 from .norms import (
     BlockVector,
+    _weighted_norm,
     pi_norm_mat,
     pi_norm_vec,
     stage_perturbation_moments,
@@ -307,15 +308,6 @@ def generate_certified_instance(spec):
 # moment helpers
 
 
-def _conditional_moment(tree, k, nodes, values):
-    terms = [
-        (float(tree.pi[j]) / float(tree.pi[k]))
-        * float(np.asarray(values[j]) @ np.asarray(values[j]))
-        for j in nodes
-    ]
-    return math.sqrt(math.fsum(terms))
-
-
 def _max_perturbation_moment(tree, constants):
     if constants is not None and math.isfinite(getattr(constants, "D", float("nan"))):
         return constants.D
@@ -415,15 +407,16 @@ def open_loop_bound_check(tree, constants, tau_nodes, W, w_prev):
         by_stage = {}
         for n in nodes:
             by_stage.setdefault(int(tree.stage[n]), []).append(n)
+        cond = tree.pi / tree.pi[k]
         moments = {
-            tp: _conditional_moment(
-                tree, k, by_stage[tp], {j: tree.data[j].p for j in by_stage[tp]}
+            tp: _weighted_norm(
+                cond, by_stage[tp], {j: tree.data[j].p for j in by_stage[tp]}
             )
             for tp in range(tau, t_hi + 1)
         }
         for t in range(tau, t_hi + 1):
             w_vals = {j: sol.w(j) for j in by_stage[t]}
-            measured = _conditional_moment(tree, k, by_stage[t], w_vals)
+            measured = _weighted_norm(cond, by_stage[t], w_vals)
             inner = math.fsum(
                 [_mul(2.0 * c.L * c.rho ** (t - tau), wbar)]
                 + [
@@ -451,8 +444,8 @@ def eisse_check(tree, constants, w_prev):
     points = []
     for t in range(tree.horizon + 1):
         nodes = tree.stage_nodes(t)
-        measured = _conditional_moment(
-            tree, 0, nodes, {j: sol.w(j) for j in nodes}
+        measured = _weighted_norm(
+            tree.pi / tree.pi[0], nodes, {j: sol.w(j) for j in nodes}
         )
         inner = math.fsum([_mul(2.0 * c.L * c.rho**t, wbar), tail])
         points.append(BoundPoint(t, measured, _mul(c.c1, inner)))
@@ -477,8 +470,8 @@ def closed_loop_bound_check(tree, constants, w_prev, W):
     points = []
     for t in range(tree.horizon + 1):
         nodes = tree.stage_nodes(t)
-        measured = _conditional_moment(
-            tree, 0, nodes, {j: trace.w(j) for j in nodes}
+        measured = _weighted_norm(
+            tree.pi / tree.pi[0], nodes, {j: trace.w(j) for j in nodes}
         )
         inner = math.fsum(
             [_mul(2.0 * c.L * sqrt_rho**t, wbar)]

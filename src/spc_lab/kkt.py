@@ -174,49 +174,53 @@ class ScaledKKT:
         self.nx, self.nu = nx, nu
         self.zdim = 2 * nx + nu
         self.offsets = {n: i * self.zdim for i, n in enumerate(self.nodes)}
-        self.scales = {
-            n: math.sqrt(tree.pi[n] / tree.pi[k]) for n in self.nodes
-        }
+        self._s = np.sqrt(tree.pi[list(self.nodes)] / tree.pi[k])
+        self.scales = dict(zip(self.nodes, self._s.tolist()))
         self.dim = self.zdim * len(self.nodes)
         self._lu = None
         self.H = self._assemble()
 
     def _assemble(self):
-        nx, nu = self.nx, self.nu
-        rows, cols, vals = [], [], []
-
-        def put(r0, c0, blk):
-            blk = np.asarray(blk)
-            nz = np.nonzero(blk)
-            rows.extend(r0 + nz[0])
-            cols.extend(c0 + nz[1])
-            vals.extend(blk[nz])
-
-        eye = np.eye(nx)
-        for n in self.nodes:
-            nd = self.tree.data[n]
+        """One diagonal block per node and one parent coupling block per
+        child (plus its transpose), emitted in a single sparse build."""
+        tree, nx, nu, zd = self.tree, self.nx, self.nu, self.zdim
+        data = [tree.data[n] for n in self.nodes]
+        for n, nd in zip(self.nodes, data):
             if nd.nx != nx or nd.nu != nu:
                 raise TreeError(f"node {n}: data dims do not match tree")
-            off = self.offsets[n]
-            xo, uo, yo = off, off + nx, off + nx + nu
-            # quadratic forms only see the symmetric part; storing it keeps
-            # the assembled matrix exactly symmetric
-            put(xo, xo, 0.5 * (nd.Q + nd.Q.T))
-            put(uo, uo, 0.5 * (nd.R + nd.R.T))
-            put(xo, yo, eye)
-            put(yo, xo, eye)
-            if n != self.k:
-                par = int(self.tree.parent[n])
-                ratio = math.sqrt(self.tree.pi[n] / self.tree.pi[par])
-                Asc, Bsc = ratio * nd.A, ratio * nd.B
-                poff = self.offsets[par]
-                pxo, puo = poff, poff + nx
-                put(yo, pxo, -Asc)
-                put(yo, puo, -Bsc)
-                put(pxo, yo, -Asc.T)
-                put(puo, yo, -Bsc.T)
+        m = len(data)
+        nodes = np.asarray(self.nodes)
+        Q = np.array([nd.Q for nd in data])
+        R = np.array([nd.R for nd in data])
+        # node blocks first, then each child's coupling to its parent and
+        # the transpose of that coupling
+        blocks = np.zeros((3 * m - 2, zd, zd))
+        diag, couple = blocks[:m], blocks[m : 2 * m - 1]
+        # quadratic forms only see the symmetric part; storing it keeps
+        # the assembled matrix exactly symmetric
+        diag[:, :nx, :nx] = 0.5 * (Q + Q.transpose(0, 2, 1))
+        diag[:, nx : nx + nu, nx : nx + nu] = 0.5 * (R + R.transpose(0, 2, 1))
+        diag[:, :nx, nx + nu :] = np.eye(nx)
+        diag[:, nx + nu :, :nx] = np.eye(nx)
+        # node i's dynamics row couples to its parent's (x, u), weighted
+        # by the branch probability sqrt(pi_i / pi_parent)
+        parents = tree.parent[nodes[1:]]
+        pos = np.searchsorted(nodes, parents)
+        if not np.array_equal(nodes[np.minimum(pos, m - 1)], parents):
+            raise TreeError("subtree node set must hold every node's parent")
+        ratio = np.sqrt(tree.pi[nodes[1:]] / tree.pi[parents])
+        AB = np.reshape(
+            [np.hstack([nd.A, nd.B]) for nd in data[1:]], (m - 1, nx, nx + nu)
+        )
+        couple[:, nx + nu :, : nx + nu] = -(ratio[:, None, None] * AB)
+        blocks[2 * m - 1 :] = couple.transpose(0, 2, 1)
+        child = np.arange(1, m)
+        brow = np.concatenate([np.arange(m), child, pos])
+        bcol = np.concatenate([np.arange(m), pos, child])
+        b, r, c = np.nonzero(blocks)
         return sp.csc_matrix(
-            (vals, (rows, cols)), shape=(self.dim, self.dim)
+            (blocks[b, r, c], (brow[b] * zd + r, bcol[b] * zd + c)),
+            shape=(self.dim, self.dim),
         )
 
     def factor(self):
@@ -231,30 +235,19 @@ class ScaledKKT:
     def scaled_rhs(self, w_prev):
         """Stacked scaled perturbation with the committed pair folded into
         the root constraint."""
-        nx, nu = self.nx, self.nu
         x_prev, u_prev = committed_pair(w_prev, self.tree)
-        rhs = np.zeros(self.dim)
-        for n in self.nodes:
-            nd = self.tree.data[n]
-            s = self.scales[n]
-            off = self.offsets[n]
-            d_eff = nd.d
-            if n == self.k:
-                d_eff = nd.d + nd.A @ x_prev + nd.B @ u_prev
-            rhs[off : off + nx] = s * nd.q
-            rhs[off + nx : off + nx + nu] = s * nd.r
-            rhs[off + nx + nu : off + 2 * nx + nu] = s * d_eff
-        return rhs
+        p = np.array([self.tree.data[n].p for n in self.nodes])
+        root = self.tree.data[self.k]
+        p[0, self.nx + self.nu :] = root.d + root.A @ x_prev + root.B @ u_prev
+        return (self._s[:, None] * p).ravel()
 
     def unscale(self, ztilde):
         """Original-variable blocks (x, u, y) per node from scaled stack."""
         nx, nu = self.nx, self.nu
-        x, u, y = {}, {}, {}
-        for n in self.nodes:
-            off, s = self.offsets[n], self.scales[n]
-            x[n] = ztilde[off : off + nx] / s
-            u[n] = ztilde[off + nx : off + nx + nu] / s
-            y[n] = ztilde[off + nx + nu : off + 2 * nx + nu] / s
+        z = np.reshape(ztilde, (len(self.nodes), self.zdim)) / self._s[:, None]
+        x = {n: z[i, :nx] for i, n in enumerate(self.nodes)}
+        u = {n: z[i, nx : nx + nu] for i, n in enumerate(self.nodes)}
+        y = {n: z[i, nx + nu :] for i, n in enumerate(self.nodes)}
         return x, u, y
 
 
@@ -300,21 +293,6 @@ def solve_extensive(tree, k, W, w_prev):
     return PolicySolution(tree, k, nodes, x, u, y, objective)
 
 
-def _perturbation_columns(system):
-    """Scaled unit right-hand sides for every p-coordinate of every node.
-
-    The perturbation enters the scaled system as ``sqrt(pi_{j|k}) p_j``,
-    so column (j, c) is that multiple of the corresponding unit vector.
-    Column order follows node order then coordinate order (q, r, d).
-    """
-    cols = np.zeros((system.dim, system.dim))
-    for n in system.nodes:
-        off, s = system.offsets[n], system.scales[n]
-        for c in range(system.zdim):
-            cols[off + c, off + c] = s
-    return cols
-
-
 def solution_map(tree, k, W):
     """Linear solution maps of the subtree problem at ``k`` with zero
     committed pair.
@@ -326,7 +304,8 @@ def solution_map(tree, k, W):
     """
     nodes = tuple(subtree_nodes(tree, k, W))
     system = assemble_scaled_kkt(tree, nodes, k)
-    Z = system.solve(_perturbation_columns(system))
+    # the perturbation enters the scaled system as sqrt(pi_{j|k}) p_j
+    Z = system.solve(np.diag(np.repeat(system._s, system.zdim)))
     nx, nu, zd = system.nx, system.nu, system.zdim
     omega_blocks, psi_blocks = {}, {}
     for i in nodes:
@@ -356,11 +335,9 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     system = assemble_scaled_kkt(tree, nodes, k)
     nx, nu, zd = system.nx, system.nu, system.zdim
     nrow = nx + nu if rows == "w" else zd
-    cols = np.zeros((system.dim, nrow * len(row_nodes)))
-    for idx, i in enumerate(row_nodes):
-        off = system.offsets[i]
-        for c in range(nrow):
-            cols[off + c, idx * nrow + c] = 1.0
+    unit = np.ravel([[system.offsets[i] + c for c in range(nrow)] for i in row_nodes])
+    cols = np.zeros((system.dim, unit.size))
+    cols[unit, np.arange(unit.size)] = 1.0
     X = system.solve(cols)
     out = {}
     for idx, i in enumerate(row_nodes):

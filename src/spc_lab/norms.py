@@ -101,12 +101,6 @@ class BlockMatrix:
     def zero(cls, tree, row_nodes, col_nodes):
         return cls(tree, tuple(row_nodes), tuple(col_nodes), {})
 
-    def block(self, i, j):
-        blk = self.blocks.get((i, j))
-        if blk is None:
-            return np.zeros(self.shape_block)
-        return blk
-
     def transpose(self):
         return BlockMatrix(
             self.tree,

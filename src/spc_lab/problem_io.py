@@ -31,8 +31,10 @@ def _matrix(obj, name):
     return arr
 
 
-def _node_data(obj, where):
-    missing = [k for k in ("A", "B", "d", "Q", "R", "q", "r") if k not in obj]
+def _node_data(obj, where, extra=()):
+    missing = [
+        k for k in ("A", "B", "d", "Q", "R", "q", "r", *extra) if k not in obj
+    ]
     if missing:
         raise TreeError(f"{where} missing fields {missing}")
     return NodeData(
@@ -66,7 +68,10 @@ def load_problem(path):
     if "stagewise" in doc:
         stages = [
             [
-                (_node_data(o, f"stage {t} outcome {i}"), float(o["prob"]))
+                (
+                    _node_data(o, f"stage {t} outcome {i}", ("prob",)),
+                    float(o["prob"]),
+                )
                 for i, o in enumerate(outcomes)
             ]
             for t, outcomes in enumerate(doc["stagewise"])

@@ -285,6 +285,16 @@ def _check_gain_bounds(cert, stages, tree):
     return None
 
 
+def _path_verdict(tree, Phi, L, alpha):
+    """Certificate verdict of the path-product check on closed transitions."""
+    result = check_stability_tree(tree, Phi, L, alpha)
+    msg = "" if result.passed else (
+        f"path product at pair {result.worst_pair} exceeds bound by factor "
+        f"{result.worst_ratio:.6g}"
+    )
+    return CertificateCheck(result.passed, msg, result)
+
+
 def check_stabilizability(tree, cert, L=None, alpha=None):
     """Verify a stabilizability certificate by exhaustive path products.
 
@@ -304,12 +314,7 @@ def check_stabilizability(tree, cert, L=None, alpha=None):
         nd = tree.data[n]
         par = int(tree.parent[n])
         Phi[n] = nd.A - nd.B @ np.asarray(cert.K[par], float)
-    result = check_stability_tree(tree, Phi, L, alpha)
-    msg = "" if result.passed else (
-        f"path product at pair {result.worst_pair} exceeds bound by factor "
-        f"{result.worst_ratio:.6g}"
-    )
-    return CertificateCheck(result.passed, msg, result)
+    return _path_verdict(tree, Phi, L, alpha)
 
 
 def psd_sqrt(M, name="Q", tol=PSD_TOL):
@@ -347,12 +352,7 @@ def check_detectability(tree, cert, L=None, alpha=None):
             continue
         par = int(tree.parent[n])
         Phi[n] = tree.data[n].A - np.asarray(cert.K[n], float) @ C[par]
-    result = check_stability_tree(tree, Phi, L, alpha)
-    msg = "" if result.passed else (
-        f"path product at pair {result.worst_pair} exceeds bound by factor "
-        f"{result.worst_ratio:.6g}"
-    )
-    return CertificateCheck(result.passed, msg, result)
+    return _path_verdict(tree, Phi, L, alpha)
 
 
 def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):

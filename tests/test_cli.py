@@ -185,10 +185,24 @@ class TestProblemFile:
         assert assumption is None
 
     def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"dims": {"nx": 1, "nu": 1}}))
-        with pytest.raises(TreeError, match="missing"):
-            load_problem(str(path))
+        outcome = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+        outcome.update(d=[0.0], q=[0.0], r=[0.0])
+        no_prob = {
+            "dims": {"nx": 1, "nu": 1},
+            "horizon": 0,
+            "initial": {"x_prev": [0.0], "u_prev": [0.0]},
+            "stagewise": [[outcome]],
+        }
+        for doc, match in [
+            ({"dims": {"nx": 1, "nu": 1}}, "missing"),
+            (no_prob, r"stage 0 outcome 0 missing fields \['prob'\]"),
+        ]:
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(TreeError, match=match):
+                load_problem(str(path))
+            rc = main(["build-tree", "--input", str(path), "--out", str(tmp_path)])
+            assert rc == 2
 
     def test_dims_mismatch_rejected(self, tmp_path):
         tree = random_tree(seed=2, T=1, branching=2, nx=2, nu=1)

@@ -11,6 +11,7 @@ from spc_lab import (
     BlockVector,
     NodeData,
     SingularKKTError,
+    TreeError,
     assemble_scaled_kkt,
     build_tree_explicit,
     build_tree_stagewise,
@@ -74,29 +75,50 @@ def test_child_coupling_carries_branch_probability_root():
     assert H[yrow, 1] == pytest.approx(-3.0 * s)
 
 
+def interior_subtree(seed):
+    """Depth-2 subtree rooted at a stage-1 node of a depth-4 tree with
+    nx != nu: the only kind that maps parents to inner block positions."""
+    tree = random_tree(seed=seed, T=4, branching=2, nx=3, nu=1)
+    return tree, tuple(subtree_nodes(tree, 2, 2))
+
+
+def test_node_set_without_parent_rejected():
+    tree = random_tree(seed=25, T=2, branching=2)
+    for nodes in [(1, 0), (0, 3), (1, 3, 5)]:
+        with pytest.raises(TreeError):
+            assemble_scaled_kkt(tree, nodes, nodes[0])
+
+
 def test_assembled_matrix_exactly_symmetric():
-    tree = random_tree(seed=21, T=3, branching=2, nx=2, nu=2)
-    system = assemble_scaled_kkt(tree, tuple(range(tree.node_count)), 0)
-    assert (system.H - system.H.T).nnz == 0
+    full = random_tree(seed=21, T=3, branching=2, nx=2, nu=2)
+    for tree, nodes in [
+        (full, tuple(range(full.node_count))),
+        interior_subtree(seed=23),
+    ]:
+        system = assemble_scaled_kkt(tree, nodes, nodes[0])
+        assert (system.H - system.H.T).nnz == 0
 
 
 def test_assembly_sparsity_couples_only_parent_child():
-    tree = random_tree(seed=22, T=2, branching=2)
-    nodes = tuple(range(tree.node_count))
-    system = assemble_scaled_kkt(tree, nodes, 0)
-    H = system.H.toarray()
-    zd = system.zdim
-    for i in nodes:
-        for j in nodes:
-            blk = H[
-                system.offsets[i] : system.offsets[i] + zd,
-                system.offsets[j] : system.offsets[j] + zd,
-            ]
-            related = (
-                i == j or tree.parent[i] == j or tree.parent[j] == i
-            )
-            if not related:
-                assert np.all(blk == 0.0)
+    full = random_tree(seed=22, T=2, branching=2)
+    for tree, nodes in [
+        (full, tuple(range(full.node_count))),
+        interior_subtree(seed=24),
+    ]:
+        system = assemble_scaled_kkt(tree, nodes, nodes[0])
+        H = system.H.toarray()
+        zd = system.zdim
+        for i in nodes:
+            for j in nodes:
+                blk = H[
+                    system.offsets[i] : system.offsets[i] + zd,
+                    system.offsets[j] : system.offsets[j] + zd,
+                ]
+                related = (
+                    i == j or tree.parent[i] == j or tree.parent[j] == i
+                )
+                if not related:
+                    assert np.all(blk == 0.0)
 
 
 # ---------------------------------------------------------------------------
