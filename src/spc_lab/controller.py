@@ -160,7 +160,7 @@ def solve_here_and_now(tree, w_prev):
     col = np.arange(system.dim).reshape(-1, zd)
     col[:, nx : nx + nu] = system.dim + nu * tree.stage[:, None] + np.arange(nu)
     val = np.ones(col.shape)
-    val[:, nx : nx + nu] = system._s[:, None]
+    val[:, nx : nx + nu] = system.scales[:, None]
     E = sp.csc_matrix(
         (val.ravel(), (np.arange(system.dim), col.ravel())),
         shape=(system.dim, system.dim + nu * (T + 1)),

@@ -158,7 +158,7 @@ class ScaledKKT:
     """Assembled scaled KKT system for one subtree problem.
 
     Holds the sparse symmetric matrix, the per-node scale factors
-    ``sqrt(pi_{i|k})``, and a cached sparse LU factorization.  The
+    ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached sparse LU factorization.  The
     factorization's fill-reducing column permutation is the library
     default, which is deterministic; node-block layout follows the
     breadth-first subtree order.
@@ -174,8 +174,7 @@ class ScaledKKT:
         self.nx, self.nu = nx, nu
         self.zdim = 2 * nx + nu
         self.offsets = {n: i * self.zdim for i, n in enumerate(self.nodes)}
-        self._s = np.sqrt(tree.pi[list(self.nodes)] / tree.pi[k])
-        self.scales = dict(zip(self.nodes, self._s.tolist()))
+        self.scales = np.sqrt(tree.pi[list(self.nodes)] / tree.pi[k])
         self.dim = self.zdim * len(self.nodes)
         self._lu = None
         self.H = self._assemble()
@@ -205,8 +204,13 @@ class ScaledKKT:
         # node i's dynamics row couples to its parent's (x, u), weighted
         # by the branch probability sqrt(pi_i / pi_parent)
         parents = tree.parent[nodes[1:]]
-        pos = np.searchsorted(nodes, parents)
-        if not np.array_equal(nodes[np.minimum(pos, m - 1)], parents):
+        # breadth-first subtree order need not sort node ids, so search
+        # through the sorting permutation
+        order = np.argsort(nodes)
+        pos = order[
+            np.minimum(np.searchsorted(nodes, parents, sorter=order), m - 1)
+        ]
+        if not np.array_equal(nodes[pos], parents):
             raise TreeError("subtree node set must hold every node's parent")
         ratio = np.sqrt(tree.pi[nodes[1:]] / tree.pi[parents])
         AB = np.reshape(
@@ -239,12 +243,12 @@ class ScaledKKT:
         p = np.array([self.tree.data[n].p for n in self.nodes])
         root = self.tree.data[self.k]
         p[0, self.nx + self.nu :] = root.d + root.A @ x_prev + root.B @ u_prev
-        return (self._s[:, None] * p).ravel()
+        return (self.scales[:, None] * p).ravel()
 
     def unscale(self, ztilde):
         """Original-variable blocks (x, u, y) per node from scaled stack."""
         nx, nu = self.nx, self.nu
-        z = np.reshape(ztilde, (len(self.nodes), self.zdim)) / self._s[:, None]
+        z = np.reshape(ztilde, (len(self.nodes), self.zdim)) / self.scales[:, None]
         x = {n: z[i, :nx] for i, n in enumerate(self.nodes)}
         u = {n: z[i, nx : nx + nu] for i, n in enumerate(self.nodes)}
         y = {n: z[i, nx + nu :] for i, n in enumerate(self.nodes)}
@@ -305,11 +309,11 @@ def solution_map(tree, k, W):
     nodes = tuple(subtree_nodes(tree, k, W))
     system = assemble_scaled_kkt(tree, nodes, k)
     # the perturbation enters the scaled system as sqrt(pi_{j|k}) p_j
-    Z = system.solve(np.diag(np.repeat(system._s, system.zdim)))
+    Z = system.solve(np.diag(np.repeat(system.scales, system.zdim)))
     nx, nu, zd = system.nx, system.nu, system.zdim
     omega_blocks, psi_blocks = {}, {}
-    for i in nodes:
-        roff, si = system.offsets[i], system.scales[i]
+    for i, si in zip(nodes, system.scales):
+        roff = system.offsets[i]
         for j in nodes:
             coff = system.offsets[j]
             # columns already carry the s_j perturbation factor; rows are
@@ -341,10 +345,10 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     X = system.solve(cols)
     out = {}
     for idx, i in enumerate(row_nodes):
-        si = system.scales[i]
+        si = system.scales[system.offsets[i] // zd]
         sub = X[:, idx * nrow : (idx + 1) * nrow]
-        for j in nodes:
-            coff, sj = system.offsets[j], system.scales[j]
+        for j, sj in zip(nodes, system.scales):
+            coff = system.offsets[j]
             # row block of the inverse = transpose of the column block,
             # then perturbation scaling s_j and variable unscaling 1/s_i
             out[(i, j)] = (sj / si) * sub[coff : coff + zd, :].T

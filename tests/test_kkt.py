@@ -82,6 +82,18 @@ def interior_subtree(seed):
     return tree, tuple(subtree_nodes(tree, 2, 2))
 
 
+def crossed_subtree():
+    """Explicit tree whose breadth-first subtree order is not sorted by
+    node id: node 1's child is node 4 and node 2's child is node 3."""
+    tree = build_tree_explicit(
+        [-1, 0, 0, 2, 1, 4, 3],
+        [0, 1, 1, 2, 2, 3, 3],
+        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [nd_scalar(A=0.5, B=2.0)] * 7,
+    )
+    return tree, tuple(subtree_nodes(tree, 0, 3))
+
+
 def test_node_set_without_parent_rejected():
     tree = random_tree(seed=25, T=2, branching=2)
     for nodes in [(1, 0), (0, 3), (1, 3, 5)]:
@@ -94,6 +106,7 @@ def test_assembled_matrix_exactly_symmetric():
     for tree, nodes in [
         (full, tuple(range(full.node_count))),
         interior_subtree(seed=23),
+        crossed_subtree(),
     ]:
         system = assemble_scaled_kkt(tree, nodes, nodes[0])
         assert (system.H - system.H.T).nnz == 0
@@ -104,6 +117,7 @@ def test_assembly_sparsity_couples_only_parent_child():
     for tree, nodes in [
         (full, tuple(range(full.node_count))),
         interior_subtree(seed=24),
+        crossed_subtree(),
     ]:
         system = assemble_scaled_kkt(tree, nodes, nodes[0])
         H = system.H.toarray()
