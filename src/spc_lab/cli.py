@@ -44,6 +44,7 @@ from .kkt import (
 from .norms import BlockMatrix, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
 from .problem_io import (
     constants_dict,
+    json_object,
     load_certificate,
     load_problem,
     save_certificate,
@@ -295,7 +296,7 @@ def _suite_norms(tree, seed):
                 + ",".join(f"{k}={v!r}" for k, v in extra.items())
             )
 
-    roots = [0] + list(tree.stage_nodes(1))[:1]
+    roots = [0, *tree.children[0][:1]]
     for draw, k in enumerate(roots):
         t = tree.horizon
         nodes = tuple(
@@ -473,16 +474,14 @@ def _suite_theorems(tree, constants, W, initial, tol, out):
 def _cmd_verify(args, suites):
     tree, initial, assumption = load_problem(args.input)
     out = _outdir(args)
-    needs_constants = any(s in suites for s in ("lemmas", "theorems"))
     constants = None
-    if needs_constants or (assumption is not None):
-        if assumption is not None:
-            constants = _constants_from(tree, initial, assumption)
-        elif needs_constants:
-            raise TreeError(
-                "suites 'lemmas' and 'theorems' need an 'assumption' block "
-                "with claimed L, alpha, gamma in the problem file"
-            )
+    if assumption is not None:
+        constants = _constants_from(tree, initial, assumption)
+    elif any(s in suites for s in ("lemmas", "theorems")):
+        raise TreeError(
+            "suites 'lemmas' and 'theorems' need an 'assumption' block "
+            "with claimed L, alpha, gamma in the problem file"
+        )
     W = _single_window(args.W, tree.horizon, default=min(2, tree.horizon))
     cert_paths = getattr(args, "cert", None) or []
 
@@ -570,6 +569,7 @@ def _load_spec(args):
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise TreeError(f"spec file is not valid JSON: {exc}") from exc
+        json_object(doc, "spec file")
         unknown = set(doc) - set(DEFAULT_SPEC)
         if unknown:
             raise TreeError(f"spec file has unknown fields {sorted(unknown)}")

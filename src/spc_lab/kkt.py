@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import BlockMatrix, BlockVector, pi_norm_mat
+from .norms import BlockVector, _block_norm
 from .tree import TreeError, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
@@ -60,22 +60,30 @@ class PolicySolution:
 class SolutionMap:
     """Linear maps from stacked perturbations p = (q, r, d) to solutions.
 
-    ``Psi`` returns state-control pairs w = (x, u); ``Omega`` returns full
-    primal-dual triples z = (x, u, y).  Both act on the original
-    (unscaled) perturbations and return original variables, for the
-    subtree problem with zero committed state-control pair.
+    ``Omega[a, :, b, :]`` takes the perturbation of node ``nodes[b]`` to
+    the full primal-dual triple z = (x, u, y) of node ``nodes[a]``;
+    ``Psi`` keeps its first ``nw`` rows, the state-control pair
+    w = (x, u).  Both act on the original (unscaled) perturbations and
+    return original variables, for the subtree problem with zero
+    committed state-control pair.  Nodes are in breadth-first subtree
+    order, so each stage is a contiguous range of block positions.
     """
 
     tree: object
     k: int
     nodes: tuple
-    Psi: BlockMatrix
-    Omega: BlockMatrix
+    Omega: np.ndarray
+    nw: int
+
+    @property
+    def Psi(self):
+        return self.Omega[:, : self.nw]
 
     def apply_p(self, p_blocks):
         """Evaluate w = Psi p for per-node perturbation blocks."""
-        v = BlockVector(self.tree, self.nodes, p_blocks)
-        return self.Psi.apply(v)
+        p = np.array([p_blocks[n] for n in self.nodes], dtype=float)
+        w = np.tensordot(self.Psi, p, axes=2)
+        return BlockVector(self.tree, self.nodes, dict(zip(self.nodes, w)))
 
 
 @dataclass(frozen=True)
@@ -308,22 +316,17 @@ def solution_map(tree, k, W):
     """
     nodes = tuple(subtree_nodes(tree, k, W))
     system = assemble_scaled_kkt(tree, nodes, k)
-    # the perturbation enters the scaled system as sqrt(pi_{j|k}) p_j
-    Z = system.solve(np.diag(np.repeat(system.scales, system.zdim)))
-    nx, nu, zd = system.nx, system.nu, system.zdim
-    omega_blocks, psi_blocks = {}, {}
-    for i, si in zip(nodes, system.scales):
-        roff = system.offsets[i]
-        for j in nodes:
-            coff = system.offsets[j]
-            # columns already carry the s_j perturbation factor; rows are
-            # unscaled back to original variables here
-            blk = Z[roff : roff + zd, coff : coff + zd] / si
-            omega_blocks[(i, j)] = blk
-            psi_blocks[(i, j)] = blk[: nx + nu, :]
-    Omega = BlockMatrix(tree, nodes, nodes, omega_blocks)
-    Psi = BlockMatrix(tree, nodes, nodes, psi_blocks)
-    return SolutionMap(tree, k, nodes, Psi, Omega)
+    m, zd = len(nodes), system.zdim
+    # the perturbation enters the scaled system as sqrt(pi_{j|k}) p_j, so
+    # columns already carry the s_j factor
+    Z = system.solve(np.diag(np.repeat(system.scales, zd)))
+    # the solve returns column-major data: reading it in that order makes
+    # the four-index form a view rather than a second dense copy
+    Omega = np.reshape(Z, (zd, m, zd, m), order="F").transpose(1, 0, 3, 2)
+    # rows are unscaled back to original variables in place
+    Omega /= system.scales[:, None, None, None]
+    Omega.flags.writeable = False
+    return SolutionMap(tree, k, nodes, Omega, system.nx + system.nu)
 
 
 def solution_map_rows(tree, k, W, row_nodes, rows="w"):
@@ -362,75 +365,45 @@ def measure_decay(smap):
     mapped subtree, carrying the weighted operator norms of the
     corresponding stage blocks of Psi and Omega.
     """
-    tree = smap.tree
-    by_stage = {}
-    for n in smap.nodes:
-        by_stage.setdefault(int(tree.stage[n]), []).append(n)
-    stages = sorted(by_stage)
+    idx = list(smap.nodes)
+    pi = smap.tree.pi[idx]
+    # breadth-first order keeps each stage's nodes contiguous
+    stages, starts = np.unique(smap.tree.stage[idx], return_index=True)
+    spans = list(zip(stages.tolist(), starts, np.append(starts[1:], len(idx))))
     rows = []
-    for t in stages:
-        for tp in stages:
-            ri, ci = tuple(by_stage[t]), tuple(by_stage[tp])
-            psi = BlockMatrix(
-                tree,
-                ri,
-                ci,
-                {
-                    (i, j): smap.Psi.blocks[(i, j)]
-                    for i in ri
-                    for j in ci
-                    if (i, j) in smap.Psi.blocks
-                },
-            )
-            omega = BlockMatrix(
-                tree,
-                ri,
-                ci,
-                {
-                    (i, j): smap.Omega.blocks[(i, j)]
-                    for i in ri
-                    for j in ci
-                    if (i, j) in smap.Omega.blocks
-                },
-            )
-            rows.append(
-                DecayRow(t, tp, pi_norm_mat(psi), pi_norm_mat(omega))
-            )
+    for t, a0, a1 in spans:
+        for tp, b0, b1 in spans:
+            f = np.sqrt(pi[a0:a1, None] / pi[None, b0:b1])
+            psi = _block_norm(smap.Psi[a0:a1, :, b0:b1].copy(), f)
+            omega = _block_norm(smap.Omega[a0:a1, :, b0:b1].copy(), f)
+            rows.append(DecayRow(t, tp, psi, omega))
     return rows
 
 
-def check_uniform_regularity(tree, subtree, K_stab=None, K_det=None, constants=None):
+def check_uniform_regularity(tree, subtree, constants=None):
     """Measure the three uniform-regularity quantities on one subtree.
 
-    The gains do not enter the measurement; they matter only through the
-    claimed bounds, which come from ``constants`` (any object exposing
-    ``L_H``, ``gamma_F``, ``gamma_G``).  Rank deficiency of the dynamics
-    operator is reported as a failed minimum-eigenvalue check rather than
-    an exception.
+    The claimed bounds come from ``constants`` (any object exposing
+    ``L_H``, ``gamma_F``, ``gamma_G``).  The dynamics operator F and the
+    cost G are read off the assembled scaled KKT matrix H: F is its
+    multiplier rows over the state-control columns, G its state-control
+    block (the symmetric parts of Q and R).  Rank deficiency of F is
+    reported as a failed minimum-eigenvalue check rather than an
+    exception.
     """
     nodes = tuple(subtree)
-    k = nodes[0]
-    system = assemble_scaled_kkt(tree, nodes, k)
-    nx, nu = system.nx, system.nu
-    H_norm = float(np.linalg.norm(system.H.toarray(), 2))
+    system = assemble_scaled_kkt(tree, nodes, nodes[0])
+    nx, nw, zd = system.nx, system.nx + system.nu, system.zdim
+    Hd = system.H.toarray()
+    H_norm = float(np.linalg.norm(Hd, 2))
 
-    nw = (nx + nu) * len(nodes)
-    ny = nx * len(nodes)
-    woff = {n: i * (nx + nu) for i, n in enumerate(nodes)}
-    F = np.zeros((ny, nw))
-    G = np.zeros((nw, nw))
-    for i, n in enumerate(nodes):
-        nd = tree.data[n]
-        F[i * nx : (i + 1) * nx, woff[n] : woff[n] + nx] = np.eye(nx)
-        if n != k:
-            par = int(tree.parent[n])
-            ratio = math.sqrt(tree.pi[n] / tree.pi[par])
-            F[i * nx : (i + 1) * nx, woff[par] : woff[par] + nx] = -ratio * nd.A
-            F[i * nx : (i + 1) * nx, woff[par] + nx : woff[par] + nx + nu] = (
-                -ratio * nd.B
-            )
-        G[woff[n] : woff[n] + nx, woff[n] : woff[n] + nx] = nd.Q
-        G[woff[n] + nx : woff[n] + nx + nu, woff[n] + nx : woff[n] + nx + nu] = nd.R
+    # each node block of H is laid out (x, u, y)
+    start = zd * np.arange(len(nodes))[:, None]
+    w = (start + np.arange(nw)).ravel()
+    y = (start + nw + np.arange(nx)).ravel()
+    F = Hd[np.ix_(y, w)]
+    G = Hd[np.ix_(w, w)]
+    ny = y.size
 
     FFt_min = float(np.linalg.eigvalsh(F @ F.T).min())
     U, s, Vt = np.linalg.svd(F, full_matrices=True)

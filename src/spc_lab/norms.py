@@ -97,10 +97,6 @@ class BlockMatrix:
             tree, tuple(nodes), tuple(nodes), {(n, n): np.eye(dim) for n in nodes}
         )
 
-    @classmethod
-    def zero(cls, tree, row_nodes, col_nodes):
-        return cls(tree, tuple(row_nodes), tuple(col_nodes), {})
-
     def transpose(self):
         return BlockMatrix(
             self.tree,
@@ -196,31 +192,43 @@ def stage_perturbation_moments(tree):
     return out
 
 
+def _block_norm(M4, f):
+    """Spectral norm of the block array ``M4[a, :, b, :]`` with block
+    ``(a, b)`` scaled by ``f[a, b]``; ``M4`` is scaled in place."""
+    if M4.size == 0:
+        return 0.0
+    M4 *= f[:, None, :, None]
+    a, r, b, c = M4.shape
+    return float(np.linalg.norm(M4.reshape(a * r, b * c), 2))
+
+
+def _dense_blocks(M):
+    """``M`` densified into the four-index block form ``[a, :, b, :]``."""
+    nr, nc = M.shape_block
+    return M.dense().reshape(len(M.row_nodes), nr, len(M.col_nodes), nc)
+
+
 def pi_norm_mat(M):
     """Operator norm induced by :func:`pi_norm_vec`.
 
-    Equals the spectral norm after rescaling each stored block by
+    Equals the spectral norm after rescaling each block by
     ``sqrt(pi_row / pi_col)``; the formula is applied verbatim to every
-    stored block regardless of how the two nodes relate in the tree.
+    block regardless of how the two nodes relate in the tree.
     """
-    pi = M.tree.pi
-    dense = M.dense(lambda i, j: math.sqrt(pi[i] / pi[j]))
-    if dense.size == 0:
-        return 0.0
-    return float(np.linalg.norm(dense, 2))
+    pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
+    return _block_norm(_dense_blocks(M), np.sqrt(pi_r[:, None] / pi_c[None, :]))
 
 
 def sigma_pi(M):
     """Largest singular value of the probability-desensitized form.
 
-    Rescales each stored block by ``(pi_row * pi_col)^{-1/2}`` before
-    taking the spectral norm; symmetric in transposition.
+    Rescales each block by ``(pi_row * pi_col)^{-1/2}`` before taking the
+    spectral norm; symmetric in transposition.
     """
-    pi = M.tree.pi
-    dense = M.dense(lambda i, j: 1.0 / math.sqrt(pi[i] * pi[j]))
-    if dense.size == 0:
-        return 0.0
-    return float(np.linalg.norm(dense, 2))
+    pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
+    return _block_norm(
+        _dense_blocks(M), 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :])
+    )
 
 
 def expectation_identity_check(tree, k, t, v):

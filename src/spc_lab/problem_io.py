@@ -31,7 +31,16 @@ def _matrix(obj, name):
     return arr
 
 
+def json_object(obj, name):
+    """``obj`` itself when it is a JSON object; a :class:`TreeError`
+    naming the block otherwise, before any field is looked up in it."""
+    if not isinstance(obj, dict):
+        raise TreeError(f"{name} must be a JSON object")
+    return obj
+
+
 def _node_data(obj, where, extra=()):
+    json_object(obj, where)
     missing = [
         k for k in ("A", "B", "d", "Q", "R", "q", "r", *extra) if k not in obj
     ]
@@ -59,10 +68,11 @@ def load_problem(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise TreeError(f"problem file is not valid JSON: {exc}") from exc
+    json_object(doc, "problem file")
     for key in ("dims", "horizon", "initial"):
         if key not in doc:
             raise TreeError(f"problem file missing '{key}'")
-    dims = doc["dims"]
+    dims = json_object(doc["dims"], "dims block")
     if "nx" not in dims or "nu" not in dims:
         raise TreeError("dims must contain nx and nu")
     if "stagewise" in doc:
@@ -78,7 +88,7 @@ def load_problem(path):
         ]
         tree = build_tree_stagewise(stages)
     elif "explicit" in doc:
-        ex = doc["explicit"]
+        ex = json_object(doc["explicit"], "explicit block")
         for key in ("parents", "stages", "probs", "nodes"):
             if key not in ex:
                 raise TreeError(f"explicit block missing '{key}'")
@@ -103,7 +113,7 @@ def load_problem(path):
             f"declared horizon {doc['horizon']} does not match tree depth "
             f"{tree.horizon}"
         )
-    init = doc["initial"]
+    init = json_object(doc["initial"], "initial block")
     if "x_prev" not in init or "u_prev" not in init:
         raise TreeError("initial block must contain x_prev and u_prev")
     initial = InitialCondition(
@@ -112,7 +122,7 @@ def load_problem(path):
     initial.check(tree)
     assumption = None
     if "assumption" in doc:
-        blk = doc["assumption"]
+        blk = json_object(doc["assumption"], "assumption block")
         for key in ("L", "alpha", "gamma"):
             if key not in blk:
                 raise TreeError(f"assumption block missing '{key}'")
@@ -170,10 +180,12 @@ def load_certificate(path):
             raise TreeError(
                 f"certificate file is not valid JSON: {exc}"
             ) from exc
+    json_object(doc, "certificate file")
     for key in ("K", "L", "alpha"):
         if key not in doc:
             raise TreeError(f"certificate file missing '{key}'")
-    K = {int(node): _matrix(mat, f"K[{node}]") for node, mat in doc["K"].items()}
+    gains = json_object(doc["K"], "certificate 'K' block")
+    K = {int(node): _matrix(mat, f"K[{node}]") for node, mat in gains.items()}
     return GainCertificate(
         K=K,
         L=float(doc["L"]),

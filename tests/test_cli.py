@@ -193,9 +193,20 @@ class TestProblemFile:
             "initial": {"x_prev": [0.0], "u_prev": [0.0]},
             "stagewise": [[outcome]],
         }
+        valid = {**no_prob, "stagewise": [[{**outcome, "prob": 1.0}]]}
+        head = {k: v for k, v in no_prob.items() if k != "stagewise"}
+        explicit = {"parents": [-1], "stages": [0], "probs": [1.0], "nodes": [outcome]}
         for doc, match in [
             ({"dims": {"nx": 1, "nu": 1}}, "missing"),
             (no_prob, r"stage 0 outcome 0 missing fields \['prob'\]"),
+            # blocks of the wrong JSON type are named, not a traceback
+            ([valid], "problem file must be a JSON object"),
+            ({**valid, "dims": 3}, "dims block must be a JSON object"),
+            ({**valid, "initial": [0.0]}, "initial block must be a JSON object"),
+            ({**valid, "assumption": 5}, "assumption block must be a JSON object"),
+            ({**valid, "stagewise": [[[1.0]]]}, "stage 0 outcome 0 must be a JSON object"),
+            ({**head, "explicit": []}, "explicit block must be a JSON object"),
+            ({**head, "explicit": {**explicit, "nodes": [5]}}, "node 0 must be a JSON object"),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))
@@ -241,9 +252,14 @@ class TestCertificateFile:
 
     def test_missing_claim_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"K": {"0": [[1.0]]}, "L": 1.0}))
-        with pytest.raises(TreeError, match="alpha"):
-            load_certificate(str(path))
+        for doc, match in [
+            ({"K": {"0": [[1.0]]}, "L": 1.0}, "alpha"),
+            ({"K": [[[1.0]]], "L": 1.0, "alpha": 0.5}, "'K' block must be a JSON object"),
+            ([1.0], "certificate file must be a JSON object"),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(TreeError, match=match):
+                load_certificate(str(path))
 
 
 # ---------------------------------------------------------------------- solve
@@ -461,14 +477,16 @@ class TestRegretSweep:
 
 class TestVerify:
     def test_norms_suite_passes_on_any_fixture(self, tmp_path, capsys):
-        tree = random_tree(seed=12, T=2, branching=3, nx=2, nu=2)
-        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 2))
-        rc = main(["verify-norms", "--input", path, "--out", str(tmp_path)])
-        assert rc == 0
-        assert "all checks passed: norms" in capsys.readouterr().out
-        report = json.loads(open(tmp_path / "verify_report.json").read())
-        assert report["passed"] is True
-        assert report["suites"] == ["norms"]
+        # T=0 has no stage-1 node to draw a second root from
+        for T in (2, 0):
+            tree = random_tree(seed=12, T=T, branching=3, nx=2, nu=2)
+            path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 2))
+            rc = main(["verify-norms", "--input", path, "--out", str(tmp_path)])
+            assert rc == 0
+            assert "all checks passed: norms" in capsys.readouterr().out
+            report = json.loads(open(tmp_path / "verify_report.json").read())
+            assert report["passed"] is True
+            assert report["suites"] == ["norms"]
 
     def test_inflated_gain_exit_4(self, generated, tmp_path, capsys):
         cert = json.loads(open(generated / "stabilizability.json").read())
@@ -700,12 +718,16 @@ class TestGenerate:
 
     def test_unknown_spec_field_exit_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"horizon": 4}))
-        rc = main(
-            ["generate", "--input", str(spec_path), "--out", str(tmp_path / "g")]
-        )
-        assert rc == 2
-        assert "unknown fields" in capsys.readouterr().err
+        for doc, message in [
+            ({"horizon": 4}, "unknown fields"),
+            ([4], "spec file must be a JSON object"),
+        ]:
+            spec_path.write_text(json.dumps(doc))
+            rc = main(
+                ["generate", "--input", str(spec_path), "--out", str(tmp_path / "g")]
+            )
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
 
 class TestBuildTree:

@@ -355,12 +355,11 @@ def test_recursion_s_consistent_with_solution_maps():
     rec = recursion_matrices(tree, W)
     for k in (0, 1, 4):
         smap = solution_map(tree, k, W)
-        psi_kk = smap.Psi.blocks[(k, k)]
+        # the subtree root k sits at block position 0
+        psi_kk = smap.Psi[0, :, 0]
         assert np.allclose(rec.S[k], psi_kk @ rec.Lambda[k], atol=1e-10)
-        for j in subtree_nodes(tree, k, W):
-            assert np.allclose(
-                rec.psi_rows[k][j], smap.Psi.blocks[(k, j)], atol=1e-10
-            )
+        for b, j in enumerate(subtree_nodes(tree, k, W)):
+            assert np.allclose(rec.psi_rows[k][j], smap.Psi[0, :, b], atol=1e-10)
 
 
 def test_recursion_zero_dynamics_gives_zero_S():

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spc_lab import (
+    BlockMatrix,
     BlockVector,
     NodeData,
     SingularKKTError,
@@ -17,6 +18,7 @@ from spc_lab import (
     build_tree_stagewise,
     check_uniform_regularity,
     measure_decay,
+    pi_norm_mat,
     solution_map,
     solution_map_rows,
     solve_extensive,
@@ -266,13 +268,12 @@ def test_zero_window_solution_matches_forward_simulation_on_root():
 def test_decoupled_map_has_identity_blocks_and_no_cross_coupling():
     tree = decoupled_tree(T=2, branching=2)
     smap = solution_map(tree, 0, 2)
-    for n in smap.nodes:
-        blk = smap.Psi.blocks[(n, n)]
+    for a in range(len(smap.nodes)):
         # columns ordered (q, r, d): x row picks d, u row picks r
-        assert_allclose(blk, [[0, 0, 1], [0, 1, 0]], atol=1e-12)
-        for m in smap.nodes:
-            if m != n:
-                assert_allclose(smap.Psi.blocks[(n, m)], 0.0, atol=1e-12)
+        assert_allclose(smap.Psi[a, :, a], [[0, 0, 1], [0, 1, 0]], atol=1e-12)
+        for b in range(len(smap.nodes)):
+            if b != a:
+                assert_allclose(smap.Psi[a, :, b], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [51, 52])
@@ -317,8 +318,9 @@ def test_row_extraction_matches_full_map():
     tree = random_tree(seed=55, T=2, branching=2, nx=2, nu=1)
     smap = solution_map(tree, 0, 2)
     rows = solution_map_rows(tree, 0, 2, (0, 1), rows="w")
+    pos = {n: a for a, n in enumerate(smap.nodes)}
     for (i, j), blk in rows.items():
-        assert_allclose(blk, smap.Psi.blocks[(i, j)], atol=1e-10)
+        assert_allclose(blk, smap.Psi[pos[i], :, pos[j]], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +345,26 @@ def test_decay_table_covers_all_stage_pairs():
     assert pairs == {(t, tp) for t in range(4) for tp in range(4)}
     for r in rows:
         assert r.omega_norm >= r.psi_norm - 1e-12
+
+
+def test_decay_rows_match_hand_built_stage_blocks():
+    for tree, nodes in [interior_subtree(seed=26), crossed_subtree()]:
+        W = int(tree.stage[nodes[-1]] - tree.stage[nodes[0]])
+        smap = solution_map(tree, nodes[0], W)
+        assert smap.nodes == nodes
+        pos = {n: a for a, n in enumerate(nodes)}
+        stages = sorted({int(tree.stage[n]) for n in nodes})
+        rows = measure_decay(smap)
+        assert [(r.t, r.tprime) for r in rows] == [
+            (t, tp) for t in stages for tp in stages
+        ]
+        for r in rows:
+            ri = [n for n in nodes if tree.stage[n] == r.t]
+            ci = [n for n in nodes if tree.stage[n] == r.tprime]
+            for measured, M in [(r.psi_norm, smap.Psi), (r.omega_norm, smap.Omega)]:
+                blocks = {(i, j): M[pos[i], :, pos[j]] for i in ri for j in ci}
+                expected = pi_norm_mat(BlockMatrix(tree, ri, ci, blocks))
+                assert measured == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
