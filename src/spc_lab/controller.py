@@ -22,14 +22,18 @@ from .kkt import (
     PolicySolution,
     ScaledKKT,
     SolverError,
+    depth_layers,
     factor_kkt,
+    riccati_gains,
+    rollout,
     solution_map_rows,
     solve_extensive,
+    solve_forest,
     solve_kkt,
     stage_cost,
 )
 from .norms import BlockMatrix
-from .tree import ScenarioTree, TreeError, committed_pair
+from .tree import TreeError, committed_pair
 
 
 @dataclass(frozen=True)
@@ -93,24 +97,34 @@ def run_spc(tree, w_prev_init, W):
 
     Every node's commitment is computed from its parent's committed pair;
     the reported performance is the exact probability-weighted cost of
-    the committed pairs.  Solver failures are re-raised annotated with
-    the failing node.
+    the committed pairs.  Node j's own window has depth
+    ``min(W, T - stage(j))``, and its ancestors' windows reach it with
+    every depth down to ``min(max(W - stage(j), 0), T - stage(j))``: one
+    Riccati pass over exactly those (node, depth) subproblems gives every
+    window's first feedback, and one forward pass commits them.  Solver
+    failures name the failing node and window.
     """
     if W < 0:
         raise TreeError("window W must be >= 0")
     x_init, u_init = committed_pair(w_prev_init, tree)
-    x, u = {}, {}
-    for k in range(tree.node_count):
-        if k == 0:
-            prev = (x_init, u_init)
-        else:
-            par = int(tree.parent[k])
-            prev = (x[par], u[par])
-        try:
-            step = spc_step(tree, k, prev, W)
-        except SolverError as exc:
-            raise type(exc)(f"node {k}: {exc}") from exc
-        x[k], u[k] = step.x, step.u
+    N, T, stage = tree.node_count, tree.horizon, tree.stage
+    own = np.minimum(W, T - stage)
+    low = np.minimum(np.maximum(W - stage, 0), T - stage)
+    depths = np.arange(int(own.max()) + 1)[:, None]
+    depth, node = np.nonzero((low <= depths) & (depths <= own))
+    pos = np.full((len(depths) + 1, N), -1)
+    pos[depth, node] = np.arange(len(node))
+    # (j, h) is a child of (parent(j), h + 1) when that pair is used
+    par = tree.parent[node]
+    parent = np.where(par >= 0, pos[depth + 1, par], -1)
+    weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
+    K, kv = riccati_gains(tree, node, parent, weight, depth_layers(depth))
+    g = pos[own, np.arange(N)]
+    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    x, u = rollout(
+        tree, np.arange(N), tree.parent, K[g], kv[g], levels, (x_init, u_init)
+    )
+    x, u = dict(enumerate(x)), dict(enumerate(u))
     J_W = math.fsum(
         tree.pi[k] * stage_cost(tree.data[k], x[k], u[k])
         for k in range(tree.node_count)
@@ -176,31 +190,32 @@ def solve_here_and_now(tree, w_prev):
     return HereAndNowSolution(tree, x, v, objective)
 
 
-def _chain_tree(tree, path):
-    """Deterministic single-scenario tree along one root-to-leaf path."""
-    data = [tree.data[n] for n in path]
-    return ScenarioTree(
-        parent=[-1] + list(range(len(path) - 1)),
-        stage=list(range(len(path))),
-        pi=[1.0] * len(path),
-        data=data,
-    )
-
-
 def solve_anticipative(tree, w_prev):
     """Clairvoyant baseline: per-scenario optimal values, probability mix.
 
-    Each root-to-leaf path becomes a deterministic problem solved by the
-    main engine; the objective is the probability-weighted sum of path
-    optima.
+    Each root-to-leaf path is a deterministic problem; one Riccati pass
+    solves the forest of all paths (branch weights 1).  The objective is
+    the probability-weighted sum of path optima.
     """
-    x_prev, u_prev = committed_pair(w_prev, tree)
-    path_values = {}
-    for leaf in tree.leaves():
-        path = tree.ancestry(leaf)
-        chain = _chain_tree(tree, path)
-        sol = solve_extensive(chain, 0, chain.horizon, (x_prev, u_prev))
-        path_values[leaf] = sol.objective
+    leaves = np.asarray(tree.leaves())
+    L, T = len(leaves), tree.horizon
+    # position t * L + l holds stage t of the path to leaves[l]
+    paths = np.empty((T + 1, L), dtype=int)
+    paths[T] = leaves
+    for t in range(T, 0, -1):
+        paths[t - 1] = tree.parent[paths[t]]
+    node = paths.ravel()
+    parent = np.arange(node.size) - L
+    parent[:L] = -1
+    layers = depth_layers(np.repeat(np.arange(T, -1, -1), L))
+    x, u, _ = solve_forest(tree, node, parent, np.ones(node.size), layers, w_prev)
+    path_values = {
+        int(leaf): math.fsum(
+            stage_cost(tree.data[paths[t, i]], x[t * L + i], u[t * L + i])
+            for t in range(T + 1)
+        )
+        for i, leaf in enumerate(leaves)
+    }
     objective = math.fsum(
         tree.pi[leaf] * val for leaf, val in path_values.items()
     )

@@ -1,15 +1,20 @@
-"""Probability-scaled extensive-form QP assembly, solves, and solution maps.
+"""Subtree QP solves: a tree Riccati engine, and the assembled KKT system.
 
 The subproblem over the depth-W subtree rooted at k minimizes the
 conditional expected quadratic cost subject to the linear dynamics along
-tree edges.  All linear algebra happens on the probability-scaled system,
-whose variables are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the
-scaled KKT matrix is uniformly well conditioned, while the raw weighted
-system is not.  Outputs are unscaled back before being returned.
+tree edges.  Plans and policies are solved by a backward Riccati pass over
+(node, remaining depth) pairs, batched by depth, and a forward rollout
+(:func:`riccati_gains`, :func:`rollout`, :func:`solve_forest`); every plan
+is held to the residual of the KKT system below.
 
-The per-node variable layout is ``(x, u, y)`` with nodes in breadth-first
-subtree order; the scaled KKT matrix couples a node to itself and to its
-parent only, and is exactly symmetric by construction.
+Where the assembled matrix itself is studied (solution maps, uniform
+regularity, the here-and-now restriction), :class:`ScaledKKT` builds the
+probability-scaled system, whose variables are ``z_i`` premultiplied by
+``sqrt(pi_{i|k})``: the scaled KKT matrix is uniformly well conditioned,
+while the raw weighted system is not.  Outputs are unscaled back before
+being returned.  The per-node variable layout is ``(x, u, y)`` with nodes
+in breadth-first subtree order; the scaled KKT matrix couples a node to
+itself and to its parent only, and is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -191,22 +196,15 @@ class ScaledKKT:
         """One diagonal block per node and one parent coupling block per
         child (plus its transpose), emitted in a single sparse build."""
         tree, nx, nu, zd = self.tree, self.nx, self.nu, self.zdim
-        data = [tree.data[n] for n in self.nodes]
-        for n, nd in zip(self.nodes, data):
-            if nd.nx != nx or nd.nu != nu:
-                raise TreeError(f"node {n}: data dims do not match tree")
-        m = len(data)
         nodes = np.asarray(self.nodes)
-        Q = np.array([nd.Q for nd in data])
-        R = np.array([nd.R for nd in data])
+        arr = tree.arrays
+        m = len(nodes)
         # node blocks first, then each child's coupling to its parent and
         # the transpose of that coupling
         blocks = np.zeros((3 * m - 2, zd, zd))
         diag, couple = blocks[:m], blocks[m : 2 * m - 1]
-        # quadratic forms only see the symmetric part; storing it keeps
-        # the assembled matrix exactly symmetric
-        diag[:, :nx, :nx] = 0.5 * (Q + Q.transpose(0, 2, 1))
-        diag[:, nx : nx + nu, nx : nx + nu] = 0.5 * (R + R.transpose(0, 2, 1))
+        diag[:, :nx, :nx] = arr.Q[nodes]
+        diag[:, nx : nx + nu, nx : nx + nu] = arr.R[nodes]
         diag[:, :nx, nx + nu :] = np.eye(nx)
         diag[:, nx + nu :, :nx] = np.eye(nx)
         # node i's dynamics row couples to its parent's (x, u), weighted
@@ -221,9 +219,7 @@ class ScaledKKT:
         if not np.array_equal(nodes[pos], parents):
             raise TreeError("subtree node set must hold every node's parent")
         ratio = np.sqrt(tree.pi[nodes[1:]] / tree.pi[parents])
-        AB = np.reshape(
-            [np.hstack([nd.A, nd.B]) for nd in data[1:]], (m - 1, nx, nx + nu)
-        )
+        AB = np.concatenate([arr.A[nodes[1:]], arr.B[nodes[1:]]], axis=2)
         couple[:, nx + nu :, : nx + nu] = -(ratio[:, None, None] * AB)
         blocks[2 * m - 1 :] = couple.transpose(0, 2, 1)
         child = np.arange(1, m)
@@ -248,7 +244,8 @@ class ScaledKKT:
         """Stacked scaled perturbation with the committed pair folded into
         the root constraint."""
         x_prev, u_prev = committed_pair(w_prev, self.tree)
-        p = np.array([self.tree.data[n].p for n in self.nodes])
+        nodes, arr = list(self.nodes), self.tree.arrays
+        p = np.concatenate([arr.q[nodes], arr.r[nodes], arr.d[nodes]], axis=1)
         root = self.tree.data[self.k]
         p[0, self.nx + self.nu :] = root.d + root.A @ x_prev + root.B @ u_prev
         return (self.scales[:, None] * p).ravel()
@@ -286,6 +283,182 @@ def stage_cost(nd, x, u):
     )
 
 
+def _mv(M, v):
+    """Batched matrix-vector products ``M[i] @ v[i]``."""
+    return np.einsum("nij,nj->ni", M, v)
+
+
+def _mtv(M, v):
+    """Batched transposed products ``M[i]' @ v[i]``."""
+    return np.einsum("nji,nj->ni", M, v)
+
+
+def depth_layers(depth):
+    """Positions grouped by depth: ``layers[h]`` holds, in position
+    order, every position of depth h."""
+    order = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[order], np.arange(int(depth.max()) + 2))
+    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _step_solve(G, rhs, node, h):
+    """Solve the symmetric step systems ``G[i] X[i] = rhs[i]``.
+
+    G may be indefinite: it is solved through its eigendecomposition, so a
+    nonconvex problem still yields its stationary point.  A step whose
+    ``min|eig| / max|eig|`` falls below ``PIVOT_TOL`` raises
+    :class:`SingularKKTError`, and every column is held to
+    ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``; a failure names the
+    subproblem by its root ``node`` and window ``h``.
+    """
+    lam, V = np.linalg.eigh(G)
+    mag = np.abs(lam)
+    top = mag.max(axis=1)
+    pivot = np.divide(
+        mag.min(axis=1), top, out=np.zeros_like(top), where=top > 0
+    )
+    bad = np.flatnonzero(pivot < PIVOT_TOL)
+    if bad.size:
+        i = bad[0]
+        raise SingularKKTError(
+            f"node {node[i]}, window {h}: step matrix numerically singular: "
+            f"relative pivot {pivot[i]:.3e} below {PIVOT_TOL:g}",
+            pivot=float(pivot[i]),
+        )
+    X = V @ ((V.transpose(0, 2, 1) @ rhs) / lam[:, :, None])
+    resid = np.linalg.norm(G @ X - rhs, axis=1)
+    worst = resid / (1.0 + np.linalg.norm(rhs, axis=1))
+    i = int(np.argmax(worst.max(axis=1)))
+    if worst[i].max() > RESIDUAL_TOL:
+        raise SolverError(
+            f"node {node[i]}, window {h}: step residual {worst[i].max():.3e} "
+            f"exceeds contract {RESIDUAL_TOL:g}"
+        )
+    return X
+
+
+def riccati_gains(tree, node, parent, weight, layers):
+    """Feedback ``u = K x + k`` of every subproblem of a forest, from one
+    backward Riccati pass.
+
+    Position i is the depth-h subproblem rooted at tree node ``node[i]``,
+    for the h with i in ``layers[h]``.  Its children are the positions
+    whose ``parent`` is i; they sit in ``layers[h - 1]`` and carry
+    ``weight``, their probability conditional on i.  A position's value
+    ``1/2 x'P x - p'x + c`` is kept as one matrix ``[[P, -p], [-p', c]]``
+    acting on ``[x; 1]``.  One step per depth, batched over that depth's
+    positions, sums the stage cost and the weighted child values into a
+    quadratic form in ``z = [u; x; 1]`` and eliminates the control; the
+    step matrix ``G = R + sum_c w_c B_c' P_c B_c`` is its control block.
+    Returns ``K`` of shape (M, nu, nx) and ``k`` of shape (M, nu).
+    """
+    arr, nx, nu = tree.arrays, tree.nx, tree.nu
+    M = len(node)
+    # stage costs 1/2 x'Qx + 1/2 u'Ru - q'x - r'u as forms in z
+    Hz = np.zeros((M, nu + nx + 1, nu + nx + 1))
+    Hz[:, :nu, :nu] = arr.R[node]
+    Hz[:, nu:-1, nu:-1] = arr.Q[node]
+    Hz[:, :nu, -1] = Hz[:, -1, :nu] = -arr.r[node]
+    Hz[:, nu:-1, -1] = Hz[:, -1, nu:-1] = -arr.q[node]
+    # [x; 1] of a position as a linear map of its parent's z
+    E = np.zeros((M, nx + 1, nu + nx + 1))
+    E[:, :nx, :nu] = arr.B[node]
+    E[:, :nx, nu:-1] = arr.A[node]
+    E[:, :nx, -1] = arr.d[node]
+    E[:, -1, -1] = 1.0
+    V = np.empty((M, nx + 1, nx + 1))
+    X = np.empty((M, nu, nx + 1))
+    for h, at in enumerate(layers):
+        if h:
+            ch = layers[h - 1][parent[layers[h - 1]] >= 0]
+            Ec = E[ch]
+            child = Ec.transpose(0, 2, 1) @ V[ch] @ Ec
+            np.add.at(Hz, parent[ch], weight[ch, None, None] * child)
+        S = Hz[at]
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        X[at] = -_step_solve(S[:, :nu, :nu], S[:, :nu, nu:], node[at], h)
+        Vh = S[:, nu:, nu:] + S[:, nu:, :nu] @ X[at]
+        V[at] = 0.5 * (Vh + Vh.transpose(0, 2, 1))
+    return X[:, :, :nx], X[:, :, nx]
+
+
+def rollout(tree, node, pred, K, k, levels, w_prev):
+    """States and controls driven forward by feedback gains.
+
+    Item i follows tree node ``node[i]``'s dynamics from the pair of item
+    ``pred[i]`` (from the committed pair ``w_prev`` where ``pred`` is -1)
+    and applies ``u = K[i] x + k[i]``.  ``levels`` lists the items so that
+    each comes after its predecessor.  Returns stacked ``x`` and ``u``.
+    """
+    arr = tree.arrays
+    x_prev, u_prev = committed_pair(w_prev, tree)
+    x = np.zeros((len(node), tree.nx))
+    u = np.zeros((len(node), tree.nu))
+    for at in levels:
+        first = (pred[at] < 0)[:, None]
+        xp = np.where(first, x_prev, x[pred[at]])
+        up = np.where(first, u_prev, u[pred[at]])
+        n = node[at]
+        x[at] = _mv(arr.A[n], xp) + _mv(arr.B[n], up) + arr.d[n]
+        u[at] = _mv(K[at], x[at]) + k[at]
+    return x, u
+
+
+def solve_forest(tree, node, parent, weight, layers, w_prev):
+    """Primal-dual solution of every tree of a forest of subproblems.
+
+    The forest is laid out as for :func:`riccati_gains`, and every root
+    starts from the committed pair ``w_prev``.  States and controls come
+    from a rollout of the gains from the roots, multipliers from the
+    adjoint recursion ``y = q - Q x + sum_c w_c A_c' y_c``, children
+    first.  Each tree is then held to the residual of its scaled KKT
+    system (the one :class:`ScaledKKT` assembles), evaluated blockwise:
+    stationarity and dynamics rows weighted by probabilities conditional
+    on the root, against ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``.
+    """
+    arr = tree.arrays
+    K, k = riccati_gains(tree, node, parent, weight, layers)
+    x, u = rollout(tree, node, parent, K, k, layers[::-1], w_prev)
+    A, B = arr.A[node], arr.B[node]
+    q, r, d = arr.q[node], arr.r[node], arr.d[node]
+    # each position's root, and its probability conditional on the root
+    root, cond = np.arange(len(node)), np.ones(len(node))
+    for at in layers[::-1]:
+        below = at[parent[at] >= 0]
+        root[below] = root[parent[below]]
+        cond[below] = cond[parent[below]] * weight[below]
+    # SA, SB: child sums of the weighted multipliers through A' and B'
+    SA, SB, y = np.zeros_like(x), np.zeros_like(u), np.empty_like(x)
+    for at in layers:
+        y[at] = q[at] - _mv(arr.Q[node[at]], x[at]) + SA[at]
+        ch = at[parent[at] >= 0]
+        wy = weight[ch, None] * y[ch]
+        np.add.at(SA, parent[ch], _mtv(A[ch], wy))
+        np.add.at(SB, parent[ch], _mtv(B[ch], wy))
+    x_prev, u_prev = committed_pair(w_prev, tree)
+    first = (parent < 0)[:, None]
+    drive = _mv(A, np.where(first, x_prev, x[parent])) + _mv(
+        B, np.where(first, u_prev, u[parent])
+    )
+    resid = np.concatenate(
+        [
+            _mv(arr.Q[node], x) + y - SA - q,
+            _mv(arr.R[node], u) - SB - r,
+            x - drive - d,
+        ],
+        axis=1,
+    )
+    rhs = np.concatenate([q, r, d + np.where(first, drive, 0.0)], axis=1)
+    res_norm = np.sqrt(np.bincount(root, cond * np.sum(resid**2, axis=1)))
+    rhs_norm = np.sqrt(np.bincount(root, cond * np.sum(rhs**2, axis=1)))
+    worst = float(np.max(res_norm / (1.0 + rhs_norm)))
+    if worst > RESIDUAL_TOL:
+        raise SolverError(
+            f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}"
+        )
+    return x, u, y
+
+
 def solve_extensive(tree, k, W, w_prev):
     """Solve the depth-W subtree problem rooted at k.
 
@@ -295,9 +468,14 @@ def solve_extensive(tree, k, W, w_prev):
     the conditional expected cost over the subtree.
     """
     nodes = tuple(subtree_nodes(tree, k, W))
-    system = assemble_scaled_kkt(tree, nodes, k)
-    ztilde = system.solve(system.scaled_rhs(w_prev))
-    x, u, y = system.unscale(ztilde)
+    node = np.asarray(nodes)
+    pos = {n: i for i, n in enumerate(nodes)}
+    parent = np.array([-1] + [pos[int(tree.parent[n])] for n in nodes[1:]])
+    weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
+    rel = tree.stage[node] - tree.stage[k]
+    layers = depth_layers(rel.max() - rel)
+    x, u, y = solve_forest(tree, node, parent, weight, layers, w_prev)
+    x, u, y = (dict(zip(nodes, v)) for v in (x, u, y))
     cond = {n: tree.pi[n] / tree.pi[k] for n in nodes}
     objective = math.fsum(
         cond[n] * stage_cost(tree.data[n], x[n], u[n]) for n in nodes
@@ -395,7 +573,8 @@ def check_uniform_regularity(tree, subtree, constants=None):
     system = assemble_scaled_kkt(tree, nodes, nodes[0])
     nx, nw, zd = system.nx, system.nx + system.nu, system.zdim
     Hd = system.H.toarray()
-    H_norm = float(np.linalg.norm(Hd, 2))
+    # H is exactly symmetric: its spectral norm is its largest |eigenvalue|
+    H_norm = float(np.abs(np.linalg.eigvalsh(Hd)).max())
 
     # each node block of H is laid out (x, u, y)
     start = zd * np.arange(len(nodes))[:, None]
@@ -405,8 +584,9 @@ def check_uniform_regularity(tree, subtree, constants=None):
     G = Hd[np.ix_(w, w)]
     ny = y.size
 
-    FFt_min = float(np.linalg.eigvalsh(F @ F.T).min())
-    U, s, Vt = np.linalg.svd(F, full_matrices=True)
+    _, s, Vt = np.linalg.svd(F, full_matrices=True)
+    # F has no more rows than columns: the eigenvalues of F F' are s**2
+    FFt_min = float(s.min()) ** 2
     tol = (s[0] if s.size else 0.0) * 1e-12
     rank = int(np.sum(s > tol))
     rank_deficient = rank < ny

@@ -39,6 +39,14 @@ def json_object(obj, name):
     return obj
 
 
+def json_array(obj, name):
+    """``obj`` itself when it is a JSON array; a :class:`TreeError`
+    naming the block otherwise, before it is iterated."""
+    if not isinstance(obj, list):
+        raise TreeError(f"{name} must be a JSON array")
+    return obj
+
+
 def _node_data(obj, where, extra=()):
     json_object(obj, where)
     missing = [
@@ -82,9 +90,11 @@ def load_problem(path):
                     _node_data(o, f"stage {t} outcome {i}", ("prob",)),
                     float(o["prob"]),
                 )
-                for i, o in enumerate(outcomes)
+                for i, o in enumerate(json_array(outcomes, f"stage {t}"))
             ]
-            for t, outcomes in enumerate(doc["stagewise"])
+            for t, outcomes in enumerate(
+                json_array(doc["stagewise"], "stagewise block")
+            )
         ]
         tree = build_tree_stagewise(stages)
     elif "explicit" in doc:
@@ -92,6 +102,7 @@ def load_problem(path):
         for key in ("parents", "stages", "probs", "nodes"):
             if key not in ex:
                 raise TreeError(f"explicit block missing '{key}'")
+            json_array(ex[key], f"explicit '{key}'")
         tree = build_tree_explicit(
             ex["parents"],
             ex["stages"],

@@ -11,6 +11,8 @@ vector and matrix built downstream, so it is part of the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +85,23 @@ class NodeData:
             scale = max(1.0, float(np.linalg.norm(M, 2)))
             out = max(out, float(np.linalg.norm(M - M.T, 2)) / scale)
         return out
+
+
+class NodeArrays(NamedTuple):
+    """Node data stacked along a leading node axis, read-only.
+
+    ``Q`` and ``R`` hold the symmetric parts ``(M + M')/2``: quadratic
+    forms only see those, and storing them keeps every assembled system
+    exactly symmetric.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    d: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,24 @@ class ScenarioTree:
     @property
     def node_count(self):
         return len(self.parent)
+
+    @cached_property
+    def arrays(self):
+        """:class:`NodeArrays` of all nodes, stacked on first use (the
+        constructor itself accepts nodes whose dims disagree)."""
+        nx, nu = self.nx, self.nu
+        for i, nd in enumerate(self.data):
+            if nd.nx != nx or nd.nu != nu:
+                raise TreeError(f"node {i}: data dims do not match tree")
+        stack = {
+            f: np.array([getattr(nd, f) for nd in self.data])
+            for f in NodeArrays._fields
+        }
+        for f in ("Q", "R"):
+            stack[f] = 0.5 * (stack[f] + stack[f].transpose(0, 2, 1))
+        for arr in stack.values():
+            arr.setflags(write=False)
+        return NodeArrays(**stack)
 
     @property
     def nx(self):

@@ -207,6 +207,10 @@ class TestProblemFile:
             ({**valid, "stagewise": [[[1.0]]]}, "stage 0 outcome 0 must be a JSON object"),
             ({**head, "explicit": []}, "explicit block must be a JSON object"),
             ({**head, "explicit": {**explicit, "nodes": [5]}}, "node 0 must be a JSON object"),
+            ({**head, "stagewise": 5}, "stagewise block must be a JSON array"),
+            ({**head, "stagewise": [5]}, "stage 0 must be a JSON array"),
+            ({**head, "explicit": {**explicit, "nodes": 5}}, "explicit 'nodes' must be a JSON array"),
+            ({**head, "explicit": {**explicit, "parents": 5}}, "explicit 'parents' must be a JSON array"),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))

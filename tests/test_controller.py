@@ -196,6 +196,75 @@ def test_run_spc_annotates_failing_node():
         run_spc(tree, (np.zeros(1), np.zeros(1)), 0)
 
 
+def crossed_tree(rng):
+    """Breadth-first tree whose stage-2 children are listed crosswise:
+    node 1's child is node 4 and node 2's child is node 3."""
+    return build_tree_explicit(
+        [-1, 0, 0, 2, 1, 4, 3],
+        [0, 1, 1, 2, 2, 3, 3],
+        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [random_node_data(rng, 3, 2) for _ in range(7)],
+    )
+
+
+def uneven_tree(rng):
+    """Depth-3 tree with one, two and three children per node."""
+    parents = [-1, 0, 0, 0, 1, 2, 2, 3, 3, 3, 4, 5, 5, 6, 7, 8, 8, 9]
+    probs = [1.0, 0.2, 0.5, 0.3, 0.2, 0.3, 0.2, 0.1, 0.15, 0.05]
+    probs += [0.2, 0.1, 0.2, 0.2, 0.1, 0.05, 0.1, 0.05]
+    stages = [0] + [1] * 3 + [2] * 6 + [3] * 8
+    data = [random_node_data(rng, 3, 2) for _ in parents]
+    return build_tree_explicit(parents, stages, probs, data)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: random_tree(61, T=3, branching=2, nx=3, nu=2),
+        lambda rng: random_tree(62, T=4, branching=2, nx=3, nu=2),
+        crossed_tree,
+        uneven_tree,
+    ],
+    ids=["stagewise-T3", "stagewise-T4", "crossed", "uneven"],
+)
+def test_run_spc_commits_first_decision_of_dense_oracle(build):
+    # every window's commitment is the first decision of its own subtree
+    # problem, started from the parent's committed pair
+    rng = np.random.default_rng(60)
+    tree = build(rng)
+    w_prev = random_pair(rng, tree)
+    for W in range(tree.horizon + 1):
+        trace = run_spc(tree, w_prev, W)
+        for k in range(tree.node_count):
+            par = int(tree.parent[k])
+            prev = w_prev if par < 0 else (trace.x[par], trace.u[par])
+            nodes = tuple(subtree_nodes(tree, k, W))
+            ox, ou, _, _ = dense_unscaled_solve(tree, k, nodes, prev)
+            assert np.allclose(trace.x[k], ox[k], rtol=0, atol=1e-8)
+            assert np.allclose(trace.u[k], ou[k], rtol=0, atol=1e-8)
+
+
+def test_run_spc_root_without_control_cost():
+    # R = 0 at the root leaves only the depth-0 root problem singular;
+    # every window W >= 1 sees the children's curvature
+    rng = np.random.default_rng(63)
+    nd = random_node_data(rng, 1, 1)
+    root = nd_scalar(A=0.5, B=1.0, d=0.2, Q=1.0, R=0.0, q=0.3, r=0.1)
+    tree = build_tree_explicit(
+        [-1, 0, 0, 1, 2], [0, 1, 1, 2, 2], [1.0, 0.5, 0.5, 0.5, 0.5],
+        [root, nd, nd, nd, nd],
+    )
+    w_prev = random_pair(rng, tree)
+    for W in (1, 2):
+        trace = run_spc(tree, w_prev, W)
+        ox, ou, _, _ = dense_unscaled_solve(
+            tree, 0, tuple(subtree_nodes(tree, 0, W)), w_prev
+        )
+        assert np.allclose(trace.u[0], ou[0], rtol=0, atol=1e-8)
+    with pytest.raises(SingularKKTError, match="node 0"):
+        run_spc(tree, w_prev, 0)
+
+
 def test_run_spc_rejects_negative_window():
     tree = zero_data_tree(T=1)
     with pytest.raises(Exception, match="W"):

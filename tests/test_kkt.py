@@ -222,6 +222,20 @@ def test_solution_satisfies_dynamics():
         )
 
 
+@pytest.mark.parametrize("k, W", [(0, 3), (2, 2), (4, 1), (0, 0)])
+def test_plan_satisfies_assembled_kkt_residual(k, W):
+    tree = random_tree(seed=46, T=3, branching=2, nx=3, nu=2)
+    rng = np.random.default_rng(46)
+    w_prev = (rng.standard_normal(3), rng.standard_normal(2))
+    sol = solve_extensive(tree, k, W, w_prev)
+    system = assemble_scaled_kkt(tree, sol.nodes, k)
+    z = np.concatenate([np.r_[sol.x[n], sol.u[n], sol.y[n]] for n in sol.nodes])
+    zt = np.repeat(system.scales, system.zdim) * z
+    rhs = system.scaled_rhs(w_prev)
+    residual = np.linalg.norm(system.H @ zt - rhs)
+    assert residual <= 1e-8 * (1.0 + np.linalg.norm(rhs))
+
+
 def test_repeated_solves_bit_identical():
     tree = random_tree(seed=44, T=2, branching=2)
     w_prev = (np.ones(2), np.ones(1))
