@@ -22,6 +22,7 @@ from .kkt import (
     PolicySolution,
     ScaledKKT,
     SolverError,
+    _mv,
     depth_layers,
     factor_kkt,
     riccati_gains,
@@ -32,7 +33,6 @@ from .kkt import (
     solve_kkt,
     stage_cost,
 )
-from .norms import BlockMatrix
 from .tree import TreeError, committed_pair
 
 
@@ -200,10 +200,7 @@ def solve_anticipative(tree, w_prev):
     leaves = np.asarray(tree.leaves())
     L, T = len(leaves), tree.horizon
     # position t * L + l holds stage t of the path to leaves[l]
-    paths = np.empty((T + 1, L), dtype=int)
-    paths[T] = leaves
-    for t in range(T, 0, -1):
-        paths[t - 1] = tree.parent[paths[t]]
+    paths = tree.ancestors[leaves].T
     node = paths.ravel()
     parent = np.arange(node.size) - L
     parent[:L] = -1
@@ -228,71 +225,45 @@ def solve_anticipative(tree, w_prev):
 
 @dataclass(frozen=True)
 class RecursionMatrices:
-    """Linear closed-loop description of the policy.
+    """Linear closed-loop description of the policy, as stacked arrays.
 
     ``Lambda[i]`` injects the parent's committed pair into node i's
     perturbation (zero rows for q and r, dynamics rows for d).  ``S[i]``
     is the first-row solution-map block times Lambda, the one-step
     transfer from the parent's commitment to node i's; ``S[0]`` transfers
-    from the pre-root committed pair.  ``psi_rows[i]`` holds node i's
-    solution-map row blocks over its depth-W subtree.
+    from the pre-root committed pair.  ``Psi[j, t]`` is the solution-map
+    row block of j's stage-t ancestor (``tree.ancestors[j, t]``) over
+    ``p_j``: every column node has one ancestor per stage, and the block
+    is zero where j lies outside that ancestor's window or t > stage(j).
     """
 
     tree: object
     W: int
-    Lambda: dict
-    S: dict
-    psi_rows: dict
+    Lambda: np.ndarray
+    S: np.ndarray
+    Psi: np.ndarray
 
-    def stage_matrix(self, t):
-        """S as a block matrix from stage t-1 commitments to stage t."""
-        if t < 1 or t > self.tree.horizon:
-            raise TreeError(f"stage {t} out of range for one-step transfer")
-        rows = tuple(self.tree.stage_nodes(t))
-        cols = tuple(self.tree.stage_nodes(t - 1))
-        return BlockMatrix(
-            self.tree,
-            rows,
-            cols,
-            {(i, int(self.tree.parent[i])): self.S[i] for i in rows},
-        )
-
-    def psi_stage_matrix(self, t, tprime):
-        """Stacked solution-map rows from stage-t' perturbations to the
-        stage-t commitments; zero where t' is outside a node's window."""
-        rows = tuple(self.tree.stage_nodes(t))
-        cols = tuple(self.tree.stage_nodes(tprime))
-        blocks = {}
-        for i in rows:
-            for j, blk in self.psi_rows[i].items():
-                if int(self.tree.stage[j]) == tprime:
-                    blocks[(i, j)] = blk
-        return BlockMatrix(self.tree, rows, cols, blocks)
+    def window_drive(self):
+        """Per-node perturbation term ``sum_j Psi_kj p_j`` over node k's
+        window, stacked as ``(N, nx + nu)``."""
+        anc = self.tree.ancestors
+        out = np.zeros(self.S.shape[:2])
+        terms = np.einsum("jtab,jb->jta", self.Psi, self.tree.arrays.p)
+        np.add.at(out, anc[anc >= 0], terms[anc >= 0])
+        return out
 
     def iterate(self, w_prev_init):
-        """Drive the one-step recursion from the root; returns per-node
-        committed pairs (equal to the receding-horizon run's)."""
+        """Drive the one-step recursion from the root; returns the
+        committed pairs stacked as ``(N, nx + nu)`` (equal to the
+        receding-horizon run's)."""
         tree = self.tree
-        x_init, u_init = committed_pair(w_prev_init, tree)
-        w = {}
-        for k in range(tree.node_count):
-            wpar = (
-                np.concatenate([x_init, u_init])
-                if k == 0
-                else w[int(tree.parent[k])]
-            )
-            acc = self.S[k] @ wpar
-            for j, blk in self.psi_rows[k].items():
-                acc = acc + blk @ tree.data[j].p
-            w[k] = acc
+        w = self.window_drive()
+        w_prev = np.concatenate(committed_pair(w_prev_init, tree))
+        for t in range(tree.horizon + 1):
+            at = np.asarray(tree.stage_nodes(t))
+            prev = w[tree.parent[at]] if t else w_prev[None]
+            w[at] += _mv(self.S[at], prev)
         return w
-
-
-def _lambda_block(nd, nx, nu):
-    out = np.zeros((2 * nx + nu, nx + nu))
-    out[nx + nu :, :nx] = nd.A
-    out[nx + nu :, nx:] = nd.B
-    return out
 
 
 def recursion_matrices(tree, W):
@@ -302,35 +273,41 @@ def recursion_matrices(tree, W):
     factorization of its subtree system; the parent-to-node transfer is
     the node's diagonal row block times the perturbation injection.
     """
-    nx, nu = tree.nx, tree.nu
-    Lambda, S, psi_rows = {}, {}, {}
-    for k in range(tree.node_count):
-        rows = solution_map_rows(tree, k, W, (k,), rows="w")
-        psi_rows[k] = {j: blk for (i, j), blk in rows.items()}
-        Lambda[k] = _lambda_block(tree.data[k], nx, nu)
-        S[k] = psi_rows[k][k] @ Lambda[k]
-    return RecursionMatrices(tree, int(W), Lambda, S, psi_rows)
+    nx, nu, N = tree.nx, tree.nu, tree.node_count
+    arr = tree.arrays
+    Lambda = np.zeros((N, 2 * nx + nu, nx + nu))
+    Lambda[:, nx + nu :] = np.concatenate([arr.A, arr.B], axis=2)
+    Psi = np.zeros((N, tree.horizon + 1, nx + nu, 2 * nx + nu))
+    for k in range(N):
+        t = int(tree.stage[k])
+        for (_, j), blk in solution_map_rows(tree, k, W, (k,), rows="w").items():
+            Psi[j, t] = blk
+    S = Psi[np.arange(N), tree.stage] @ Lambda
+    for a in (Lambda, S, Psi):
+        a.setflags(write=False)
+    return RecursionMatrices(tree, int(W), Lambda, S, Psi)
 
 
 def hypothetical_state(tree, trace):
     """Full-horizon re-solve of every node from its parent's commitment.
 
-    Returns per-node stacked pairs: node k's value of the optimal plan
-    for the remaining horizon, started from the policy's committed pair
-    at k's parent (the run's initial pair for the root).
+    Returns per-node stacked pairs ``(N, nx + nu)``: node k's value of the
+    optimal plan for the remaining horizon, started from the policy's
+    committed pair at k's parent (the run's initial pair for the root).
+    That value is the first decision of k's full-horizon subproblem, so
+    one Riccati pass over the whole tree gives every node's feedback, and
+    one step from the parent's pair applies it.
     """
-    out = {}
-    for k in range(tree.node_count):
-        if k == 0:
-            prev = trace.w_prev_init
-        else:
-            par = int(tree.parent[k])
-            prev = (trace.x[par], trace.u[par])
-        sol = solve_extensive(
-            tree, k, tree.horizon - int(tree.stage[k]), prev
-        )
-        out[k] = sol.w(k)
-    return out
+    arr, parent = tree.arrays, tree.parent
+    weight = tree.pi / tree.pi[np.maximum(parent, 0)]
+    layers = depth_layers(tree.horizon - tree.stage)
+    K, kv = riccati_gains(tree, np.arange(tree.node_count), parent, weight, layers)
+    x_init, u_init = committed_pair(trace.w_prev_init, tree)
+    xp = np.array([trace.x[p] if p >= 0 else x_init for p in parent])
+    up = np.array([trace.u[p] if p >= 0 else u_init for p in parent])
+    x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
+    u = _mv(K, x) + kv
+    return np.concatenate([x, u], axis=1)
 
 
 def check_time_consistency(tree, k, j, w_prev=None):

@@ -22,14 +22,8 @@ from .controller import (
     run_spc,
     solve_optimal,
 )
-from .kkt import solve_extensive
-from .norms import (
-    BlockVector,
-    _weighted_norm,
-    pi_norm_mat,
-    pi_norm_vec,
-    stage_perturbation_moments,
-)
+from .kkt import _mv, solve_extensive
+from .norms import _weighted_norm, stage_norm, stage_perturbation_moments
 from .stability import (
     GainCertificate,
     check_detectability,
@@ -407,12 +401,9 @@ def open_loop_bound_check(tree, constants, tau_nodes, W, w_prev):
         by_stage = {}
         for n in nodes:
             by_stage.setdefault(int(tree.stage[n]), []).append(n)
-        cond = tree.pi / tree.pi[k]
+        cond, p = tree.pi / tree.pi[k], tree.arrays.p
         moments = {
-            tp: _weighted_norm(
-                cond, by_stage[tp], {j: tree.data[j].p for j in by_stage[tp]}
-            )
-            for tp in range(tau, t_hi + 1)
+            tp: _weighted_norm(cond, by_stage[tp], p) for tp in range(tau, t_hi + 1)
         }
         for t in range(tau, t_hi + 1):
             w_vals = {j: sol.w(j) for j in by_stage[t]}
@@ -495,23 +486,15 @@ def closed_loop_bound_check(tree, constants, w_prev, W):
 # closed-loop machinery bound suite
 
 
-def _stage_p_vector(tree, t):
-    nodes = tuple(tree.stage_nodes(t))
-    return BlockVector(tree, nodes, {j: tree.data[j].p for j in nodes})
-
-
-def _trace_stage_vector(tree, trace, t):
-    nodes = tuple(tree.stage_nodes(t))
-    return BlockVector(tree, nodes, {j: trace.w(j) for j in nodes})
-
-
 def lemma_suite(tree, constants, W, w_prev=None):
     """Machinery-level checks behind the main theorems.
 
     Four reports: decay of closed-loop stage products, solution-map
     truncation gaps between window W and the full horizon, the gap
     between committed pairs and their full-horizon re-solves, and the
-    stage-recursion expansion identity.
+    stage-recursion expansion identity.  Every stage matrix is held as
+    stacked blocks with one block per row or per column, and measured by
+    :func:`stage_norm`.
     """
     c = constants
     T = tree.horizon
@@ -521,45 +504,48 @@ def lemma_suite(tree, constants, W, w_prev=None):
     D = _max_perturbation_moment(tree, c)
     rec_inf = recursion_matrices(tree, T)
     rec_W = rec_inf if int(W) == T else recursion_matrices(tree, W)
+    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    anc, parent, pi = tree.ancestors, tree.parent, tree.pi
     reports = []
 
+    # P[i] = S_i S_parent(i) ... down to stage t2 + 1: row node i, column
+    # node anc[i, t2]
     points = []
+    P = np.zeros(rec_inf.S.shape)
     for t2 in range(T):
-        P = None
+        P[levels[t2]] = np.eye(tree.nx + tree.nu)
         for t in range(t2 + 1, T + 1):
-            S_t = rec_inf.stage_matrix(t)
-            P = S_t if P is None else S_t.matmul(P)
+            at = levels[t]
+            P[at] = rec_inf.S[at] @ P[parent[at]]
             bound = _mul(2.0 * c.c1 * c.L / c.rho, c.rho ** (t - t2))
-            points.append(BoundPoint((t, t2), pi_norm_mat(P), bound))
+            norm = stage_norm(pi, P[at], at, anc[at, t2])
+            points.append(BoundPoint((t, t2), norm, bound))
     reports.append(_report("closed_loop_product_decay", points, c, {"W": T}))
 
     points = []
+    psi_gap = rec_inf.Psi - rec_W.Psi
     for t in range(T + 1):
         for tp in range(t, T + 1):
-            diff = rec_inf.psi_stage_matrix(t, tp).sub(
-                rec_W.psi_stage_matrix(t, tp)
-            )
+            cols = levels[tp]
+            norm = stage_norm(pi, psi_gap[cols, t], anc[cols, t], cols)
             bound = _mul(2.0 * c.c1**2 * c.L, c.rho ** (2 * W - tp + t))
-            points.append(BoundPoint(("psi", t, tp), pi_norm_mat(diff), bound))
+            points.append(BoundPoint(("psi", t, tp), norm, bound))
     for t in range(1, T + 1):
-        diff = rec_inf.stage_matrix(t).sub(rec_W.stage_matrix(t))
+        at = levels[t]
+        norm = stage_norm(pi, rec_inf.S[at] - rec_W.S[at], at, parent[at])
         bound = _mul(4.0 * c.c1**2 * c.L**2, c.rho ** (2 * W))
-        points.append(BoundPoint(("S", t), pi_norm_mat(diff), bound))
+        points.append(BoundPoint(("S", t), norm, bound))
     reports.append(_report("truncation_gap", points, c, {"W": int(W)}))
 
     trace = run_spc(tree, w_prev, W)
-    hyp = hypothetical_state(tree, trace)
+    w = np.array([trace.w(n) for n in range(tree.node_count)])
+    gap = w - hypothetical_state(tree, trace)
     sqrt_rho = math.sqrt(c.rho)
     points = []
     for t in range(T + 1):
-        nodes = tuple(tree.stage_nodes(t))
-        gap = BlockVector(
-            tree, nodes, {n: trace.w(n) - hyp[n] for n in nodes}
-        )
         inner = math.fsum([_mul(c.c3, D), _mul(_mul(c.c4, sqrt_rho**t), wbar)])
-        points.append(
-            BoundPoint(t, pi_norm_vec(gap), _mul(inner, c.rho**W))
-        )
+        measured = _weighted_norm(pi, levels[t], gap)
+        points.append(BoundPoint(t, measured, _mul(inner, c.rho**W)))
     reports.append(
         _report(
             "one_step_vs_full_horizon_gap",
@@ -569,44 +555,29 @@ def lemma_suite(tree, constants, W, w_prev=None):
         )
     )
 
+    # one step: each node's window term plus the transfer of its parent's
+    # committed pair (the initial pair at the root).  Expansion: every
+    # stage's window term, and the root's transfer, carried forward
+    # through the stage products.
+    drive = rec_W.window_drive()
+    w_init = np.concatenate(committed_pair(w_prev))
+    prev = np.where((parent >= 0)[:, None], w[parent], w_init)
+    one_step = drive + _mv(rec_W.S, prev)
+    drive[0] = one_step[0]
+    expansion = np.zeros_like(w)
+    for t2 in range(T + 1):
+        carried = np.zeros_like(w)
+        carried[levels[t2]] = drive[levels[t2]]
+        for t in range(t2 + 1, T + 1):
+            at = levels[t]
+            carried[at] = _mv(rec_W.S[at], carried[parent[at]])
+        expansion += carried
     points = []
-    w_prev_vec = np.concatenate(committed_pair(w_prev))
     for t in range(T + 1):
-        nodes = tuple(tree.stage_nodes(t))
-        expansion = {n: np.zeros(tree.nx + tree.nu) for n in nodes}
-
-        def fold(t_from, bv):
-            for tau in range(t_from + 1, t + 1):
-                bv = rec_W.stage_matrix(tau).apply(bv)
-            return bv
-
-        seed = BlockVector(tree, (0,), {0: rec_W.S[0] @ w_prev_vec})
-        for n, blk in fold(0, seed).blocks.items():
-            expansion[n] = expansion[n] + blk
-        for t2 in range(t + 1):
-            for tp in range(t2, min(t2 + W, T) + 1):
-                term = rec_W.psi_stage_matrix(t2, tp).apply(
-                    _stage_p_vector(tree, tp)
-                )
-                for n, blk in fold(t2, term).blocks.items():
-                    expansion[n] = expansion[n] + blk
-        diff = BlockVector(
-            tree, nodes, {n: expansion[n] - trace.w(n) for n in nodes}
-        )
-        points.append(BoundPoint(("expansion", t), pi_norm_vec(diff), 1e-8))
+        diff = _weighted_norm(pi, levels[t], expansion - w)
+        points.append(BoundPoint(("expansion", t), diff, 1e-8))
         if t >= 1:
-            prev = _trace_stage_vector(tree, trace, t - 1)
-            one_step = rec_W.stage_matrix(t).apply(prev)
-            acc = {n: one_step.blocks[n].copy() for n in nodes}
-            for tp in range(t, min(t + W, T) + 1):
-                term = rec_W.psi_stage_matrix(t, tp).apply(
-                    _stage_p_vector(tree, tp)
-                )
-                for n in term.nodes:
-                    acc[n] += term.blocks[n]
-            resid = BlockVector(
-                tree, nodes, {n: acc[n] - trace.w(n) for n in nodes}
-            )
-            points.append(BoundPoint(("one_step", t), pi_norm_vec(resid), 1e-8))
+            resid = _weighted_norm(pi, levels[t], one_step - w)
+            points.append(BoundPoint(("one_step", t), resid, 1e-8))
     reports.append(_report("recursion_expansion", points, c, {"W": int(W)}))
     return reports

@@ -244,8 +244,7 @@ class ScaledKKT:
         """Stacked scaled perturbation with the committed pair folded into
         the root constraint."""
         x_prev, u_prev = committed_pair(w_prev, self.tree)
-        nodes, arr = list(self.nodes), self.tree.arrays
-        p = np.concatenate([arr.q[nodes], arr.r[nodes], arr.d[nodes]], axis=1)
+        p = self.tree.arrays.p[list(self.nodes)]
         root = self.tree.data[self.k]
         p[0, self.nx + self.nu :] = root.d + root.A @ x_prev + root.B @ u_prev
         return (self.scales[:, None] * p).ravel()

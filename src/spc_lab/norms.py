@@ -2,10 +2,12 @@
 
 The weighted vector norm ``sqrt(sum_i pi_i ||v_i||^2)`` and its induced
 operator norm are the measuring sticks for every decay and performance
-bound in this package.  Both matrix norms reduce to ordinary spectral
-norms of rescaled dense matrices, which is how they are evaluated here:
-problem sizes at norm-checking scale stay in the low thousands of rows,
-so dense SVD is simple, deterministic, and accurate.
+bound in this package.  The induced norm is the spectral norm after
+rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.  Two kernels evaluate
+it: :func:`pi_norm_mat` takes the SVD of a densified general
+:class:`BlockMatrix` (the norms suite, solution-map decay rows, and the
+tests' oracle); :func:`stage_norm` is exact, with no dense matrix, for
+the closed-loop stage matrices, which hold one block per row or column.
 """
 
 from __future__ import annotations
@@ -183,13 +185,11 @@ def stage_perturbation_moments(tree):
     Returns ``{t: weighted norm of the stage-t perturbation blocks}`` with
     the unshifted perturbations p = (q, r, d).
     """
-    out = {}
-    for t in range(tree.horizon + 1):
-        nodes = tree.stage_nodes(t)
-        out[t] = _weighted_norm(
-            tree.pi, nodes, {j: tree.data[j].p for j in nodes}
-        )
-    return out
+    p = tree.arrays.p
+    return {
+        t: _weighted_norm(tree.pi, tree.stage_nodes(t), p)
+        for t in range(tree.horizon + 1)
+    }
 
 
 def _block_norm(M4, f):
@@ -217,6 +217,30 @@ def pi_norm_mat(M):
     """
     pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
     return _block_norm(_dense_blocks(M), np.sqrt(pi_r[:, None] / pi_c[None, :]))
+
+
+def stage_norm(pi, blocks, rows, cols):
+    """:func:`pi_norm_mat` of a matrix with one block per row or per column.
+
+    Block m is ``blocks[m]`` at row node ``rows[m]`` and column node
+    ``cols[m]``.  With one block per row, ``M'M`` (rescaled) is block
+    diagonal over the columns:
+    ``||M||^2 = max_c lambda_max(sum_{i: c(i) = c} (pi_i / pi_c) M_ic' M_ic)``.
+    With one block per column, ``M M'`` is block diagonal over the rows,
+    with the same weights.  Groups are formed from the node indices, so
+    neither set needs to be sorted or contiguous.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if np.unique(rows).size == rows.size:
+        group, gram = cols, blocks.transpose(0, 2, 1) @ blocks
+    elif np.unique(cols).size == cols.size:
+        group, gram = rows, blocks @ blocks.transpose(0, 2, 1)
+    else:
+        raise TreeError("stage matrix has neither one block per row nor per column")
+    keys, slot = np.unique(group, return_inverse=True)
+    G = np.zeros((keys.size,) + gram.shape[1:])
+    np.add.at(G, slot, (pi[rows] / pi[cols])[:, None, None] * gram)
+    return math.sqrt(max(float(np.linalg.eigvalsh(G)[:, -1].max()), 0.0))
 
 
 def sigma_pi(M):

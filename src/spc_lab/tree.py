@@ -80,11 +80,18 @@ class NodeData:
 
     def symmetry_defect(self):
         """Relative asymmetry of Q and R (0 for exactly symmetric data)."""
-        out = 0.0
-        for M in (self.Q, self.R):
-            scale = max(1.0, float(np.linalg.norm(M, 2)))
-            out = max(out, float(np.linalg.norm(M - M.T, 2)) / scale)
-        return out
+        return float(symmetry_defects(self.Q[None], self.R[None])[0])
+
+
+def symmetry_defects(Q, R):
+    """Per-node relative asymmetry ``max ||M - M'||_2 / max(1, ||M||_2)``
+    over ``M`` in Q and R, stacked along a leading node axis."""
+    out = np.zeros(len(Q))
+    for M in (Q, R):
+        scale = np.maximum(1.0, np.linalg.norm(M, 2, axis=(1, 2)))
+        gap = np.linalg.norm(M - M.transpose(0, 2, 1), 2, axis=(1, 2))
+        out = np.maximum(out, gap / scale)
+    return out
 
 
 class NodeArrays(NamedTuple):
@@ -102,6 +109,11 @@ class NodeArrays(NamedTuple):
     R: np.ndarray
     q: np.ndarray
     r: np.ndarray
+
+    @property
+    def p(self):
+        """Stacked perturbations (q, r, d), one row per node."""
+        return np.concatenate([self.q, self.r, self.d], axis=1)
 
 
 @dataclass(frozen=True)
@@ -217,6 +229,19 @@ class ScenarioTree:
     def nu(self):
         return self.data[0].nu
 
+    @cached_property
+    def ancestors(self):
+        """``(N, T+1)`` table whose entry ``[j, t]`` is node j's stage-t
+        ancestor (j itself at its own stage), -1 past j's stage; built
+        stage by stage from ``parent``."""
+        anc = np.full((self.node_count, self.horizon + 1), -1)
+        for t, nodes in enumerate(self._by_stage):
+            nodes = np.asarray(nodes, dtype=int)
+            anc[nodes, :t] = anc[self.parent[nodes], :t]
+            anc[nodes, t] = nodes
+        anc.setflags(write=False)
+        return anc
+
     def stage_nodes(self, t):
         """Nodes at stage t, in index (breadth-first) order."""
         return list(self._by_stage[t])
@@ -226,19 +251,11 @@ class ScenarioTree:
 
     def ancestry(self, j):
         """Path from the root to j, inclusive."""
-        path = [j]
-        while self.parent[path[-1]] >= 0:
-            path.append(int(self.parent[path[-1]]))
-        return path[::-1]
+        return self.ancestors[j, : self.stage[j] + 1].tolist()
 
     def is_ancestor(self, k, j):
         """True when k lies on the root path of j (every node is its own ancestor)."""
-        node = j
-        while node >= 0:
-            if node == k:
-                return True
-            node = int(self.parent[node])
-        return False
+        return bool(self.ancestors[j, self.stage[k]] == k)
 
     def descendants(self, k):
         """All strict descendants of k, breadth-first."""
@@ -307,10 +324,16 @@ def validate_tree(tree):
         elif tree.stage[i] != T:
             v.append(f"node {i}: leaf at wrong stage {tree.stage[i]} (expected {T})")
     nx, nu = tree.nx, tree.nu
+    fits = [i for i, nd in enumerate(tree.data) if (nd.nx, nd.nu) == (nx, nu)]
+    defect = np.zeros(len(tree.data))
+    defect[fits] = symmetry_defects(
+        np.array([tree.data[i].Q for i in fits]),
+        np.array([tree.data[i].R for i in fits]),
+    )
     for i, nd in enumerate(tree.data):
-        if nd.nx != nx or nd.nu != nu:
+        if (nd.nx, nd.nu) != (nx, nu):
             v.append(f"node {i}: data dims ({nd.nx}, {nd.nu}) != ({nx}, {nu})")
-        elif nd.symmetry_defect() > SYM_TOL:
+        elif defect[i] > SYM_TOL:
             v.append(f"node {i}: Q or R not symmetric within {SYM_TOL:g}")
     return ValidationReport(v)
 

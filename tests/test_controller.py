@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc_lab import (
-    BlockVector,
+    BlockMatrix,
     SingularKKTError,
     build_tree_explicit,
     check_time_consistency,
     dynamic_regret,
     hypothetical_state,
+    pi_norm_mat,
     recursion_matrices,
     run_spc,
     solution_map,
@@ -21,6 +22,7 @@ from spc_lab import (
     solve_here_and_now,
     solve_optimal,
     spc_step,
+    stage_norm,
     subtree_nodes,
 )
 
@@ -427,8 +429,9 @@ def test_recursion_s_consistent_with_solution_maps():
         # the subtree root k sits at block position 0
         psi_kk = smap.Psi[0, :, 0]
         assert np.allclose(rec.S[k], psi_kk @ rec.Lambda[k], atol=1e-10)
+        t = int(tree.stage[k])
         for b, j in enumerate(subtree_nodes(tree, k, W)):
-            assert np.allclose(rec.psi_rows[k][j], smap.Psi[0, :, b], atol=1e-10)
+            assert np.allclose(rec.Psi[j, t], smap.Psi[0, :, b], atol=1e-10)
 
 
 def test_recursion_zero_dynamics_gives_zero_S():
@@ -473,6 +476,62 @@ def test_recursion_iterate_matches_run_spc(W):
         assert np.allclose(iterated[n], trace.w(n), atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda rng: random_tree(37, T=5, branching=2, nx=3, nu=2), crossed_tree],
+    ids=["stagewise-T5", "crossed"],
+)
+def test_stage_norm_matches_dense_on_lemma_matrices(build):
+    # products of S, Psi truncation gaps and S truncation gaps: each has
+    # one block per row or one per column, so the exact stage norm must
+    # agree with the dense SVD of the assembled block matrix
+    tree = build(np.random.default_rng(37))
+    T, anc, parent = tree.horizon, tree.ancestors, tree.parent
+    rec_inf, rec_W = recursion_matrices(tree, T), recursion_matrices(tree, 1)
+
+    def check(blocks, rows, cols, t_row, t_col):
+        dense = pi_norm_mat(
+            BlockMatrix(
+                tree,
+                tree.stage_nodes(t_row),
+                tree.stage_nodes(t_col),
+                {(int(i), int(j)): b for b, i, j in zip(blocks, rows, cols)},
+            )
+        )
+        exact = stage_norm(tree.pi, blocks, rows, cols)
+        assert exact == pytest.approx(dense, rel=1e-12, abs=0)
+
+    for t2 in range(T):
+        P = {i: np.eye(tree.nx + tree.nu) for i in tree.stage_nodes(t2)}
+        for t in range(t2 + 1, T + 1):
+            at = np.asarray(tree.stage_nodes(t))
+            P.update({i: rec_inf.S[i] @ P[int(parent[i])] for i in at})
+            check(np.array([P[i] for i in at]), at, anc[at, t2], t, t2)
+    for t in range(T + 1):
+        for tp in range(t, T + 1):
+            cols = np.asarray(tree.stage_nodes(tp))
+            gap = rec_inf.Psi[cols, t] - rec_W.Psi[cols, t]
+            check(gap, anc[cols, t], cols, t, tp)
+    for t in range(1, T + 1):
+        at = np.asarray(tree.stage_nodes(t))
+        check(rec_inf.S[at] - rec_W.S[at], at, parent[at], t, t - 1)
+
+
+def stage_apply(rec, t, v):
+    """The stage-t transfer applied to stage-(t-1) blocks ``v``."""
+    tree = rec.tree
+    return {i: rec.S[i] @ v[int(tree.parent[i])] for i in tree.stage_nodes(t)}
+
+
+def psi_stage_apply(rec, t, tp):
+    """Stage-t' perturbations mapped to the stage-t rows of their windows."""
+    tree = rec.tree
+    out = {i: np.zeros(tree.nx + tree.nu) for i in tree.stage_nodes(t)}
+    for j in tree.stage_nodes(tp):
+        out[int(tree.ancestors[j, t])] += rec.Psi[j, t] @ tree.data[j].p
+    return out
+
+
 def test_recursion_stagewise_matches_run_spc():
     rng = np.random.default_rng(73)
     tree = random_tree(73, T=3, branching=2)
@@ -481,28 +540,18 @@ def test_recursion_stagewise_matches_run_spc():
     rec = recursion_matrices(tree, W)
     trace = run_spc(tree, w_prev, W)
 
-    def stage_p(tp):
-        nodes = tuple(tree.stage_nodes(tp))
-        return BlockVector(tree, nodes, {j: tree.data[j].p for j in nodes})
-
-    w0 = rec.S[0] @ np.concatenate(w_prev)
-    current = BlockVector(tree, (0,), {0: w0})
+    current = {0: rec.S[0] @ np.concatenate(w_prev)}
     for tp in range(0, min(W, tree.horizon) + 1):
-        term = rec.psi_stage_matrix(0, tp).apply(stage_p(tp))
-        current = BlockVector(
-            tree, (0,), {0: current.blocks[0] + term.blocks[0]}
-        )
-    assert np.allclose(current.blocks[0], trace.w(0), atol=1e-8)
+        current[0] = current[0] + psi_stage_apply(rec, 0, tp)[0]
+    assert np.allclose(current[0], trace.w(0), atol=1e-8)
     for t in range(1, tree.horizon + 1):
-        nxt = rec.stage_matrix(t).apply(current)
-        acc = {n: nxt.blocks[n].copy() for n in nxt.nodes}
+        acc = stage_apply(rec, t, current)
         for tp in range(t, min(t + W, tree.horizon) + 1):
-            term = rec.psi_stage_matrix(t, tp).apply(stage_p(tp))
-            for n in term.nodes:
-                acc[n] += term.blocks[n]
-        current = BlockVector(tree, tuple(tree.stage_nodes(t)), acc)
-        for n in current.nodes:
-            assert np.allclose(current.blocks[n], trace.w(n), atol=1e-8)
+            for n, blk in psi_stage_apply(rec, t, tp).items():
+                acc[n] += blk
+        current = acc
+        for n in tree.stage_nodes(t):
+            assert np.allclose(current[n], trace.w(n), atol=1e-8)
 
 
 def test_recursion_expansion_matches_run_spc():
@@ -513,26 +562,20 @@ def test_recursion_expansion_matches_run_spc():
     rec = recursion_matrices(tree, W)
     trace = run_spc(tree, w_prev, W)
 
-    def prod_apply(t_from, t_to, bv):
+    def prod_apply(t_from, t_to, v):
         for tau in range(t_from + 1, t_to + 1):
-            bv = rec.stage_matrix(tau).apply(bv)
-        return bv
+            v = stage_apply(rec, tau, v)
+        return v
 
     for t in range(tree.horizon + 1):
         total = {n: np.zeros(tree.nx + tree.nu) for n in tree.stage_nodes(t)}
-        seed = BlockVector(
-            tree, (0,), {0: rec.S[0] @ np.concatenate(w_prev)}
-        )
-        for n, blk in prod_apply(0, t, seed).blocks.items():
+        seed = {0: rec.S[0] @ np.concatenate(w_prev)}
+        for n, blk in prod_apply(0, t, seed).items():
             total[n] = total[n] + blk
         for t2 in range(0, t + 1):
             for tp in range(t2, min(t2 + W, tree.horizon) + 1):
-                nodes = tuple(tree.stage_nodes(tp))
-                pvec = BlockVector(
-                    tree, nodes, {j: tree.data[j].p for j in nodes}
-                )
-                term = rec.psi_stage_matrix(t2, tp).apply(pvec)
-                for n, blk in prod_apply(t2, t, term).blocks.items():
+                term = psi_stage_apply(rec, t2, tp)
+                for n, blk in prod_apply(t2, t, term).items():
                     total[n] = total[n] + blk
         for n in tree.stage_nodes(t):
             assert np.allclose(total[n], trace.w(n), atol=1e-8)
@@ -550,6 +593,21 @@ def test_hypothetical_full_window_equals_trace():
     hyp = hypothetical_state(tree, trace)
     for n in range(tree.node_count):
         assert np.allclose(hyp[n], trace.w(n), atol=1e-8)
+
+
+@pytest.mark.parametrize("build", [crossed_tree, uneven_tree], ids=["crossed", "uneven"])
+def test_hypothetical_matches_per_node_full_horizon_solves(build):
+    rng = np.random.default_rng(85)
+    tree = build(rng)
+    w_prev = random_pair(rng, tree)
+    trace = run_spc(tree, w_prev, 1)
+    hyp = hypothetical_state(tree, trace)
+    for k in range(tree.node_count):
+        par = int(tree.parent[k])
+        prev = w_prev if par < 0 else (trace.x[par], trace.u[par])
+        nodes = tuple(subtree_nodes(tree, k, tree.horizon))
+        ox, ou, _, _ = dense_unscaled_solve(tree, k, nodes, prev)
+        assert np.allclose(hyp[k], np.concatenate([ox[k], ou[k]]), atol=1e-8)
 
 
 def test_hypothetical_zero_data():

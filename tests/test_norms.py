@@ -18,6 +18,7 @@ from spc_lab import (
     pi_norm_mat,
     pi_norm_vec,
     sigma_pi,
+    stage_norm,
 )
 
 from .helpers import nd_scalar, random_tree, uniform_outcome
@@ -293,3 +294,10 @@ def test_block_matrix_rejects_block_outside_node_sets():
     tree = random_tree(seed=20, T=1, branching=2)
     with pytest.raises(TreeError):
         BlockMatrix(tree, (1,), (1,), {(1, 2): np.eye(2)})
+
+
+def test_stage_norm_rejects_general_block_pattern():
+    tree = two_leaf_tree()
+    blocks = np.ones((3, 2, 2))
+    with pytest.raises(TreeError, match="one block per row"):
+        stage_norm(tree.pi, blocks, [1, 1, 2], [1, 2, 2])

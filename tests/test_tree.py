@@ -275,6 +275,26 @@ def test_validate_flags_asymmetric_cost():
     assert any("symmetric" in v for v in validate_tree(tree).violations)
 
 
+def test_validate_reports_dims_and_asymmetry_per_node_in_order():
+    good = NodeData(
+        A=np.zeros((2, 2)),
+        B=np.zeros((2, 1)),
+        d=np.zeros(2),
+        Q=np.eye(2),
+        R=np.eye(1),
+        q=np.zeros(2),
+        r=np.zeros(1),
+    )
+    skew = NodeData(**{**vars(good), "R": [[1.0]], "Q": [[1.0, 0.3], [0.0, 1.0]]})
+    tree = ScenarioTree(
+        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], [good, skew, nd_scalar()]
+    )
+    assert validate_tree(tree).violations == [
+        "node 1: Q or R not symmetric within 1e-12",
+        "node 2: data dims (1, 1) != (2, 1)",
+    ]
+
+
 def test_validate_accepts_random_product_trees():
     for seed in range(4):
         assert validate_tree(random_tree(seed=seed)).ok
@@ -291,6 +311,29 @@ def test_ancestry_runs_root_to_node():
     assert path[0] == 0 and path[-1] == leaf
     for a, b in zip(path, path[1:]):
         assert tree.parent[b] == a
+
+
+@pytest.mark.parametrize(
+    "parents, stages",
+    [
+        ([-1, 0, 0, 2, 1, 4, 3], [0, 1, 1, 2, 2, 3, 3]),
+        ([-1, 0, 0, 0, 1, 2, 2, 3, 3, 3], [0, 1, 1, 1, 2, 2, 2, 2, 2, 2]),
+    ],
+    ids=["crossed", "uneven"],
+)
+def test_ancestor_table_matches_parent_walk(parents, stages):
+    probs = np.ones(len(parents))
+    tree = ScenarioTree(parents, stages, probs, [nd_scalar()] * len(parents))
+    for j in range(tree.node_count):
+        path = [j]
+        while parents[path[-1]] >= 0:
+            path.append(parents[path[-1]])
+        expected = path[::-1] + [-1] * (tree.horizon + 1 - len(path))
+        assert tree.ancestors[j].tolist() == expected
+        assert tree.ancestry(j) == path[::-1]
+        assert [tree.is_ancestor(k, j) for k in range(tree.node_count)] == [
+            k in path for k in range(tree.node_count)
+        ]
 
 
 def test_descendants_disjoint_across_siblings():
