@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import BlockVector, _block_norm
+from .norms import BlockVector, _block_norm, _lanczos
 from .tree import TreeError, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
@@ -170,11 +170,11 @@ def solve_kkt(H, lu, rhs):
 class ScaledKKT:
     """Assembled scaled KKT system for one subtree problem.
 
-    Holds the sparse symmetric matrix, the per-node scale factors
-    ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached sparse LU factorization.  The
-    factorization's fill-reducing column permutation is the library
-    default, which is deterministic; node-block layout follows the
-    breadth-first subtree order.
+    Holds the sparse symmetric matrix ``H``, the per-node scale factors
+    ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached
+    sparse LU factorization with the library's deterministic default
+    column permutation; node blocks follow the breadth-first subtree
+    order.
     """
 
     def __init__(self, tree, nodes, k):
@@ -260,19 +260,8 @@ class ScaledKKT:
 
 
 def assemble_scaled_kkt(tree, nodes, k):
-    """Assemble the scaled KKT matrix for the subtree problem at ``k``.
-
-    Parameters
-    ----------
-    tree : ScenarioTree
-    nodes : ordered node list, breadth-first, rooted at k
-    k : int
-
-    Returns
-    -------
-    ScaledKKT holding the exactly symmetric sparse matrix, per-node
-    scale factors, and block offsets.
-    """
+    """The :class:`ScaledKKT` system of the subtree problem at ``k`` over
+    ``nodes``, breadth-first from k."""
     return ScaledKKT(tree, tuple(nodes), k)
 
 
@@ -561,47 +550,62 @@ def check_uniform_regularity(tree, subtree, constants=None):
     """Measure the three uniform-regularity quantities on one subtree.
 
     The claimed bounds come from ``constants`` (any object exposing
-    ``L_H``, ``gamma_F``, ``gamma_G``).  The dynamics operator F and the
-    cost G are read off the assembled scaled KKT matrix H: F is its
-    multiplier rows over the state-control columns, G its state-control
-    block (the symmetric parts of Q and R).  Rank deficiency of F is
-    reported as a failed minimum-eigenvalue check rather than an
-    exception.
+    ``L_H``, ``gamma_F``, ``gamma_G``).  F is the multiplier rows of the
+    scaled KKT matrix H over its state-control columns, G its
+    state-control block.  Each quantity is one extreme eigenvalue of a
+    sparse operator, by Lanczos, with no dense matrix:
+
+    - ``H_norm``: the largest-magnitude eigenvalue of H (exactly symmetric).
+    - ``FFt_min_eig``: the smallest eigenvalue of F F', by shift-invert at
+      0.  The state columns F_x of F are block unit lower triangular, so F
+      has full row rank; ``rank_deficient`` reports F F' singular to
+      working precision, against ``||F|| <= ||H||``.
+    - ``ReH_min_eig``: the smallest algebraic eigenvalue (``which="SA"``)
+      of the pencil (N'GN, N'N), G on the null space of F, for the
+      forward-simulation basis N = [-F_x^{-1} F_u; I], applied through one
+      LU of F_x.  ``N'N v = b`` is one KKT solve with G replaced by the
+      identity (the tree LQ problem with Q = R = I).  Shift-invert at 0
+      would find the eigenvalue nearest zero: on a nonconvex problem, not
+      the smallest.
     """
     nodes = tuple(subtree)
     system = assemble_scaled_kkt(tree, nodes, nodes[0])
-    nx, nw, zd = system.nx, system.nx + system.nu, system.zdim
-    Hd = system.H.toarray()
-    # H is exactly symmetric: its spectral norm is its largest |eigenvalue|
-    H_norm = float(np.abs(np.linalg.eigvalsh(Hd)).max())
+    H, dim, nx, nw = system.H, system.dim, system.nx, system.nx + system.nu
+    # each node block of H is laid out (x, u, y), parts 0, 1 and 2
+    part = np.searchsorted([nx, nw], np.arange(dim) % system.zdim, "right")
+    x, u, y = (np.flatnonzero(part == p) for p in range(3))
+    H_norm = abs(_lanczos(H, dim, which="LM"))
+    Hy = H.tocsr()[y]
+    F, Fu, FuT = Hy[:, part < 2], Hy[:, u], Hy[:, u].T.tocsr()
+    FFt_min = _lanczos((F @ F.T).tocsc(), y.size, sigma=0)
+    Fx = spla.splu(Hy[:, x].tocsc())
+    # H with G replaced by the identity, and the embedding of the u-part
+    D = sp.diags((part < 2).astype(float))
+    K = (H - D @ H @ D + D).tocsc()
+    lu, lift = factor_kkt(K), sp.eye(dim, format="csr")[:, u]
 
-    # each node block of H is laid out (x, u, y)
-    start = zd * np.arange(len(nodes))[:, None]
-    w = (start + np.arange(nw)).ravel()
-    y = (start + nw + np.arange(nx)).ravel()
-    F = Hd[np.ix_(y, w)]
-    G = Hd[np.ix_(w, w)]
-    ny = y.size
+    def N(v):  # the basis applied, as a full vector with y = 0
+        z = lift @ v
+        z[x] = -Fx.solve(Fu @ v)
+        return z
 
-    _, s, Vt = np.linalg.svd(F, full_matrices=True)
-    # F has no more rows than columns: the eigenvalues of F F' are s**2
-    FFt_min = float(s.min()) ** 2
-    tol = (s[0] if s.size else 0.0) * 1e-12
-    rank = int(np.sum(s > tol))
-    rank_deficient = rank < ny
-    Z = Vt[rank:].T
-    ReH_min = (
-        float(np.linalg.eigvalsh(Z.T @ G @ Z).min()) if Z.size else math.inf
+    def Nt(z):
+        return z[u] - FuT @ Fx.solve(z[x], trans="T")
+
+    A, M, Minv = (
+        spla.LinearOperator((u.size, u.size), matvec=f, dtype=float)
+        for f in (
+            lambda v: Nt(H @ N(v)),
+            lambda v: Nt(N(v)),
+            lambda b: solve_kkt(K, lu, lift @ b)[u],
+        )
     )
-    L_H = getattr(constants, "L_H", math.inf) if constants is not None else math.inf
-    gamma_F = getattr(constants, "gamma_F", 0.0) if constants is not None else 0.0
-    gamma_G = getattr(constants, "gamma_G", 0.0) if constants is not None else 0.0
     return RegularityReport(
         H_norm=H_norm,
         FFt_min_eig=FFt_min,
-        ReH_min_eig=ReH_min,
-        L_H=float(L_H),
-        gamma_F=float(gamma_F),
-        gamma_G=float(gamma_G),
-        rank_deficient=rank_deficient,
+        ReH_min_eig=_lanczos(A, u.size, M=M, Minv=Minv, which="SA"),
+        L_H=float(getattr(constants, "L_H", math.inf)),
+        gamma_F=float(getattr(constants, "gamma_F", 0.0)),
+        gamma_G=float(getattr(constants, "gamma_G", 0.0)),
+        rank_deficient=FFt_min <= (1e-12 * H_norm) ** 2,
     )

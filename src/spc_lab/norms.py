@@ -3,11 +3,13 @@
 The weighted vector norm ``sqrt(sum_i pi_i ||v_i||^2)`` and its induced
 operator norm are the measuring sticks for every decay and performance
 bound in this package.  The induced norm is the spectral norm after
-rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.  Two kernels evaluate
-it: :func:`pi_norm_mat` takes the SVD of a densified general
-:class:`BlockMatrix` (the norms suite, solution-map decay rows, and the
-tests' oracle); :func:`stage_norm` is exact, with no dense matrix, for
-the closed-loop stage matrices, which hold one block per row or column.
+rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.  Three kernels evaluate
+it: :func:`pi_norm_mat` assembles a general :class:`BlockMatrix` sparse
+and takes its norm by Lanczos (the norms suite); :func:`stage_norm` is
+exact, with no iteration, for the closed-loop stage matrices, which hold
+one block per row or column (the lemma suite); and :func:`_block_norm`
+takes the dense SVD of blocks that are dense already (solution-map decay
+rows and :func:`sigma_pi`).
 """
 
 from __future__ import annotations
@@ -16,12 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .tree import ScenarioTree, TreeError
-
-
-def _offsets(nodes, dim):
-    return {n: i * dim for i, n in enumerate(nodes)}
 
 
 @dataclass(frozen=True)
@@ -155,18 +155,27 @@ class BlockMatrix:
             out[i] = out[i] + blk @ v.blocks[j]
         return BlockVector(self.tree, self.row_nodes, out)
 
+    def sparse(self, scaling=None):
+        """Assembled sparse (CSR) matrix; ``scaling(i, j)`` multiplies each
+        block."""
+        nr, nc = self.shape_block
+        rpos = {n: a for a, n in enumerate(self.row_nodes)}
+        cpos = {n: b for b, n in enumerate(self.col_nodes)}
+        a = np.array([rpos[i] for i, _ in self.blocks], dtype=int)
+        b = np.array([cpos[j] for _, j in self.blocks], dtype=int)
+        f = [1.0 if scaling is None else scaling(*key) for key in self.blocks]
+        blocks = np.reshape(f, (-1, 1, 1)) * np.reshape(
+            list(self.blocks.values()), (len(a), nr, nc)
+        )
+        m, r, c = np.nonzero(blocks)
+        return sp.csr_matrix(
+            (blocks[m, r, c], (a[m] * nr + r, b[m] * nc + c)),
+            shape=(nr * len(rpos), nc * len(cpos)),
+        )
+
     def dense(self, scaling=None):
         """Assembled dense matrix; ``scaling(i, j)`` multiplies each block."""
-        nr, nc = self.shape_block
-        if not self.blocks:
-            return np.zeros((0, 0))
-        roff = _offsets(self.row_nodes, nr)
-        coff = _offsets(self.col_nodes, nc)
-        out = np.zeros((nr * len(self.row_nodes), nc * len(self.col_nodes)))
-        for (i, j), blk in self.blocks.items():
-            f = 1.0 if scaling is None else scaling(i, j)
-            out[roff[i] : roff[i] + nr, coff[j] : coff[j] + nc] = f * blk
-        return out
+        return self.sparse(scaling).toarray()
 
 
 def _weighted_norm(pi, nodes, blocks):
@@ -208,15 +217,41 @@ def _dense_blocks(M):
     return M.dense().reshape(len(M.row_nodes), nr, len(M.col_nodes), nc)
 
 
+def _lanczos(A, n, **kw):
+    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of an order-``n``
+    symmetric operator (of a pencil when ``kw`` holds ``M``).
+
+    The start is a fixed-seed random vector (``np.ones`` can be orthogonal
+    to the wanted eigenvector) and ``tol=0`` iterates to working
+    precision, so reruns are bit-identical.  The zero operator, whose
+    start ARPACK refuses, has eigenvalue 0.0; ARPACK needs ``k < n``, so an
+    order-1 operator is read off its one entry.
+    """
+    v0 = np.random.default_rng(0).standard_normal(n)
+    Av = A @ v0
+    if not np.any(Av):
+        return 0.0
+    if n == 1:
+        one = np.ones(1)
+        return float((A @ one)[0] / (kw["M"] @ one if "M" in kw else one)[0])
+    return float(
+        spla.eigsh(A, k=1, v0=v0, tol=0, return_eigenvectors=False, **kw)[0]
+    )
+
+
 def pi_norm_mat(M):
     """Operator norm induced by :func:`pi_norm_vec`.
 
     Equals the spectral norm after rescaling each block by
     ``sqrt(pi_row / pi_col)``; the formula is applied verbatim to every
-    block regardless of how the two nodes relate in the tree.
+    block regardless of how the two nodes relate in the tree.  The
+    rescaled matrix stays sparse; its squared norm is the largest
+    eigenvalue of its Gram operator on the smaller side.
     """
-    pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
-    return _block_norm(_dense_blocks(M), np.sqrt(pi_r[:, None] / pi_c[None, :]))
+    pi = M.tree.pi
+    S = M.sparse(lambda i, j: math.sqrt(pi[i] / pi[j]))
+    op = spla.aslinearoperator(S if S.shape[0] >= S.shape[1] else S.T)
+    return math.sqrt(_lanczos(op.T @ op, op.shape[1], which="LA"))
 
 
 def stage_norm(pi, blocks, rows, cols):

@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from spc_lab import NodeData, ScenarioTree, build_tree_stagewise
+from spc_lab import (
+    NodeData,
+    ScenarioTree,
+    build_tree_explicit,
+    build_tree_stagewise,
+)
 
 
 def nd_scalar(A=1.0, B=1.0, d=0.0, Q=1.0, R=1.0, q=0.0, r=0.0):
@@ -61,3 +66,24 @@ def random_block_vector(rng, tree, dims):
     if isinstance(dims, int):
         return [rng.standard_normal(dims) for _ in range(tree.node_count)]
     return [rng.standard_normal(dims[n]) for n in range(tree.node_count)]
+
+
+def crossed_tree(rng):
+    """Breadth-first tree whose stage-2 children are listed crosswise:
+    node 1's child is node 4 and node 2's child is node 3."""
+    return build_tree_explicit(
+        [-1, 0, 0, 2, 1, 4, 3],
+        [0, 1, 1, 2, 2, 3, 3],
+        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+        [random_node_data(rng, 3, 2) for _ in range(7)],
+    )
+
+
+def uneven_tree(rng):
+    """Depth-3 tree with one, two and three children per node."""
+    parents = [-1, 0, 0, 0, 1, 2, 2, 3, 3, 3, 4, 5, 5, 6, 7, 8, 8, 9]
+    probs = [1.0, 0.2, 0.5, 0.3, 0.2, 0.3, 0.2, 0.1, 0.15, 0.05]
+    probs += [0.2, 0.1, 0.2, 0.2, 0.1, 0.05, 0.1, 0.05]
+    stages = [0] + [1] * 3 + [2] * 6 + [3] * 8
+    data = [random_node_data(rng, 3, 2) for _ in parents]
+    return build_tree_explicit(parents, stages, probs, data)

@@ -324,3 +324,61 @@ def here_and_now_reduced(tree, w_prev):
         for i in range(tree.node_count)
     )
     return v, x, objective
+
+
+def dense_pi_norm(pi, row_nodes, col_nodes, blocks):
+    """Probability-weighted operator norm of a block matrix, by one dense SVD.
+
+    ``blocks`` maps (row node, column node) to a dense block; missing pairs
+    are zero.  Block (i, j) is rescaled by sqrt(pi_i / pi_j) and placed in
+    a dense matrix whose largest singular value is returned.
+    """
+    if not blocks:
+        return 0.0
+    nr, nc = np.atleast_2d(next(iter(blocks.values()))).shape
+    rpos = {n: a for a, n in enumerate(row_nodes)}
+    cpos = {n: b for b, n in enumerate(col_nodes)}
+    dense = np.zeros((nr * len(row_nodes), nc * len(col_nodes)))
+    for (i, j), blk in blocks.items():
+        a, b = rpos[i] * nr, cpos[j] * nc
+        dense[a : a + nr, b : b + nc] = math.sqrt(pi[i] / pi[j]) * np.asarray(blk)
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
+def dense_regularity(tree, nodes):
+    """(||H||, min eig F F', min eig of G on null F) of one subproblem, dense.
+
+    Written from the probability-scaled optimality conditions of the
+    subproblem over ``nodes`` (root first): with every variable of node i
+    scaled by sqrt(pi_i / pi_root), node i's dynamics row reads
+    x_i - sqrt(pi_i / pi_parent) (A_i x_parent + B_i u_parent), which makes
+    the constraint Jacobian F over the stacked (x, u) blocks, and G is block
+    diagonal in the symmetric parts of Q_i and R_i.  H = [[G, F'], [F, 0]]
+    puts every (x, u) block before every multiplier; the spectra do not
+    depend on that order.  The null space of F comes from a full SVD.
+    """
+    nx, nu = tree.nx, tree.nu
+    nw, m = nx + nu, len(nodes)
+    local = {n: a for a, n in enumerate(nodes)}
+    F = np.zeros((m * nx, m * nw))
+    G = np.zeros((m * nw, m * nw))
+    for n in nodes:
+        a, nd = local[n], tree.data[n]
+        G[a * nw : a * nw + nx, a * nw : a * nw + nx] = 0.5 * (nd.Q + nd.Q.T)
+        G[a * nw + nx : (a + 1) * nw, a * nw + nx : (a + 1) * nw] = 0.5 * (nd.R + nd.R.T)
+        F[a * nx : (a + 1) * nx, a * nw : a * nw + nx] = np.eye(nx)
+        if n != nodes[0]:
+            par = int(tree.parent[n])
+            b = local[par]
+            ratio = math.sqrt(tree.pi[n] / tree.pi[par])
+            F[a * nx : (a + 1) * nx, b * nw : (b + 1) * nw] = -ratio * np.hstack(
+                [nd.A, nd.B]
+            )
+    H = np.block([[G, F.T], [F, np.zeros((m * nx, m * nx))]])
+    _, s, Vt = np.linalg.svd(F)
+    Z = Vt[m * nx :].T
+    return (
+        float(np.abs(np.linalg.eigvalsh(H)).max()),
+        float(s.min()) ** 2,
+        float(np.linalg.eigvalsh(Z.T @ G @ Z).min()),
+    )

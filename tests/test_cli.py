@@ -368,6 +368,23 @@ class TestSolve:
 # ------------------------------------------------------------------------ spc
 
 
+def write_nonconvex_problem(path, horizon):
+    """Scalar stagewise problem with Q = -5 and two branches per stage."""
+    def outcome(prob, d, q):
+        return {"prob": prob, "A": [[1.0]], "B": [[1.0]], "d": [d],
+                "Q": [[-5.0]], "R": [[1.0]], "q": [q], "r": [0.0]}
+
+    branches = [outcome(0.5, 0.1, 0.1), outcome(0.5, -0.1, -0.1)]
+    doc = {
+        "dims": {"nx": 1, "nu": 1},
+        "horizon": horizon,
+        "stagewise": [[outcome(1.0, 0.0, 0.1)]] + [branches] * horizon,
+        "initial": {"x_prev": [0.3], "u_prev": [0.1]},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSpc:
     def test_full_window_zero_regret(self, tmp_path, capsys):
         tree = random_tree(seed=9, T=3, branching=2, nx=2, nu=1)
@@ -390,20 +407,8 @@ class TestSpc:
     def test_undercut_regret_exit_3(self, tmp_path, capsys):
         # Q < 0 makes the problem nonconvex: the full-horizon stationary
         # point is a saddle, and the policy's cost falls below it
-        def outcome(prob, d, q):
-            return {"prob": prob, "A": [[1.0]], "B": [[1.0]], "d": [d],
-                    "Q": [[-5.0]], "R": [[1.0]], "q": [q], "r": [0.0]}
-
-        branches = [outcome(0.5, 0.1, 0.1), outcome(0.5, -0.1, -0.1)]
-        doc = {
-            "dims": {"nx": 1, "nu": 1},
-            "horizon": 2,
-            "stagewise": [[outcome(1.0, 0.0, 0.1)], branches, branches],
-            "initial": {"x_prev": [0.3], "u_prev": [0.1]},
-        }
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
-        rc = main(["spc", "--input", str(path), "--out", str(tmp_path), "--W", "1"])
+        path = write_nonconvex_problem(tmp_path / "p.json", horizon=2)
+        rc = main(["spc", "--input", path, "--out", str(tmp_path), "--W", "1"])
         assert rc == 3
         assert "undercuts the optimum" in capsys.readouterr().err
 
@@ -514,6 +519,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == 4
         assert "gain bound violated" in out
+
+    def test_nonconvex_regularity_exit_4(self, tmp_path, capsys):
+        # the reduced Hessian of the Q = -5 problem has smallest eigenvalue
+        # -4.008 on its 15-dimensional null space: below gamma_G = 0
+        path = write_nonconvex_problem(tmp_path / "p.json", horizon=3)
+        rc = main(
+            ["verify-bounds", "--input", path, "--suite", "regularity",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "ReH_min_eig=-4.008" in capsys.readouterr().out
+        report = json.loads(open(tmp_path / "verify_report.json").read())
+        detail = report["summary"]["regularity"]["detail"]
+        assert detail["ReH_min_eig"] == pytest.approx(-4.0080869578432985, rel=1e-10)
 
     def test_suite_all_on_generated_instance(self, generated, tmp_path, capsys):
         rc = main(

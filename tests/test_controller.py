@@ -26,7 +26,13 @@ from spc_lab import (
     subtree_nodes,
 )
 
-from .helpers import nd_scalar, random_node_data, random_tree
+from .helpers import (
+    crossed_tree,
+    nd_scalar,
+    random_node_data,
+    random_tree,
+    uneven_tree,
+)
 from .oracles import (
     dense_unscaled_solve,
     here_and_now_reduced,
@@ -196,27 +202,6 @@ def test_run_spc_annotates_failing_node():
     )
     with pytest.raises(SingularKKTError, match="node 2"):
         run_spc(tree, (np.zeros(1), np.zeros(1)), 0)
-
-
-def crossed_tree(rng):
-    """Breadth-first tree whose stage-2 children are listed crosswise:
-    node 1's child is node 4 and node 2's child is node 3."""
-    return build_tree_explicit(
-        [-1, 0, 0, 2, 1, 4, 3],
-        [0, 1, 1, 2, 2, 3, 3],
-        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        [random_node_data(rng, 3, 2) for _ in range(7)],
-    )
-
-
-def uneven_tree(rng):
-    """Depth-3 tree with one, two and three children per node."""
-    parents = [-1, 0, 0, 0, 1, 2, 2, 3, 3, 3, 4, 5, 5, 6, 7, 8, 8, 9]
-    probs = [1.0, 0.2, 0.5, 0.3, 0.2, 0.3, 0.2, 0.1, 0.15, 0.05]
-    probs += [0.2, 0.1, 0.2, 0.2, 0.1, 0.05, 0.1, 0.05]
-    stages = [0] + [1] * 3 + [2] * 6 + [3] * 8
-    data = [random_node_data(rng, 3, 2) for _ in parents]
-    return build_tree_explicit(parents, stages, probs, data)
 
 
 @pytest.mark.parametrize(
@@ -484,7 +469,7 @@ def test_recursion_iterate_matches_run_spc(W):
 def test_stage_norm_matches_dense_on_lemma_matrices(build):
     # products of S, Psi truncation gaps and S truncation gaps: each has
     # one block per row or one per column, so the exact stage norm must
-    # agree with the dense SVD of the assembled block matrix
+    # agree with the general pi_norm_mat of the assembled block matrix
     tree = build(np.random.default_rng(37))
     T, anc, parent = tree.horizon, tree.ancestors, tree.parent
     rec_inf, rec_W = recursion_matrices(tree, T), recursion_matrices(tree, 1)

@@ -1,6 +1,7 @@
 """Scaled QP assembly and solves against an independent dense oracle."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +27,8 @@ from spc_lab import (
     subtree_nodes,
 )
 
-from .helpers import nd_scalar, random_tree, uniform_outcome
-from .oracles import dense_unscaled_solve, simulate_no_lookahead
+from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .oracles import dense_regularity, dense_unscaled_solve, simulate_no_lookahead
 
 
 def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
@@ -410,3 +411,74 @@ def test_regularity_null_space_hessian_positive_for_pd_costs():
     tree = random_tree(seed=58, T=2, branching=2, nx=2, nu=1)
     report = check_uniform_regularity(tree, tuple(range(tree.node_count)))
     assert report.ReH_min_eig > 0.0
+
+
+def nonconvex_tree(T=3):
+    """Scalar stagewise tree with Q = -5 at every node and two branches per
+    stage: the stationary point of its problem is a saddle."""
+    def nd(d, q):
+        return nd_scalar(A=1.0, B=1.0, d=d, Q=-5.0, R=1.0, q=q)
+
+    branches = [(nd(0.1, 0.1), 0.5), (nd(-0.1, -0.1), 0.5)]
+    return build_tree_stagewise([[(nd(0.0, 0.1), 1.0)]] + [branches] * T)
+
+
+@pytest.mark.parametrize(
+    "build, root",
+    [
+        (lambda rng: random_tree(91, T=2, branching=3, nx=1, nu=1), 0),
+        (lambda rng: random_tree(92, T=3, branching=2, nx=2, nu=1), 0),
+        (lambda rng: random_tree(93, T=4, branching=2, nx=3, nu=2), 0),
+        (lambda rng: random_tree(94, T=4, branching=2, nx=1, nu=3), 2),
+        (crossed_tree, 0),
+        (uneven_tree, 0),
+    ],
+    ids=[
+        "stagewise-T2", "stagewise-T3", "stagewise-T4", "interior", "crossed", "uneven",
+    ],
+)
+def test_regularity_matches_dense_oracle(build, root):
+    tree = build(np.random.default_rng(90))
+    nodes = tuple(subtree_nodes(tree, root, tree.horizon - int(tree.stage[root])))
+    report = check_uniform_regularity(tree, nodes)
+    H_norm, FFt_min, ReH_min = dense_regularity(tree, nodes)
+    assert report.H_norm == pytest.approx(H_norm, rel=1e-10)
+    assert report.FFt_min_eig == pytest.approx(FFt_min, rel=1e-10)
+    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
+    assert not report.rank_deficient
+
+
+def test_regularity_finds_smallest_not_nearest_zero_on_nonconvex_tree():
+    # 15 nodes with one control each: a 15-dimensional null space of F,
+    # whose reduced Hessian has eigenvalues near -4.008 and -0.413; the
+    # smallest, not the one nearest zero, is the regularity measure
+    tree = nonconvex_tree(T=3)
+    nodes = tuple(range(tree.node_count))
+    ReH_min = dense_regularity(tree, nodes)[2]
+    assert ReH_min == pytest.approx(-4.0080869578432985, rel=1e-12)
+    report = check_uniform_regularity(tree, nodes)
+    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
+    assert not report.ReH_pass
+
+
+def test_regularity_reruns_bit_identical():
+    def fresh():
+        tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
+        return check_uniform_regularity(tree, tuple(range(tree.node_count)))
+
+    assert fresh() == fresh()
+
+
+def test_regularity_peak_memory_below_half_a_dense_kkt():
+    # the T = 6 KKT matrix is 762 x 762; its dense float64 form alone would
+    # take 4.6 MB
+    tree = random_tree(seed=96, T=6, branching=2, nx=2, nu=2)
+    nodes = tuple(range(tree.node_count))
+    n = (2 * tree.nx + tree.nu) * tree.node_count
+    tracemalloc.start()
+    try:
+        check_uniform_regularity(tree, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 762 and peak < 0.5 * 8 * n * n

@@ -1,6 +1,7 @@
 """Probability-weighted norms: examples, oracles, and algebraic properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from spc_lab import (
     stage_norm,
 )
 
-from .helpers import nd_scalar, random_tree, uniform_outcome
-from .oracles import naive_pi_norm, sampled_operator_norm
+from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .oracles import dense_pi_norm, naive_pi_norm, sampled_operator_norm
 
 
 def singleton_tree():
@@ -45,6 +46,20 @@ def random_block_matrix(rng, tree, row_nodes, col_nodes, shape, density=0.7):
     if not blocks:
         blocks[(row_nodes[0], col_nodes[0])] = rng.standard_normal(shape)
     return BlockMatrix(tree, row_nodes, col_nodes, blocks)
+
+
+def diag_parent_matrix(rng, tree, dim):
+    """The norms suite's pattern over every node: a diagonal block per node
+    and one block from each node to its parent."""
+    nodes = tuple(range(tree.node_count))
+    blocks = {(n, n): rng.standard_normal((dim, dim)) for n in nodes}
+    for n in nodes[1:]:
+        blocks[(n, int(tree.parent[n]))] = rng.standard_normal((dim, dim))
+    return BlockMatrix(tree, nodes, nodes, blocks)
+
+
+def oracle_norm(M):
+    return dense_pi_norm(M.tree.pi, M.row_nodes, M.col_nodes, M.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +316,71 @@ def test_stage_norm_rejects_general_block_pattern():
     blocks = np.ones((3, 2, 2))
     with pytest.raises(TreeError, match="one block per row"):
         stage_norm(tree.pi, blocks, [1, 1, 2], [1, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# sparse Lanczos pi_norm_mat against the dense oracle
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: random_tree(81, T=2, branching=3, nx=1, nu=1),
+        lambda rng: random_tree(82, T=3, branching=2, nx=2, nu=1),
+        lambda rng: random_tree(83, T=4, branching=2, nx=3, nu=2),
+        crossed_tree,
+        uneven_tree,
+    ],
+    ids=["stagewise-T2", "stagewise-T3", "stagewise-T4", "crossed", "uneven"],
+)
+def test_pi_norm_mat_matches_dense_oracle(build):
+    # the norms suite's diagonal-plus-parent pattern, then random matrices
+    # between consecutive stages, tall and wide
+    rng = np.random.default_rng(80)
+    tree = build(rng)
+    cases = [diag_parent_matrix(rng, tree, tree.nx + tree.nu)]
+    for t in range(tree.horizon):
+        late, early = tuple(tree.stage_nodes(t + 1)), tuple(tree.stage_nodes(t))
+        cases.append(random_block_matrix(rng, tree, late, early, (3, 2)))
+        cases.append(random_block_matrix(rng, tree, early, late, (2, 3)))
+    for M in cases:
+        assert pi_norm_mat(M) == pytest.approx(oracle_norm(M), rel=1e-10)
+
+
+def test_pi_norm_mat_of_zero_and_one_sided_matrices():
+    tree = random_tree(seed=84, T=2, branching=2)
+    nodes = tuple(range(tree.node_count))
+    zero = {(n, n): np.zeros((2, 2)) for n in nodes}
+    assert pi_norm_mat(BlockMatrix(tree, nodes, nodes, zero)) == 0.0
+    assert pi_norm_mat(BlockMatrix(tree, nodes, nodes, {})) == 0.0
+    # smaller side 1: one scalar row, one scalar column, a single entry
+    rng = np.random.default_rng(84)
+    for rows, cols, shape in [
+        ((0,), nodes, (1, 2)),
+        (nodes, (3,), (2, 1)),
+        ((4,), (4,), (1, 1)),
+    ]:
+        M = random_block_matrix(rng, tree, rows, cols, shape, density=1.0)
+        assert pi_norm_mat(M) == pytest.approx(oracle_norm(M), rel=1e-10)
+
+
+def test_pi_norm_mat_reruns_bit_identical():
+    tree = random_tree(seed=85, T=4, branching=2, nx=2, nu=2)
+    first = pi_norm_mat(diag_parent_matrix(np.random.default_rng(85), tree, 4))
+    again = pi_norm_mat(diag_parent_matrix(np.random.default_rng(85), tree, 4))
+    assert first == again
+
+
+def test_pi_norm_mat_peak_memory_below_half_a_dense_matrix():
+    # the norms-suite matrix of a T = 6 tree is 508 x 508; its dense float64
+    # form alone would take 2.1 MB
+    tree = random_tree(seed=86, T=6, branching=2, nx=2, nu=2)
+    M = diag_parent_matrix(np.random.default_rng(86), tree, 4)
+    n = 4 * tree.node_count
+    tracemalloc.start()
+    try:
+        pi_norm_mat(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
