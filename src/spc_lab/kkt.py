@@ -572,7 +572,7 @@ def check_uniform_regularity(tree, subtree, constants=None):
     system = assemble_scaled_kkt(tree, nodes, nodes[0])
     H, dim, nx, nw = system.H, system.dim, system.nx, system.nx + system.nu
     # each node block of H is laid out (x, u, y), parts 0, 1 and 2
-    part = np.searchsorted([nx, nw], np.arange(dim) % system.zdim, "right")
+    part = np.searchsorted([nx, nw], np.arange(dim) % system.zdim, side="right")
     x, u, y = (np.flatnonzero(part == p) for p in range(3))
     H_norm = abs(_lanczos(H, dim, which="LM"))
     Hy = H.tocsr()[y]

@@ -364,16 +364,16 @@ def dense_regularity(tree, nodes):
     G = np.zeros((m * nw, m * nw))
     for n in nodes:
         a, nd = local[n], tree.data[n]
-        G[a * nw : a * nw + nx, a * nw : a * nw + nx] = 0.5 * (nd.Q + nd.Q.T)
-        G[a * nw + nx : (a + 1) * nw, a * nw + nx : (a + 1) * nw] = 0.5 * (nd.R + nd.R.T)
-        F[a * nx : (a + 1) * nx, a * nw : a * nw + nx] = np.eye(nx)
+        xs, us = slice(a * nw, a * nw + nx), slice(a * nw + nx, (a + 1) * nw)
+        row = slice(a * nx, (a + 1) * nx)
+        G[xs, xs] = 0.5 * (nd.Q + nd.Q.T)
+        G[us, us] = 0.5 * (nd.R + nd.R.T)
+        F[row, xs] = np.eye(nx)
         if n != nodes[0]:
             par = int(tree.parent[n])
             b = local[par]
             ratio = math.sqrt(tree.pi[n] / tree.pi[par])
-            F[a * nx : (a + 1) * nx, b * nw : (b + 1) * nw] = -ratio * np.hstack(
-                [nd.A, nd.B]
-            )
+            F[row, b * nw : (b + 1) * nw] = -ratio * np.hstack([nd.A, nd.B])
     H = np.block([[G, F.T], [F, np.zeros((m * nx, m * nx))]])
     _, s, Vt = np.linalg.svd(F)
     Z = Vt[m * nx :].T
