@@ -25,9 +25,9 @@ from .kkt import (
     _mv,
     depth_layers,
     factor_kkt,
+    forest_rhs,
     riccati_gains,
     rollout,
-    solution_map_rows,
     solve_extensive,
     solve_forest,
     solve_kkt,
@@ -118,13 +118,15 @@ def run_spc(tree, w_prev_init, W):
     par = tree.parent[node]
     parent = np.where(par >= 0, pos[depth + 1, par], -1)
     weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
-    K, kv = riccati_gains(tree, node, parent, weight, depth_layers(depth))
+    p = tree.arrays.p[node][:, :, None]
+    K, kv = riccati_gains(tree, node, parent, weight, depth_layers(depth), p)
     g = pos[own, np.arange(N)]
     levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    d = forest_rhs(tree, np.arange(N), tree.parent, (x_init, u_init))
     x, u = rollout(
-        tree, np.arange(N), tree.parent, K[g], kv[g], levels, (x_init, u_init)
+        tree, np.arange(N), tree.parent, K[g], kv[g], d[:, tree.nx + tree.nu :], levels
     )
-    x, u = dict(enumerate(x)), dict(enumerate(u))
+    x, u = dict(enumerate(x[..., 0])), dict(enumerate(u[..., 0]))
     J_W = math.fsum(
         tree.pi[k] * stage_cost(tree.data[k], x[k], u[k])
         for k in range(tree.node_count)
@@ -205,7 +207,9 @@ def solve_anticipative(tree, w_prev):
     parent = np.arange(node.size) - L
     parent[:L] = -1
     layers = depth_layers(np.repeat(np.arange(T, -1, -1), L))
-    x, u, _ = solve_forest(tree, node, parent, np.ones(node.size), layers, w_prev)
+    p = forest_rhs(tree, node, parent, w_prev)
+    x, u, _ = solve_forest(tree, node, parent, np.ones(node.size), layers, p)
+    x, u = x[..., 0], u[..., 0]
     path_values = {
         int(leaf): math.fsum(
             stage_cost(tree.data[paths[t, i]], x[t * L + i], u[t * L + i])
@@ -269,20 +273,31 @@ class RecursionMatrices:
 def recursion_matrices(tree, W):
     """Build the one-step closed-loop transfer matrices for window W.
 
-    For every node the local solution-map rows are extracted from one
-    factorization of its subtree system; the parent-to-node transfer is
+    Every node's window is one tree of a forest: position (j, t) is node j
+    in the window of its stage-t ancestor k.  One solve with unit (q, r)
+    perturbations at every root gives the responses ``Z_j(k)``; the map is
+    self-adjoint in the probability weights, so k's row block over p_j is
+    ``Psi[j, t] = (pi_j / pi_k) Z_j(k)'``.  The parent-to-node transfer is
     the node's diagonal row block times the perturbation injection.
     """
-    nx, nu, N = tree.nx, tree.nu, tree.node_count
-    arr = tree.arrays
-    Lambda = np.zeros((N, 2 * nx + nu, nx + nu))
-    Lambda[:, nx + nu :] = np.concatenate([arr.A, arr.B], axis=2)
-    Psi = np.zeros((N, tree.horizon + 1, nx + nu, 2 * nx + nu))
-    for k in range(N):
-        t = int(tree.stage[k])
-        for (_, j), blk in solution_map_rows(tree, k, W, (k,), rows="w").items():
-            Psi[j, t] = blk
-    S = Psi[np.arange(N), tree.stage] @ Lambda
+    nx, nu, N, T = tree.nx, tree.nu, tree.node_count, tree.horizon
+    nw, zd, anc, stage = nx + nu, 2 * nx + nu, tree.ancestors, tree.stage
+    Lambda = np.zeros((N, zd, nw))
+    Lambda[:, nw:] = np.concatenate([tree.arrays.A, tree.arrays.B], axis=2)
+    # positions (j, t) for every j within W stages below its ancestor
+    j, t = np.nonzero((anc >= 0) & (stage[:, None] - np.arange(T + 1) <= W))
+    pos = np.full((N, T + 1), -1)
+    pos[j, t] = np.arange(j.size)
+    par = np.maximum(tree.parent[j], 0)
+    parent = np.where(stage[j] > t, pos[par, t], -1)
+    layers = depth_layers(np.minimum(W, T - t) - (stage[j] - t))
+    p = np.zeros((j.size, zd, nw))
+    p[np.flatnonzero(parent < 0)[:, None], np.arange(nw), np.arange(nw)] = 1.0
+    w = tree.pi[j] / tree.pi[par]
+    Z = np.concatenate(solve_forest(tree, j, parent, w, layers, p), axis=1)
+    Psi = np.zeros((N, T + 1, nw, zd))
+    Psi[j, t] = (tree.pi[j] / tree.pi[anc[j, t]])[:, None, None] * Z.transpose(0, 2, 1)
+    S = Psi[np.arange(N), stage] @ Lambda
     for a in (Lambda, S, Psi):
         a.setflags(write=False)
     return RecursionMatrices(tree, int(W), Lambda, S, Psi)
@@ -301,12 +316,13 @@ def hypothetical_state(tree, trace):
     arr, parent = tree.arrays, tree.parent
     weight = tree.pi / tree.pi[np.maximum(parent, 0)]
     layers = depth_layers(tree.horizon - tree.stage)
-    K, kv = riccati_gains(tree, np.arange(tree.node_count), parent, weight, layers)
+    node, p = np.arange(tree.node_count), arr.p[:, :, None]
+    K, kv = riccati_gains(tree, node, parent, weight, layers, p)
     x_init, u_init = committed_pair(trace.w_prev_init, tree)
     xp = np.array([trace.x[p] if p >= 0 else x_init for p in parent])
     up = np.array([trace.u[p] if p >= 0 else u_init for p in parent])
     x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
-    u = _mv(K, x) + kv
+    u = _mv(K, x) + kv[..., 0]
     return np.concatenate([x, u], axis=1)
 
 

@@ -2,13 +2,15 @@
 
 The subproblem over the depth-W subtree rooted at k minimizes the
 conditional expected quadratic cost subject to the linear dynamics along
-tree edges.  Plans and policies are solved by a backward Riccati pass over
-(node, remaining depth) pairs, batched by depth, and a forward rollout
-(:func:`riccati_gains`, :func:`rollout`, :func:`solve_forest`); every plan
-is held to the residual of the KKT system below.
+tree edges.  Plans, policies and solution maps (forests of subproblems
+against unit perturbations) are solved by a backward Riccati pass over
+(node, remaining depth) pairs, batched by depth, and a forward rollout,
+for many right-hand sides at once (:func:`riccati_gains`,
+:func:`rollout`, :func:`solve_forest`); every solution is held to the
+residual of the KKT system below.
 
-Where the assembled matrix itself is studied (solution maps, uniform
-regularity, the here-and-now restriction), :class:`ScaledKKT` builds the
+Where the assembled matrix itself is studied (uniform regularity, the
+here-and-now restriction), :class:`ScaledKKT` builds the
 probability-scaled system, whose variables are ``z_i`` premultiplied by
 ``sqrt(pi_{i|k})``: the scaled KKT matrix is uniformly well conditioned,
 while the raw weighted system is not.  Outputs are unscaled back before
@@ -161,9 +163,7 @@ def solve_kkt(H, lu, rhs):
     scale = 1.0 + np.linalg.norm(rhs, axis=0)
     worst = float(np.max(resid / scale))
     if worst > RESIDUAL_TOL:
-        raise SolverError(
-            f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}"
-        )
+        raise SolverError(f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}")
     return z
 
 
@@ -276,11 +276,6 @@ def _mv(M, v):
     return np.einsum("nij,nj->ni", M, v)
 
 
-def _mtv(M, v):
-    """Batched transposed products ``M[i]' @ v[i]``."""
-    return np.einsum("nji,nj->ni", M, v)
-
-
 def depth_layers(depth):
     """Positions grouped by depth: ``layers[h]`` holds, in position
     order, every position of depth h."""
@@ -325,126 +320,130 @@ def _step_solve(G, rhs, node, h):
     return X
 
 
-def riccati_gains(tree, node, parent, weight, layers):
-    """Feedback ``u = K x + k`` of every subproblem of a forest, from one
-    backward Riccati pass.
+def riccati_gains(tree, node, parent, weight, layers, p):
+    """Feedback ``u = K x + k`` of every subproblem of a forest, for every
+    right-hand side, from one backward Riccati pass.
 
     Position i is the depth-h subproblem rooted at tree node ``node[i]``,
-    for the h with i in ``layers[h]``.  Its children are the positions
-    whose ``parent`` is i; they sit in ``layers[h - 1]`` and carry
-    ``weight``, their probability conditional on i.  A position's value
-    ``1/2 x'P x - p'x + c`` is kept as one matrix ``[[P, -p], [-p', c]]``
-    acting on ``[x; 1]``.  One step per depth, batched over that depth's
-    positions, sums the stage cost and the weighted child values into a
-    quadratic form in ``z = [u; x; 1]`` and eliminates the control; the
-    step matrix ``G = R + sum_c w_c B_c' P_c B_c`` is its control block.
-    Returns ``K`` of shape (M, nu, nx) and ``k`` of shape (M, nu).
+    for the h with i in ``layers[h]``; its children are the positions whose
+    ``parent`` is i, in ``layers[h - 1]``, with ``weight`` their probability
+    conditional on i.  ``p[i]`` holds its perturbations (q, r, d), one
+    column per right-hand side.  A value ``1/2 x'P x - s'x + c`` is kept
+    row-only as ``[P, -s]``, so no two right-hand sides are ever paired.
+    One step per depth sums the stage cost and the weighted child values
+    into a form in ``z = [u; x]`` and eliminates the control, through the
+    step matrix ``G = R + sum_c w_c B_c' P_c B_c``.  Returns ``K``
+    (M, nu, nx) and ``k`` (M, nu, R).
     """
     arr, nx, nu = tree.arrays, tree.nx, tree.nu
-    M = len(node)
-    # stage costs 1/2 x'Qx + 1/2 u'Ru - q'x - r'u as forms in z
-    Hz = np.zeros((M, nu + nx + 1, nu + nx + 1))
-    Hz[:, :nu, :nu] = arr.R[node]
-    Hz[:, nu:-1, nu:-1] = arr.Q[node]
-    Hz[:, :nu, -1] = Hz[:, -1, :nu] = -arr.r[node]
-    Hz[:, nu:-1, -1] = Hz[:, -1, nu:-1] = -arr.q[node]
-    # [x; 1] of a position as a linear map of its parent's z
-    E = np.zeros((M, nx + 1, nu + nx + 1))
-    E[:, :nx, :nu] = arr.B[node]
-    E[:, :nx, nu:-1] = arr.A[node]
-    E[:, :nx, -1] = arr.d[node]
-    E[:, -1, -1] = 1.0
-    V = np.empty((M, nx + 1, nx + 1))
-    X = np.empty((M, nu, nx + 1))
+    nz, R = nu + nx, p.shape[2]
+    # stage costs 1/2 x'Qx + 1/2 u'Ru - q'x - r'u: the quadratic block,
+    # then the linear terms
+    S = np.zeros((len(node), nz, nz + R))
+    S[:, :nu, :nu], S[:, nu:, nu:nz] = arr.R[node], arr.Q[node]
+    S[:, :nu, nz:], S[:, nu:, nz:] = -p[:, nx:nz], -p[:, :nx]
+    # a position's x is F z + d in its parent's z, with F = [B, A]
+    E = np.concatenate([arr.B[node], arr.A[node], p[:, nz:]], axis=2)
+    V = np.empty((len(node), nx, nx + R))
+    X = np.empty((len(node), nu, nx + R))
     for h, at in enumerate(layers):
         if h:
             ch = layers[h - 1][parent[layers[h - 1]] >= 0]
-            Ec = E[ch]
-            child = Ec.transpose(0, 2, 1) @ V[ch] @ Ec
-            np.add.at(Hz, parent[ch], weight[ch, None, None] * child)
-        S = Hz[at]
-        S = 0.5 * (S + S.transpose(0, 2, 1))
-        X[at] = -_step_solve(S[:, :nu, :nu], S[:, :nu, nu:], node[at], h)
-        Vh = S[:, nu:, nu:] + S[:, nu:, :nu] @ X[at]
-        V[at] = 0.5 * (Vh + Vh.transpose(0, 2, 1))
-    return X[:, :, :nx], X[:, :, nx]
+            # a child's value in its parent's z: F'PF, and F'(P d - s)
+            PE = V[ch, :, :nx] @ E[ch]
+            PE[:, :, nz:] += V[ch, :, nx:]
+            child = E[ch, :, :nz].transpose(0, 2, 1) @ PE
+            np.add.at(S, parent[ch], weight[ch, None, None] * child)
+        Sa = S[at]
+        Sa[:, :, :nz] = 0.5 * (Sa[:, :, :nz] + Sa[:, :, :nz].transpose(0, 2, 1))
+        X[at] = -_step_solve(Sa[:, :nu, :nu], Sa[:, :nu, nu:], node[at], h)
+        Vh = Sa[:, nu:, nu:] + Sa[:, nu:, :nu] @ X[at]
+        Vh[:, :, :nx] = 0.5 * (Vh[:, :, :nx] + Vh[:, :, :nx].transpose(0, 2, 1))
+        V[at] = Vh
+    return X[:, :, :nx], X[:, :, nx:]
 
 
-def rollout(tree, node, pred, K, k, levels, w_prev):
-    """States and controls driven forward by feedback gains.
-
-    Item i follows tree node ``node[i]``'s dynamics from the pair of item
-    ``pred[i]`` (from the committed pair ``w_prev`` where ``pred`` is -1)
-    and applies ``u = K[i] x + k[i]``.  ``levels`` lists the items so that
-    each comes after its predecessor.  Returns stacked ``x`` and ``u``.
+def rollout(tree, node, pred, K, k, d, levels):
+    """States and controls driven forward by feedback gains: item i follows
+    tree node ``node[i]``'s dynamics with offset ``d[i]`` from the pair of
+    item ``pred[i]`` (a zero pair where ``pred`` is -1) and applies
+    ``u = K[i] x + k[i]``, for every right-hand side.  ``levels`` lists
+    each item after its predecessor.
     """
-    arr = tree.arrays
-    x_prev, u_prev = committed_pair(w_prev, tree)
-    x = np.zeros((len(node), tree.nx))
-    u = np.zeros((len(node), tree.nu))
+    A, B = tree.arrays.A[node], tree.arrays.B[node]
+    x, u = np.zeros(d.shape), np.zeros(k.shape)
     for at in levels:
-        first = (pred[at] < 0)[:, None]
-        xp = np.where(first, x_prev, x[pred[at]])
-        up = np.where(first, u_prev, u[pred[at]])
-        n = node[at]
-        x[at] = _mv(arr.A[n], xp) + _mv(arr.B[n], up) + arr.d[n]
-        u[at] = _mv(K[at], x[at]) + k[at]
+        prev, live = np.maximum(pred[at], 0), pred[at, None, None] >= 0
+        x[at] = live * (A[at] @ x[prev] + B[at] @ u[prev]) + d[at]
+        u[at] = K[at] @ x[at] + k[at]
     return x, u
 
 
-def solve_forest(tree, node, parent, weight, layers, w_prev):
-    """Primal-dual solution of every tree of a forest of subproblems.
+def forest_rhs(tree, node, parent, w_prev):
+    """Node data (q, r, d) of a forest's positions as one right-hand side,
+    (M, 2nx + nu, 1), with the committed pair ``w_prev`` folded into the
+    dynamics offset of every root."""
+    x_prev, u_prev = committed_pair(w_prev, tree)
+    p, roots = tree.arrays.p[node], node[parent < 0]
+    drive = tree.arrays.A[roots] @ x_prev + tree.arrays.B[roots] @ u_prev
+    p[parent < 0, tree.nx + tree.nu :] += drive
+    return p[:, :, None]
 
-    The forest is laid out as for :func:`riccati_gains`, and every root
-    starts from the committed pair ``w_prev``.  States and controls come
-    from a rollout of the gains from the roots, multipliers from the
-    adjoint recursion ``y = q - Q x + sum_c w_c A_c' y_c``, children
-    first.  Each tree is then held to the residual of its scaled KKT
-    system (the one :class:`ScaledKKT` assembles), evaluated blockwise:
-    stationarity and dynamics rows weighted by probabilities conditional
-    on the root, against ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``.
+
+def solve_forest(tree, node, parent, weight, layers, p):
+    """Primal-dual solution of every tree of a forest of subproblems, for
+    every right-hand side.
+
+    The forest and ``p`` are laid out as for :func:`riccati_gains`; a
+    committed pair enters through its root's d (:func:`forest_rhs`).
+    States and controls come from a rollout of the gains, multipliers from
+    the adjoint recursion ``y = q - Q x + sum_c w_c A_c' y_c``.  Each tree
+    and right-hand side is held to the residual of its scaled KKT system
+    (the one :class:`ScaledKKT` assembles), accumulated layer by layer
+    with rows weighted by probabilities conditional on the root, against
+    ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``.  Returns x, u and y.
     """
-    arr = tree.arrays
-    K, k = riccati_gains(tree, node, parent, weight, layers)
-    x, u = rollout(tree, node, parent, K, k, layers[::-1], w_prev)
-    A, B = arr.A[node], arr.B[node]
-    q, r, d = arr.q[node], arr.r[node], arr.d[node]
+    arr, nx, nz = tree.arrays, tree.nx, tree.nx + tree.nu
+    K, k = riccati_gains(tree, node, parent, weight, layers, p)
+    x, u = rollout(tree, node, parent, K, k, p[:, nz:], layers[::-1])
+    A, B, Q, R = (a[node] for a in (arr.A, arr.B, arr.Q, arr.R))
     # each position's root, and its probability conditional on the root
     root, cond = np.arange(len(node)), np.ones(len(node))
     for at in layers[::-1]:
         below = at[parent[at] >= 0]
         root[below] = root[parent[below]]
         cond[below] = cond[parent[below]] * weight[below]
-    # SA, SB: child sums of the weighted multipliers through A' and B'
+    # SA, SB: child sums of the weighted multipliers through A' and B';
+    # res2, rhs2: squared residual and right-hand-side norms per root
     SA, SB, y = np.zeros_like(x), np.zeros_like(u), np.empty_like(x)
+    res2, rhs2 = np.zeros((2, len(node), p.shape[2]))
     for at in layers:
-        y[at] = q[at] - _mv(arr.Q[node[at]], x[at]) + SA[at]
+        y[at] = p[at, :nx] - Q[at] @ x[at] + SA[at]
         ch = at[parent[at] >= 0]
-        wy = weight[ch, None] * y[ch]
-        np.add.at(SA, parent[ch], _mtv(A[ch], wy))
-        np.add.at(SB, parent[ch], _mtv(B[ch], wy))
-    x_prev, u_prev = committed_pair(w_prev, tree)
-    first = (parent < 0)[:, None]
-    drive = _mv(A, np.where(first, x_prev, x[parent])) + _mv(
-        B, np.where(first, u_prev, u[parent])
-    )
-    resid = np.concatenate(
-        [
-            _mv(arr.Q[node], x) + y - SA - q,
-            _mv(arr.R[node], u) - SB - r,
-            x - drive - d,
-        ],
-        axis=1,
-    )
-    rhs = np.concatenate([q, r, d + np.where(first, drive, 0.0)], axis=1)
-    res_norm = np.sqrt(np.bincount(root, cond * np.sum(resid**2, axis=1)))
-    rhs_norm = np.sqrt(np.bincount(root, cond * np.sum(rhs**2, axis=1)))
-    worst = float(np.max(res_norm / (1.0 + rhs_norm)))
+        wy = weight[ch, None, None] * y[ch]
+        np.add.at(SA, parent[ch], A[ch].transpose(0, 2, 1) @ wy)
+        np.add.at(SB, parent[ch], B[ch].transpose(0, 2, 1) @ wy)
+        prev, live = np.maximum(parent[at], 0), parent[at, None, None] >= 0
+        drive = live * (A[at] @ x[prev] + B[at] @ u[prev])
+        z = [Q[at] @ x[at] + y[at] - SA[at], R[at] @ u[at] - SB[at], x[at] - drive]
+        resid = np.concatenate(z, axis=1) - p[at]
+        np.add.at(res2, root[at], cond[at, None] * np.sum(resid**2, axis=1))
+        np.add.at(rhs2, root[at], cond[at, None] * np.sum(p[at] ** 2, axis=1))
+    worst = float(np.max(np.sqrt(res2) / (1.0 + np.sqrt(rhs2))))
     if worst > RESIDUAL_TOL:
-        raise SolverError(
-            f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}"
-        )
+        raise SolverError(f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}")
     return x, u, y
+
+
+def _window(tree, k, W):
+    """The depth-W subtree at k as a one-tree forest: breadth-first nodes,
+    parent positions, branch weights and depth layers."""
+    node = np.asarray(subtree_nodes(tree, k, W))
+    pos = {n: i for i, n in enumerate(node.tolist())}
+    parent = np.array([-1] + [pos[int(tree.parent[n])] for n in node[1:]])
+    weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
+    rel = tree.stage[node] - tree.stage[k]
+    return node, parent, weight, depth_layers(rel.max() - rel)
 
 
 def solve_extensive(tree, k, W, w_prev):
@@ -455,73 +454,59 @@ def solve_extensive(tree, k, W, w_prev):
     a :class:`PolicySolution` in original variables whose objective is
     the conditional expected cost over the subtree.
     """
-    nodes = tuple(subtree_nodes(tree, k, W))
-    node = np.asarray(nodes)
-    pos = {n: i for i, n in enumerate(nodes)}
-    parent = np.array([-1] + [pos[int(tree.parent[n])] for n in nodes[1:]])
-    weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
-    rel = tree.stage[node] - tree.stage[k]
-    layers = depth_layers(rel.max() - rel)
-    x, u, y = solve_forest(tree, node, parent, weight, layers, w_prev)
-    x, u, y = (dict(zip(nodes, v)) for v in (x, u, y))
-    cond = {n: tree.pi[n] / tree.pi[k] for n in nodes}
+    forest = _window(tree, k, W)
+    p = forest_rhs(tree, *forest[:2], w_prev)
+    nodes = tuple(forest[0].tolist())
+    x, u, y = (dict(zip(nodes, v[..., 0])) for v in solve_forest(tree, *forest, p))
     objective = math.fsum(
-        cond[n] * stage_cost(tree.data[n], x[n], u[n]) for n in nodes
+        tree.pi[n] / tree.pi[k] * stage_cost(tree.data[n], x[n], u[n]) for n in nodes
     )
     return PolicySolution(tree, k, nodes, x, u, y, objective)
 
 
 def solution_map(tree, k, W):
     """Linear solution maps of the subtree problem at ``k`` with zero
-    committed pair.
-
-    Solves the scaled system against one unit perturbation per
-    p-coordinate (one factorization, many triangular solves), then
-    unscales rows and columns so the returned maps take original
-    perturbations to original variables.
+    committed pair: column (b, c) of Omega is the response to a unit
+    perturbation of coordinate c of node b.  Columns are solved in eight
+    chunks, straight into Omega, so the working arrays stay a fraction of it.
     """
-    nodes = tuple(subtree_nodes(tree, k, W))
-    system = assemble_scaled_kkt(tree, nodes, k)
-    m, zd = len(nodes), system.zdim
-    # the perturbation enters the scaled system as sqrt(pi_{j|k}) p_j, so
-    # columns already carry the s_j factor
-    Z = system.solve(np.diag(np.repeat(system.scales, zd)))
-    # the solve returns column-major data: reading it in that order makes
-    # the four-index form a view rather than a second dense copy
-    Omega = np.reshape(Z, (zd, m, zd, m), order="F").transpose(1, 0, 3, 2)
-    # rows are unscaled back to original variables in place
-    Omega /= system.scales[:, None, None, None]
+    forest = _window(tree, k, W)
+    m, zd = len(forest[0]), 2 * tree.nx + tree.nu
+    Omega = np.empty((m, zd, m, zd))
+    cols = Omega.reshape(m, zd, m * zd)
+    for c in np.array_split(np.arange(m * zd), min(8, m * zd)):
+        p = np.zeros((m, zd, c.size))
+        p[c // zd, c % zd, np.arange(c.size)] = 1.0
+        Z = np.concatenate(solve_forest(tree, *forest, p), axis=1)
+        cols[:, :, c[0] : c[-1] + 1] = Z
     Omega.flags.writeable = False
-    return SolutionMap(tree, k, nodes, Omega, system.nx + system.nu)
+    return SolutionMap(tree, k, tuple(forest[0].tolist()), Omega, tree.nx + tree.nu)
 
 
 def solution_map_rows(tree, k, W, row_nodes, rows="w"):
-    """Row blocks of the solution map without forming the whole inverse.
+    """Row blocks of the solution map without forming the whole map.
 
-    The scaled KKT matrix is symmetric, so rows of its inverse are
-    transposed columns; one solve per requested row coordinate suffices.
+    The map is self-adjoint in the probability weights, block (i, j)
+    being ``pi_j / pi_i`` times block (j, i) transposed: one forest solve
+    with unit perturbations at the row coordinates serves every row.
     ``rows="w"`` restricts to the state-control rows of each requested
     node.  Returns ``{(i, j): block}`` for i in ``row_nodes`` over all
     subtree nodes j.
     """
-    nodes = tuple(subtree_nodes(tree, k, W))
-    system = assemble_scaled_kkt(tree, nodes, k)
-    nx, nu, zd = system.nx, system.nu, system.zdim
-    nrow = nx + nu if rows == "w" else zd
-    unit = np.ravel([[system.offsets[i] + c for c in range(nrow)] for i in row_nodes])
-    cols = np.zeros((system.dim, unit.size))
-    cols[unit, np.arange(unit.size)] = 1.0
-    X = system.solve(cols)
-    out = {}
-    for idx, i in enumerate(row_nodes):
-        si = system.scales[system.offsets[i] // zd]
-        sub = X[:, idx * nrow : (idx + 1) * nrow]
-        for j, sj in zip(nodes, system.scales):
-            coff = system.offsets[j]
-            # row block of the inverse = transpose of the column block,
-            # then perturbation scaling s_j and variable unscaling 1/s_i
-            out[(i, j)] = (sj / si) * sub[coff : coff + zd, :].T
-    return out
+    forest = _window(tree, k, W)
+    nodes, zd = forest[0].tolist(), 2 * tree.nx + tree.nu
+    nrow = tree.nx + tree.nu if rows == "w" else zd
+    at = np.repeat([nodes.index(i) for i in row_nodes], nrow)
+    c = np.arange(at.size)
+    p = np.zeros((len(nodes), zd, at.size))
+    p[at, c % nrow, c] = 1.0
+    Z = np.concatenate(solve_forest(tree, *forest, p), axis=1)
+    Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow)
+    return {
+        (i, j): (tree.pi[j] / tree.pi[i]) * Z[b, :, a].T
+        for a, i in enumerate(row_nodes)
+        for b, j in enumerate(nodes)
+    }
 
 
 def measure_decay(smap):
@@ -540,8 +525,8 @@ def measure_decay(smap):
     for t, a0, a1 in spans:
         for tp, b0, b1 in spans:
             f = np.sqrt(pi[a0:a1, None] / pi[None, b0:b1])
-            psi = _block_norm(smap.Psi[a0:a1, :, b0:b1].copy(), f)
-            omega = _block_norm(smap.Omega[a0:a1, :, b0:b1].copy(), f)
+            psi = _block_norm(smap.Psi[a0:a1, :, b0:b1], f)
+            omega = _block_norm(smap.Omega[a0:a1, :, b0:b1], f)
             rows.append(DecayRow(t, tp, psi, omega))
     return rows
 

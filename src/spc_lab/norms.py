@@ -8,8 +8,9 @@ it: :func:`pi_norm_mat` assembles a general :class:`BlockMatrix` sparse
 and takes its norm by Lanczos (the norms suite); :func:`stage_norm` is
 exact, with no iteration, for the closed-loop stage matrices, which hold
 one block per row or column (the lemma suite); and :func:`_block_norm`
-takes the dense SVD of blocks that are dense already (solution-map decay
-rows and :func:`sigma_pi`).
+takes the largest eigenvalue of the Gram matrix, on the smaller side, of
+blocks that are dense already (solution-map decay rows and
+:func:`sigma_pi`), the kernel :func:`stage_norm` applies per group.
 """
 
 from __future__ import annotations
@@ -203,18 +204,14 @@ def stage_perturbation_moments(tree):
 
 def _block_norm(M4, f):
     """Spectral norm of the block array ``M4[a, :, b, :]`` with block
-    ``(a, b)`` scaled by ``f[a, b]``; ``M4`` is scaled in place."""
+    ``(a, b)`` scaled by ``f[a, b]``: the root of the largest eigenvalue
+    of the Gram matrix on the smaller side."""
     if M4.size == 0:
         return 0.0
-    M4 *= f[:, None, :, None]
     a, r, b, c = M4.shape
-    return float(np.linalg.norm(M4.reshape(a * r, b * c), 2))
-
-
-def _dense_blocks(M):
-    """``M`` densified into the four-index block form ``[a, :, b, :]``."""
-    nr, nc = M.shape_block
-    return M.dense().reshape(len(M.row_nodes), nr, len(M.col_nodes), nc)
+    M = (M4 * f[:, None, :, None]).reshape(a * r, b * c)
+    gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def _lanczos(A, n, **kw):
@@ -285,9 +282,8 @@ def sigma_pi(M):
     spectral norm; symmetric in transposition.
     """
     pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
-    return _block_norm(
-        _dense_blocks(M), 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :])
-    )
+    M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, -1)
+    return _block_norm(M4, 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))
 
 
 def expectation_identity_check(tree, k, t, v):

@@ -57,62 +57,104 @@ def sampled_operator_norm(apply_fn, dim_in, pi_in, rng, trials=1000):
     return best
 
 
-def dense_unscaled_solve(tree, k, nodes, w_prev):
-    """Solve the probability-weighted extensive problem without any scaling.
+def _weighted_kkt(tree, k, nodes):
+    """Dense optimality matrix of the probability-weighted subproblem at k
+    over ``nodes``, without any scaling.
 
     Variables are stacked as all (x_i, u_i) blocks followed by all
-    multiplier blocks y_i; the optimality system is assembled from the
-    weighted Lagrangian directly and solved densely.  Returns
-    (x, u, y, objective) keyed by node.
+    multiplier blocks y_i, and the matrix is assembled from the weighted
+    Lagrangian directly.  Returns the matrix, ``idx`` with ``idx[a]`` the
+    positions of node a's (x, u, y), which are also the rows its (q, r, d)
+    enter, and the probabilities ``cond`` conditional on k that weight
+    each node's rows.
     """
-    nx, nu = tree.nx, tree.nu
-    local = {n: i for i, n in enumerate(nodes)}
-    nw = (nx + nu) * len(nodes)
-    dim = nw + nx * len(nodes)
-    M = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
-    cond = {n: tree.pi[n] / tree.pi[k] for n in nodes}
-
-    def xoff(n):
-        return local[n] * (nx + nu)
-
-    def uoff(n):
-        return local[n] * (nx + nu) + nx
-
-    def yoff(n):
-        return nw + local[n] * nx
-
-    x_prev, u_prev = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
-    for n in nodes:
-        nd = tree.data[n]
-        c = cond[n]
-        M[xoff(n) : xoff(n) + nx, xoff(n) : xoff(n) + nx] += c * nd.Q
-        M[xoff(n) : xoff(n) + nx, yoff(n) : yoff(n) + nx] += c * np.eye(nx)
-        M[uoff(n) : uoff(n) + nu, uoff(n) : uoff(n) + nu] += c * nd.R
-        rhs[xoff(n) : xoff(n) + nx] = c * nd.q
-        rhs[uoff(n) : uoff(n) + nu] = c * nd.r
+    nx, nu, m = tree.nx, tree.nu, len(nodes)
+    nw = (nx + nu) * m
+    local = {n: a for a, n in enumerate(nodes)}
+    idx = np.hstack(
+        [np.arange(nw).reshape(m, nx + nu), nw + np.arange(m * nx).reshape(m, nx)]
+    )
+    cond = np.array([tree.pi[n] / tree.pi[k] for n in nodes])
+    M = np.zeros((nw + nx * m, nw + nx * m))
+    for a, n in enumerate(nodes):
+        nd, c = tree.data[n], cond[a]
+        x, u, y = idx[a, :nx], idx[a, nx : nx + nu], idx[a, nx + nu :]
+        M[np.ix_(x, x)] += c * nd.Q
+        M[np.ix_(x, y)] += c * np.eye(nx)
+        M[np.ix_(u, u)] += c * nd.R
+        M[np.ix_(y, x)] += c * np.eye(nx)
         for ch in tree.children[n]:
             if ch not in local:
                 continue
-            cd, cc = tree.data[ch], cond[ch]
-            M[xoff(n) : xoff(n) + nx, yoff(ch) : yoff(ch) + nx] -= cc * cd.A.T
-            M[uoff(n) : uoff(n) + nu, yoff(ch) : yoff(ch) + nx] -= cc * cd.B.T
-        M[yoff(n) : yoff(n) + nx, xoff(n) : xoff(n) + nx] += c * np.eye(nx)
-        if n == k:
-            rhs[yoff(n) : yoff(n) + nx] = c * (nd.A @ x_prev + nd.B @ u_prev + nd.d)
-        else:
-            par = int(tree.parent[n])
-            M[yoff(n) : yoff(n) + nx, xoff(par) : xoff(par) + nx] -= c * nd.A
-            M[yoff(n) : yoff(n) + nx, uoff(par) : uoff(par) + nu] -= c * nd.B
-            rhs[yoff(n) : yoff(n) + nx] = c * nd.d
+            b, cd = local[ch], tree.data[ch]
+            yc = idx[b, nx + nu :]
+            M[np.ix_(x, yc)] -= cond[b] * cd.A.T
+            M[np.ix_(u, yc)] -= cond[b] * cd.B.T
+        if n != k:
+            par = idx[local[int(tree.parent[n])]]
+            M[np.ix_(y, par[:nx])] -= c * nd.A
+            M[np.ix_(y, par[nx : nx + nu])] -= c * nd.B
+    return M, idx, cond
+
+
+def dense_unscaled_solve(tree, k, nodes, w_prev):
+    """Solve the probability-weighted extensive problem without any scaling.
+
+    The optimality system of :func:`_weighted_kkt` is solved densely, with
+    the committed pair ``w_prev`` entering the root's dynamics rows.
+    Returns (x, u, y, objective) keyed by node.
+    """
+    nx, nu = tree.nx, tree.nu
+    M, idx, cond = _weighted_kkt(tree, k, nodes)
+    x_prev, u_prev = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
+    rhs = np.zeros(len(M))
+    for a, n in enumerate(nodes):
+        nd = tree.data[n]
+        d = nd.A @ x_prev + nd.B @ u_prev + nd.d if n == k else nd.d
+        rhs[idx[a]] = cond[a] * np.concatenate([nd.q, nd.r, d])
     sol = np.linalg.solve(M, rhs)
-    x = {n: sol[xoff(n) : xoff(n) + nx] for n in nodes}
-    u = {n: sol[uoff(n) : uoff(n) + nu] for n in nodes}
-    y = {n: sol[yoff(n) : yoff(n) + nx] for n in nodes}
+    x = {n: sol[idx[a, :nx]] for a, n in enumerate(nodes)}
+    u = {n: sol[idx[a, nx : nx + nu]] for a, n in enumerate(nodes)}
+    y = {n: sol[idx[a, nx + nu :]] for a, n in enumerate(nodes)}
     obj = math.fsum(
-        cond[n] * stage_cost(tree.data[n], x[n], u[n]) for n in nodes
+        cond[a] * stage_cost(tree.data[n], x[n], u[n]) for a, n in enumerate(nodes)
     )
     return x, u, y, obj
+
+
+def dense_solution_map(tree, k, nodes):
+    """Solution map of the subproblem at k over ``nodes``, zero committed pair.
+
+    ``Omega[a, :, b, :]`` takes the perturbation (q, r, d) of node b to the
+    (x, u, y) of node a: the dense system of :func:`_weighted_kkt` solved
+    against identity right-hand sides, each weighted like node b's rows.
+    """
+    M, idx, cond = _weighted_kkt(tree, k, nodes)
+    inv = np.linalg.solve(M, np.eye(len(M)))
+    return inv[idx[:, :, None, None], idx[None, None]] * cond[None, None, :, None]
+
+
+def worst_path_product(tree, Phi, L, alpha):
+    """Worst ratio ``||Phi_j ... Phi_c|| / (L alpha^dt)`` over every strict
+    ancestor-descendant pair, c the child of the ancestor on the path, by
+    walking each path up from its descendant j.  Returns (ratio, pair) for
+    the first maximum in (j, dt) order; (0.0, None) when no ratio is
+    positive.
+    """
+    best, pair = 0.0, None
+    for j in range(tree.node_count):
+        if tree.stage[j] < 1:
+            continue
+        M, node, dt = np.asarray(Phi[j], float), j, 1
+        while True:
+            anc = int(tree.parent[node])
+            ratio = float(np.linalg.svd(M, compute_uv=False)[0]) / (L * alpha**dt)
+            if ratio > best:
+                best, pair = ratio, (anc, j)
+            if tree.parent[anc] < 0:
+                break
+            M, node, dt = M @ np.asarray(Phi[anc], float), anc, dt + 1
+    return best, pair
 
 
 def stage_cost(nd, x, u):

@@ -1,11 +1,13 @@
 """Receding-horizon policy, baselines, regret, and closed-loop recursion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
@@ -34,6 +36,7 @@ from .helpers import (
     uneven_tree,
 )
 from .oracles import (
+    dense_solution_map,
     dense_unscaled_solve,
     here_and_now_reduced,
     riccati_chain,
@@ -417,6 +420,44 @@ def test_recursion_s_consistent_with_solution_maps():
         t = int(tree.stage[k])
         for b, j in enumerate(subtree_nodes(tree, k, W)):
             assert np.allclose(rec.Psi[j, t], smap.Psi[0, :, b], atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: random_tree(83, T=3, branching=2, nx=3, nu=2),
+        crossed_tree,
+        uneven_tree,
+    ],
+    ids=["stagewise", "crossed", "uneven"],
+)
+def test_recursion_psi_matches_dense_oracle_for_every_window(build):
+    # Psi[j, t]: row block of j's stage-t ancestor k over p_j in k's window,
+    # read off the dense map of that window; zero outside it
+    tree = build(np.random.default_rng(84))
+    nw, zd = tree.nx + tree.nu, 2 * tree.nx + tree.nu
+    for W in range(tree.horizon + 1):
+        expected = np.zeros((tree.node_count, tree.horizon + 1, nw, zd))
+        for k in range(tree.node_count):
+            nodes = tuple(subtree_nodes(tree, k, W))
+            omega = dense_solution_map(tree, k, nodes)
+            for b, j in enumerate(nodes):
+                expected[j, int(tree.stage[k])] = omega[0, :nw, b]
+        rec = recursion_matrices(tree, W)
+        assert_allclose(rec.Psi, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("W", [2, 6])
+def test_recursion_matrices_allocate_nothing_of_dense_kkt_size(W):
+    tree = random_tree(85, T=6, branching=2, nx=2, nu=1)
+    dim = tree.node_count * (2 * tree.nx + tree.nu)
+    tracemalloc.start()
+    try:
+        recursion_matrices(tree, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 635 and peak < 8 * dim * dim
 
 
 def test_recursion_zero_dynamics_gives_zero_S():

@@ -6,12 +6,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
     BlockVector,
     NodeData,
+    ScaledKKT,
     SingularKKTError,
     TreeError,
     assemble_scaled_kkt,
@@ -20,6 +22,7 @@ from spc_lab import (
     check_uniform_regularity,
     measure_decay,
     pi_norm_mat,
+    recursion_matrices,
     solution_map,
     solution_map_rows,
     solve_extensive,
@@ -28,7 +31,12 @@ from spc_lab import (
 )
 
 from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
-from .oracles import dense_regularity, dense_unscaled_solve, simulate_no_lookahead
+from .oracles import (
+    dense_regularity,
+    dense_solution_map,
+    dense_unscaled_solve,
+    simulate_no_lookahead,
+)
 
 
 def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
@@ -336,6 +344,53 @@ def test_row_extraction_matches_full_map():
     pos = {n: a for a, n in enumerate(smap.nodes)}
     for (i, j), blk in rows.items():
         assert_allclose(blk, smap.Psi[pos[i], :, pos[j]], atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "build, root",
+    [
+        (lambda rng: random_tree(81, T=3, branching=2, nx=3, nu=2), 0),
+        (crossed_tree, 0),
+        (uneven_tree, 0),
+        (lambda rng: random_tree(82, T=4, branching=2, nx=3, nu=1), 2),
+    ],
+    ids=["stagewise", "crossed", "uneven", "interior"],
+)
+def test_solution_map_matches_dense_oracle_for_every_window(build, root):
+    tree = build(np.random.default_rng(80))
+    for W in range(tree.horizon - int(tree.stage[root]) + 1):
+        nodes = tuple(subtree_nodes(tree, root, W))
+        smap = solution_map(tree, root, W)
+        expected = dense_solution_map(tree, root, nodes)
+        assert smap.nodes == nodes
+        scale = np.abs(expected).max()
+        assert_allclose(smap.Omega, expected, rtol=0, atol=1e-10 * scale)
+
+
+def test_solution_map_peak_memory_below_three_omegas():
+    # T = 6: 127 nodes, Omega is 635 x 635 (3.2 MB); the unit perturbations
+    # alone, stacked densely, would take as much again
+    tree = random_tree(seed=86, T=6, branching=2, nx=2, nu=1)
+    tracemalloc.start()
+    try:
+        smap = solution_map(tree, 0, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert smap.Omega.shape == (127, 5, 127, 5)
+    assert peak < 3 * smap.Omega.nbytes
+
+
+def test_maps_and_recursion_use_no_sparse_lu_or_assembled_kkt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse LU or assembled KKT system used")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    monkeypatch.setattr(ScaledKKT, "__init__", refuse)
+    tree = random_tree(seed=87, T=3, branching=2)
+    solution_map(tree, 0, 3)
+    solution_map_rows(tree, 1, 2, (1, 3), rows="z")
+    recursion_matrices(tree, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from spc_lab import (
     verify_perturbed_stability,
 )
 
-from .helpers import nd_scalar, random_tree, uniform_outcome
-from .oracles import decimal_constants
+from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .oracles import decimal_constants, worst_path_product
 
 
 def dec_to_float(d):
@@ -190,6 +190,40 @@ def test_stability_path_products_are_order_correct():
     assert np.linalg.norm(M2 @ M1, 2) < 0.5 < np.linalg.norm(M1 @ M2, 2)
     result = check_stability_tree(tree, {1: M1, 2: M2}, L, alpha)
     assert result.passed
+
+
+@pytest.mark.parametrize(
+    "build", [crossed_tree, uneven_tree, lambda rng: random_tree(41, T=4, nx=3)],
+    ids=["crossed", "uneven", "stagewise-T4"],
+)
+def test_stability_worst_pair_matches_path_walk(build):
+    rng = np.random.default_rng(41)
+    tree = build(rng)
+    n = tree.nx
+    Phi = {
+        j: 0.6 * rng.standard_normal((n, n)) / math.sqrt(n)
+        for j in range(1, tree.node_count)
+    }
+    result = check_stability_tree(tree, Phi, 1.5, 0.7)
+    ratio, pair = worst_path_product(tree, Phi, 1.5, 0.7)
+    assert result.worst_pair == pair
+    assert result.worst_ratio == pytest.approx(ratio, rel=1e-14)
+    assert result.passed == (ratio <= 1.0 + 1e-9)
+
+
+def test_stability_ties_resolve_to_first_descendant_and_depth():
+    # Phi = I/2 with L = 1, alpha = 1/2: every ratio is exactly 1.0
+    tree = uneven_tree(np.random.default_rng(42))
+    Phi = {j: 0.5 * np.eye(tree.nx) for j in range(1, tree.node_count)}
+    result = check_stability_tree(tree, Phi, 1.0, 0.5)
+    walked = worst_path_product(tree, Phi, 1.0, 0.5)
+    assert (result.worst_ratio, result.worst_pair) == walked
+    assert result == (True, (0, 1), 1.0)
+
+
+def test_stability_single_stage_tree_passes_vacuously():
+    tree = build_tree_stagewise(uniform_outcome(nd_scalar(), [[1.0]]))
+    assert check_stability_tree(tree, {}, 1.0, 0.5) == (True, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
