@@ -138,21 +138,20 @@ def _fmt(x):
 
 
 def _check_dynamics(tree, x, u, initial, tol):
-    """Worst per-node dynamics residual of an exported trace."""
-    worst, where = 0.0, -1
-    for n in range(tree.node_count):
-        nd = tree.data[n]
-        par = int(tree.parent[n])
-        if par < 0:
-            xp, up = initial.x_prev, initial.u_prev
-        else:
-            xp, up = x[par], u[par]
-        res = float(np.max(np.abs(x[n] - (nd.A @ xp + nd.B @ up + nd.d))))
-        if res > worst:
-            worst, where = res, n
-    if worst > tol:
+    """Worst per-node dynamics residual of an exported trace, over all
+    nodes at once; the first worst node is reported, a NaN as worst."""
+    X = np.array([x[n] for n in range(tree.node_count)])
+    U = np.array([u[n] for n in range(tree.node_count)])
+    root = tree.parent < 0
+    xp = np.where(root[:, None], initial.x_prev, X[tree.parent])
+    up = np.where(root[:, None], initial.u_prev, U[tree.parent])
+    ar = tree.arrays
+    pred = (ar.A @ xp[:, :, None] + ar.B @ up[:, :, None])[:, :, 0] + ar.d
+    res = np.max(np.abs(X - pred), axis=1)
+    where = int(np.argmax(res))
+    if not res[where] <= tol:
         raise SolverError(
-            f"dynamics residual {worst:.3e} at node {where} exceeds "
+            f"dynamics residual {res[where]:.3e} at node {where} exceeds "
             f"--tol-kkt {tol:.3e}"
         )
 

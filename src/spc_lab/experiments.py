@@ -142,19 +142,14 @@ def _unit(rng, n):
     return v / nrm
 
 
-def _scaled_matrix(rng, shape, target):
-    M = rng.standard_normal(shape)
-    if target == 0.0:
-        return np.zeros(shape)
-    return M * (target / float(np.linalg.norm(M, 2)))
-
-
-def _scaled_symmetric(rng, n, target):
-    M = rng.standard_normal((n, n))
-    M = 0.5 * (M + M.T)
-    if target == 0.0:
-        return np.zeros((n, n))
-    return M * (target / float(np.linalg.norm(M, 2)))
+def _scaled(M, target):
+    """Stack ``M`` of shape (k, m, n), each matrix rescaled to spectral
+    norm ``target`` (a scalar or one per matrix); exact zeros where the
+    target is 0."""
+    target = np.broadcast_to(target, M.shape[:1])
+    out = M * (target / np.linalg.norm(M, 2, axis=(1, 2)))[:, None, None]
+    out[target == 0.0] = 0.0
+    return out
 
 
 def generate_certified_instance(spec):
@@ -173,7 +168,13 @@ def generate_certified_instance(spec):
     Randomness: PCG64 generators seeded from SeedSequence(seed,
     spawn_key=s) with s = (0, node) for per-node data, (1, 0) for the
     nominal system, (2, 0) for branch probabilities, and (3, 0) for the
-    initial pair, so any subset is reproducible in isolation.
+    initial pair, so any subset is reproducible in isolation.  Node i
+    draws, in order: six amplitudes ``uniform(0.5, 1, 6)``, standard
+    normal raw matrices for A (nx, nx), B (nx, nu) and C (nx, nx), then
+    unit vectors for q, r and d (a standard normal vector over its norm,
+    redrawn while that norm is 0).  Only the draws run node by node; the
+    spectral scalings (raw C symmetrized first), ``Q = C @ C`` and the
+    data-bound check run on arrays stacked over the nodes.
     """
     L, alpha, gamma = float(spec.L), float(spec.alpha), float(spec.gamma)
     alpha_cert = math.sqrt(alpha)
@@ -200,8 +201,8 @@ def generate_certified_instance(spec):
     Qf, Rf = np.linalg.qr(M)
     O = Qf @ np.diag(np.sign(np.diag(Rf)))
     Phi_nom = alpha * O
-    B_nom = _scaled_matrix(rng_nom, (nx, nu), 0.5)
-    K_nom = _scaled_matrix(rng_nom, (nu, nx), 0.25)
+    B_nom = _scaled(rng_nom.standard_normal((1, nx, nu)), 0.5)[0]
+    K_nom = _scaled(rng_nom.standard_normal((1, nu, nx)), 0.25)[0]
     A_nom = Phi_nom + B_nom @ K_nom
     C_nom = 0.3 * np.eye(nx)
     K_obs = (B_nom @ K_nom) / 0.3
@@ -222,32 +223,31 @@ def generate_certified_instance(spec):
         frontier = nxt
 
     dev_c_cap = min(delta / (2.0 * L), 0.29)
-    data = []
-    for i in range(len(parents)):
+    N = len(parents)
+    amp = np.empty((N, 6))
+    q, r, d = np.empty((N, nx)), np.empty((N, nu)), np.empty((N, nx))
+    raw = {f: np.empty((N, nx, k)) for f, k in (("A", nx), ("B", nu), ("C", nx))}
+    for i in range(N):
         rng_i = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(0, i))
         )
-        amp = rng_i.uniform(0.5, 1.0, size=6)
-        devA = _scaled_matrix(rng_i, (nx, nx), sigma * (delta / 2.0) * amp[0])
-        devB = _scaled_matrix(
-            rng_i, (nx, nu), sigma * (delta / (2.0 * L)) * amp[1]
-        )
-        devC = _scaled_symmetric(rng_i, nx, sigma * dev_c_cap * amp[2])
-        C_i = C_nom + devC
-        q = min(spec.noise_scale * amp[3], L) * _unit(rng_i, nx)
-        r = min(spec.noise_scale * amp[4], L) * _unit(rng_i, nu)
-        d = min(spec.noise_scale * amp[5], L) * _unit(rng_i, nx)
-        data.append(
-            NodeData(
-                A=A_nom + devA,
-                B=B_nom + devB,
-                d=d,
-                Q=C_i @ C_i,
-                R=R,
-                q=q,
-                r=r,
-            )
-        )
+        amp[i] = rng_i.uniform(0.5, 1.0, size=6)
+        for M in raw.values():
+            M[i] = rng_i.standard_normal(M.shape[1:])
+        q[i], r[i], d[i] = _unit(rng_i, nx), _unit(rng_i, nu), _unit(rng_i, nx)
+    C = raw["C"]
+    C = C_nom + _scaled(0.5 * (C + C.transpose(0, 2, 1)), sigma * dev_c_cap * amp[:, 2])
+    stack = {
+        "A": A_nom + _scaled(raw["A"], sigma * (delta / 2.0) * amp[:, 0]),
+        "B": B_nom + _scaled(raw["B"], sigma * (delta / (2.0 * L)) * amp[:, 1]),
+        "Q": C @ C,
+        "R": np.repeat(R[None], N, axis=0),
+    }
+    for name, v, k in (("q", q, 3), ("r", r, 4), ("d", d, 5)):
+        stack[name] = np.minimum(spec.noise_scale * amp[:, k], L)[:, None] * v
+    for arr in stack.values():
+        arr.setflags(write=False)
+    data = [NodeData(**{f: a[i] for f, a in stack.items()}) for i in range(N)]
     tree = build_tree_explicit(parents, stages, probs, data)
 
     x_prev = spec.noise_scale * rng_init.uniform(0.5, 1.0) * _unit(rng_init, nx)
@@ -275,21 +275,17 @@ def generate_certified_instance(spec):
                 f"generated instance failed its {name} certificate: "
                 f"{check.message}"
             )
-    cap = L + 1e-9
-    for i, nd in enumerate(data):
-        worst = max(
-            np.linalg.norm(nd.A, 2),
-            np.linalg.norm(nd.B, 2),
-            np.linalg.norm(nd.Q, 2),
-            np.linalg.norm(nd.R, 2),
-            np.linalg.norm(nd.q),
-            np.linalg.norm(nd.r),
-            np.linalg.norm(nd.d),
+    worst = np.max(
+        [np.linalg.norm(stack[f], 2, axis=(1, 2)) for f in "ABQR"]
+        + [np.linalg.norm(stack[f], axis=1) for f in "qrd"],
+        axis=0,
+    )
+    bad = np.flatnonzero(worst > L + 1e-9)
+    if bad.size:
+        raise TreeError(
+            f"generated node {bad[0]} exceeds the data bound: "
+            f"{worst[bad[0]]:.6g} > {L:g}"
         )
-        if worst > cap:
-            raise TreeError(
-                f"generated node {i} exceeds the data bound: {worst:.6g} > {L:g}"
-            )
     constants = compute_constants(
         L, alpha_cert, gamma, tree=tree, w_prev=w_prev
     )

@@ -16,11 +16,14 @@ import numpy as np
 from .stability import GainCertificate
 from .tree import (
     InitialCondition,
+    NodeArrays,
     NodeData,
     TreeError,
     build_tree_explicit,
     build_tree_stagewise,
 )
+
+_FIELDS = NodeArrays._fields
 
 
 def _matrix(obj, name):
@@ -49,20 +52,25 @@ def json_array(obj, name):
 
 def _node_data(obj, where, extra=()):
     json_object(obj, where)
-    missing = [
-        k for k in ("A", "B", "d", "Q", "R", "q", "r", *extra) if k not in obj
-    ]
+    missing = [k for k in (*_FIELDS, *extra) if k not in obj]
     if missing:
         raise TreeError(f"{where} missing fields {missing}")
-    return NodeData(
-        A=_matrix(obj["A"], "A"),
-        B=_matrix(obj["B"], "B"),
-        d=_matrix(obj["d"], "d"),
-        Q=_matrix(obj["Q"], "Q"),
-        R=_matrix(obj["R"], "R"),
-        q=_matrix(obj["q"], "q"),
-        r=_matrix(obj["r"], "r"),
-    )
+    return NodeData(**{f: _matrix(obj[f], f) for f in _FIELDS})
+
+
+def _explicit_nodes(nodes):
+    """NodeData as read-only rows of the seven fields, each stacked by one
+    ``np.array`` call.  Nodes that do not stack are read one by one, which
+    raises the first fault's message (differing dims: tree validation)."""
+    try:
+        stack = {f: np.array([o[f] for o in nodes], dtype=float) for f in _FIELDS}
+    except (KeyError, TypeError, ValueError):
+        return [_node_data(o, f"node {i}") for i, o in enumerate(nodes)]
+    for arr in stack.values():
+        arr.setflags(write=False)
+    return [
+        NodeData(**{f: arr[i] for f, arr in stack.items()}) for i in range(len(nodes))
+    ]
 
 
 def load_problem(path):
@@ -107,10 +115,7 @@ def load_problem(path):
             ex["parents"],
             ex["stages"],
             [float(p) for p in ex["probs"]],
-            [
-                _node_data(o, f"node {i}")
-                for i, o in enumerate(ex["nodes"])
-            ],
+            _explicit_nodes(ex["nodes"]),
         )
     else:
         raise TreeError("problem file needs a 'stagewise' or 'explicit' block")

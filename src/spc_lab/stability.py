@@ -242,22 +242,26 @@ def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
 def check_stability_tree(tree, Phi, L, alpha):
     """Exhaustive ancestor-descendant path-product stability check.
 
-    ``Phi`` maps every node of stage >= 1 to its transition matrix.  For
-    each strict ancestor-descendant pair (i, j) the product of matrices
-    along the path (excluding i's stage, including j's) must satisfy
-    ``||prod|| <= L * alpha**(t(j)-t(i))`` within relative 1e-9.  Exact
+    ``Phi`` maps every node of stage >= 1 to its transition matrix, as a
+    dict or as an array stacked over all nodes (stage-0 rows unused).
+    For each strict ancestor-descendant pair (i, j) the product of
+    matrices along the path (excluding i's stage, including j's) must
+    satisfy ``||prod|| <= L * alpha**(t(j)-t(i))`` within relative 1e-9.  Exact
     enumeration, one stacked product and norm per depth step over every
     descendant; the worst pair is the first maximum in (j, depth) order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     js = np.flatnonzero(tree.stage >= 1)
-    for j in js:
-        if j not in Phi:
-            raise TreeError(f"missing transition matrix for node {j}")
+    if isinstance(Phi, np.ndarray):
+        M = np.asarray(Phi[js], dtype=float)
+    else:
+        for j in js:
+            if j not in Phi:
+                raise TreeError(f"missing transition matrix for node {j}")
+        M = np.array([np.asarray(Phi[j], dtype=float) for j in js])
     if not js.size:
         return StabilityResult(True, None, 0.0)
-    M = np.array([np.asarray(Phi[j], dtype=float) for j in js])
     stacked = np.zeros((tree.node_count,) + M.shape[1:])
     stacked[js] = M
     # ratio[a, dt - 1]: the path from js[a] up dt stages, where it exists
@@ -275,16 +279,36 @@ def check_stability_tree(tree, Phi, L, alpha):
     return StabilityResult(worst <= 1.0 + STAB_TOL, pair, worst)
 
 
-def _check_gain_bounds(cert, stages, tree):
-    for n in range(tree.node_count):
-        if int(tree.stage[n]) not in stages:
-            continue
+def _stacked_gains(cert, stages, shape, tree):
+    """Gains of the nodes at ``stages``, stacked over all nodes (zero
+    rows elsewhere), or the message of the first gain above ``cert.L``.
+
+    Faults are taken in node order: an oversized gain before the first
+    missing or misshaped one fails the check, the latter raise.
+    """
+    nodes = np.flatnonzero(np.isin(tree.stage, stages))
+    gains, fault = [], None
+    for n in nodes:
         if n not in cert.K:
-            raise TreeError(f"missing gain for node {n}")
-        norm = float(np.linalg.norm(np.asarray(cert.K[n], float), 2))
-        if norm > cert.L + GAIN_TOL:
-            return f"gain bound violated: node {n} has ||K|| = {norm:.6g} > L = {cert.L:.6g}"
-    return None
+            fault = f"missing gain for node {n}"
+            break
+        K = np.asarray(cert.K[n], dtype=float)
+        if K.shape != shape:
+            fault = f"gain for node {n} has shape {K.shape}, expected {shape}"
+            break
+        gains.append(K)
+    G, done = np.zeros((tree.node_count,) + shape), nodes[: len(gains)]
+    G[done] = np.reshape(gains, (len(gains),) + shape)
+    norm = np.linalg.norm(G[done], 2, axis=(1, 2))
+    over = np.flatnonzero(norm > cert.L + GAIN_TOL)
+    if over.size:
+        return None, (
+            f"gain bound violated: node {done[over[0]]} has ||K|| = "
+            f"{norm[over[0]]:.6g} > L = {cert.L:.6g}"
+        )
+    if fault is not None:
+        raise TreeError(fault)
+    return G, None
 
 
 def _path_verdict(tree, Phi, L, alpha):
@@ -306,33 +330,29 @@ def check_stabilizability(tree, cert, L=None, alpha=None):
     """
     L = cert.L if L is None else L
     alpha = cert.alpha if alpha is None else alpha
-    msg = _check_gain_bounds(cert, range(0, tree.horizon), tree)
+    K, msg = _stacked_gains(cert, range(0, tree.horizon), (tree.nu, tree.nx), tree)
     if msg is not None:
         return CertificateCheck(False, msg, None)
-    Phi = {}
-    for n in range(1, tree.node_count):
-        if tree.stage[n] < 1:
-            continue
-        nd = tree.data[n]
-        par = int(tree.parent[n])
-        Phi[n] = nd.A - nd.B @ np.asarray(cert.K[par], float)
-    return _path_verdict(tree, Phi, L, alpha)
+    ar = tree.arrays
+    return _path_verdict(tree, ar.A - ar.B @ K[tree.parent], L, alpha)
 
 
 def psd_sqrt(M, name="Q", tol=PSD_TOL):
-    """Principal square root of a PSD matrix, with drift clamping.
+    """Principal square root of a PSD matrix, or of each matrix in a
+    ``(..., n, n)`` stack, with drift clamping.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises
-    (the square root is undefined for genuinely indefinite input).
+    (the square root is undefined for genuinely indefinite input), with
+    the smallest eigenvalue of the first such matrix.
     """
     M = np.asarray(M, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals.min() < -tol:
-        raise TreeError(
-            f"{name} not PSD: smallest eigenvalue {vals.min():.6g}"
-        )
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    return 0.5 * (root + root.T)
+    vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    low = vals.min(axis=-1).ravel()
+    if np.any(low < -tol):
+        raise TreeError(f"{name} not PSD: smallest eigenvalue {low[low < -tol][0]:.6g}")
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    root = root @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
 def check_detectability(tree, cert, L=None, alpha=None):
@@ -344,17 +364,11 @@ def check_detectability(tree, cert, L=None, alpha=None):
     """
     L = cert.L if L is None else L
     alpha = cert.alpha if alpha is None else alpha
-    msg = _check_gain_bounds(cert, range(1, tree.horizon + 1), tree)
+    K, msg = _stacked_gains(cert, range(1, tree.horizon + 1), (tree.nx,) * 2, tree)
     if msg is not None:
         return CertificateCheck(False, msg, None)
-    C = {n: psd_sqrt(tree.data[n].Q) for n in range(tree.node_count)}
-    Phi = {}
-    for n in range(1, tree.node_count):
-        if tree.stage[n] < 1:
-            continue
-        par = int(tree.parent[n])
-        Phi[n] = tree.data[n].A - np.asarray(cert.K[n], float) @ C[par]
-    return _path_verdict(tree, Phi, L, alpha)
+    C = psd_sqrt(tree.arrays.Q)
+    return _path_verdict(tree, tree.arrays.A - K @ C[tree.parent], L, alpha)
 
 
 def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
@@ -382,19 +396,18 @@ def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
             )
         P = P @ Phi_nominal
     delta = perturbation_margin(L, alpha)
-    for n in range(1, tree.node_count):
-        dev = np.asarray(deviations[n], dtype=float)
-        norm = float(np.linalg.norm(dev, 2))
-        if norm > delta * (1.0 + STAB_TOL):
-            return PerturbationCheck(
-                "precondition_violated",
-                f"deviation at node {n} has norm {norm:.6g} > margin {delta:.6g}",
-                None,
-            )
-    Phi = {
-        n: Phi_nominal + np.asarray(deviations[n], dtype=float)
-        for n in range(1, tree.node_count)
-    }
+    dev = [np.asarray(deviations[n], dtype=float) for n in range(1, tree.node_count)]
+    dev = np.array(dev) if dev else np.zeros((0,) + Phi_nominal.shape)
+    norm = np.linalg.norm(dev, 2, axis=(1, 2))
+    over = np.flatnonzero(norm > delta * (1.0 + STAB_TOL))
+    if over.size:
+        return PerturbationCheck(
+            "precondition_violated",
+            f"deviation at node {over[0] + 1} has norm {norm[over[0]]:.6g} > "
+            f"margin {delta:.6g}",
+            None,
+        )
+    Phi = np.concatenate([Phi_nominal[None], Phi_nominal + dev])
     result = check_stability_tree(tree, Phi, L, math.sqrt(alpha))
     status = "pass" if result.passed else "fail"
     msg = "" if result.passed else (

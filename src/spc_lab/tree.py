@@ -54,9 +54,18 @@ class NodeData:
 
     def __post_init__(self):
         for name in ("A", "B", "d", "Q", "R", "q", "r"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            base = getattr(arr, "base", None)
+            # a read-only float64 view of a read-only float64 array, such
+            # as a row of a stacked field, is kept; anything else is copied
+            if not (
+                isinstance(base, np.ndarray)
+                and arr.dtype == base.dtype == np.float64
+                and not (arr.flags.writeable or base.flags.writeable)
+            ):
+                arr = np.array(arr, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         nx, nu = self.nx, self.nu
         if self.A.shape != (nx, nx) or self.B.shape != (nx, nu):
             raise TreeError("A/B dimension mismatch")

@@ -14,6 +14,7 @@ import pytest
 from spc_lab import (
     InitialCondition,
     NodeData,
+    SolverError,
     TreeError,
     build_tree_stagewise,
     compute_constants,
@@ -219,6 +220,28 @@ class TestProblemFile:
             rc = main(["build-tree", "--input", str(path), "--out", str(tmp_path)])
             assert rc == 2
 
+    def test_malformed_explicit_node_keeps_message(self, tmp_path, capsys):
+        tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
+        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
+        wide = random_tree(seed=3, T=1, branching=1, nx=3, nu=1).data[0]
+        wide = {f: getattr(wide, f).tolist() for f in ("A", "B", "d", "Q", "R", "q", "r")}
+        for patch, match in [
+            ({"A": [[1.0, 0.0, 0.0]] * 3}, "A/B dimension mismatch"),
+            ({"A": [[1.0, 0.0], [1.0]]}, "field A is not numeric"),
+            (wide, r"node 3: data dims \(3, 1\) != \(2, 1\)"),
+            (None, "node 3 must be a JSON object"),
+        ]:
+            doc = json.loads(open(path).read())
+            nodes = doc["explicit"]["nodes"]
+            nodes[3] = [1.0] if patch is None else {**nodes[3], **patch}
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(TreeError, match=match):
+                load_problem(str(bad))
+            rc = main(["build-tree", "--input", str(bad), "--out", str(tmp_path)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_dims_mismatch_rejected(self, tmp_path):
         tree = random_tree(seed=2, T=1, branching=2, nx=2, nu=1)
         path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
@@ -270,6 +293,25 @@ class TestCertificateFile:
 
 
 class TestSolve:
+    def test_dynamics_check_names_worst_node(self):
+        tree = random_tree(seed=6, T=3, branching=2, nx=2, nu=1)
+        initial = rng_initial(tree, 2)
+        rng = np.random.default_rng(8)
+        u = {n: rng.standard_normal(tree.nu) for n in range(tree.node_count)}
+        x = {}
+        for n, nd in enumerate(tree.data):
+            p = int(tree.parent[n])
+            xp, up = (initial.x_prev, initial.u_prev) if p < 0 else (x[p], u[p])
+            x[n] = nd.A @ xp + nd.B @ up + nd.d
+        cli._check_dynamics(tree, x, u, initial, 1e-12)
+        x[9] = x[9] + [1e-4, 0.0]  # leaves: no child sees the change
+        x[12] = x[12] + [0.0, 1e-3]
+        with pytest.raises(SolverError, match=r"residual 1\.000e-03 at node 12 exceeds"):
+            cli._check_dynamics(tree, x, u, initial, 1e-8)
+        x[10] = np.array([np.nan, 0.0])
+        with pytest.raises(SolverError, match="residual nan at node 10 exceeds"):
+            cli._check_dynamics(tree, x, u, initial, 1e-8)
+
     def test_zero_data_objective_is_zero(self, tmp_path, capsys):
         tree = zero_data_tree()
         path = write_problem(
@@ -651,6 +693,44 @@ class TestCertify:
         out = capsys.readouterr().out
         assert rc == 4
         assert "gain bound violated" in out
+
+
+    def _certify(self, generated, tmp_path, role, edit):
+        cert = json.loads(open(generated / f"{role}.json").read())
+        edit(cert["K"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert))
+        return main(
+            ["certify", "--input", str(generated / "problem.json"), "--cert", str(bad)]
+        )
+
+    def test_misshaped_gain_exit_2(self, generated, tmp_path, capsys):
+        rc = self._certify(
+            generated, tmp_path, "stabilizability",
+            lambda K: K.update({"3": [[0.1, 0.2, 0.3]]}),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: gain for node 3 has shape (1, 3), expected (1, 2)\n"
+        )
+
+    def test_first_gain_fault_in_node_order_decides(self, generated, tmp_path, capsys):
+        def big_then_missing(first, second):
+            def edit(K):
+                K[first] = [[40.0 * v for v in row] for row in K[first]]
+                del K[second]
+            return edit
+
+        rc = self._certify(
+            generated, tmp_path, "detectability", big_then_missing("2", "5")
+        )
+        assert rc == 4
+        assert "gain bound violated: node 2 has" in capsys.readouterr().out
+        rc = self._certify(
+            generated, tmp_path, "detectability", big_then_missing("5", "2")
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: missing gain for node 2\n"
 
 
 # ---------------------------------------------------------- constants/generate

@@ -144,6 +144,78 @@ def test_generator_margin_underflow_reported():
         generate_certified_instance(small_spec(L=1e300, T=1, branching=1))
 
 
+def _recipe_node(spec, i):
+    """Node i of ``generate_certified_instance(spec)`` rebuilt from the
+    recipe in its docstring, with numpy alone."""
+    nx, nu, L, alpha = spec.n_x, spec.n_u, spec.L, spec.alpha
+    sigma, delta = min(spec.noise_scale, 1.0), (math.sqrt(alpha) - alpha) / L
+
+    def scaled(M, target):
+        return np.zeros(M.shape) if target == 0.0 else M * (target / np.linalg.norm(M, 2))
+
+    def unit(rng, n):
+        v = rng.standard_normal(n)
+        while np.linalg.norm(v) == 0.0:
+            v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    nom = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1, 0)))
+    Qf, Rf = np.linalg.qr(nom.standard_normal((nx, nx)))
+    O = Qf @ np.diag(np.sign(np.diag(Rf)))
+    B_nom = scaled(nom.standard_normal((nx, nu)), 0.5)
+    K_nom = scaled(nom.standard_normal((nu, nx)), 0.25)
+
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0, i)))
+    amp = rng.uniform(0.5, 1.0, size=6)
+    raw_A, raw_B, raw_C = (rng.standard_normal(s) for s in ((nx, nx), (nx, nu), (nx, nx)))
+    q, r, d = (
+        min(spec.noise_scale * amp[k], L) * unit(rng, n)
+        for k, n in ((3, nx), (4, nu), (5, nx))
+    )
+    C = 0.3 * np.eye(nx) + scaled(
+        0.5 * (raw_C + raw_C.T), sigma * min(delta / (2.0 * L), 0.29) * amp[2]
+    )
+    return {
+        "A": alpha * O + B_nom @ K_nom + scaled(raw_A, sigma * (delta / 2.0) * amp[0]),
+        "B": B_nom + scaled(raw_B, sigma * (delta / (2.0 * L)) * amp[1]),
+        "Q": C @ C,
+        "R": spec.gamma * np.eye(nu),
+        "q": q,
+        "r": r,
+        "d": d,
+    }
+
+
+@pytest.mark.parametrize("noise_scale", [0.1, 0.0])
+def test_generator_nodes_reproduce_in_isolation(noise_scale):
+    spec = small_spec(n_u=2, T=4, noise_scale=noise_scale)
+    tree = generate_certified_instance(spec).tree
+    for i in (0, 1, 6, 17, 30):
+        for field, want in _recipe_node(spec, i).items():
+            assert np.array_equal(getattr(tree.data[i], field), want), (i, field)
+
+
+def test_generator_svd_count_does_not_grow_with_nodes(monkeypatch):
+    # np.linalg.norm(M, 2) reaches svd through the implementation module
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+    counts = {}
+    for T in (5, 6):
+        calls.clear()
+        generate_certified_instance(small_spec(T=T))
+        counts[T] = len(calls)
+    assert counts[5] > 0
+    # 63 -> 127 nodes; each certificate's path-product check takes one more
+    # depth step, a per-node SVD would add at least 64 calls
+    assert counts[6] - counts[5] <= 2
+
+
 def test_stage_moments_match_manual_sum():
     nd_a = nd_scalar(q=0.3, r=0.4, d=0.0)
     nd_b = nd_scalar(q=0.0, r=0.0, d=1.0)

@@ -304,6 +304,47 @@ def test_detectability_rejects_indefinite_cost():
         check_detectability(tree, cert)
 
 
+def _detectability_cert(tree, K):
+    return GainCertificate(K=K, L=1.0, alpha=0.5, role="detectability")
+
+
+def test_detectability_first_fault_in_node_order_decides():
+    tree = uniform_binary_tree(nd_scalar(A=0.5, B=0.0, Q=1.0), 2)
+    K = {n: np.zeros((1, 1)) for n in range(1, tree.node_count)}
+    # oversized gain at node 2 before a missing one at node 5: a failed check
+    early_big = {**K, 2: np.array([[3.0]])}
+    del early_big[5]
+    check = check_detectability(tree, _detectability_cert(tree, early_big))
+    assert not check.passed
+    assert check.message.startswith("gain bound violated: node 2 has ||K|| = 3 ")
+    # the reverse order raises on the missing gain
+    early_missing = {**K, 5: np.array([[3.0]])}
+    del early_missing[2]
+    with pytest.raises(TreeError, match="missing gain for node 2$"):
+        check_detectability(tree, _detectability_cert(tree, early_missing))
+
+
+@pytest.mark.parametrize(
+    "check, shape", [(check_stabilizability, (2, 3)), (check_detectability, (3, 3))]
+)
+def test_misshaped_gain_names_node_and_shapes(check, shape):
+    tree = random_tree(seed=4, T=2, branching=2, nx=3, nu=2)
+    K = {n: np.zeros(shape) for n in range(tree.node_count)}
+    K[2] = np.array([[0.1, 0.2, 0.3]])
+    with pytest.raises(TreeError) as err:
+        check(tree, GainCertificate(K=K, L=1.0, alpha=0.5))
+    assert str(err.value) == f"gain for node 2 has shape (1, 3), expected {shape}"
+
+
+def test_detectability_indefinite_cost_reports_first_node():
+    good = nd_scalar(A=0.5, B=0.0, Q=1.0)
+    stages = [[(good, 1.0)], [(nd_scalar(Q=-0.1), 0.5), (nd_scalar(Q=-0.5), 0.5)]]
+    tree = build_tree_stagewise(stages)
+    cert = _detectability_cert(tree, {1: np.zeros((1, 1)), 2: np.zeros((1, 1))})
+    with pytest.raises(TreeError, match=r"^Q not PSD: smallest eigenvalue -0\.1$"):
+        check_detectability(tree, cert)
+
+
 def test_detectability_uses_parent_observation_map():
     # root Q = 4 so C_root = 2; node 1 closes A - K*C = 1 - 0.25*2 = 0.5
     root = nd_scalar(A=1.0, B=0.0, Q=4.0)
@@ -328,6 +369,15 @@ def test_psd_sqrt_squares_back():
     S = psd_sqrt(Q)
     assert_allclose(S @ S, Q, atol=1e-10)
     assert_allclose(S, S.T, atol=0)
+
+
+def test_psd_sqrt_of_stack_matches_each_matrix():
+    rng = np.random.default_rng(63)
+    M = rng.standard_normal((5, 3, 3))
+    Q = M @ M.transpose(0, 2, 1)
+    S = psd_sqrt(Q)
+    for k in range(5):
+        assert np.array_equal(S[k], psd_sqrt(Q[k]))
 
 
 def test_psd_sqrt_clamps_drift():

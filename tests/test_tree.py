@@ -34,6 +34,28 @@ def test_node_data_arrays_are_read_only():
         nd.A[0, 0] = 2.0
 
 
+def test_node_data_keeps_only_frozen_views_of_frozen_stacks():
+    def node(A):
+        return NodeData(A=A, B=[[0.0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
+
+    frozen = np.array([[[0.0]], [[1.0]], [[2.0]]])
+    frozen.setflags(write=False)
+    assert np.shares_memory(node(frozen[2]).A, frozen)
+    # copied: a frozen view of a writable array, integers, a frozen owner
+    writable = frozen.copy()
+    view = writable[2]
+    view.setflags(write=False)
+    ints = np.array([[[0]], [[1]], [[2]]])
+    ints.setflags(write=False)
+    for A in (view, ints[2], frozen[2].copy()):
+        nd = node(A)
+        assert not np.shares_memory(nd.A, A)
+        assert nd.A.dtype == np.float64 and not nd.A.flags.writeable
+    nd = node(view)
+    writable[2] = 7.0
+    assert nd.A[0, 0] == 2.0
+
+
 def test_node_data_stacked_perturbation_order():
     nd = NodeData(
         A=np.zeros((2, 2)),
