@@ -188,14 +188,10 @@ def cmd_solve(args):
     out = _outdir(args)
     if args.policy == "optimal":
         sol = solve_optimal(tree, initial)
-        x = {n: sol.x[n] for n in range(tree.node_count)}
-        u = {n: sol.u[n] for n in range(tree.node_count)}
-        objective = sol.objective
+        x, u = sol.x, sol.u
     elif args.policy == "hn":
         sol = solve_here_and_now(tree, initial)
-        x = {n: sol.x[n] for n in range(tree.node_count)}
-        u = {n: sol.v[int(tree.stage[n])] for n in range(tree.node_count)}
-        objective = sol.objective
+        x, u = sol.x, [sol.v[t] for t in tree.stage.tolist()]
     else:  # an
         sol = solve_anticipative(tree, initial)
         write_path_values_csv(
@@ -207,10 +203,8 @@ def cmd_solve(args):
         print(f"policy=an J={_fmt(sol.objective)}")
         return EXIT_OK
     _check_dynamics(tree, x, u, initial, args.tol_kkt)
-    write_trace_csv(
-        os.path.join(out, "trace.csv"), tree, x, u, {"J": objective}
-    )
-    print(f"policy={args.policy} J={_fmt(objective)}")
+    write_trace_csv(os.path.join(out, "trace.csv"), tree, x, u, {"J": sol.objective})
+    print(f"policy={args.policy} J={_fmt(sol.objective)}")
     return EXIT_OK
 
 

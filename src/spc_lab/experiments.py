@@ -32,7 +32,6 @@ from .stability import (
     perturbation_margin,
 )
 from .tree import (
-    NodeData,
     TreeError,
     build_tree_explicit,
     committed_pair,
@@ -40,6 +39,7 @@ from .tree import (
 )
 
 PASS_SLACK = 1e-9
+SLOPE_FLOOR = 1e-8  # times |J_star|: smaller regrets are mostly cancellation
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,7 @@ def generate_certified_instance(spec):
     }
     for name, v, k in (("q", q, 3), ("r", r, 4), ("d", d, 5)):
         stack[name] = np.minimum(spec.noise_scale * amp[:, k], L)[:, None] * v
-    for arr in stack.values():
-        arr.setflags(write=False)
-    data = [NodeData(**{f: a[i] for f, a in stack.items()}) for i in range(N)]
-    tree = build_tree_explicit(parents, stages, probs, data)
+    tree = build_tree_explicit(parents, stages, probs, stack)
 
     x_prev = spec.noise_scale * rng_init.uniform(0.5, 1.0) * _unit(rng_init, nx)
     u_prev = spec.noise_scale * rng_init.uniform(0.5, 1.0) * _unit(rng_init, nu)
@@ -318,7 +315,8 @@ def regret_sweep(tree, constants, w_prev, W_list):
     Rows carry (W, J_W, J_star, regret, bound, applies); the bound rows
     apply only at windows past the theory's threshold, which the report
     states rather than extrapolating below it.  Also fits the slope of
-    log-regret over the leading strictly-positive stretch.
+    log-regret over the leading stretch of rows whose regret exceeds
+    ``SLOPE_FLOOR * |J_star|``.
     """
     c = constants
     W_values = sorted(set(int(W) for W in W_list))
@@ -358,7 +356,7 @@ def regret_sweep(tree, constants, w_prev, W_list):
 
     positive = []
     for row in rows:
-        if row["regret"] > 1e-12:
+        if row["regret"] > SLOPE_FLOOR * abs(J_star):
             positive.append(row)
         else:
             break

@@ -3,6 +3,11 @@
 All emitters format floats with shortest round-trip ``repr`` and sort
 JSON keys, so identical inputs produce byte-identical files.  No file
 carries a timestamp.
+
+Writer contract: a problem or certificate file holds exactly the bytes
+of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline.  Node
+records (and gains) fill a text template made once per shape with
+numbers from the C encoder, and are streamed ``_BATCH`` at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import count, islice
 
 import numpy as np
 
@@ -59,18 +65,29 @@ def _node_data(obj, where, extra=()):
 
 
 def _explicit_nodes(nodes):
-    """NodeData as read-only rows of the seven fields, each stacked by one
-    ``np.array`` call.  Nodes that do not stack are read one by one, which
-    raises the first fault's message (differing dims: tree validation)."""
+    """The seven node fields, each stacked by one ``np.array`` call.  Nodes
+    that do not stack are read one by one, which raises the first fault's
+    message (differing dims: tree validation)."""
     try:
-        stack = {f: np.array([o[f] for o in nodes], dtype=float) for f in _FIELDS}
+        return {f: np.array([o[f] for o in nodes], dtype=float) for f in _FIELDS}
     except (KeyError, TypeError, ValueError):
         return [_node_data(o, f"node {i}") for i, o in enumerate(nodes)]
-    for arr in stack.values():
-        arr.setflags(write=False)
-    return [
-        NodeData(**{f: arr[i] for f, arr in stack.items()}) for i in range(len(nodes))
-    ]
+
+
+def _column(values, name, kind):
+    """A per-node list of the explicit block as an array; a TreeError names
+    the first entry that is not a JSON ``kind`` (int: an integer, not a
+    boolean; float: any number) or is an integer beyond 64 bits."""
+    kinds = (int,) if kind is int else (int, float)
+    try:
+        if set(map(type, values)) <= set(kinds):
+            return np.array(values, dtype=np.int64 if kind is int else float)
+    except OverflowError:
+        pass
+    i, v = next((i, v) for i, v in enumerate(values)
+                if type(v) not in kinds or type(v) is int and not -2**63 <= v < 2**63)
+    what = "integer" if kind is int else "number"
+    raise TreeError(f"node {i}: {name} {json.dumps(v)} is not a 64-bit {what}")
 
 
 def load_problem(path):
@@ -112,9 +129,9 @@ def load_problem(path):
                 raise TreeError(f"explicit block missing '{key}'")
             json_array(ex[key], f"explicit '{key}'")
         tree = build_tree_explicit(
-            ex["parents"],
-            ex["stages"],
-            [float(p) for p in ex["probs"]],
+            _column(ex["parents"], "parent", int),
+            _column(ex["stages"], "stage", int),
+            _column(ex["probs"], "probability", float),
             _explicit_nodes(ex["nodes"]),
         )
     else:
@@ -136,6 +153,8 @@ def load_problem(path):
         _matrix(init["x_prev"], "x_prev"), _matrix(init["u_prev"], "u_prev")
     )
     initial.check(tree)
+    if not np.isfinite(initial.w).all():
+        raise TreeError("initial block: x_prev and u_prev must be finite")
     assumption = None
     if "assumption" in doc:
         blk = json_object(doc["assumption"], "assumption block")
@@ -150,42 +169,66 @@ def load_problem(path):
     return tree, initial, assumption
 
 
-def _listify(arr):
-    return np.asarray(arr, dtype=float).tolist()
+_BATCH = 256  # node records (or trace rows) rendered and written at a time
+
+
+def _numbers(arr):
+    """JSON text of each number of ``arr``, row-major, from the C encoder."""
+    values = np.ravel(arr).tolist()
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _template(skeleton, depth):
+    """The indenting encoder's text of ``skeleton`` at nesting ``depth``,
+    as a %-format with ``%s`` for each null (a number to fill in)."""
+    text = json.dumps(skeleton, indent=2, sort_keys=True).replace("%", "%%")
+    return text.replace("\n", "\n" + "  " * depth).replace("null", "%s")
+
+
+def _records(member, rows, depth):
+    """Members of an array at nesting ``depth``, one per row of ``rows``
+    filling the %-format ``member``, in runs of ``_BATCH``."""
+    sep = ",\n" + "  " * (depth + 1)
+    for lo in range(0, len(rows), _BATCH):
+        batch = rows[lo : lo + _BATCH]
+        yield sep.join([member] * len(batch)) % tuple(_numbers(batch))
+
+
+def _write_doc(path, doc, holes):
+    """Write ``doc`` as ``json.dump(indent=2, sort_keys=True)`` does, plus a
+    newline, streaming its first null values in text order from ``holes``:
+    ``(depth, brackets, runs)``, an array or object at nesting ``depth``
+    whose members come in runs already joined as the encoder joins them."""
+    parts = json.dumps(doc, indent=2, sort_keys=True).split("null", len(holes))
+    with open(path, "w") as fh:
+        fh.write(parts[0])
+        for (depth, brackets, runs), part in zip(holes, parts[1:]):
+            sep, k = ",\n" + "  " * (depth + 1), -1
+            fh.write(brackets[0])
+            for k, run in enumerate(runs):
+                fh.write((sep if k else sep[1:]) + run)
+            fh.write(("\n" + "  " * depth) * (k >= 0) + brackets[1] + part)
+        fh.write("\n")
 
 
 def save_problem(path, tree, initial, assumption=None):
     """Write a problem file in explicit form (one record per node)."""
+    raw, n = tree.raw_arrays, tree.node_count
     doc = {
         "dims": {"nx": tree.nx, "nu": tree.nu},
         "horizon": tree.horizon,
-        "explicit": {
-            "parents": [int(p) for p in tree.parent],
-            "stages": [int(t) for t in tree.stage],
-            "probs": [float(p) for p in tree.pi],
-            "nodes": [
-                {
-                    "A": _listify(nd.A),
-                    "B": _listify(nd.B),
-                    "d": _listify(nd.d),
-                    "Q": _listify(nd.Q),
-                    "R": _listify(nd.R),
-                    "q": _listify(nd.q),
-                    "r": _listify(nd.r),
-                }
-                for nd in tree.data
-            ],
-        },
-        "initial": {
-            "x_prev": _listify(initial.x_prev),
-            "u_prev": _listify(initial.u_prev),
-        },
+        "explicit": dict.fromkeys(("nodes", "parents", "probs", "stages")),
+        "initial": {"x_prev": initial.x_prev.tolist(),
+                    "u_prev": initial.u_prev.tolist()},
     }
     if assumption is not None:
         doc["assumption"] = {k: float(assumption[k]) for k in ("L", "alpha", "gamma")}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    skeleton = {f: np.full(getattr(raw, f).shape[1:], None).tolist() for f in _FIELDS}
+    record = _template(skeleton, 3)
+    flat = np.concatenate([getattr(raw, f).reshape(n, -1) for f in sorted(_FIELDS)], 1)
+    scalars = [("%s", a[:, None]) for a in (tree.parent, tree.pi, tree.stage)]
+    holes = [(2, "[]", _records(m, rows, 2)) for m, rows in [(record, flat)] + scalars]
+    _write_doc(path, doc, holes)
 
 
 def load_certificate(path):
@@ -210,16 +253,22 @@ def load_certificate(path):
     )
 
 
+def _gains(K):
+    """``"node": gain`` members of a K object, keys sorted as strings."""
+    keys = sorted(K, key=str)
+    mats = [np.asarray(K[k], dtype=float) for k in keys]
+    numbers = iter(_numbers(np.concatenate([np.empty(0)] + [m.ravel() for m in mats])))
+    templates = {}
+    for key, mat in zip(keys, mats):
+        if mat.shape not in templates:
+            templates[mat.shape] = _template(np.full(mat.shape, None).tolist(), 2)
+        body = templates[mat.shape] % tuple(islice(numbers, mat.size))
+        yield f"{json.dumps(str(key))}: {body}"
+
+
 def save_certificate(path, cert):
-    doc = {
-        "role": cert.role,
-        "L": float(cert.L),
-        "alpha": float(cert.alpha),
-        "K": {str(n): _listify(mat) for n, mat in sorted(cert.K.items())},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    doc = {"role": cert.role, "L": float(cert.L), "alpha": float(cert.alpha), "K": None}
+    _write_doc(path, doc, [(1, "{}", _gains(cert.K))])
 
 
 def _fmt(x):
@@ -232,24 +281,21 @@ def write_trace_csv(path, tree, x, u, summary):
     ``summary`` is an ordered mapping of labels to floats, appended as
     a single comment row ``# key=value,...``.
     """
-    nx, nu = tree.nx, tree.nu
+    nx, nu, N = tree.nx, tree.nu, tree.node_count
     header = (
         ["node", "stage", "parent", "pi"]
         + [f"x[{i}]" for i in range(nx)]
         + [f"u[{i}]" for i in range(nu)]
     )
+    X, U = (np.array([w[n] for n in range(N)], dtype=float) for w in (x, u))
+    cols = (tree.stage, tree.parent, np.column_stack([tree.pi, X, U]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for n in range(tree.node_count):
-            writer.writerow(
-                [n, int(tree.stage[n]), int(tree.parent[n]), _fmt(tree.pi[n])]
-                + [_fmt(v) for v in x[n]]
-                + [_fmt(v) for v in u[n]]
-            )
-        fh.write(
-            "# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n"
-        )
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, N, _BATCH):
+            rows = zip(count(lo), *(c[lo : lo + _BATCH].tolist() for c in cols))
+            fh.writelines(
+                f"{n},{t},{p},{','.join(map(repr, v))}\n" for n, t, p, v in rows)
+        fh.write("# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
 
 
 def write_path_values_csv(path, tree, path_values, summary):

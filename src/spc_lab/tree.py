@@ -18,6 +18,7 @@ import numpy as np
 
 PROB_TOL = 1e-12
 SYM_TOL = 1e-12
+FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
 
 
 class TreeError(ValueError):
@@ -26,13 +27,6 @@ class TreeError(ValueError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-def _matrix(value, shape, name):
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise TreeError(f"{name}: expected shape {shape}, got {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -53,19 +47,12 @@ class NodeData:
     r: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "d", "Q", "R", "q", "r"):
-            arr = getattr(self, name)
-            base = getattr(arr, "base", None)
-            # a read-only float64 view of a read-only float64 array, such
-            # as a row of a stacked field, is kept; anything else is copied
-            if not (
-                isinstance(base, np.ndarray)
-                and arr.dtype == base.dtype == np.float64
-                and not (arr.flags.writeable or base.flags.writeable)
-            ):
-                arr = np.array(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in FIELDS:
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.d.ndim != 1 or self.r.ndim != 1:
+            raise TreeError("q/r/d dimension mismatch")
         nx, nu = self.nx, self.nu
         if self.A.shape != (nx, nx) or self.B.shape != (nx, nu):
             raise TreeError("A/B dimension mismatch")
@@ -97,18 +84,21 @@ def symmetry_defects(Q, R):
     over ``M`` in Q and R, stacked along a leading node axis."""
     out = np.zeros(len(Q))
     for M in (Q, R):
+        skew = np.flatnonzero((M != M.transpose(0, 2, 1)).any(axis=(1, 2)))
+        M = M[skew]
         scale = np.maximum(1.0, np.linalg.norm(M, 2, axis=(1, 2)))
         gap = np.linalg.norm(M - M.transpose(0, 2, 1), 2, axis=(1, 2))
-        out = np.maximum(out, gap / scale)
+        out[skew] = np.maximum(out[skew], gap / scale)
     return out
 
 
 class NodeArrays(NamedTuple):
     """Node data stacked along a leading node axis, read-only.
 
-    ``Q`` and ``R`` hold the symmetric parts ``(M + M')/2``: quadratic
-    forms only see those, and storing them keeps every assembled system
-    exactly symmetric.
+    In ``tree.arrays``, ``Q`` and ``R`` hold the symmetric parts
+    ``(M + M')/2``: quadratic forms only see those, and storing them keeps
+    every assembled system exactly symmetric.  ``tree.raw_arrays`` holds
+    the fields as given, which are what a problem file stores.
     """
 
     A: np.ndarray
@@ -123,6 +113,12 @@ class NodeArrays(NamedTuple):
     def p(self):
         """Stacked perturbations (q, r, d), one row per node."""
         return np.concatenate([self.q, self.r, self.d], axis=1)
+
+
+def _frozen(arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -195,15 +191,13 @@ class ScenarioTree:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "data", tuple(self.data))
         kids = [[] for _ in range(len(parent))]
-        for i in range(1, len(parent)):
-            p = int(parent[i])
-            if 0 <= p < len(parent):
+        for i, p in enumerate(parent.tolist()[1:], 1):
+            if 0 <= p < len(kids):
                 kids[p].append(i)
         object.__setattr__(self, "children", tuple(tuple(k) for k in kids))
         object.__setattr__(self, "horizon", int(stage.max()) if len(stage) else 0)
         by_stage = [[] for _ in range(self.horizon + 1)]
-        for i in range(len(parent)):
-            t = int(stage[i])
+        for i, t in enumerate(stage.tolist()):
             if 0 <= t <= self.horizon:
                 by_stage[t].append(i)
         object.__setattr__(self, "_by_stage", tuple(tuple(s) for s in by_stage))
@@ -213,22 +207,20 @@ class ScenarioTree:
         return len(self.parent)
 
     @cached_property
+    def raw_arrays(self):
+        """:class:`NodeArrays` of the node data as given (a builder may seed it)."""
+        try:
+            stack = {f: np.array([getattr(nd, f) for nd in self.data]) for f in FIELDS}
+        except ValueError:
+            raise TreeError("node data dims differ between nodes") from None
+        return _frozen(NodeArrays(**stack))
+
+    @cached_property
     def arrays(self):
-        """:class:`NodeArrays` of all nodes, stacked on first use (the
-        constructor itself accepts nodes whose dims disagree)."""
-        nx, nu = self.nx, self.nu
-        for i, nd in enumerate(self.data):
-            if nd.nx != nx or nd.nu != nu:
-                raise TreeError(f"node {i}: data dims do not match tree")
-        stack = {
-            f: np.array([getattr(nd, f) for nd in self.data])
-            for f in NodeArrays._fields
-        }
-        for f in ("Q", "R"):
-            stack[f] = 0.5 * (stack[f] + stack[f].transpose(0, 2, 1))
-        for arr in stack.values():
-            arr.setflags(write=False)
-        return NodeArrays(**stack)
+        """:class:`NodeArrays` of all nodes with Q and R symmetrized."""
+        raw = self.raw_arrays
+        Q, R = (0.5 * (M + M.transpose(0, 2, 1)) for M in (raw.Q, raw.R))
+        return _frozen(raw._replace(Q=Q, R=R))
 
     @property
     def nx(self):
@@ -293,58 +285,71 @@ def validate_tree(tree):
 
     Returns a :class:`ValidationReport`; the report is empty exactly when
     the tree is a valid stage-``horizon`` scenario tree in breadth-first
-    order with consistent probabilities and symmetric cost data.
+    order with finite, consistent probabilities and finite, symmetric
+    node data.  Each check is a mask over the stacked arrays.
     """
-    v = []
     n = tree.node_count
     if n == 0:
         return ValidationReport(["empty tree"])
-    if tree.parent[0] != -1:
-        v.append("node 0 is not a root (parent != -1)")
-    for i in range(1, n):
-        p = int(tree.parent[i])
-        if p == -1:
-            v.append(f"node {i}: multiple roots")
-        elif not 0 <= p < i:
-            v.append(f"node {i}: parent {p} does not precede child")
-    if tree.stage[0] != 0:
-        v.append("root stage != 0")
-    for i in range(1, n):
-        p = int(tree.parent[i])
-        if 0 <= p < n and tree.stage[i] != tree.stage[p] + 1:
-            v.append(f"node {i}: stage {tree.stage[i]} != parent stage + 1")
-        if tree.stage[i] < tree.stage[i - 1]:
-            v.append(f"node {i}: order not breadth-first (stage decreases)")
-    if abs(tree.pi[0] - 1.0) > PROB_TOL:
-        v.append(f"root probability {tree.pi[0]:.12g} != 1")
-    for i in range(n):
-        if tree.pi[i] <= 0:
-            v.append(f"node {i}: probability {tree.pi[i]:.12g} <= 0")
-    T = tree.horizon
-    for i in range(n):
-        kids = tree.children[i]
-        if kids:
-            s = float(sum(tree.pi[c] for c in kids))
-            if abs(s - tree.pi[i]) > PROB_TOL:
-                v.append(
-                    f"node {i}: children sum {s:.12g} != parent probability "
-                    f"{tree.pi[i]:.12g}"
-                )
-        elif tree.stage[i] != T:
-            v.append(f"node {i}: leaf at wrong stage {tree.stage[i]} (expected {T})")
-    nx, nu = tree.nx, tree.nu
-    fits = [i for i, nd in enumerate(tree.data) if (nd.nx, nd.nu) == (nx, nu)]
-    defect = np.zeros(len(tree.data))
-    defect[fits] = symmetry_defects(
-        np.array([tree.data[i].Q for i in fits]),
-        np.array([tree.data[i].R for i in fits]),
-    )
-    for i, nd in enumerate(tree.data):
-        if (nd.nx, nd.nu) != (nx, nu):
-            v.append(f"node {i}: data dims ({nd.nx}, {nd.nu}) != ({nx}, {nu})")
-        elif defect[i] > SYM_TOL:
-            v.append(f"node {i}: Q or R not symmetric within {SYM_TOL:g}")
+    parent, stage, pi, T = tree.parent, tree.stage, tree.pi, tree.horizon
+    idx = np.arange(n)
+    kid = (idx > 0) & (0 <= parent) & (parent < n)
+    roots = (idx > 0) & (parent == -1)
+    v = ["node 0 is not a root (parent != -1)"] if parent[0] != -1 else []
+    _flag(v, (roots, lambda i: "multiple roots"),
+          ((idx > 0) & ~roots & ~(kid & (parent < idx)),
+           lambda i: f"parent {parent[i]} does not precede child"))
+    v += ["root stage != 0"] if stage[0] != 0 else []
+    _flag(v, (kid & (stage != stage[np.where(kid, parent, 0)] + 1),
+              lambda i: f"stage {stage[i]} != parent stage + 1"),
+          (np.r_[False, stage[1:] < stage[:-1]],
+           lambda i: "order not breadth-first (stage decreases)"))
+    with np.errstate(invalid="ignore"):
+        if abs(pi[0] - 1.0) > PROB_TOL:
+            v.append(f"root probability {pi[0]:.12g} != 1")
+        finite = np.isfinite(pi)
+        _flag(v, (~finite, lambda i: f"probability {pi[i]:.12g} is not finite"),
+              (finite & (pi <= 0), lambda i: f"probability {pi[i]:.12g} <= 0"))
+        # children sums add in index order, as a running sum does
+        sums = np.bincount(parent[kid], weights=pi[kid], minlength=n)
+        kids = np.bincount(parent[kid], minlength=n) > 0
+        _flag(v, (kids & (abs(sums - pi) > PROB_TOL), lambda i: f"children sum "
+                  f"{sums[i]:.12g} != parent probability {pi[i]:.12g}"),
+              (~kids & (stage != T),
+               lambda i: f"leaf at wrong stage {stage[i]} (expected {T})"))
+    _flag(v, *_data_checks(tree))
     return ValidationReport(v)
+
+
+def _flag(v, *checks):
+    """Append ``node i: text(i)`` for each ``(mask, text)`` check that flags
+    node i: flagged nodes in order, each node's checks in the given order."""
+    for i in np.flatnonzero(np.any([mask for mask, _ in checks], axis=0)):
+        v.extend(f"node {i}: {text(i)}" for mask, text in checks if mask[i])
+
+
+def _data_checks(tree):
+    """Node data checks, exclusive per node: dims that differ from the
+    root's, then non-finite fields, then asymmetric Q or R."""
+    dims = (tree.nx, tree.nu)
+    fits = np.ones(tree.node_count, dtype=bool)
+    try:
+        raw = tree.raw_arrays
+    except TreeError:  # check the nodes that fit; the others are reported
+        fits = np.array([(nd.nx, nd.nu) == dims for nd in tree.data])
+        rows = [tree.data[i] for i in np.flatnonzero(fits)]
+        raw = NodeArrays(*(np.array([getattr(nd, f) for nd in rows]) for f in FIELDS))
+    bad = np.zeros((tree.node_count, len(FIELDS)), dtype=bool)
+    bad[fits] = np.array([~np.isfinite(a.reshape(len(a), -1)).all(1) for a in raw]).T
+    ok = fits & ~bad.any(axis=1)
+    defect = np.zeros(tree.node_count)
+    defect[ok] = symmetry_defects(raw.Q[ok[fits]], raw.R[ok[fits]])
+    return (
+        (~fits, lambda i: f"data dims {(tree.data[i].nx, tree.data[i].nu)} != {dims}"),
+        (fits & ~ok, lambda i: "non-finite entries in "
+         + ", ".join(f for f, b in zip(FIELDS, bad[i]) if b)),
+        (ok & (defect > SYM_TOL), lambda i: f"Q or R not symmetric within {SYM_TOL:g}"),
+    )
 
 
 def _checked(tree):
@@ -406,13 +411,30 @@ def build_tree_explicit(parents, stage_labels, probabilities, node_data):
     data) that the stagewise product builder cannot express.  Parent
     indices must precede their children; all invariants are validated and
     a :class:`TreeError` carrying the report is raised on any violation.
+
+    ``node_data`` is a sequence of :class:`NodeData` or a dict of the seven
+    fields stacked over nodes.  A stack becomes ``tree.raw_arrays`` without a
+    copy (its arrays turn read-only) after one shape check; the ``tree.data``
+    rows are read-only views of it, made without per-row checks.
     """
+    stack = None
+    if isinstance(node_data, dict):
+        stack = _frozen(NodeArrays(*(np.asarray(node_data[f], float) for f in FIELDS)))
     n = len(parents)
-    if not (len(stage_labels) == len(probabilities) == len(node_data) == n):
+    sizes = {len(node_data)} if stack is None else {len(arr) for arr in stack}
+    if {len(stage_labels), len(probabilities), *sizes} != {n}:
         raise TreeError("parents/stages/probs/nodes arrays have mismatched lengths")
     if n == 0:
         raise TreeError("empty tree")
-    return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
+    if stack is None:
+        return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
+    NodeData(*(arr[0] for arr in stack))  # every row has row 0's shapes
+    rows = [object.__new__(NodeData) for _ in range(n)]
+    for nd, row in zip(rows, zip(*stack)):
+        nd.__dict__.update(zip(FIELDS, row))
+    tree = ScenarioTree(parents, stage_labels, probabilities, rows)
+    tree.__dict__["raw_arrays"] = stack
+    return _checked(tree)
 
 
 def conditional_prob(tree, j, k):

@@ -424,3 +424,73 @@ def dense_regularity(tree, nodes):
         float(s.min()) ** 2,
         float(np.linalg.eigvalsh(Z.T @ G @ Z).min()),
     )
+
+
+def validate_tree_reference(tree, prob_tol=1e-12, sym_tol=1e-12):
+    """Violation list of a scenario tree by plain loops over its nodes.
+
+    Children and the horizon are derived here from ``parent`` and
+    ``stage``; the asymmetry of Q and R is ``||M - M'||_2 / max(1,
+    ||M||_2)`` per matrix, taken only on nodes whose data is finite.
+    """
+    parent = [int(p) for p in tree.parent]
+    stage = [int(t) for t in tree.stage]
+    pi = [float(p) for p in tree.pi]
+    n = len(parent)
+    if n == 0:
+        return ["empty tree"]
+    v = []
+    if parent[0] != -1:
+        v.append("node 0 is not a root (parent != -1)")
+    for i in range(1, n):
+        p = parent[i]
+        if p == -1:
+            v.append(f"node {i}: multiple roots")
+        elif not 0 <= p < i:
+            v.append(f"node {i}: parent {p} does not precede child")
+    if stage[0] != 0:
+        v.append("root stage != 0")
+    for i in range(1, n):
+        p = parent[i]
+        if 0 <= p < n and stage[i] != stage[p] + 1:
+            v.append(f"node {i}: stage {stage[i]} != parent stage + 1")
+        if stage[i] < stage[i - 1]:
+            v.append(f"node {i}: order not breadth-first (stage decreases)")
+    if abs(pi[0] - 1.0) > prob_tol:
+        v.append(f"root probability {pi[0]:.12g} != 1")
+    for i in range(n):
+        if not math.isfinite(pi[i]):
+            v.append(f"node {i}: probability {pi[i]:.12g} is not finite")
+        elif pi[i] <= 0:
+            v.append(f"node {i}: probability {pi[i]:.12g} <= 0")
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        if 0 <= parent[i] < n:
+            kids[parent[i]].append(i)
+    horizon = max(stage)
+    for i in range(n):
+        if kids[i]:
+            s = sum(pi[c] for c in kids[i])
+            if abs(s - pi[i]) > prob_tol:
+                v.append(
+                    f"node {i}: children sum {s:.12g} != parent probability "
+                    f"{pi[i]:.12g}"
+                )
+        elif stage[i] != horizon:
+            v.append(f"node {i}: leaf at wrong stage {stage[i]} (expected {horizon})")
+    fields = ("A", "B", "d", "Q", "R", "q", "r")
+    dims = (len(tree.data[0].d), len(tree.data[0].r))
+    for i, nd in enumerate(tree.data):
+        bad = [f for f in fields if not np.all(np.isfinite(getattr(nd, f)))]
+        if (len(nd.d), len(nd.r)) != dims:
+            v.append(f"node {i}: data dims ({len(nd.d)}, {len(nd.r)}) != {dims}")
+        elif bad:
+            v.append(f"node {i}: non-finite entries in {', '.join(bad)}")
+        else:
+            defect = max(
+                np.linalg.norm(M - M.T, 2) / max(1.0, np.linalg.norm(M, 2))
+                for M in (np.asarray(nd.Q), np.asarray(nd.R))
+            )
+            if defect > sym_tol:
+                v.append(f"node {i}: Q or R not symmetric within {sym_tol:g}")
+    return v

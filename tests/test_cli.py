@@ -7,6 +7,7 @@ the library test modules.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,51 @@ class TestProblemFile:
             rc = main(["build-tree", "--input", str(bad), "--out", str(tmp_path)])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "block, index, value, match",
+        [
+            ("probs", (1,), float("nan"), "node 1: probability nan is not finite"),
+            ("probs", (1,), None, "node 1: probability null is not a 64-bit number"),
+            ("parents", (1,), 0.5, "node 1: parent 0.5 is not a 64-bit integer"),
+            ("parents", (2,), 10**30, f"node 2: parent {10**30} is not a 64-bit integer"),
+            ("parents", (2,), False, "node 2: parent false is not a 64-bit integer"),
+            ("stages", (1,), True, "node 1: stage true is not a 64-bit integer"),
+            ("nodes", (2, "A", 0, 1), float("nan"), "node 2: non-finite entries in A"),
+            ("nodes", (3, "Q", 0, 0), float("inf"), "node 3: non-finite entries in Q"),
+        ],
+        ids=["nan-prob", "null-prob", "half-parent", "huge-parent", "bool-parent",
+             "bool-stage", "nan-A", "inf-Q"],
+    )
+    def test_non_finite_or_non_integer_entry_exit_2(
+        self, tmp_path, capsys, block, index, value, match
+    ):
+        tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
+        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
+        doc = json.loads(open(path).read())
+        target = doc["explicit"][block]
+        for key in index[:-1]:
+            target = target[key]
+        target[index[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(TreeError, match=match):
+            load_problem(str(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["build-tree", "--input", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {match}")
+
+    def test_non_finite_initial_pair_exit_2(self, tmp_path, capsys):
+        tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
+        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
+        doc = json.loads(open(path).read())
+        doc["initial"]["u_prev"][0] = float("-inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["build-tree", "--input", str(bad)]) == 2
+        assert "x_prev and u_prev must be finite" in capsys.readouterr().err
 
     def test_dims_mismatch_rejected(self, tmp_path):
         tree = random_tree(seed=2, T=1, branching=2, nx=2, nu=1)

@@ -1,0 +1,161 @@
+"""The problem and certificate writers emit the stdlib encoder's bytes.
+
+Each expected file is ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+a newline, with ``doc`` built here from the tree's own arrays, so the
+comparison does not depend on how the writers render their text.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spc_lab import (
+    InitialCondition,
+    NodeData,
+    ScenarioTree,
+    save_certificate,
+    save_problem,
+    write_trace_csv,
+)
+from spc_lab.stability import GainCertificate
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
+FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
+
+numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def matrix(draw, shape):
+    size = int(np.prod(shape))
+    values = draw(st.lists(numbers, min_size=size, max_size=size))
+    return np.array(values).reshape(shape)
+
+
+def stdlib_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def problems(draw):
+    nx, nu = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    T, branching = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    parents, stages, frontier = [-1], [0], [0]
+    for t in range(1, T + 1):
+        nxt = []
+        for par in frontier:
+            for _ in range(branching):
+                parents.append(par)
+                stages.append(t)
+                nxt.append(len(parents) - 1)
+        frontier = nxt
+    n = len(parents)
+    shapes = {"A": (nx, nx), "B": (nx, nu), "d": (nx,), "Q": (nx, nx)}
+    shapes.update(R=(nu, nu), q=(nx,), r=(nu,))
+    # the writers take any ScenarioTree; validation is not their job
+    data = [NodeData(**{f: matrix(draw, shapes[f]) for f in FIELDS}) for _ in range(n)]
+    tree = ScenarioTree(parents, stages, matrix(draw, (n,)), data)
+    initial = InitialCondition(matrix(draw, (nx,)), matrix(draw, (nu,)))
+    keys = ("L", "alpha", "gamma")
+    assumption = draw(st.none() | st.fixed_dictionaries({k: numbers for k in keys}))
+    return tree, initial, assumption
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems())
+def test_save_problem_matches_stdlib_encoder(tmp_path_factory, problem):
+    tree, initial, assumption = problem
+    doc = {
+        "dims": {"nx": tree.nx, "nu": tree.nu},
+        "horizon": tree.horizon,
+        "explicit": {
+            "parents": tree.parent.tolist(),
+            "stages": tree.stage.tolist(),
+            "probs": tree.pi.tolist(),
+            "nodes": [{f: getattr(nd, f).tolist() for f in FIELDS} for nd in tree.data],
+        },
+        "initial": {
+            "x_prev": initial.x_prev.tolist(),
+            "u_prev": initial.u_prev.tolist(),
+        },
+    }
+    if assumption is not None:
+        doc["assumption"] = assumption
+    path = tmp_path_factory.mktemp("p") / "problem.json"
+    save_problem(str(path), tree, initial, assumption)
+    assert path.read_text() == stdlib_text(doc)
+
+
+def test_save_problem_streams_more_than_one_batch(tmp_path):
+    # 600 nodes: the records are written in three runs
+    n = 600
+    nd = NodeData(
+        A=[[1.0, -0.0], [5e-324, 2.0]], B=[[1e300], [0.0]], d=[0.5, -1e-300],
+        Q=[[1.0, 0.0], [0.0, 3.0]], R=[[2.0]], q=[0.1, 0.2], r=[0.3],
+    )
+    tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
+                        [1.0] + [1.0 / (n - 1)] * (n - 1), [nd] * n)
+    initial = InitialCondition([0.0, 1.0], [2.0])
+    path = tmp_path / "problem.json"
+    save_problem(str(path), tree, initial)
+    doc = json.loads(path.read_text())
+    assert len(doc["explicit"]["nodes"]) == n
+    assert path.read_text() == stdlib_text(doc)
+
+
+def test_trace_rows_match_csv_writer_across_batches(tmp_path):
+    n = 600
+    nd = NodeData(A=[[1.0]], B=[[1.0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
+    tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
+                        [1.0] + [1.0 / (n - 1)] * (n - 1), [nd] * n)
+    rng = np.random.default_rng(3)
+    x = {k: rng.standard_normal(1) for k in range(n)}
+    u = {k: np.array([EDGE_FLOATS[k % len(EDGE_FLOATS)]]) for k in range(n)}
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), tree, x, u, {"J": 0.5})
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["node", "stage", "parent", "pi", "x[0]", "u[0]"])
+    for k in range(n):
+        values = (tree.pi[k], x[k][0], u[k][0])
+        writer.writerow([k, int(tree.stage[k]), int(tree.parent[k])]
+                        + [repr(float(v)) for v in values])
+    assert path.read_text() == expected.getvalue() + "# J=0.5\n"
+
+
+@st.composite
+def certificates(draw):
+    nodes = draw(st.sets(st.integers(0, 40), max_size=14))
+    # gains of differing shapes, empty rows included, each get a template
+    shapes = st.tuples(st.integers(0, 2), st.integers(0, 3))
+    K = {n: matrix(draw, draw(shapes)) for n in nodes}
+    L, alpha, role = draw(numbers), draw(numbers), draw(st.text())
+    return GainCertificate(K=K, L=L, alpha=alpha, role=role)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cert=certificates())
+def test_save_certificate_matches_stdlib_encoder(tmp_path_factory, cert):
+    doc = {
+        "role": cert.role,
+        "L": cert.L,
+        "alpha": cert.alpha,
+        "K": {str(n): mat.tolist() for n, mat in cert.K.items()},
+    }
+    path = tmp_path_factory.mktemp("c") / "cert.json"
+    save_certificate(str(path), cert)
+    assert path.read_text() == stdlib_text(doc)
+
+
+def test_certificate_keys_sort_as_strings_and_empty_k(tmp_path):
+    path = tmp_path / "cert.json"
+    K = {n: np.array([[float(n), -0.0]]) for n in (2, 10, 1, 33)}
+    save_certificate(str(path), GainCertificate(K=K, L=1.0, alpha=0.5))
+    assert list(json.loads(path.read_text())["K"]) == ["1", "10", "2", "33"]
+    save_certificate(str(path), GainCertificate(K={}, L=1.0, alpha=0.5))
+    assert path.read_text() == stdlib_text(
+        {"K": {}, "L": 1.0, "alpha": 0.5, "role": "stabilizability"}
+    )

@@ -20,8 +20,8 @@ from spc_lab import (
     validate_tree,
 )
 
-from .helpers import nd_scalar, random_tree, uniform_outcome
-from .oracles import leaf_products
+from .helpers import nd_scalar, random_node_data, random_tree, uniform_outcome
+from .oracles import leaf_products, validate_tree_reference
 
 
 # ---------------------------------------------------------------------------
@@ -34,26 +34,35 @@ def test_node_data_arrays_are_read_only():
         nd.A[0, 0] = 2.0
 
 
-def test_node_data_keeps_only_frozen_views_of_frozen_stacks():
-    def node(A):
-        return NodeData(A=A, B=[[0.0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
+def test_node_data_copies_its_input_read_only():
+    A = np.array([[2.0]])
+    nd = NodeData(A=A, B=[[0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
+    A[0, 0] = 7.0
+    assert nd.A[0, 0] == 2.0 and not nd.A.flags.writeable
+    assert nd.B.dtype == np.float64
 
-    frozen = np.array([[[0.0]], [[1.0]], [[2.0]]])
-    frozen.setflags(write=False)
-    assert np.shares_memory(node(frozen[2]).A, frozen)
-    # copied: a frozen view of a writable array, integers, a frozen owner
-    writable = frozen.copy()
-    view = writable[2]
-    view.setflags(write=False)
-    ints = np.array([[[0]], [[1]], [[2]]])
-    ints.setflags(write=False)
-    for A in (view, ints[2], frozen[2].copy()):
-        nd = node(A)
-        assert not np.shares_memory(nd.A, A)
-        assert nd.A.dtype == np.float64 and not nd.A.flags.writeable
-    nd = node(view)
-    writable[2] = 7.0
-    assert nd.A[0, 0] == 2.0
+
+def test_stacked_builder_rows_are_frozen_views_of_one_stack():
+    rng = np.random.default_rng(0)
+    stack = {f: rng.standard_normal((3,) + s) for f, s in (
+        ("A", (2, 2)), ("B", (2, 1)), ("d", (2,)), ("Q", (2, 2)), ("R", (1, 1)),
+        ("q", (2,)), ("r", (1,)))}
+    stack["Q"] = stack["Q"] @ stack["Q"].transpose(0, 2, 1)
+    tree = build_tree_explicit([-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], stack)
+    raw = tree.raw_arrays
+    for f, given in stack.items():
+        # taken over from the caller without a copy, then shared by every row
+        assert getattr(raw, f) is given and not given.flags.writeable
+        for i, nd in enumerate(tree.data):
+            assert np.shares_memory(getattr(nd, f), getattr(raw, f))
+            assert not getattr(nd, f).flags.writeable
+    assert np.array_equal(tree.arrays.Q, 0.5 * (raw.Q + raw.Q.transpose(0, 2, 1)))
+    with pytest.raises(TreeError, match="A/B dimension mismatch"):
+        one = {f: a[:1] for f, a in stack.items()}
+        build_tree_explicit([-1], [0], [1.0], {**one, "A": np.zeros((1, 2, 3))})
+    with pytest.raises(TreeError, match="mismatched lengths"):
+        short_r = {**stack, "r": np.zeros((2, 1))}
+        build_tree_explicit([-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], short_r)
 
 
 def test_node_data_stacked_perturbation_order():
@@ -320,6 +329,58 @@ def test_validate_reports_dims_and_asymmetry_per_node_in_order():
 def test_validate_accepts_random_product_trees():
     for seed in range(4):
         assert validate_tree(random_tree(seed=seed)).ok
+
+
+def corrupt(tree, rng, kind):
+    """Parallel lists of ``tree`` with one kind of fault at random nodes."""
+    parent, stage = tree.parent.tolist(), tree.stage.tolist()
+    pi, data = tree.pi.tolist(), list(tree.data)
+    n = len(parent)
+    hit = rng.choice(n, size=min(n, rng.integers(1, 4)), replace=False).tolist()
+    for i in hit:
+        if kind == "parent":
+            parent[i] = int(rng.integers(-1, n + 2))
+        elif kind == "stage":
+            stage[i] += int(rng.choice([-2, -1, 1, 2]))
+        elif kind == "order":
+            j = int(rng.integers(n))
+            stage[i], stage[j] = stage[j], stage[i]
+        elif kind == "prob":
+            drift = [pi[i] * (1 + 1e-9), -pi[i], 0.0, np.nan, np.inf, -np.inf]
+            pi[i] = rng.choice(drift)
+        elif kind == "leaf":
+            # dropping the last nodes leaves their parents as early leaves
+            cut = max(1, n - len(hit))
+            del parent[cut:], stage[cut:], pi[cut:], data[cut:]
+            break
+        elif kind in ("Q", "R"):
+            M = np.array(getattr(data[i], kind))
+            M[0, -1] += rng.choice([1e-3, 1e-13])
+            data[i] = NodeData(**{**vars(data[i]), kind: M})
+        elif kind == "nan":
+            field = str(rng.choice(["A", "B", "d", "Q", "R", "q", "r"]))
+            M = np.array(getattr(data[i], field))
+            M.flat[0] = rng.choice([np.nan, np.inf, -np.inf])
+            data[i] = NodeData(**{**vars(data[i]), field: M})
+        elif kind == "dims":
+            data[i] = random_node_data(rng, 3, 1)
+    return parent, stage, pi, data
+
+
+KINDS = ("parent", "stage", "order", "prob", "leaf", "Q", "R", "nan", "dims")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+)
+def test_validate_matches_loop_reference_on_corrupted_trees(seed, kinds):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(seed=seed, T=int(rng.integers(1, 4)), nx=2, nu=2)
+    for kind in kinds:
+        tree = ScenarioTree(*corrupt(tree, rng, kind))
+    assert validate_tree(tree).violations == validate_tree_reference(tree)
 
 
 # ---------------------------------------------------------------------------
