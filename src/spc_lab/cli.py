@@ -262,11 +262,7 @@ def _points_pass(report, tol):
     """Report verdict, optionally re-judged at an overridden tolerance."""
     if tol is None:
         return report.passed, report.failures()
-    bad = [
-        p
-        for p in report.points
-        if p.applies and not (p.measured <= p.bound + tol * (1.0 + p.bound))
-    ]
+    bad = [p for p in report.points if not p.ok(tol)]
     return not bad, bad
 
 

@@ -31,19 +31,20 @@ from .kkt import (
     solve_extensive,
     solve_forest,
     solve_kkt,
-    stage_cost,
+    stage_costs,
 )
-from .tree import TreeError, committed_pair
+from .tree import TreeError, _frozen, committed_pair
 
 
 @dataclass(frozen=True)
 class ClosedLoopTrace:
-    """Committed state-control pairs of one receding-horizon run."""
+    """Committed state-control pairs of one receding-horizon run, as
+    read-only ``(N, nx)`` and ``(N, nu)`` arrays whose row is the node."""
 
     tree: object
     W: int
-    x: dict
-    u: dict
+    x: np.ndarray
+    u: np.ndarray
     J_W: float
     w_prev_init: tuple
 
@@ -120,17 +121,13 @@ def run_spc(tree, w_prev_init, W):
     weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
     p = tree.arrays.p[node][:, :, None]
     K, kv = riccati_gains(tree, node, parent, weight, depth_layers(depth), p)
-    g = pos[own, np.arange(N)]
+    every = np.arange(N)
+    g = pos[own, every]
     levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
-    d = forest_rhs(tree, np.arange(N), tree.parent, (x_init, u_init))
-    x, u = rollout(
-        tree, np.arange(N), tree.parent, K[g], kv[g], d[:, tree.nx + tree.nu :], levels
-    )
-    x, u = dict(enumerate(x[..., 0])), dict(enumerate(u[..., 0]))
-    J_W = math.fsum(
-        tree.pi[k] * stage_cost(tree.data[k], x[k], u[k])
-        for k in range(tree.node_count)
-    )
+    d = forest_rhs(tree, every, tree.parent, (x_init, u_init))[:, tree.nx + tree.nu :]
+    x, u = rollout(tree, every, tree.parent, K[g], kv[g], d, levels)
+    x, u = _frozen((x[..., 0], u[..., 0]))
+    J_W = math.fsum(tree.pi * stage_costs(tree, every, x, u))
     return ClosedLoopTrace(tree, int(W), x, u, J_W, (x_init, u_init))
 
 
@@ -184,12 +181,10 @@ def solve_here_and_now(tree, w_prev):
     H = (E.T @ system.H @ E).tocsc()
     z = solve_kkt(H, factor_kkt(H), E.T @ system.scaled_rhs(w_prev))
     x = system.unscale(E @ z)[0]
-    v = dict(enumerate(z[-nu * (T + 1) :].reshape(T + 1, nu)))
-    objective = math.fsum(
-        tree.pi[i] * stage_cost(tree.data[i], x[i], v[int(tree.stage[i])])
-        for i in range(tree.node_count)
-    )
-    return HereAndNowSolution(tree, x, v, objective)
+    v = z[-nu * (T + 1) :].reshape(T + 1, nu)
+    X = np.array(list(x.values()))
+    objective = math.fsum(tree.pi * stage_costs(tree, np.arange(len(X)), X, v[tree.stage]))
+    return HereAndNowSolution(tree, x, dict(enumerate(v)), objective)
 
 
 def solve_anticipative(tree, w_prev):
@@ -209,17 +204,10 @@ def solve_anticipative(tree, w_prev):
     layers = depth_layers(np.repeat(np.arange(T, -1, -1), L))
     p = forest_rhs(tree, node, parent, w_prev)
     x, u, _ = solve_forest(tree, node, parent, np.ones(node.size), layers, p)
-    x, u = x[..., 0], u[..., 0]
-    path_values = {
-        int(leaf): math.fsum(
-            stage_cost(tree.data[paths[t, i]], x[t * L + i], u[t * L + i])
-            for t in range(T + 1)
-        )
-        for i, leaf in enumerate(leaves)
-    }
-    objective = math.fsum(
-        tree.pi[leaf] * val for leaf, val in path_values.items()
-    )
+    cost = stage_costs(tree, node, x[..., 0], u[..., 0]).reshape(T + 1, L)
+    values = [math.fsum(c) for c in cost.T]
+    path_values = dict(zip(leaves.tolist(), values))
+    objective = math.fsum(tree.pi[leaves] * values)
     return AnticipativeSolution(tree, objective, path_values)
 
 
@@ -318,9 +306,10 @@ def hypothetical_state(tree, trace):
     layers = depth_layers(tree.horizon - tree.stage)
     node, p = np.arange(tree.node_count), arr.p[:, :, None]
     K, kv = riccati_gains(tree, node, parent, weight, layers, p)
-    x_init, u_init = committed_pair(trace.w_prev_init, tree)
-    xp = np.array([trace.x[p] if p >= 0 else x_init for p in parent])
-    up = np.array([trace.u[p] if p >= 0 else u_init for p in parent])
+    x_init, u_init = trace.w_prev_init
+    root = (parent < 0)[:, None]
+    xp = np.where(root, x_init, trace.x[parent])
+    up = np.where(root, u_init, trace.u[parent])
     x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
     u = _mv(K, x) + kv[..., 0]
     return np.concatenate([x, u], axis=1)

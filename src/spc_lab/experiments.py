@@ -23,19 +23,19 @@ from .controller import (
     solve_optimal,
 )
 from .kkt import _mv, solve_extensive
-from .norms import _weighted_norm, stage_norm, stage_perturbation_moments
+from .norms import stage_moments, stage_norm, stage_perturbation_moments
 from .stability import (
     GainCertificate,
     check_detectability,
     check_stabilizability,
     compute_constants,
+    pair_norm,
     perturbation_margin,
 )
 from .tree import (
     TreeError,
     build_tree_explicit,
     committed_pair,
-    subtree_nodes,
 )
 
 PASS_SLACK = 1e-9
@@ -88,10 +88,10 @@ class BoundPoint:
     def slack(self):
         return self.bound - self.measured
 
-    def ok(self):
+    def ok(self, slack=PASS_SLACK):
         if not self.applies:
             return True
-        return self.measured <= self.bound + PASS_SLACK * (1.0 + self.bound)
+        return self.measured <= self.bound + slack * (1.0 + self.bound)
 
 
 @dataclass(frozen=True)
@@ -295,14 +295,24 @@ def generate_certified_instance(spec):
 # moment helpers
 
 
-def _max_perturbation_moment(tree, constants):
-    if constants is not None and math.isfinite(getattr(constants, "D", float("nan"))):
-        return constants.D
-    return max(stage_perturbation_moments(tree).values())
+def _drivers(tree, constants, w_prev):
+    """The two drivers of every envelope: the largest stage perturbation
+    moment D (``constants.D`` when it holds one) and the committed pair's
+    norm."""
+    D = getattr(constants, "D", math.nan)
+    if not math.isfinite(D):
+        D = max(stage_perturbation_moments(tree).values())
+    return D, pair_norm(w_prev)
 
 
-def _pair_norm(w_prev):
-    return float(np.linalg.norm(np.concatenate(committed_pair(w_prev))))
+def _envelope(coef, L, rate, wbar, moments, t, tau=0):
+    """Decay envelope ``coef (2 L rate^(t - tau) wbar + sum_t' rate^|t - t'|
+    m_t')`` at stage t, over the stages t' >= tau of ``moments``."""
+    inner = math.fsum(
+        [_mul(2.0 * L * rate ** (t - tau), wbar)]
+        + [_mul(rate ** abs(t - tp), moments[tp]) for tp in range(tau, len(moments))]
+    )
+    return _mul(coef, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +333,7 @@ def regret_sweep(tree, constants, w_prev, W_list):
     for W in W_values:
         if W < 0 or W > tree.horizon:
             raise TreeError(f"window {W} outside [0, {tree.horizon}]")
-    D = _max_perturbation_moment(tree, c)
-    wbar = _pair_norm(w_prev)
+    D, wbar = _drivers(tree, c, w_prev)
     coeff = math.fsum(
         [
             _mul(c.c5, D * D * tree.horizon),
@@ -385,31 +394,19 @@ def open_loop_bound_check(tree, constants, tau_nodes, W, w_prev):
     """Per-stage second moments of one subtree plan against the
     open-loop decay envelope, conditioned on each given start node."""
     c = constants
-    wbar = _pair_norm(w_prev)
+    wbar = pair_norm(w_prev)
     points = []
     for k in tau_nodes:
         tau = int(tree.stage[k])
-        nodes = tuple(subtree_nodes(tree, k, W))
         sol = solve_extensive(tree, k, W, w_prev)
         t_hi = min(tau + W, tree.horizon)
-        by_stage = {}
-        for n in nodes:
-            by_stage.setdefault(int(tree.stage[n]), []).append(n)
-        cond, p = tree.pi / tree.pi[k], tree.arrays.p
-        moments = {
-            tp: _weighted_norm(cond, by_stage[tp], p) for tp in range(tau, t_hi + 1)
-        }
+        node = np.asarray(sol.nodes)
+        cond, stage = tree.pi[node] / tree.pi[k], tree.stage[node]
+        p, w = tree.arrays.p[node], np.array([sol.w(j) for j in sol.nodes])
+        moments, measured = (stage_moments(cond, V, stage, t_hi) for V in (p, w))
         for t in range(tau, t_hi + 1):
-            w_vals = {j: sol.w(j) for j in by_stage[t]}
-            measured = _weighted_norm(cond, by_stage[t], w_vals)
-            inner = math.fsum(
-                [_mul(2.0 * c.L * c.rho ** (t - tau), wbar)]
-                + [
-                    _mul(c.rho ** abs(t - tp), moments[tp])
-                    for tp in range(tau, t_hi + 1)
-                ]
-            )
-            points.append(BoundPoint((k, t), measured, _mul(c.c1, inner)))
+            bound = _envelope(c.c1, c.L, c.rho, wbar, moments, t, tau)
+            points.append(BoundPoint((k, t), measured[t], bound))
     return _report(
         "open_loop_decay",
         points,
@@ -422,18 +419,15 @@ def eisse_check(tree, constants, w_prev):
     """Per-stage second moments of the optimal plan against the
     input-to-state envelope with its geometric-tail perturbation term."""
     c = constants
-    wbar = _pair_norm(w_prev)
-    D = _max_perturbation_moment(tree, c)
+    D, wbar = _drivers(tree, c, w_prev)
     sol = solve_optimal(tree, w_prev)
     tail = _mul(2.0 * D, 1.0 / c.one_minus_rho if c.one_minus_rho > 0 else float("inf"))
+    w = np.array([sol.w(j) for j in range(tree.node_count)])
+    measured = stage_moments(tree.pi / tree.pi[0], w, tree.stage, tree.horizon)
     points = []
     for t in range(tree.horizon + 1):
-        nodes = tree.stage_nodes(t)
-        measured = _weighted_norm(
-            tree.pi / tree.pi[0], nodes, {j: sol.w(j) for j in nodes}
-        )
         inner = math.fsum([_mul(2.0 * c.L * c.rho**t, wbar), tail])
-        points.append(BoundPoint(t, measured, _mul(c.c1, inner)))
+        points.append(BoundPoint(t, measured[t], _mul(c.c1, inner)))
     return _report(
         "expected_state_envelope", points, c, {"D": D, "w_bar_norm": wbar}
     )
@@ -448,26 +442,16 @@ def closed_loop_bound_check(tree, constants, w_prev, W):
     """
     c = constants
     applicable = W >= c.W_bar_ceil
-    wbar = _pair_norm(w_prev)
-    moments = stage_perturbation_moments(tree)
+    wbar = pair_norm(w_prev)
+    moments = list(stage_perturbation_moments(tree).values())
     trace = run_spc(tree, w_prev, W)
-    sqrt_rho = math.sqrt(c.rho)
+    measured = stage_moments(
+        tree.pi / tree.pi[0], np.hstack([trace.x, trace.u]), tree.stage, tree.horizon
+    )
     points = []
     for t in range(tree.horizon + 1):
-        nodes = tree.stage_nodes(t)
-        measured = _weighted_norm(
-            tree.pi / tree.pi[0], nodes, {j: trace.w(j) for j in nodes}
-        )
-        inner = math.fsum(
-            [_mul(2.0 * c.L * sqrt_rho**t, wbar)]
-            + [
-                _mul(sqrt_rho ** abs(t - tp), moments[tp])
-                for tp in range(tree.horizon + 1)
-            ]
-        )
-        points.append(
-            BoundPoint(t, measured, _mul(c.c2, inner), applies=applicable)
-        )
+        bound = _envelope(c.c2, c.L, math.sqrt(c.rho), wbar, moments, t)
+        points.append(BoundPoint(t, measured[t], bound, applies=applicable))
     return _report(
         "closed_loop_envelope",
         points,
@@ -494,8 +478,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
     T = tree.horizon
     if w_prev is None:
         w_prev = (np.zeros(tree.nx), np.zeros(tree.nu))
-    wbar = _pair_norm(w_prev)
-    D = _max_perturbation_moment(tree, c)
+    D, wbar = _drivers(tree, c, w_prev)
     rec_inf = recursion_matrices(tree, T)
     rec_W = rec_inf if int(W) == T else recursion_matrices(tree, W)
     levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
@@ -532,14 +515,13 @@ def lemma_suite(tree, constants, W, w_prev=None):
     reports.append(_report("truncation_gap", points, c, {"W": int(W)}))
 
     trace = run_spc(tree, w_prev, W)
-    w = np.array([trace.w(n) for n in range(tree.node_count)])
-    gap = w - hypothetical_state(tree, trace)
+    w = np.hstack([trace.x, trace.u])
+    measured = stage_moments(pi, w - hypothetical_state(tree, trace), tree.stage, T)
     sqrt_rho = math.sqrt(c.rho)
     points = []
     for t in range(T + 1):
         inner = math.fsum([_mul(c.c3, D), _mul(_mul(c.c4, sqrt_rho**t), wbar)])
-        measured = _weighted_norm(pi, levels[t], gap)
-        points.append(BoundPoint(t, measured, _mul(inner, c.rho**W)))
+        points.append(BoundPoint(t, measured[t], _mul(inner, c.rho**W)))
     reports.append(
         _report(
             "one_step_vs_full_horizon_gap",
@@ -566,12 +548,12 @@ def lemma_suite(tree, constants, W, w_prev=None):
             at = levels[t]
             carried[at] = _mv(rec_W.S[at], carried[parent[at]])
         expansion += carried
+    diff = stage_moments(pi, expansion - w, tree.stage, T)
+    resid = stage_moments(pi, one_step - w, tree.stage, T)
     points = []
     for t in range(T + 1):
-        diff = _weighted_norm(pi, levels[t], expansion - w)
-        points.append(BoundPoint(("expansion", t), diff, 1e-8))
+        points.append(BoundPoint(("expansion", t), diff[t], 1e-8))
         if t >= 1:
-            resid = _weighted_norm(pi, levels[t], one_step - w)
-            points.append(BoundPoint(("one_step", t), resid, 1e-8))
+            points.append(BoundPoint(("one_step", t), resid[t], 1e-8))
     reports.append(_report("recursion_expansion", points, c, {"W": int(W)}))
     return reports

@@ -265,9 +265,14 @@ def assemble_scaled_kkt(tree, nodes, k):
     return ScaledKKT(tree, tuple(nodes), k)
 
 
-def stage_cost(nd, x, u):
-    return float(
-        0.5 * (x @ nd.Q @ x) + 0.5 * (u @ nd.R @ u) - nd.q @ x - nd.r @ u
+def stage_costs(tree, node, x, u):
+    """Stage costs ``1/2 x'Qx + 1/2 u'Ru - q'x - r'u`` of positions over
+    tree nodes ``node``, for the states ``x`` (M, nx) and controls ``u``
+    (M, nu) stacked along the same positions."""
+    arr, quad = tree.arrays, "mi,mij,mj->m"
+    return (
+        0.5 * (np.einsum(quad, x, arr.Q[node], x) + np.einsum(quad, u, arr.R[node], u))
+        - np.einsum("mi,mi->m", arr.q[node], x) - np.einsum("mi,mi->m", arr.r[node], u)
     )
 
 
@@ -455,12 +460,12 @@ def solve_extensive(tree, k, W, w_prev):
     the conditional expected cost over the subtree.
     """
     forest = _window(tree, k, W)
-    p = forest_rhs(tree, *forest[:2], w_prev)
-    nodes = tuple(forest[0].tolist())
-    x, u, y = (dict(zip(nodes, v[..., 0])) for v in solve_forest(tree, *forest, p))
-    objective = math.fsum(
-        tree.pi[n] / tree.pi[k] * stage_cost(tree.data[n], x[n], u[n]) for n in nodes
-    )
+    node = forest[0]
+    p = forest_rhs(tree, node, forest[1], w_prev)
+    x, u, y = (v[..., 0] for v in solve_forest(tree, *forest, p))
+    objective = math.fsum(tree.pi[node] / tree.pi[k] * stage_costs(tree, node, x, u))
+    nodes = tuple(node.tolist())
+    x, u, y = (dict(zip(nodes, v)) for v in (x, u, y))
     return PolicySolution(tree, k, nodes, x, u, y, objective)
 
 

@@ -2,15 +2,17 @@
 
 The weighted vector norm ``sqrt(sum_i pi_i ||v_i||^2)`` and its induced
 operator norm are the measuring sticks for every decay and performance
-bound in this package.  The induced norm is the spectral norm after
-rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.  Three kernels evaluate
-it: :func:`pi_norm_mat` assembles a general :class:`BlockMatrix` sparse
-and takes its norm by Lanczos (the norms suite); :func:`stage_norm` is
-exact, with no iteration, for the closed-loop stage matrices, which hold
-one block per row or column (the lemma suite); and :func:`_block_norm`
-takes the largest eigenvalue of the Gram matrix, on the smaller side, of
-blocks that are dense already (solution-map decay rows and
-:func:`sigma_pi`), the kernel :func:`stage_norm` applies per group.
+bound in this package.  :func:`stage_moments`, the one moment kernel,
+evaluates the vector norm per stage on rows stacked over nodes.  The
+induced norm is the spectral norm after rescaling block (i, j) by
+``sqrt(pi_i / pi_j)``.  Three kernels evaluate it: :func:`pi_norm_mat`
+assembles a general :class:`BlockMatrix` sparse and takes its norm by
+Lanczos (the norms suite); :func:`stage_norm` is exact, with no
+iteration, for the closed-loop stage matrices, which hold one block per
+row or column (the lemma suite); and :func:`_block_norm` takes the
+largest eigenvalue of the Gram matrix, on the smaller side, of blocks
+that are dense already (solution-map decay rows and :func:`sigma_pi`),
+the kernel :func:`stage_norm` applies per group.
 """
 
 from __future__ import annotations
@@ -179,14 +181,20 @@ class BlockMatrix:
         return self.sparse(scaling).toarray()
 
 
-def _weighted_norm(pi, nodes, blocks):
-    terms = [float(pi[n]) * float(blocks[n] @ blocks[n]) for n in nodes]
-    return math.sqrt(math.fsum(terms))
+def stage_moments(weight, V, stage, T):
+    """Per-stage moments ``sqrt(sum_j w_j ||V_j||^2)``, t = 0..T, of the
+    rows ``V`` (n, m) stacked over nodes with weights ``weight`` and stage
+    labels ``stage`` (0 for a stage without rows).  Each stage sum is exactly
+    rounded (``math.fsum``), so it does not depend on the order of the rows.
+    """
+    terms = weight * np.einsum("ij,ij->i", V, V)
+    return np.array([math.sqrt(math.fsum(terms[stage == t])) for t in range(T + 1)])
 
 
 def pi_norm_vec(v):
     """Probability-weighted norm sqrt(sum_i pi_i ||v_i||^2)."""
-    return _weighted_norm(v.tree.pi, v.nodes, v.blocks)
+    V = v.stacked().reshape(len(v.nodes), v.dim)
+    return float(stage_moments(v.tree.pi[list(v.nodes)], V, np.zeros(len(V)), 0)[0])
 
 
 def stage_perturbation_moments(tree):
@@ -195,11 +203,8 @@ def stage_perturbation_moments(tree):
     Returns ``{t: weighted norm of the stage-t perturbation blocks}`` with
     the unshifted perturbations p = (q, r, d).
     """
-    p = tree.arrays.p
-    return {
-        t: _weighted_norm(tree.pi, tree.stage_nodes(t), p)
-        for t in range(tree.horizon + 1)
-    }
+    m = stage_moments(tree.pi, tree.arrays.p, tree.stage, tree.horizon)
+    return dict(enumerate(m.tolist()))
 
 
 def _block_norm(M4, f):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from itertools import count, islice
 
 import numpy as np
@@ -74,6 +75,21 @@ def _explicit_nodes(nodes):
         return [_node_data(o, f"node {i}") for i, o in enumerate(nodes)]
 
 
+def _is_number(v, kinds=(int, float)):
+    """Whether ``v`` is a JSON value of ``kinds`` (a boolean is neither) and,
+    when an integer, fits 64 bits."""
+    return type(v) in kinds and (type(v) is not int or -2**63 <= v < 2**63)
+
+
+def _number(v, where, finite=False):
+    """``v`` as a float when it is a 64-bit JSON number (and ``finite`` when
+    asked); a TreeError naming ``where`` otherwise."""
+    if not _is_number(v) or finite and not math.isfinite(v):
+        what = "finite number" if finite else "64-bit number"
+        raise TreeError(f"{where} {json.dumps(v)} is not a {what}")
+    return float(v)
+
+
 def _column(values, name, kind):
     """A per-node list of the explicit block as an array; a TreeError names
     the first entry that is not a JSON ``kind`` (int: an integer, not a
@@ -84,10 +100,15 @@ def _column(values, name, kind):
             return np.array(values, dtype=np.int64 if kind is int else float)
     except OverflowError:
         pass
-    i, v = next((i, v) for i, v in enumerate(values)
-                if type(v) not in kinds or type(v) is int and not -2**63 <= v < 2**63)
+    i, v = next((i, v) for i, v in enumerate(values) if not _is_number(v, kinds))
     what = "integer" if kind is int else "number"
     raise TreeError(f"node {i}: {name} {json.dumps(v)} is not a 64-bit {what}")
+
+
+def _outcome(obj, where):
+    """One stagewise outcome as ``(NodeData, probability)``."""
+    nd = _node_data(obj, where, ("prob",))
+    return nd, _number(obj["prob"], f"{where}: probability")
 
 
 def load_problem(path):
@@ -111,10 +132,7 @@ def load_problem(path):
     if "stagewise" in doc:
         stages = [
             [
-                (
-                    _node_data(o, f"stage {t} outcome {i}", ("prob",)),
-                    float(o["prob"]),
-                )
+                _outcome(o, f"stage {t} outcome {i}")
                 for i, o in enumerate(json_array(outcomes, f"stage {t}"))
             ]
             for t, outcomes in enumerate(
@@ -158,14 +176,11 @@ def load_problem(path):
     assumption = None
     if "assumption" in doc:
         blk = json_object(doc["assumption"], "assumption block")
-        for key in ("L", "alpha", "gamma"):
+        keys = ("L", "alpha", "gamma")
+        for key in keys:
             if key not in blk:
                 raise TreeError(f"assumption block missing '{key}'")
-        assumption = {
-            "L": float(blk["L"]),
-            "alpha": float(blk["alpha"]),
-            "gamma": float(blk["gamma"]),
-        }
+        assumption = {k: _number(blk[k], f"assumption {k}", finite=True) for k in keys}
     return tree, initial, assumption
 
 
@@ -232,6 +247,9 @@ def save_problem(path, tree, initial, assumption=None):
 
 
 def load_certificate(path):
+    """Read a certificate file.  ``L`` and ``alpha`` must be finite JSON
+    numbers, every gain key a node id and every gain finite; a fault is a
+    :class:`TreeError` that names the field or the node."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -243,14 +261,15 @@ def load_certificate(path):
     for key in ("K", "L", "alpha"):
         if key not in doc:
             raise TreeError(f"certificate file missing '{key}'")
-    gains = json_object(doc["K"], "certificate 'K' block")
-    K = {int(node): _matrix(mat, f"K[{node}]") for node, mat in gains.items()}
-    return GainCertificate(
-        K=K,
-        L=float(doc["L"]),
-        alpha=float(doc["alpha"]),
-        role=doc.get("role", "stabilizability"),
-    )
+    L, alpha = (_number(doc[k], f"certificate {k}", finite=True) for k in ("L", "alpha"))
+    K = {}
+    for node, mat in json_object(doc["K"], "certificate 'K' block").items():
+        if not re.fullmatch("0|[1-9][0-9]*", node):
+            raise TreeError(f"certificate gain key {json.dumps(node)} is not a node id")
+        K[int(node)] = _matrix(mat, f"K[{node}]")
+        if not np.isfinite(K[int(node)]).all():
+            raise TreeError(f"gain for node {node} has non-finite entries")
+    return GainCertificate(K=K, L=L, alpha=alpha, role=doc.get("role", "stabilizability"))
 
 
 def _gains(K):

@@ -100,6 +100,11 @@ def _inv(x):
     return math.inf if x == 0.0 else 1.0 / x
 
 
+def pair_norm(w_prev):
+    """Euclidean norm of the committed state-control pair ``w_prev``."""
+    return float(np.linalg.norm(np.concatenate(committed_pair(w_prev))))
+
+
 def perturbation_margin(L, alpha):
     """Allowed per-node deviation (sqrt(alpha) - alpha) / L."""
     if not 0.0 < alpha < 1.0:
@@ -208,9 +213,7 @@ def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
     D = math.nan
     if tree is not None:
         D = max(stage_perturbation_moments(tree).values())
-    w_bar_norm = math.nan
-    if w_prev is not None:
-        w_bar_norm = float(np.linalg.norm(np.concatenate(committed_pair(w_prev))))
+    w_bar_norm = math.nan if w_prev is None else pair_norm(w_prev)
 
     return ConstantsBundle(
         L=L,
@@ -252,6 +255,8 @@ def check_stability_tree(tree, Phi, L, alpha):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     js = np.flatnonzero(tree.stage >= 1)
     if isinstance(Phi, np.ndarray):
         M = np.asarray(Phi[js], dtype=float)

@@ -163,6 +163,28 @@ def stage_cost(nd, x, u):
     )
 
 
+def stage_costs_loop(tree, node, x, u):
+    """Stage cost of each position over tree nodes ``node``, node by node
+    from ``tree.data``, with the sum of the absolute values of its terms."""
+    cost, scale = [], []
+    for n, xi, ui in zip(node, x, u):
+        nd = tree.data[n]
+        cost.append(stage_cost(nd, xi, ui))
+        scale.append(
+            0.5 * (abs(xi) @ abs(nd.Q) @ abs(xi)) + 0.5 * (abs(ui) @ abs(nd.R) @ abs(ui))
+            + abs(nd.q) @ abs(xi) + abs(nd.r) @ abs(ui)
+        )
+    return np.array(cost), np.array(scale)
+
+
+def stage_moments_loop(weight, V, stage, T):
+    """Per-stage ``sqrt(sum_j w_j ||V_j||^2)``, t = 0..T, row by row."""
+    terms = [[] for _ in range(T + 1)]
+    for w, row, t in zip(weight, V, stage):
+        terms[int(t)].append(float(w) * math.fsum(float(e) * float(e) for e in row))
+    return [math.sqrt(math.fsum(ts)) for ts in terms]
+
+
 def simulate_no_lookahead(tree, w_prev):
     """Zero-window policy by forward simulation: u = R^{-1} r at each node."""
     x, u = {}, {}

@@ -288,6 +288,44 @@ class TestProblemFile:
         assert main(["build-tree", "--input", str(bad)]) == 2
         assert "x_prev and u_prev must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, text", [(None, "null"), (True, "true")])
+    def test_non_number_stagewise_probability_exit_2(self, tmp_path, capsys, value, text):
+        outcome = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
+        outcome.update(d=[0.0], q=[0.0], r=[0.0])
+        doc = {
+            "dims": {"nx": 1, "nu": 1},
+            "horizon": 1,
+            "initial": {"x_prev": [0.0], "u_prev": [0.0]},
+            "stagewise": [
+                [{**outcome, "prob": 1.0}],
+                [{**outcome, "prob": 0.5}, {**outcome, "prob": value}],
+            ],
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        match = f"stage 1 outcome 1: probability {text} is not a 64-bit number"
+        with pytest.raises(TreeError, match=match):
+            load_problem(str(path))
+        assert main(["build-tree", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {match}\n"
+
+    @pytest.mark.parametrize(
+        "value, text", [(None, "null"), (True, "true"), (float("nan"), "NaN")]
+    )
+    def test_non_finite_or_non_number_assumption_exit_2(
+        self, tmp_path, capsys, value, text
+    ):
+        tree = random_tree(seed=2, T=1, branching=2, nx=2, nu=1)
+        assumption = {"L": 1.5, "alpha": 0.3, "gamma": 0.5}
+        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1), assumption)
+        doc = json.loads(open(path).read())
+        doc["assumption"]["gamma"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["constants", "--input", str(bad), "--out", str(tmp_path)]) == 2
+        message = f"error: assumption gamma {text} is not a finite number\n"
+        assert capsys.readouterr().err == message
+
     def test_dims_mismatch_rejected(self, tmp_path):
         tree = random_tree(seed=2, T=1, branching=2, nx=2, nu=1)
         path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
@@ -759,6 +797,37 @@ class TestCertify:
         assert capsys.readouterr().err == (
             "error: gain for node 3 has shape (1, 3), expected (1, 2)\n"
         )
+
+    @pytest.mark.parametrize(
+        "role, edit, message",
+        [
+            ("stabilizability", lambda c: c.update(L=float("nan")),
+             "certificate L NaN is not a finite number"),
+            ("stabilizability", lambda c: c.update(L=True),
+             "certificate L true is not a finite number"),
+            ("detectability", lambda c: c["K"]["2"][0].__setitem__(0, float("nan")),
+             "gain for node 2 has non-finite entries"),
+            ("detectability", lambda c: c["K"]["3"][1].__setitem__(1, float("-inf")),
+             "gain for node 3 has non-finite entries"),
+            ("stabilizability", lambda c: c["K"].update(x=c["K"]["0"]),
+             'certificate gain key "x" is not a node id'),
+        ],
+        ids=["nan-L", "bool-L", "nan-gain", "inf-gain", "non-integer-key"],
+    )
+    def test_malformed_certificate_exit_2(
+        self, generated, tmp_path, capsys, role, edit, message
+    ):
+        cert = json.loads(open(generated / f"{role}.json").read())
+        edit(cert)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cert))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["certify", "--input", str(generated / "problem.json"), "--cert", str(bad)]
+            )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_first_gain_fault_in_node_order_decides(self, generated, tmp_path, capsys):
         def big_then_missing(first, second):

@@ -25,6 +25,9 @@ from spc_lab import (
     subtree_nodes,
 )
 
+from spc_lab.cli import _points_pass
+from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
+
 from .helpers import nd_scalar, random_node_data
 
 
@@ -439,3 +442,15 @@ def test_lemma_suite_decoupled_products_vanish():
     assert decay.passed
     for p in decay.points:
         assert p.measured == pytest.approx(0.0, abs=1e-12)
+
+
+def test_one_pass_rule_for_default_and_overridden_slack():
+    # the excess 3e-9 is past the default slack 1e-9 * (1 + bound) = 2e-9
+    over = BoundPoint("over", 1.0 + 3e-9, 1.0)
+    silent = BoundPoint("silent", 5.0, 1.0, applies=False)
+    assert not over.ok() and over.ok(2 * PASS_SLACK) and silent.ok()
+    report = BoundReport("r", (over, silent), False, None, {})
+    assert _points_pass(report, None) == (False, [over])
+    assert _points_pass(report, 2 * PASS_SLACK) == (True, [])
+    assert _points_pass(report, 0.0) == (False, [over])
+

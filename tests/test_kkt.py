@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spc_lab import (
@@ -29,6 +31,7 @@ from spc_lab import (
     solve_here_and_now,
     subtree_nodes,
 )
+from spc_lab.kkt import stage_costs
 
 from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
 from .oracles import (
@@ -36,6 +39,7 @@ from .oracles import (
     dense_solution_map,
     dense_unscaled_solve,
     simulate_no_lookahead,
+    stage_costs_loop,
 )
 
 
@@ -537,3 +541,32 @@ def test_regularity_peak_memory_below_half_a_dense_kkt():
     finally:
         tracemalloc.stop()
     assert n == 762 and peak < 0.5 * 8 * n * n
+
+
+# ---------------------------------------------------------------------------
+# stage cost kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    T=st.integers(0, 3),
+    branching=st.integers(1, 3),
+    nx=st.integers(1, 3),
+    nu=st.integers(1, 3),
+    M=st.integers(0, 12),
+)
+@example(seed=1, T=0, branching=1, nx=2, nu=1, M=3)
+@example(seed=2, T=2, branching=2, nx=3, nu=2, M=12)
+def test_stage_costs_match_per_node_loop(seed, T, branching, nx, nu, M):
+    # T = 0 is the single-node tree; positions repeat nodes in any order,
+    # as the scenario paths of the anticipative baseline do
+    tree = random_tree(seed, T=T, branching=branching, nx=nx, nu=nu)
+    rng = np.random.default_rng(seed)
+    node = rng.integers(0, tree.node_count, size=M)
+    x, u = rng.standard_normal((M, nx)), rng.standard_normal((M, nu))
+    cost = stage_costs(tree, node, x, u)
+    ref, scale = stage_costs_loop(tree, node, x, u)
+    assert cost.shape == (M,)
+    assert np.all(np.abs(cost - ref) <= 1e-14 * scale)
+

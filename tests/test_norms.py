@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,9 +21,15 @@ from spc_lab import (
     sigma_pi,
     stage_norm,
 )
+from spc_lab.norms import stage_moments
 
 from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
-from .oracles import dense_pi_norm, naive_pi_norm, sampled_operator_norm
+from .oracles import (
+    dense_pi_norm,
+    naive_pi_norm,
+    sampled_operator_norm,
+    stage_moments_loop,
+)
 
 
 def singleton_tree():
@@ -384,3 +390,32 @@ def test_pi_norm_mat_peak_memory_below_half_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n * n
+
+
+# ---------------------------------------------------------------------------
+# stage moment kernel
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 30),
+    m=st.integers(1, 5),
+    T=st.integers(0, 4),
+)
+@example(seed=1, n=1, m=1, T=0)
+@example(seed=2, n=0, m=3, T=2)
+def test_stage_moments_match_per_row_loop(seed, n, m, T):
+    # stages are drawn at random, so some stages hold no row (moment 0)
+    rng = np.random.default_rng(seed)
+    weight = rng.uniform(0.0, 1.0, size=n)
+    V = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    stage = rng.integers(0, T + 1, size=n)
+    got = stage_moments(weight, V, stage, T)
+    ref = stage_moments_loop(weight, V, stage, T)
+    assert got.shape == (T + 1,)
+    for t in range(T + 1):
+        terms = weight[stage == t] * np.sum(V[stage == t] ** 2, axis=1)
+        assert abs(got[t] ** 2 - ref[t] ** 2) <= 1e-14 * np.sum(terms)
+        assert (got[t] == 0.0) == (not terms.any())
+

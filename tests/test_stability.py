@@ -169,6 +169,15 @@ def test_stability_requires_all_transition_matrices():
         check_stability_tree(tree, {1: np.eye(1)}, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+def test_stability_refuses_non_finite_or_nonpositive_L(L):
+    # a NaN L would make every ratio NaN, and NaN ratios read as passes
+    tree = uniform_binary_tree(nd_scalar(), 2)
+    Phi = {n: np.array([[5.0]]) for n in range(1, tree.node_count)}
+    with pytest.raises(ValueError, match="L must be positive and finite"):
+        check_stability_tree(tree, Phi, L, 0.5)
+
+
 def test_stability_path_products_are_order_correct():
     # non-commuting pair whose two multiplication orders land on opposite
     # sides of the depth-2 bound, so a reversed product flips the verdict
