@@ -43,6 +43,7 @@ from .kkt import (
 )
 from .norms import BlockMatrix, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
 from .problem_io import (
+    _number,
     constants_dict,
     json_object,
     load_certificate,
@@ -138,16 +139,15 @@ def _fmt(x):
 
 
 def _check_dynamics(tree, x, u, initial, tol):
-    """Worst per-node dynamics residual of an exported trace, over all
+    """Worst per-node dynamics residual of an exported trace, states ``x``
+    (N, nx) and controls ``u`` (N, nu) whose row is the node, over all
     nodes at once; the first worst node is reported, a NaN as worst."""
-    X = np.array([x[n] for n in range(tree.node_count)])
-    U = np.array([u[n] for n in range(tree.node_count)])
     root = tree.parent < 0
-    xp = np.where(root[:, None], initial.x_prev, X[tree.parent])
-    up = np.where(root[:, None], initial.u_prev, U[tree.parent])
+    xp = np.where(root[:, None], initial.x_prev, x[tree.parent])
+    up = np.where(root[:, None], initial.u_prev, u[tree.parent])
     ar = tree.arrays
     pred = (ar.A @ xp[:, :, None] + ar.B @ up[:, :, None])[:, :, 0] + ar.d
-    res = np.max(np.abs(X - pred), axis=1)
+    res = np.max(np.abs(x - pred), axis=1)
     where = int(np.argmax(res))
     if not res[where] <= tol:
         raise SolverError(
@@ -191,12 +191,13 @@ def cmd_solve(args):
         x, u = sol.x, sol.u
     elif args.policy == "hn":
         sol = solve_here_and_now(tree, initial)
-        x, u = sol.x, [sol.v[t] for t in tree.stage.tolist()]
+        x, u = sol.x, sol.v[tree.stage]
     else:  # an
         sol = solve_anticipative(tree, initial)
         write_path_values_csv(
             os.path.join(out, "paths.csv"),
             tree,
+            sol.leaves,
             sol.path_values,
             {"J": sol.objective},
         )
@@ -565,10 +566,9 @@ def _load_spec(args):
         fields.update(doc)
     if args.seed is not None:
         fields["seed"] = args.seed
-    for key in ("n_x", "n_u", "T", "branching", "seed"):
-        fields[key] = int(fields[key])
-    for key in ("L", "alpha", "gamma", "noise_scale"):
-        fields[key] = float(fields[key])
+    for key, value in fields.items():
+        kind = type(DEFAULT_SPEC[key])  # int, or a finite float
+        fields[key] = _number(value, f"spec {key}", finite=kind is float, kind=kind)
     return InstanceSpec(**fields)
 
 

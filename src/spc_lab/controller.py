@@ -16,21 +16,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kkt import (
     PolicySolution,
-    ScaledKKT,
     SolverError,
     _mv,
+    _step_solve,
     depth_layers,
-    factor_kkt,
     forest_rhs,
     riccati_gains,
     rollout,
     solve_extensive,
     solve_forest,
-    solve_kkt,
     stage_costs,
 )
 from .tree import TreeError, _frozen, committed_pair
@@ -60,21 +57,26 @@ class SpcStep(NamedTuple):
 
 @dataclass(frozen=True)
 class HereAndNowSolution:
-    """Stagewise-control baseline: one control per stage, states per node."""
+    """Stagewise-control baseline: one control per stage, states per node,
+    as read-only ``(N, nx)`` states whose row is the node and ``(T+1, nu)``
+    shared controls whose row is the stage."""
 
     tree: object
-    x: dict
-    v: dict  # stage -> shared control
+    x: np.ndarray
+    v: np.ndarray
     objective: float
 
 
 @dataclass(frozen=True)
 class AnticipativeSolution:
-    """Clairvoyant baseline: optimal value of each scenario, averaged."""
+    """Clairvoyant baseline: optimal value of each scenario, averaged.
+    ``path_values[i]`` is the optimal value along the scenario that ends
+    at leaf ``leaves[i]``; both are read-only and in ascending leaf order."""
 
     tree: object
     objective: float
-    path_values: dict  # leaf -> optimal value along its scenario
+    leaves: np.ndarray
+    path_values: np.ndarray
 
 
 def solve_optimal(tree, w_prev):
@@ -90,7 +92,7 @@ def spc_step(tree, k, w_prev_committed, W):
     decision.
     """
     plan = solve_extensive(tree, k, W, w_prev_committed)
-    return SpcStep(plan.x[k], plan.u[k], plan)
+    return SpcStep(plan.x[0], plan.u[0], plan)
 
 
 def run_spc(tree, w_prev_init, W):
@@ -160,31 +162,33 @@ def dynamic_regret(tree, w_prev, W):
 def solve_here_and_now(tree, w_prev):
     """Optimal cost with one shared control per stage (no recourse in u).
 
-    States stay per-node; the stage control is shared by every node of
-    that stage.  The system is the full-tree scaled KKT system restricted
-    by ``z = E zeta``: ``E`` keeps every scaled state and multiplier and
-    maps node i's scaled control ``sqrt(pi_i) u_i`` to ``sqrt(pi_i) v_t``,
-    with the unscaled shared controls ``v_t`` trailing in ``zeta``.
+    States stay per-node; the stage control ``v_t`` is shared by every
+    node of that stage.  The states are affine in the shared controls, so
+    the problem is condensed onto them (Bock & Plitt 1984): one zero-gain
+    rollout drives a data column and one unit column per coordinate of
+    ``v``, and the probability-weighted cost of those columns gives the
+    condensed Hessian and gradient, solved as one step system under the
+    engine's pivot and residual contracts.
     """
-    system = ScaledKKT(tree, range(tree.node_count), 0)
-    nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
-    # states and multipliers keep their column; node controls move to
-    # their stage's shared control, and the emptied columns are dropped
-    col = np.arange(system.dim).reshape(-1, zd)
-    col[:, nx : nx + nu] = system.dim + nu * tree.stage[:, None] + np.arange(nu)
-    val = np.ones(col.shape)
-    val[:, nx : nx + nu] = system.scales[:, None]
-    E = sp.csc_matrix(
-        (val.ravel(), (np.arange(system.dim), col.ravel())),
-        shape=(system.dim, system.dim + nu * (T + 1)),
-    )[:, np.unique(col)]
-    H = (E.T @ system.H @ E).tocsc()
-    z = solve_kkt(H, factor_kkt(H), E.T @ system.scaled_rhs(w_prev))
-    x = system.unscale(E @ z)[0]
-    v = z[-nu * (T + 1) :].reshape(T + 1, nu)
-    X = np.array(list(x.values()))
-    objective = math.fsum(tree.pi * stage_costs(tree, np.arange(len(X)), X, v[tree.stage]))
-    return HereAndNowSolution(tree, x, dict(enumerate(v)), objective)
+    nx, nu, N, T = tree.nx, tree.nu, tree.node_count, tree.horizon
+    node, nz = np.arange(N), nx + nu
+    # column 0 carries the data, column 1 + t nu + j the control v_t[j]
+    k = np.zeros((N, nu, 1 + (T + 1) * nu))
+    k[node[:, None], np.arange(nu), 1 + nu * tree.stage[:, None] + np.arange(nu)] = 1.0
+    d = np.zeros((N, nx, k.shape[2]))
+    d[:, :, :1] = forest_rhs(tree, node, tree.parent, w_prev)[:, nz:]
+    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    x, u = rollout(tree, node, tree.parent, np.zeros((N, nu, nx)), k, d, levels)
+    # the pi-weighted cost in (1, v): Hessian Z'MZ and linear term Z'(q, r)
+    arr, Z = tree.arrays, np.concatenate([x, u], axis=1)
+    MZ = tree.pi[:, None, None] * np.concatenate([arr.Q @ x, arr.R @ u], axis=1)
+    G = np.einsum("nic,nid->cd", Z, MZ)
+    g = np.einsum("nic,ni->c", Z, tree.pi[:, None] * arr.p[:, :nz])[1:] - G[1:, 0]
+    H = 0.5 * (G[1:, 1:] + G[1:, 1:].T)
+    v = np.r_[1.0, _step_solve(H[None], g[None, :, None], [0], T)[0, :, 0]]
+    x, v = _frozen((x @ v, v[1:].reshape(T + 1, nu)))
+    objective = math.fsum(tree.pi * stage_costs(tree, node, x, v[tree.stage]))
+    return HereAndNowSolution(tree, x, v, objective)
 
 
 def solve_anticipative(tree, w_prev):
@@ -205,10 +209,9 @@ def solve_anticipative(tree, w_prev):
     p = forest_rhs(tree, node, parent, w_prev)
     x, u, _ = solve_forest(tree, node, parent, np.ones(node.size), layers, p)
     cost = stage_costs(tree, node, x[..., 0], u[..., 0]).reshape(T + 1, L)
-    values = [math.fsum(c) for c in cost.T]
-    path_values = dict(zip(leaves.tolist(), values))
+    values = np.array([math.fsum(c) for c in cost.T])
     objective = math.fsum(tree.pi[leaves] * values)
-    return AnticipativeSolution(tree, objective, path_values)
+    return AnticipativeSolution(tree, objective, *_frozen((leaves, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +331,10 @@ def check_time_consistency(tree, k, j, w_prev=None):
     if w_prev is None:
         w_prev = (np.zeros(tree.nx), np.zeros(tree.nu))
     full = solve_extensive(tree, k, tree.horizon - int(tree.stage[k]), w_prev)
-    par = int(tree.parent[j])
+    par = np.searchsorted(full.nodes, tree.parent[j])
     resolved = solve_extensive(
-        tree,
-        j,
-        tree.horizon - int(tree.stage[j]),
-        (full.x[par], full.u[par]),
+        tree, j, tree.horizon - int(tree.stage[j]), (full.x[par], full.u[par])
     )
-    gap = 0.0
-    for n in resolved.nodes:
-        gap = max(
-            gap,
-            float(np.max(np.abs(full.x[n] - resolved.x[n]), initial=0.0)),
-            float(np.max(np.abs(full.u[n] - resolved.u[n]), initial=0.0)),
-        )
-    return gap
+    at = np.searchsorted(full.nodes, resolved.nodes)
+    gap = np.abs(np.hstack([full.x[at] - resolved.x, full.u[at] - resolved.u]))
+    return float(np.max(gap, initial=0.0))

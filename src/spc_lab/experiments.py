@@ -402,7 +402,7 @@ def open_loop_bound_check(tree, constants, tau_nodes, W, w_prev):
         t_hi = min(tau + W, tree.horizon)
         node = np.asarray(sol.nodes)
         cond, stage = tree.pi[node] / tree.pi[k], tree.stage[node]
-        p, w = tree.arrays.p[node], np.array([sol.w(j) for j in sol.nodes])
+        p, w = tree.arrays.p[node], np.hstack([sol.x, sol.u])
         moments, measured = (stage_moments(cond, V, stage, t_hi) for V in (p, w))
         for t in range(tau, t_hi + 1):
             bound = _envelope(c.c1, c.L, c.rho, wbar, moments, t, tau)
@@ -422,7 +422,7 @@ def eisse_check(tree, constants, w_prev):
     D, wbar = _drivers(tree, c, w_prev)
     sol = solve_optimal(tree, w_prev)
     tail = _mul(2.0 * D, 1.0 / c.one_minus_rho if c.one_minus_rho > 0 else float("inf"))
-    w = np.array([sol.w(j) for j in range(tree.node_count)])
+    w = np.hstack([sol.x, sol.u])
     measured = stage_moments(tree.pi / tree.pi[0], w, tree.stage, tree.horizon)
     points = []
     for t in range(tree.horizon + 1):

@@ -7,16 +7,18 @@ against unit perturbations) are solved by a backward Riccati pass over
 (node, remaining depth) pairs, batched by depth, and a forward rollout,
 for many right-hand sides at once (:func:`riccati_gains`,
 :func:`rollout`, :func:`solve_forest`); every solution is held to the
-residual of the KKT system below.
+residual of the KKT system below.  A subtree's nodes are taken in
+ascending node order (:func:`~spc_lab.tree.subtree_nodes`), and every
+result is an array whose row follows that order: over the whole tree,
+row = node.
 
-Where the assembled matrix itself is studied (uniform regularity, the
-here-and-now restriction), :class:`ScaledKKT` builds the
-probability-scaled system, whose variables are ``z_i`` premultiplied by
-``sqrt(pi_{i|k})``: the scaled KKT matrix is uniformly well conditioned,
-while the raw weighted system is not.  Outputs are unscaled back before
-being returned.  The per-node variable layout is ``(x, u, y)`` with nodes
-in breadth-first subtree order; the scaled KKT matrix couples a node to
-itself and to its parent only, and is exactly symmetric by construction.
+Where the assembled matrix itself is studied (uniform regularity),
+:class:`ScaledKKT` builds the probability-scaled system, whose variables
+are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the scaled KKT matrix is
+uniformly well conditioned, while the raw weighted system is not.  The
+per-node variable layout is ``(x, u, y)``, one block per node of the
+given node set; the scaled KKT matrix couples a node to itself and to its
+parent only, and is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .norms import BlockVector, _block_norm, _lanczos
-from .tree import TreeError, committed_pair, subtree_nodes
+from .tree import TreeError, _frozen, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
 PIVOT_TOL = 1e-12
@@ -49,18 +51,17 @@ class SingularKKTError(SolverError):
 
 @dataclass(frozen=True)
 class PolicySolution:
-    """Primal-dual solution of one subtree problem, in original variables."""
+    """Primal-dual solution of one subtree problem, in original variables:
+    read-only ``(m, nx)``, ``(m, nu)`` and ``(m, nx)`` arrays whose rows
+    follow ``nodes``, the ascending subtree nodes."""
 
     tree: object
     k: int
     nodes: tuple
-    x: dict
-    u: dict
-    y: dict
+    x: np.ndarray
+    u: np.ndarray
+    y: np.ndarray
     objective: float
-
-    def w(self, node):
-        return np.concatenate([self.x[node], self.u[node]])
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class SolutionMap:
     ``Psi`` keeps its first ``nw`` rows, the state-control pair
     w = (x, u).  Both act on the original (unscaled) perturbations and
     return original variables, for the subtree problem with zero
-    committed state-control pair.  Nodes are in breadth-first subtree
-    order, so each stage is a contiguous range of block positions.
+    committed state-control pair.  Nodes are in ascending order, which is
+    breadth-first, so each stage is a contiguous range of block positions.
     """
 
     tree: object
@@ -173,8 +174,8 @@ class ScaledKKT:
     Holds the sparse symmetric matrix ``H``, the per-node scale factors
     ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached
     sparse LU factorization with the library's deterministic default
-    column permutation; node blocks follow the breadth-first subtree
-    order.
+    column permutation.  Node blocks follow ``nodes`` as given, which
+    must start at k and hold every node's parent but need not ascend.
     """
 
     def __init__(self, tree, nodes, k):
@@ -210,8 +211,8 @@ class ScaledKKT:
         # node i's dynamics row couples to its parent's (x, u), weighted
         # by the branch probability sqrt(pi_i / pi_parent)
         parents = tree.parent[nodes[1:]]
-        # breadth-first subtree order need not sort node ids, so search
-        # through the sorting permutation
+        # a given node set need not ascend, so search through the sorting
+        # permutation
         order = np.argsort(nodes)
         pos = order[
             np.minimum(np.searchsorted(nodes, parents, sorter=order), m - 1)
@@ -250,19 +251,13 @@ class ScaledKKT:
         return (self.scales[:, None] * p).ravel()
 
     def unscale(self, ztilde):
-        """Original-variable blocks (x, u, y) per node from scaled stack."""
-        nx, nu = self.nx, self.nu
+        """Original variables (x, u, y) from a scaled stack, as read-only
+        ``(m, nx)``, ``(m, nu)`` and ``(m, nx)`` views whose rows follow
+        ``nodes``."""
+        nx, nw = self.nx, self.nx + self.nu
         z = np.reshape(ztilde, (len(self.nodes), self.zdim)) / self.scales[:, None]
-        x = {n: z[i, :nx] for i, n in enumerate(self.nodes)}
-        u = {n: z[i, nx : nx + nu] for i, n in enumerate(self.nodes)}
-        y = {n: z[i, nx + nu :] for i, n in enumerate(self.nodes)}
-        return x, u, y
-
-
-def assemble_scaled_kkt(tree, nodes, k):
-    """The :class:`ScaledKKT` system of the subtree problem at ``k`` over
-    ``nodes``, breadth-first from k."""
-    return ScaledKKT(tree, tuple(nodes), k)
+        z.flags.writeable = False
+        return z[:, :nx], z[:, nx:nw], z[:, nw:]
 
 
 def stage_costs(tree, node, x, u):
@@ -441,11 +436,11 @@ def solve_forest(tree, node, parent, weight, layers, p):
 
 
 def _window(tree, k, W):
-    """The depth-W subtree at k as a one-tree forest: breadth-first nodes,
+    """The depth-W subtree at k as a one-tree forest: ascending nodes,
     parent positions, branch weights and depth layers."""
     node = np.asarray(subtree_nodes(tree, k, W))
-    pos = {n: i for i, n in enumerate(node.tolist())}
-    parent = np.array([-1] + [pos[int(tree.parent[n])] for n in node[1:]])
+    parent = np.searchsorted(node, tree.parent[node])
+    parent[0] = -1
     weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
     rel = tree.stage[node] - tree.stage[k]
     return node, parent, weight, depth_layers(rel.max() - rel)
@@ -462,11 +457,9 @@ def solve_extensive(tree, k, W, w_prev):
     forest = _window(tree, k, W)
     node = forest[0]
     p = forest_rhs(tree, node, forest[1], w_prev)
-    x, u, y = (v[..., 0] for v in solve_forest(tree, *forest, p))
+    x, u, y = _frozen([v[..., 0] for v in solve_forest(tree, *forest, p)])
     objective = math.fsum(tree.pi[node] / tree.pi[k] * stage_costs(tree, node, x, u))
-    nodes = tuple(node.tolist())
-    x, u, y = (dict(zip(nodes, v)) for v in (x, u, y))
-    return PolicySolution(tree, k, nodes, x, u, y, objective)
+    return PolicySolution(tree, k, tuple(node.tolist()), x, u, y, objective)
 
 
 def solution_map(tree, k, W):
@@ -523,7 +516,7 @@ def measure_decay(smap):
     """
     idx = list(smap.nodes)
     pi = smap.tree.pi[idx]
-    # breadth-first order keeps each stage's nodes contiguous
+    # ascending (stage-major) order keeps each stage's nodes contiguous
     stages, starts = np.unique(smap.tree.stage[idx], return_index=True)
     spans = list(zip(stages.tolist(), starts, np.append(starts[1:], len(idx))))
     rows = []
@@ -559,7 +552,7 @@ def check_uniform_regularity(tree, subtree, constants=None):
       the smallest.
     """
     nodes = tuple(subtree)
-    system = assemble_scaled_kkt(tree, nodes, nodes[0])
+    system = ScaledKKT(tree, nodes, nodes[0])
     H, dim, nx, nw = system.H, system.dim, system.nx, system.nx + system.nu
     # each node block of H is laid out (x, u, y), parts 0, 1 and 2
     part = np.searchsorted([nx, nw], np.arange(dim) % system.zdim, side="right")

@@ -81,13 +81,15 @@ def _is_number(v, kinds=(int, float)):
     return type(v) in kinds and (type(v) is not int or -2**63 <= v < 2**63)
 
 
-def _number(v, where, finite=False):
-    """``v`` as a float when it is a 64-bit JSON number (and ``finite`` when
-    asked); a TreeError naming ``where`` otherwise."""
-    if not _is_number(v) or finite and not math.isfinite(v):
-        what = "finite number" if finite else "64-bit number"
+def _number(v, where, finite=False, kind=float):
+    """``v`` as a ``kind`` when it is a 64-bit JSON number of that kind
+    (float: any number; int: an integer, not a boolean), and ``finite``
+    when asked; a TreeError naming ``where`` otherwise."""
+    kinds = (int,) if kind is int else (int, float)
+    if not _is_number(v, kinds) or finite and not math.isfinite(v):
+        what = "finite number" if finite else "64-bit integer" if kind is int else "64-bit number"
         raise TreeError(f"{where} {json.dumps(v)} is not a {what}")
-    return float(v)
+    return kind(v)
 
 
 def _column(values, name, kind):
@@ -129,6 +131,8 @@ def load_problem(path):
     dims = json_object(doc["dims"], "dims block")
     if "nx" not in dims or "nu" not in dims:
         raise TreeError("dims must contain nx and nu")
+    nx, nu = (_number(dims[k], f"dims {k}", kind=int) for k in ("nx", "nu"))
+    horizon = _number(doc["horizon"], "horizon", kind=int)
     if "stagewise" in doc:
         stages = [
             [
@@ -154,12 +158,12 @@ def load_problem(path):
         )
     else:
         raise TreeError("problem file needs a 'stagewise' or 'explicit' block")
-    if tree.nx != int(dims["nx"]) or tree.nu != int(dims["nu"]):
+    if (tree.nx, tree.nu) != (nx, nu):
         raise TreeError(
             f"declared dims ({dims['nx']}, {dims['nu']}) do not match node "
             f"data ({tree.nx}, {tree.nu})"
         )
-    if tree.horizon != int(doc["horizon"]):
+    if tree.horizon != horizon:
         raise TreeError(
             f"declared horizon {doc['horizon']} does not match tree depth "
             f"{tree.horizon}"
@@ -297,8 +301,9 @@ def _fmt(x):
 def write_trace_csv(path, tree, x, u, summary):
     """Per-node committed pairs plus a '#'-prefixed summary line.
 
-    ``summary`` is an ordered mapping of labels to floats, appended as
-    a single comment row ``# key=value,...``.
+    ``x`` (N, nx) and ``u`` (N, nu) hold one row per node.  ``summary`` is
+    an ordered mapping of labels to floats, appended as a single comment
+    row ``# key=value,...``.
     """
     nx, nu, N = tree.nx, tree.nu, tree.node_count
     header = (
@@ -306,8 +311,7 @@ def write_trace_csv(path, tree, x, u, summary):
         + [f"x[{i}]" for i in range(nx)]
         + [f"u[{i}]" for i in range(nu)]
     )
-    X, U = (np.array([w[n] for n in range(N)], dtype=float) for w in (x, u))
-    cols = (tree.stage, tree.parent, np.column_stack([tree.pi, X, U]))
+    cols = (tree.stage, tree.parent, np.column_stack([tree.pi, x, u]))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, N, _BATCH):
@@ -317,13 +321,14 @@ def write_trace_csv(path, tree, x, u, summary):
         fh.write("# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
 
 
-def write_path_values_csv(path, tree, path_values, summary):
-    """Per-scenario optimal values of the clairvoyant baseline."""
+def write_path_values_csv(path, tree, leaves, path_values, summary):
+    """Per-scenario optimal values of the clairvoyant baseline, one row
+    per leaf of ``leaves`` in the given order, aligned with ``path_values``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["leaf", "pi", "J_path"])
-        for leaf in sorted(path_values):
-            writer.writerow([leaf, _fmt(tree.pi[leaf]), _fmt(path_values[leaf])])
+        for leaf, value in zip(leaves.tolist(), path_values):
+            writer.writerow([leaf, _fmt(tree.pi[leaf]), _fmt(value)])
         fh.write(
             "# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n"
         )

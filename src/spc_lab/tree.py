@@ -445,17 +445,18 @@ def conditional_prob(tree, j, k):
 
 
 def subtree_nodes(tree, k, W):
-    """Nodes of the depth-W subtree rooted at k, breadth-first.
+    """Nodes of the depth-W subtree rooted at k, in ascending node order.
 
     The window is capped at the final stage, so the effective depth is
-    ``min(W, horizon - stage(k))``.
+    ``min(W, horizon - stage(k))``.  Node ids are stage-major, so the
+    ascending order is breadth-first and each stage is a contiguous run:
+    the nodes are those from k to the window's last stage whose
+    ``tree.ancestors`` entry at k's stage is k.
     """
     if not 0 <= k < tree.node_count:
         raise TreeError(f"node {k} out of range")
     if W < 0:
         raise TreeError("window W must be >= 0")
-    out, frontier = [k], [k]
-    for _ in range(min(W, tree.horizon - int(tree.stage[k]))):
-        frontier = [c for f in frontier for c in tree.children[f]]
-        out.extend(frontier)
-    return out
+    s = int(tree.stage[k])
+    end = np.searchsorted(tree.stage, s + W, side="right")
+    return (k + np.flatnonzero(tree.ancestors[k:end, s] == k)).tolist()

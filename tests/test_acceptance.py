@@ -20,7 +20,7 @@ import pytest
 from spc_lab import (
     BlockMatrix,
     BlockVector,
-    assemble_scaled_kkt,
+    ScaledKKT,
     check_time_consistency,
     check_uniform_regularity,
     closed_loop_bound_check,
@@ -333,14 +333,14 @@ def test_c12_kkt_residual_and_determinism(instance_pool):
         for inst in instance_pool[:10]:
             tree = inst.tree
             nodes = subtree_nodes(tree, 0, tree.horizon)
-            system = assemble_scaled_kkt(tree, nodes, 0)
+            system = ScaledKKT(tree, nodes, 0)
             system.factor()
             rhs = system.scaled_rhs(inst.w_prev)
             zt = system.solve(rhs)
             residual = float(np.linalg.norm(system.H @ zt - rhs))
             assert residual <= 1e-8 * (1.0 + float(np.linalg.norm(rhs)))
 
-            again = assemble_scaled_kkt(tree, nodes, 0)
+            again = ScaledKKT(tree, nodes, 0)
             again.factor()
             zt2 = again.solve(again.scaled_rhs(inst.w_prev))
             assert np.array_equal(zt, zt2)

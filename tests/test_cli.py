@@ -30,8 +30,8 @@ from spc_lab import cli
 from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
-from .helpers import random_tree
-from .oracles import dense_unscaled_solve
+from .helpers import crossed_tree, random_tree
+from .oracles import dense_unscaled_solve, here_and_now_reduced
 
 
 def write_problem(path, tree, initial, assumption=None):
@@ -213,6 +213,11 @@ class TestProblemFile:
             ({**head, "stagewise": [5]}, "stage 0 must be a JSON array"),
             ({**head, "explicit": {**explicit, "nodes": 5}}, "explicit 'nodes' must be a JSON array"),
             ({**head, "explicit": {**explicit, "parents": 5}}, "explicit 'parents' must be a JSON array"),
+            # declared sizes are JSON integers
+            ({**valid, "horizon": None}, "^horizon null is not a 64-bit integer$"),
+            ({**valid, "horizon": 6.7}, r"^horizon 6\.7 is not a 64-bit integer$"),
+            ({**valid, "dims": {"nx": None, "nu": 1}}, "^dims nx null is not a 64-bit integer$"),
+            ({**valid, "dims": {"nx": 1, "nu": True}}, "^dims nu true is not a 64-bit integer$"),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))
@@ -381,8 +386,8 @@ class TestSolve:
         tree = random_tree(seed=6, T=3, branching=2, nx=2, nu=1)
         initial = rng_initial(tree, 2)
         rng = np.random.default_rng(8)
-        u = {n: rng.standard_normal(tree.nu) for n in range(tree.node_count)}
-        x = {}
+        u = rng.standard_normal((tree.node_count, tree.nu))
+        x = np.empty((tree.node_count, tree.nx))
         for n, nd in enumerate(tree.data):
             p = int(tree.parent[n])
             xp, up = (initial.x_prev, initial.u_prev) if p < 0 else (x[p], u[p])
@@ -537,6 +542,49 @@ class TestSpc:
         rc = main(["spc", "--input", path, "--out", str(tmp_path), "--W", "1"])
         assert rc == 3
         assert "undercuts the optimum" in capsys.readouterr().err
+
+
+def oracle_trace(tree, initial, argv):
+    """The (x, u) rows ``trace.csv`` should hold, node by node, from the
+    dense oracles."""
+    w_prev, N = (initial.x_prev, initial.u_prev), tree.node_count
+    if "hn" in argv:
+        v, x, _ = here_and_now_reduced(tree, w_prev)
+        return [np.r_[x[n], v[int(tree.stage[n])]] for n in range(N)]
+    if "optimal" in argv:
+        x, u, _, _ = dense_unscaled_solve(tree, 0, tuple(range(N)), w_prev)
+        return [np.r_[x[n], u[n]] for n in range(N)]
+    W, rows = int(argv[-1]), []
+    for k in range(N):
+        # k commits the first decision of its own window, solved from its
+        # parent's commitment (the initial pair at the root)
+        par = int(tree.parent[k])
+        prev = w_prev if par < 0 else np.split(rows[par], [tree.nx])
+        window = [j for j in range(N) if tree.is_ancestor(k, j)
+                  and tree.stage[j] <= tree.stage[k] + W]
+        x, u, _, _ = dense_unscaled_solve(tree, k, tuple(window), prev)
+        rows.append(np.r_[x[k], u[k]])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--policy", "optimal"], ["solve", "--policy", "hn"], ["spc", "--W", "2"]],
+    ids=["optimal", "hn", "spc"],
+)
+def test_crossed_tree_trace_rows_in_node_order(tmp_path, argv):
+    # children listed crosswise: a window's breadth-first order (0, 1, 2,
+    # 4, 3) differs from its node order (0, 1, 2, 3, 4)
+    tree = crossed_tree(np.random.default_rng(5))
+    initial = rng_initial(tree, 5)
+    path = write_problem(tmp_path / "p.json", tree, initial)
+    assert main([*argv, "--input", path, "--out", str(tmp_path)]) == 0
+    lines = open(tmp_path / "trace.csv").read().splitlines()[1:-1]
+    rows = np.array([line.split(",") for line in lines], dtype=float)
+    assert rows[:, 0].tolist() == list(range(tree.node_count))
+    assert rows[:, 2].tolist() == tree.parent.tolist()
+    expected = oracle_trace(tree, initial, argv)
+    np.testing.assert_allclose(rows[:, 4:], expected, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------- regret sweep
@@ -939,6 +987,11 @@ class TestGenerate:
         for doc, message in [
             ({"horizon": 4}, "unknown fields"),
             ([4], "spec file must be a JSON object"),
+            ({"T": None}, "error: spec T null is not a 64-bit integer\n"),
+            ({"T": 2.5}, "error: spec T 2.5 is not a 64-bit integer\n"),
+            ({"T": True}, "error: spec T true is not a 64-bit integer\n"),
+            ({"seed": 1.9}, "error: spec seed 1.9 is not a 64-bit integer\n"),
+            ({"alpha": None}, "error: spec alpha null is not a finite number\n"),
         ]:
             spec_path.write_text(json.dumps(doc))
             rc = main(

@@ -125,9 +125,9 @@ def test_spc_step_full_window_matches_subtree_resolve():
     opt = solve_optimal(tree, random_pair(rng, tree))
     k = 1
     step = spc_step(tree, k, (opt.x[0], opt.u[0]), tree.horizon)
-    for n in step.plan.nodes:
-        assert np.allclose(step.plan.x[n], opt.x[n], atol=1e-8)
-        assert np.allclose(step.plan.u[n], opt.u[n], atol=1e-8)
+    for i, n in enumerate(step.plan.nodes):
+        assert np.allclose(step.plan.x[i], opt.x[n], atol=1e-8)
+        assert np.allclose(step.plan.u[i], opt.u[n], atol=1e-8)
 
 
 def test_spc_step_zero_window_first_order_control():
@@ -356,6 +356,17 @@ def test_anticipative_singleton_equals_optimal():
     assert an.objective == pytest.approx(opt.objective, abs=1e-9)
 
 
+def test_baselines_are_read_only_arrays():
+    rng = np.random.default_rng(45)
+    tree = random_tree(45, T=3, branching=2, nx=2, nu=2)
+    w_prev = random_pair(rng, tree)
+    hn, an = solve_here_and_now(tree, w_prev), solve_anticipative(tree, w_prev)
+    assert hn.x.shape == (tree.node_count, 2) and hn.v.shape == (4, 2)
+    assert an.leaves.tolist() == tree.leaves() and an.path_values.shape == (8,)
+    for a in (hn.x, hn.v, an.leaves, an.path_values):
+        assert not a.flags.writeable
+
+
 def test_anticipative_zero_data():
     tree = zero_data_tree(T=2)
     an = solve_anticipative(tree, zero_pair(tree))
@@ -367,7 +378,7 @@ def test_anticipative_paths_match_dense_oracle():
     tree = random_tree(47, T=2, branching=2)
     w_prev = random_pair(rng, tree)
     an = solve_anticipative(tree, w_prev)
-    for leaf, val in an.path_values.items():
+    for leaf, val in zip(an.leaves, an.path_values):
         path = tree.ancestry(leaf)
         chain = build_tree_explicit(
             list(range(-1, len(path) - 1)),

@@ -18,7 +18,6 @@ from spc_lab import (
     ScaledKKT,
     SingularKKTError,
     TreeError,
-    assemble_scaled_kkt,
     build_tree_explicit,
     build_tree_stagewise,
     check_uniform_regularity,
@@ -71,7 +70,7 @@ def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
 def test_single_node_kkt_matrix():
     nd = nd_scalar(A=0.0, B=0.0)
     tree = build_tree_stagewise(uniform_outcome(nd, [[1.0]]))
-    system = assemble_scaled_kkt(tree, (0,), 0)
+    system = ScaledKKT(tree, (0,), 0)
     assert_allclose(
         system.H.toarray(), [[1, 0, 1], [0, 1, 0], [1, 0, 0]], atol=0
     )
@@ -80,7 +79,7 @@ def test_single_node_kkt_matrix():
 def test_child_coupling_carries_branch_probability_root():
     nd = nd_scalar(A=2.0, B=3.0)
     tree = build_tree_stagewise(uniform_outcome(nd, [[1.0], [0.5, 0.5]]))
-    system = assemble_scaled_kkt(tree, (0, 1, 2), 0)
+    system = ScaledKKT(tree, (0, 1, 2), 0)
     H = system.H.toarray()
     # child node 1 occupies block 1; its constraint row couples to the
     # root's x and u with factor sqrt(1/2)
@@ -98,22 +97,23 @@ def interior_subtree(seed):
 
 
 def crossed_subtree():
-    """Explicit tree whose breadth-first subtree order is not sorted by
-    node id: node 1's child is node 4 and node 2's child is node 3."""
+    """Explicit tree whose children are listed crosswise (node 1's child is
+    node 4, node 2's child is node 3), with its nodes in the breadth-first
+    order that follows the children, which does not ascend."""
     tree = build_tree_explicit(
         [-1, 0, 0, 2, 1, 4, 3],
         [0, 1, 1, 2, 2, 3, 3],
         [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
         [nd_scalar(A=0.5, B=2.0)] * 7,
     )
-    return tree, tuple(subtree_nodes(tree, 0, 3))
+    return tree, (0, 1, 2, 4, 3, 5, 6)
 
 
 def test_node_set_without_parent_rejected():
     tree = random_tree(seed=25, T=2, branching=2)
     for nodes in [(1, 0), (0, 3), (1, 3, 5)]:
         with pytest.raises(TreeError):
-            assemble_scaled_kkt(tree, nodes, nodes[0])
+            ScaledKKT(tree, nodes, nodes[0])
 
 
 def test_assembled_matrix_exactly_symmetric():
@@ -123,7 +123,7 @@ def test_assembled_matrix_exactly_symmetric():
         interior_subtree(seed=23),
         crossed_subtree(),
     ]:
-        system = assemble_scaled_kkt(tree, nodes, nodes[0])
+        system = ScaledKKT(tree, nodes, nodes[0])
         assert (system.H - system.H.T).nnz == 0
 
 
@@ -134,7 +134,7 @@ def test_assembly_sparsity_couples_only_parent_child():
         interior_subtree(seed=24),
         crossed_subtree(),
     ]:
-        system = assemble_scaled_kkt(tree, nodes, nodes[0])
+        system = ScaledKKT(tree, nodes, nodes[0])
         H = system.H.toarray()
         zd = system.zdim
         for i in nodes:
@@ -212,10 +212,10 @@ def test_interior_subtree_solve_matches_oracle(seed):
     sol = solve_extensive(tree, k, W, w_prev)
     assert sol.nodes == nodes
     ox, ou, oy, oobj = dense_unscaled_solve(tree, k, nodes, w_prev)
-    for n in nodes:
-        assert_allclose(sol.x[n], ox[n], atol=1e-8)
-        assert_allclose(sol.u[n], ou[n], atol=1e-8)
-        assert_allclose(sol.y[n], oy[n], atol=1e-8)
+    for i, n in enumerate(nodes):
+        assert_allclose(sol.x[i], ox[n], atol=1e-8)
+        assert_allclose(sol.u[i], ou[n], atol=1e-8)
+        assert_allclose(sol.y[i], oy[n], atol=1e-8)
     assert sol.objective == pytest.approx(oobj, abs=1e-8)
 
 
@@ -241,12 +241,25 @@ def test_plan_satisfies_assembled_kkt_residual(k, W):
     rng = np.random.default_rng(46)
     w_prev = (rng.standard_normal(3), rng.standard_normal(2))
     sol = solve_extensive(tree, k, W, w_prev)
-    system = assemble_scaled_kkt(tree, sol.nodes, k)
-    z = np.concatenate([np.r_[sol.x[n], sol.u[n], sol.y[n]] for n in sol.nodes])
+    system = ScaledKKT(tree, sol.nodes, k)
+    z = np.hstack([sol.x, sol.u, sol.y]).ravel()
     zt = np.repeat(system.scales, system.zdim) * z
     rhs = system.scaled_rhs(w_prev)
     residual = np.linalg.norm(system.H @ zt - rhs)
     assert residual <= 1e-8 * (1.0 + np.linalg.norm(rhs))
+
+
+def test_results_are_read_only_arrays_in_node_order():
+    tree = random_tree(seed=47, T=3, branching=2, nx=2, nu=1)
+    w_prev = (np.ones(2), np.ones(1))
+    sol = solve_extensive(tree, 2, 2, w_prev)
+    assert sol.nodes == tuple(subtree_nodes(tree, 2, 2))
+    system = ScaledKKT(tree, sol.nodes, 2)
+    unscaled = system.unscale(system.solve(system.scaled_rhs(w_prev)))
+    for a, b, dim in zip((sol.x, sol.u, sol.y), unscaled, (2, 1, 2)):
+        assert a.shape == b.shape == (len(sol.nodes), dim)
+        assert not a.flags.writeable and not b.flags.writeable
+        assert_allclose(a, b, rtol=0, atol=1e-8)
 
 
 def test_repeated_solves_bit_identical():
@@ -310,8 +323,8 @@ def test_map_linearity_reproduces_direct_solve(seed):
     sol = solve_extensive(tree, 0, 2, (np.zeros(2), np.zeros(1)))
     p_blocks = {n: tree.data[n].p for n in smap.nodes}
     w = smap.apply_p(p_blocks)
-    for n in smap.nodes:
-        assert_allclose(w.blocks[n], sol.w(n), atol=1e-8)
+    for i, n in enumerate(sol.nodes):
+        assert_allclose(w.blocks[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
 
 
 def test_map_superposition():
@@ -337,8 +350,8 @@ def test_interior_subtree_map_matches_interior_solve():
     sol = solve_extensive(tree, k, 2, (np.zeros(2), np.zeros(1)))
     p_blocks = {n: tree.data[n].p for n in smap.nodes}
     w = smap.apply_p(p_blocks)
-    for n in smap.nodes:
-        assert_allclose(w.blocks[n], sol.w(n), atol=1e-8)
+    for i, n in enumerate(sol.nodes):
+        assert_allclose(w.blocks[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
 
 
 def test_row_extraction_matches_full_map():
@@ -425,8 +438,8 @@ def test_decay_rows_match_hand_built_stage_blocks():
     for tree, nodes in [interior_subtree(seed=26), crossed_subtree()]:
         W = int(tree.stage[nodes[-1]] - tree.stage[nodes[0]])
         smap = solution_map(tree, nodes[0], W)
-        assert smap.nodes == nodes
-        pos = {n: a for a, n in enumerate(nodes)}
+        assert smap.nodes == tuple(sorted(nodes))
+        pos = {n: a for a, n in enumerate(smap.nodes)}
         stages = sorted({int(tree.stage[n]) for n in nodes})
         rows = measure_decay(smap)
         assert [(r.t, r.tprime) for r in rows] == [

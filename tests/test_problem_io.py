@@ -112,8 +112,8 @@ def test_trace_rows_match_csv_writer_across_batches(tmp_path):
     tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
                         [1.0] + [1.0 / (n - 1)] * (n - 1), [nd] * n)
     rng = np.random.default_rng(3)
-    x = {k: rng.standard_normal(1) for k in range(n)}
-    u = {k: np.array([EDGE_FLOATS[k % len(EDGE_FLOATS)]]) for k in range(n)}
+    x = rng.standard_normal((n, 1))
+    u = np.array([[EDGE_FLOATS[k % len(EDGE_FLOATS)]] for k in range(n)])
     path = tmp_path / "trace.csv"
     write_trace_csv(str(path), tree, x, u, {"J": 0.5})
     expected = io.StringIO()

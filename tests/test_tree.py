@@ -20,7 +20,7 @@ from spc_lab import (
     validate_tree,
 )
 
-from .helpers import nd_scalar, random_node_data, random_tree, uniform_outcome
+from .helpers import crossed_tree, nd_scalar, random_node_data, random_tree, uniform_outcome
 from .oracles import leaf_products, validate_tree_reference
 
 
@@ -260,6 +260,14 @@ def test_subtree_caps_at_final_stage():
     tree = random_tree(seed=4, T=2, branching=2)
     k = tree.stage_nodes(1)[0]
     assert subtree_nodes(tree, k, 5) == [k] + list(tree.children[k])
+
+
+def test_subtree_ascends_where_children_are_crossed():
+    # node 1's child is node 4 and node 2's child is node 3
+    tree = crossed_tree(np.random.default_rng(0))
+    assert subtree_nodes(tree, 0, 2) == [0, 1, 2, 3, 4]
+    assert subtree_nodes(tree, 1, 2) == [1, 4, 5]
+    assert subtree_nodes(tree, 2, 2) == [2, 3, 6]
 
 
 def test_subtree_rejects_bad_node():
