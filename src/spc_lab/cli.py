@@ -195,11 +195,7 @@ def cmd_solve(args):
     else:  # an
         sol = solve_anticipative(tree, initial)
         write_path_values_csv(
-            os.path.join(out, "paths.csv"),
-            tree,
-            sol.leaves,
-            sol.path_values,
-            {"J": sol.objective},
+            os.path.join(out, "paths.csv"), tree, sol.path_values, {"J": sol.objective}
         )
         print(f"policy=an J={_fmt(sol.objective)}")
         return EXIT_OK

@@ -16,18 +16,21 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kkt import (
     PolicySolution,
+    ScaledKKT,
     SolverError,
     _mv,
-    _step_solve,
     depth_layers,
+    factor_kkt,
     forest_rhs,
     riccati_gains,
     rollout,
     solve_extensive,
     solve_forest,
+    solve_kkt,
     stage_costs,
 )
 from .tree import TreeError, _frozen, committed_pair
@@ -70,12 +73,11 @@ class HereAndNowSolution:
 @dataclass(frozen=True)
 class AnticipativeSolution:
     """Clairvoyant baseline: optimal value of each scenario, averaged.
-    ``path_values[i]`` is the optimal value along the scenario that ends
-    at leaf ``leaves[i]``; both are read-only and in ascending leaf order."""
+    ``path_values`` is read-only; entry i is the optimal value along the
+    scenario that ends at ``tree.leaves()[i]``, in ascending leaf order."""
 
     tree: object
     objective: float
-    leaves: np.ndarray
     path_values: np.ndarray
 
 
@@ -162,31 +164,36 @@ def dynamic_regret(tree, w_prev, W):
 def solve_here_and_now(tree, w_prev):
     """Optimal cost with one shared control per stage (no recourse in u).
 
-    States stay per-node; the stage control ``v_t`` is shared by every
-    node of that stage.  The states are affine in the shared controls, so
-    the problem is condensed onto them (Bock & Plitt 1984): one zero-gain
-    rollout drives a data column and one unit column per coordinate of
-    ``v``, and the probability-weighted cost of those columns gives the
-    condensed Hessian and gradient, solved as one step system under the
-    engine's pivot and residual contracts.
+    States stay per-node; the stage control is shared by every node of
+    that stage.  The system is the full-tree scaled KKT system restricted
+    by ``z = E zeta``: ``E`` keeps every scaled state and multiplier and
+    maps node i's scaled control ``sqrt(pi_i) u_i`` to ``sqrt(pi_i) v_t``,
+    with the unscaled shared controls ``v_t`` trailing in ``zeta``.  Every
+    state and multiplier row of the tree system is kept and the control
+    rows are summed per stage, so the residual contract of the solve holds
+    the blockwise KKT residual of the here-and-now problem.  Eliminating
+    the states instead (condensing onto ``v``) is not used: its Hessian is
+    as ill conditioned as the open-loop dynamics over the horizon, and on
+    a scalar chain with A = 2 its pivot ratio falls below ``PIVOT_TOL``
+    from T = 22.
     """
-    nx, nu, N, T = tree.nx, tree.nu, tree.node_count, tree.horizon
-    node, nz = np.arange(N), nx + nu
-    # column 0 carries the data, column 1 + t nu + j the control v_t[j]
-    k = np.zeros((N, nu, 1 + (T + 1) * nu))
-    k[node[:, None], np.arange(nu), 1 + nu * tree.stage[:, None] + np.arange(nu)] = 1.0
-    d = np.zeros((N, nx, k.shape[2]))
-    d[:, :, :1] = forest_rhs(tree, node, tree.parent, w_prev)[:, nz:]
-    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
-    x, u = rollout(tree, node, tree.parent, np.zeros((N, nu, nx)), k, d, levels)
-    # the pi-weighted cost in (1, v): Hessian Z'MZ and linear term Z'(q, r)
-    arr, Z = tree.arrays, np.concatenate([x, u], axis=1)
-    MZ = tree.pi[:, None, None] * np.concatenate([arr.Q @ x, arr.R @ u], axis=1)
-    G = np.einsum("nic,nid->cd", Z, MZ)
-    g = np.einsum("nic,ni->c", Z, tree.pi[:, None] * arr.p[:, :nz])[1:] - G[1:, 0]
-    H = 0.5 * (G[1:, 1:] + G[1:, 1:].T)
-    v = np.r_[1.0, _step_solve(H[None], g[None, :, None], [0], T)[0, :, 0]]
-    x, v = _frozen((x @ v, v[1:].reshape(T + 1, nu)))
+    system = ScaledKKT(tree, range(tree.node_count), 0)
+    nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
+    # states and multipliers keep their column; node controls move to
+    # their stage's shared control, and the emptied columns are dropped
+    col = np.arange(system.dim).reshape(-1, zd)
+    col[:, nx : nx + nu] = system.dim + nu * tree.stage[:, None] + np.arange(nu)
+    val = np.ones(col.shape)
+    val[:, nx : nx + nu] = system.scales[:, None]
+    E = sp.csc_matrix(
+        (val.ravel(), (np.arange(system.dim), col.ravel())),
+        shape=(system.dim, system.dim + nu * (T + 1)),
+    )[:, np.unique(col)]
+    H = (E.T @ system.H @ E).tocsc()
+    z = solve_kkt(H, factor_kkt(H), E.T @ system.scaled_rhs(w_prev))
+    x = system.unscale(E @ z)[0]
+    (v,) = _frozen((z[-nu * (T + 1) :].reshape(T + 1, nu),))
+    node = np.arange(tree.node_count)
     objective = math.fsum(tree.pi * stage_costs(tree, node, x, v[tree.stage]))
     return HereAndNowSolution(tree, x, v, objective)
 
@@ -211,7 +218,7 @@ def solve_anticipative(tree, w_prev):
     cost = stage_costs(tree, node, x[..., 0], u[..., 0]).reshape(T + 1, L)
     values = np.array([math.fsum(c) for c in cost.T])
     objective = math.fsum(tree.pi[leaves] * values)
-    return AnticipativeSolution(tree, objective, *_frozen((leaves, values)))
+    return AnticipativeSolution(tree, objective, *_frozen((values,)))
 
 
 # ---------------------------------------------------------------------------

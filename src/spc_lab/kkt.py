@@ -12,13 +12,14 @@ ascending node order (:func:`~spc_lab.tree.subtree_nodes`), and every
 result is an array whose row follows that order: over the whole tree,
 row = node.
 
-Where the assembled matrix itself is studied (uniform regularity),
-:class:`ScaledKKT` builds the probability-scaled system, whose variables
-are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the scaled KKT matrix is
-uniformly well conditioned, while the raw weighted system is not.  The
-per-node variable layout is ``(x, u, y)``, one block per node of the
-given node set; the scaled KKT matrix couples a node to itself and to its
-parent only, and is exactly symmetric by construction.
+Where the assembled matrix itself is needed (uniform regularity, and
+the here-and-now baseline, whose shared stage controls couple every node
+of a stage), :class:`ScaledKKT` builds the probability-scaled system,
+whose variables are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the
+scaled KKT matrix is uniformly well conditioned, while the raw weighted
+system is not.  The per-node variable layout is ``(x, u, y)``, one block
+per node of the given node set; the scaled KKT matrix couples a node to
+itself and to its parent only, and is exactly symmetric by construction.
 """
 
 from __future__ import annotations

@@ -321,13 +321,13 @@ def write_trace_csv(path, tree, x, u, summary):
         fh.write("# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n")
 
 
-def write_path_values_csv(path, tree, leaves, path_values, summary):
-    """Per-scenario optimal values of the clairvoyant baseline, one row
-    per leaf of ``leaves`` in the given order, aligned with ``path_values``."""
+def write_path_values_csv(path, tree, path_values, summary):
+    """Per-scenario optimal values of the clairvoyant baseline, one row per
+    leaf in ascending order; ``path_values`` follows the same order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["leaf", "pi", "J_path"])
-        for leaf, value in zip(leaves.tolist(), path_values):
+        for leaf, value in zip(tree.leaves(), path_values):
             writer.writerow([leaf, _fmt(tree.pi[leaf]), _fmt(value)])
         fh.write(
             "# " + ",".join(f"{k}={_fmt(v)}" for k, v in summary.items()) + "\n"

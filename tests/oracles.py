@@ -97,6 +97,19 @@ def _weighted_kkt(tree, k, nodes):
     return M, idx, cond
 
 
+def _weighted_rhs(tree, k, nodes, idx, cond, w_prev):
+    """Right-hand side of :func:`_weighted_kkt`: each node's (q, r, d)
+    weighted like its rows, with the committed pair ``w_prev`` entering
+    the dynamics rows of the root k."""
+    x_prev, u_prev = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
+    rhs = np.zeros(idx.size)
+    for a, n in enumerate(nodes):
+        nd = tree.data[n]
+        d = nd.A @ x_prev + nd.B @ u_prev + nd.d if n == k else nd.d
+        rhs[idx[a]] = cond[a] * np.concatenate([nd.q, nd.r, d])
+    return rhs
+
+
 def dense_unscaled_solve(tree, k, nodes, w_prev):
     """Solve the probability-weighted extensive problem without any scaling.
 
@@ -106,13 +119,7 @@ def dense_unscaled_solve(tree, k, nodes, w_prev):
     """
     nx, nu = tree.nx, tree.nu
     M, idx, cond = _weighted_kkt(tree, k, nodes)
-    x_prev, u_prev = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
-    rhs = np.zeros(len(M))
-    for a, n in enumerate(nodes):
-        nd = tree.data[n]
-        d = nd.A @ x_prev + nd.B @ u_prev + nd.d if n == k else nd.d
-        rhs[idx[a]] = cond[a] * np.concatenate([nd.q, nd.r, d])
-    sol = np.linalg.solve(M, rhs)
+    sol = np.linalg.solve(M, _weighted_rhs(tree, k, nodes, idx, cond, w_prev))
     x = {n: sol[idx[a, :nx]] for a, n in enumerate(nodes)}
     u = {n: sol[idx[a, nx : nx + nu]] for a, n in enumerate(nodes)}
     y = {n: sol[idx[a, nx + nu :]] for a, n in enumerate(nodes)}
@@ -336,56 +343,32 @@ def riccati_chain(tree, w_prev):
     return x, u, objective
 
 
-def here_and_now_reduced(tree, w_prev):
-    """Stagewise-control baseline by state elimination.
+def here_and_now_dense(tree, w_prev):
+    """Stagewise-control baseline from the dense weighted optimality system.
 
-    States are affine in the stacked stage controls; the reduced strictly
-    convex QP over the controls is solved densely.  Independent of the
-    KKT assembly used by the library.
+    The system of :func:`_weighted_kkt` over the whole tree is restricted
+    to one control per stage: each node's control columns are merged into
+    its stage's shared control ``v_t``, and its control rows are summed
+    likewise, while states and multipliers stay per node.  It is solved
+    densely, without scaling and without eliminating the states, so open-
+    loop unstable dynamics do not enter its conditioning.  Returns
+    ``(v, x, objective)`` with ``v`` of shape (T+1, nu) and ``x`` (N, nx).
     """
-    nx, nu, T = tree.nx, tree.nu, tree.horizon
-    x_prev, u_prev = w_prev
-    g = {0: tree.data[0].A @ x_prev + tree.data[0].B @ u_prev + tree.data[0].d}
-    G = {0: {}}
-    for i in range(1, tree.node_count):
-        nd = tree.data[i]
-        par = int(tree.parent[i])
-        t = int(tree.stage[i])
-        g[i] = nd.A @ g[par] + nd.d
-        G[i] = {s: nd.A @ blk for s, blk in G[par].items()}
-        G[i][t - 1] = G[i].get(t - 1, np.zeros((nx, nu))) + nd.B
-    dim = nu * (T + 1)
-    H = np.zeros((dim, dim))
-    h = np.zeros(dim)
-    const_terms = []
-    for i in range(tree.node_count):
-        nd = tree.data[i]
-        w = tree.pi[i]
-        t = int(tree.stage[i])
-        for s, Gs in G[i].items():
-            for sp, Gsp in G[i].items():
-                H[s * nu : (s + 1) * nu, sp * nu : (sp + 1) * nu] += (
-                    w * Gs.T @ nd.Q @ Gsp
-                )
-            h[s * nu : (s + 1) * nu] += w * Gs.T @ (nd.q - nd.Q @ g[i])
-        H[t * nu : (t + 1) * nu, t * nu : (t + 1) * nu] += w * nd.R
-        h[t * nu : (t + 1) * nu] += w * nd.r
-        const_terms.append(
-            w * (0.5 * float(g[i] @ (nd.Q @ g[i])) - float(nd.q @ g[i]))
-        )
-    vflat = np.linalg.solve(0.5 * (H + H.T), h)
-    v = {t: vflat[t * nu : (t + 1) * nu] for t in range(T + 1)}
-    x = {
-        i: g[i]
-        + sum(
-            (Gs @ v[s] for s, Gs in G[i].items()),
-            start=np.zeros(nx),
-        )
-        for i in range(tree.node_count)
-    }
+    nx, nu, N, T = tree.nx, tree.nu, tree.node_count, tree.horizon
+    nodes = tuple(range(N))
+    M, idx, cond = _weighted_kkt(tree, 0, nodes)
+    rhs = _weighted_rhs(tree, 0, nodes, idx, cond, w_prev)
+    ctrl = idx[:, nx : nx + nu]
+    keep = np.setdiff1d(np.arange(len(M)), ctrl.ravel())
+    E = np.zeros((len(M), keep.size + (T + 1) * nu))
+    E[keep, np.arange(keep.size)] = 1.0
+    E[ctrl, keep.size + nu * tree.stage[:, None] + np.arange(nu)] = 1.0
+    zeta = np.linalg.solve(E.T @ M @ E, E.T @ rhs)
+    x = (E @ zeta)[idx[:, :nx]]
+    v = zeta[keep.size :].reshape(T + 1, nu)
     objective = math.fsum(
-        tree.pi[i] * stage_cost(tree.data[i], x[i], v[int(tree.stage[i])])
-        for i in range(tree.node_count)
+        tree.pi[n] * stage_cost(tree.data[n], x[n], v[int(tree.stage[n])])
+        for n in nodes
     )
     return v, x, objective
 

@@ -31,7 +31,7 @@ from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
 from .helpers import crossed_tree, random_tree
-from .oracles import dense_unscaled_solve, here_and_now_reduced
+from .oracles import dense_unscaled_solve, here_and_now_dense
 
 
 def write_problem(path, tree, initial, assumption=None):
@@ -549,7 +549,7 @@ def oracle_trace(tree, initial, argv):
     dense oracles."""
     w_prev, N = (initial.x_prev, initial.u_prev), tree.node_count
     if "hn" in argv:
-        v, x, _ = here_and_now_reduced(tree, w_prev)
+        v, x, _ = here_and_now_dense(tree, w_prev)
         return [np.r_[x[n], v[int(tree.stage[n])]] for n in range(N)]
     if "optimal" in argv:
         x, u, _, _ = dense_unscaled_solve(tree, 0, tuple(range(N)), w_prev)

@@ -38,7 +38,7 @@ from .helpers import (
 from .oracles import (
     dense_solution_map,
     dense_unscaled_solve,
-    here_and_now_reduced,
+    here_and_now_dense,
     riccati_chain,
     simulate_no_lookahead,
 )
@@ -322,12 +322,31 @@ def test_here_and_now_matches_reduced_oracle():
     tree = random_tree(37, T=3, branching=2, nx=2, nu=2)
     w_prev = random_pair(rng, tree)
     hn = solve_here_and_now(tree, w_prev)
-    v_or, x_or, J_or = here_and_now_reduced(tree, w_prev)
+    v_or, x_or, J_or = here_and_now_dense(tree, w_prev)
     assert hn.objective == pytest.approx(J_or, abs=1e-8)
     for t in range(tree.horizon + 1):
         assert np.allclose(hn.v[t], v_or[t], atol=1e-8)
     for n in range(tree.node_count):
         assert np.allclose(hn.x[n], x_or[n], atol=1e-8)
+
+
+@pytest.mark.parametrize("T", [24, 40])
+def test_here_and_now_open_loop_unstable_chain(T):
+    # with A = 2 the map from v_0 to x_T grows like 2^T, so a solve that
+    # eliminates the states loses 4^T in conditioning; on one outcome the
+    # baseline is the deterministic optimum, solved here by two oracles
+    nd = nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2)
+    tree = chain_tree(T, nd)
+    w_prev = (np.array([1.0]), np.array([0.0]))
+    hn = solve_here_and_now(tree, w_prev)
+    v_or, x_or, J_or = here_and_now_dense(tree, w_prev)
+    x_lq, u_lq, J_lq = riccati_chain(tree, w_prev)
+    assert hn.objective == pytest.approx(J_or, abs=1e-10)
+    assert hn.objective == pytest.approx(J_lq, abs=1e-10)
+    assert np.allclose(hn.v, v_or, rtol=0, atol=1e-10)
+    assert np.allclose(hn.x, x_or, rtol=0, atol=1e-10)
+    assert np.allclose(hn.v, [u_lq[t] for t in range(T + 1)], rtol=0, atol=1e-10)
+    assert np.allclose(hn.x, [x_lq[t] for t in range(T + 1)], rtol=0, atol=1e-10)
 
 
 def test_here_and_now_states_follow_dynamics():
@@ -362,8 +381,8 @@ def test_baselines_are_read_only_arrays():
     w_prev = random_pair(rng, tree)
     hn, an = solve_here_and_now(tree, w_prev), solve_anticipative(tree, w_prev)
     assert hn.x.shape == (tree.node_count, 2) and hn.v.shape == (4, 2)
-    assert an.leaves.tolist() == tree.leaves() and an.path_values.shape == (8,)
-    for a in (hn.x, hn.v, an.leaves, an.path_values):
+    assert an.path_values.shape == (len(tree.leaves()),) == (8,)
+    for a in (hn.x, hn.v, an.path_values):
         assert not a.flags.writeable
 
 
@@ -378,7 +397,7 @@ def test_anticipative_paths_match_dense_oracle():
     tree = random_tree(47, T=2, branching=2)
     w_prev = random_pair(rng, tree)
     an = solve_anticipative(tree, w_prev)
-    for leaf, val in zip(an.leaves, an.path_values):
+    for leaf, val in zip(tree.leaves(), an.path_values):
         path = tree.ancestry(leaf)
         chain = build_tree_explicit(
             list(range(-1, len(path) - 1)),
