@@ -35,12 +35,7 @@ from .experiments import (
     open_loop_bound_check,
     regret_sweep,
 )
-from .kkt import (
-    SolverError,
-    check_uniform_regularity,
-    measure_decay,
-    solution_map,
-)
+from .kkt import SolverError, check_uniform_regularity, measure_decay
 from .norms import BlockMatrix, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
 from .problem_io import (
     _number,
@@ -78,6 +73,14 @@ DEFAULT_SPEC = {
     "noise_scale": 0.1,
     "seed": 0,
 }
+
+
+def _tolerance(text):
+    """A ``--tol-*`` value: a finite number >= 0, else argparse exits 2."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
 
 
 def _outdir(args):
@@ -426,7 +429,7 @@ def _suite_theorems(tree, constants, W, initial, tol, out):
     write_moments_csv(os.path.join(out, "moments.csv"), reports)
     write_regret_csv(os.path.join(out, "regret.csv"), sweep)
 
-    rows = measure_decay(solution_map(tree, 0, tree.horizon))
+    rows = measure_decay(tree, 0, tree.horizon)
     write_decay_csv(os.path.join(out, "decay.csv"), rows, constants)
 
     entries, failures = [], []
@@ -631,7 +634,7 @@ def build_parser():
     )
     p.add_argument(
         "--tol-kkt",
-        type=float,
+        type=_tolerance,
         default=1e-8,
         help="max dynamics residual accepted in the exported trace",
     )
@@ -639,7 +642,7 @@ def build_parser():
     p = sub.add_parser("spc", help="receding-horizon run; writes trace.csv")
     common(p)
     p.add_argument("--W", default=None, help="lookahead window (default: horizon)")
-    p.add_argument("--tol-kkt", type=float, default=1e-8, help="max dynamics residual")
+    p.add_argument("--tol-kkt", type=_tolerance, default=1e-8, help="max dynamics residual")
 
     p = sub.add_parser(
         "regret-sweep", help="regret over windows; writes regret.csv + run.json"
@@ -667,7 +670,7 @@ def build_parser():
     )
     p.add_argument(
         "--tol-bound",
-        type=float,
+        type=_tolerance,
         default=None,
         help="override the relative slack used to judge bound points",
     )
@@ -675,7 +678,7 @@ def build_parser():
     p = sub.add_parser("verify-norms", help="weighted-norm identity checks only")
     common(p)
     p.add_argument("--W", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--tol-bound", type=float, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--tol-bound", type=_tolerance, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("certify", help="check gain certificates against a problem")
     common(p)
@@ -725,7 +728,7 @@ def main(argv=None):
     except TreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, np.linalg.LinAlgError) as exc:

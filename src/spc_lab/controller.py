@@ -124,7 +124,7 @@ def run_spc(tree, w_prev_init, W):
     parent = np.where(par >= 0, pos[depth + 1, par], -1)
     weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
     p = tree.arrays.p[node][:, :, None]
-    K, kv = riccati_gains(tree, node, parent, weight, depth_layers(depth), p)
+    K, kv, _ = riccati_gains(tree, node, parent, weight, depth_layers(depth), p)
     every = np.arange(N)
     g = pos[own, every]
     levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
@@ -315,7 +315,7 @@ def hypothetical_state(tree, trace):
     weight = tree.pi / tree.pi[np.maximum(parent, 0)]
     layers = depth_layers(tree.horizon - tree.stage)
     node, p = np.arange(tree.node_count), arr.p[:, :, None]
-    K, kv = riccati_gains(tree, node, parent, weight, layers, p)
+    K, kv, _ = riccati_gains(tree, node, parent, weight, layers, p)
     x_init, u_init = trace.w_prev_init
     root = (parent < 0)[:, None]
     xp = np.where(root, x_init, trace.x[parent])

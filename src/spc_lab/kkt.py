@@ -2,15 +2,18 @@
 
 The subproblem over the depth-W subtree rooted at k minimizes the
 conditional expected quadratic cost subject to the linear dynamics along
-tree edges.  Plans, policies and solution maps (forests of subproblems
-against unit perturbations) are solved by a backward Riccati pass over
-(node, remaining depth) pairs, batched by depth, and a forward rollout,
-for many right-hand sides at once (:func:`riccati_gains`,
+tree edges.  Plans, policies and solution maps are solved by a backward
+Riccati pass over (node, remaining depth) pairs, batched by depth, and a
+forward rollout, for many right-hand sides at once (:func:`riccati_gains`,
 :func:`rollout`, :func:`solve_forest`); every solution is held to the
 residual of the KKT system below.  A subtree's nodes are taken in
 ascending node order (:func:`~spc_lab.tree.subtree_nodes`), and every
 result is an array whose row follows that order: over the whole tree,
 row = node.
+
+The maps' stage-decay rows (:func:`measure_decay`) form no map: small
+stage pairs come from unit-perturbation solves one stage at a time, large
+ones from Lanczos on their Gram operators, every pair in lockstep.
 
 Where the assembled matrix itself is needed (uniform regularity, and
 the here-and-now baseline, whose shared stage controls couple every node
@@ -30,12 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
-from .norms import BlockVector, _block_norm, _lanczos
+from .norms import _block_norm, _lanczos
 from .tree import TreeError, _frozen, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
 PIVOT_TOL = 1e-12
+DENSE_PAIR_CUT, UNIT_CHUNK, KRYLOV_TOL = 768, 96, 1e-13  # see measure_decay
 
 
 class SolverError(RuntimeError):
@@ -87,12 +92,6 @@ class SolutionMap:
     @property
     def Psi(self):
         return self.Omega[:, : self.nw]
-
-    def apply_p(self, p_blocks):
-        """Evaluate w = Psi p for per-node perturbation blocks."""
-        p = np.array([p_blocks[n] for n in self.nodes], dtype=float)
-        w = np.tensordot(self.Psi, p, axes=2)
-        return BlockVector(self.tree, self.nodes, dict(zip(self.nodes, w)))
 
 
 @dataclass(frozen=True)
@@ -334,7 +333,7 @@ def riccati_gains(tree, node, parent, weight, layers, p):
     One step per depth sums the stage cost and the weighted child values
     into a form in ``z = [u; x]`` and eliminates the control, through the
     step matrix ``G = R + sum_c w_c B_c' P_c B_c``.  Returns ``K``
-    (M, nu, nx) and ``k`` (M, nu, R).
+    (M, nu, nx), ``k`` (M, nu, R) and the values ``[P, -s]`` (M, nx, nx + R).
     """
     arr, nx, nu = tree.arrays, tree.nx, tree.nu
     nz, R = nu + nx, p.shape[2]
@@ -361,7 +360,7 @@ def riccati_gains(tree, node, parent, weight, layers, p):
         Vh = Sa[:, nu:, nu:] + Sa[:, nu:, :nu] @ X[at]
         Vh[:, :, :nx] = 0.5 * (Vh[:, :, :nx] + Vh[:, :, :nx].transpose(0, 2, 1))
         V[at] = Vh
-    return X[:, :, :nx], X[:, :, nx:]
+    return X[:, :, :nx], X[:, :, nx:], V
 
 
 def rollout(tree, node, pred, K, k, d, levels):
@@ -398,15 +397,17 @@ def solve_forest(tree, node, parent, weight, layers, p):
     The forest and ``p`` are laid out as for :func:`riccati_gains`; a
     committed pair enters through its root's d (:func:`forest_rhs`).
     States and controls come from a rollout of the gains, multipliers from
-    the adjoint recursion ``y = q - Q x + sum_c w_c A_c' y_c``.  Each tree
-    and right-hand side is held to the residual of its scaled KKT system
+    the value gradients ``y = s - P x`` (an adjoint recursion up the tree
+    would amplify rounding by the open-loop dynamics).  Each tree and
+    right-hand side is held to the residual of its scaled KKT system
     (the one :class:`ScaledKKT` assembles), accumulated layer by layer
     with rows weighted by probabilities conditional on the root, against
     ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``.  Returns x, u and y.
     """
     arr, nx, nz = tree.arrays, tree.nx, tree.nx + tree.nu
-    K, k = riccati_gains(tree, node, parent, weight, layers, p)
+    K, k, V = riccati_gains(tree, node, parent, weight, layers, p)
     x, u = rollout(tree, node, parent, K, k, p[:, nz:], layers[::-1])
+    y = -(V[:, :, :nx] @ x + V[:, :, nx:])
     A, B, Q, R = (a[node] for a in (arr.A, arr.B, arr.Q, arr.R))
     # each position's root, and its probability conditional on the root
     root, cond = np.arange(len(node)), np.ones(len(node))
@@ -416,10 +417,9 @@ def solve_forest(tree, node, parent, weight, layers, p):
         cond[below] = cond[parent[below]] * weight[below]
     # SA, SB: child sums of the weighted multipliers through A' and B';
     # res2, rhs2: squared residual and right-hand-side norms per root
-    SA, SB, y = np.zeros_like(x), np.zeros_like(u), np.empty_like(x)
+    SA, SB = np.zeros_like(x), np.zeros_like(u)
     res2, rhs2 = np.zeros((2, len(node), p.shape[2]))
     for at in layers:
-        y[at] = p[at, :nx] - Q[at] @ x[at] + SA[at]
         ch = at[parent[at] >= 0]
         wy = weight[ch, None, None] * y[ch]
         np.add.at(SA, parent[ch], A[ch].transpose(0, 2, 1) @ wy)
@@ -508,26 +508,103 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     }
 
 
-def measure_decay(smap):
-    """Stage-pair weighted norms of both solution maps.
+def _lanczos_lockstep(gram, sizes):
+    """Largest eigenvalues of PSD operators of orders ``sizes`` by Lanczos
+    in lockstep; ``gram(live, vectors)`` applies operator ``live[r]`` to
+    ``vectors[r]``.  Each starts from one fixed-seed random vector (reruns
+    are bit-identical), keeps a fully reorthogonalised basis, and stops
+    once its top Ritz residual ``beta_j |s_j|`` is at most ``KRYLOV_TOL``
+    times the Ritz value or its basis spans the space.  An operator whose
+    first product is exactly zero has eigenvalue 0.0."""
+    top, ab = np.zeros(len(sizes)), [([], []) for _ in sizes]
+    basis = [np.random.default_rng(0).standard_normal((1, n)) for n in sizes]
+    basis = [v / np.linalg.norm(v) for v in basis]
+    live = list(range(len(sizes)))
+    while live:
+        products, going = gram(live, [basis[g][len(ab[g][0])] for g in live]), []
+        for g, w in zip(live, products):
+            (alpha, beta), Q = ab[g], basis[g][: len(ab[g][0]) + 1]
+            alpha.append(Q[-1] @ w)
+            for _ in range(2):
+                w = w - Q.T @ (Q @ w)
+            b, j = float(np.linalg.norm(w)), len(alpha)
+            theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(j - 1, j - 1))
+            top[g] = theta[0]
+            if b * abs(s[-1, 0]) > KRYLOV_TOL * theta[0] and j < sizes[g]:
+                if j == len(basis[g]):  # double the basis storage
+                    basis[g] = np.resize(basis[g], (min(2 * j, sizes[g]), sizes[g]))
+                beta.append(b)
+                basis[g][j] = w / b
+                going.append(g)
+        live = going
+    return top
 
-    Returns one :class:`DecayRow` per ordered stage pair (t, t') of the
-    mapped subtree, carrying the weighted operator norms of the
-    corresponding stage blocks of Psi and Omega.
+
+def measure_decay(tree, k, W):
+    """One :class:`DecayRow` per ordered stage pair (t, t') of the depth-W
+    subtree problem at k, stage-major, with neither solution map formed:
+    the norms of the stage blocks of Psi and Omega, block (i, j) scaled by
+    ``sqrt(pi_i / pi_j)``.  That weighted Omega is symmetric, so a pair
+    t >= t' gives both Omega norms, Psi's (t, t') from its (x, u) rows and
+    Psi's (t', t) from its (q, r) columns.  Stage sizes never decrease
+    (leaves sit at the last stage), and a pair is small when stage t' has
+    at most ``DENSE_PAIR_CUT`` coordinates: the stage's unit columns are
+    solved ``UNIT_CHUNK`` per forest solve, kept on the rows of stages
+    >= t', reduced exactly (:func:`~spc_lab.norms._block_norm`) and freed.
+    Large pairs run :func:`_lanczos_lockstep` on their Gram operators.
+    Norm ``(i, ki, j, kj)`` takes the first ki rows of every block of
+    stage i over the first kj columns of every block of stage j.
     """
-    idx = list(smap.nodes)
-    pi = smap.tree.pi[idx]
-    # ascending (stage-major) order keeps each stage's nodes contiguous
-    stages, starts = np.unique(smap.tree.stage[idx], return_index=True)
-    spans = list(zip(stages.tolist(), starts, np.append(starts[1:], len(idx))))
-    rows = []
-    for t, a0, a1 in spans:
-        for tp, b0, b1 in spans:
-            f = np.sqrt(pi[a0:a1, None] / pi[None, b0:b1])
-            psi = _block_norm(smap.Psi[a0:a1, :, b0:b1], f)
-            omega = _block_norm(smap.Omega[a0:a1, :, b0:b1], f)
-            rows.append(DecayRow(t, tp, psi, omega))
-    return rows
+    forest = _window(tree, k, W)
+    m, zd, nw = len(forest[0]), 2 * tree.nx + tree.nu, tree.nx + tree.nu
+    stages, starts = np.unique(tree.stage[forest[0]], return_index=True)
+    cut, pi = np.append(starts, m), tree.pi[forest[0]]
+    size, span = np.diff(cut), [slice(*c) for c in zip(cut, cut[1:])]
+    small, sq = size * zd <= DENSE_PAIR_CUT, np.sqrt(pi)[:, None]
+    keys = [(i, ki, j, kj) for i in range(len(stages)) for j in range(i + 1)
+            for ki, kj in [(zd, zd), (nw, zd), (zd, nw)][: 2 + (i > j)]]
+
+    def solve(p):
+        return np.concatenate(solve_forest(tree, *forest, p), axis=1)
+
+    def unit_columns():  # ascending; a chunk may cross a stage boundary
+        ncols = cut[np.count_nonzero(small)] * zd
+        for c0 in range(0, ncols, UNIT_CHUNK):
+            c = np.arange(c0, min(c0 + UNIT_CHUNK, ncols))
+            p = np.zeros((m, zd, c.size))
+            p[c // zd, c % zd, np.arange(c.size)] = 1.0
+            yield from np.moveaxis(solve(p), 2, 0)
+
+    columns, norm = unit_columns(), {}
+    for j in np.flatnonzero(small):
+        block = np.empty((m - cut[j], zd, size[j] * zd))
+        for c in range(block.shape[2]):
+            block[:, :, c] = next(columns)[cut[j] :]
+        for i, ki, _, kj in (key for key in keys if key[2] == j):
+            M4 = block[cut[i] - cut[j] : cut[i + 1] - cut[j]].reshape(-1, zd, size[j], zd)
+            f = np.sqrt(pi[span[i], None] / pi[None, span[j]])
+            norm[i, ki, j, kj] = _block_norm(M4[:, :ki, :, :kj], f)
+        del block
+    large = [key for key in keys if not small[key[2]]]
+
+    def gram(live, vectors):  # perturb stage j, read i, perturb i, read j
+        p = np.zeros((m, zd, len(live)))
+        for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
+            p[span[j], :kj, r] = vectors[r].reshape(-1, kj) / sq[span[j]]
+        Z, p[:] = solve(p), 0.0
+        for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
+            p[span[i], :ki, r] = Z[span[i], :ki, r]
+        Z = solve(p)
+        return [(sq[span[j]] * Z[span[j], :kj, r]).ravel()
+                for r, (i, ki, j, kj) in enumerate(large[g] for g in live)]
+
+    lam = _lanczos_lockstep(gram, [size[j] * kj for _, _, j, kj in large])
+    norm.update((key, math.sqrt(max(v, 0.0))) for key, v in zip(large, lam))
+    return [
+        DecayRow(t, tp, norm[i, nw, j, zd] if i >= j else norm[j, zd, i, nw],
+                 norm[max(i, j), zd, min(i, j), zd])
+        for i, t in enumerate(stages.tolist()) for j, tp in enumerate(stages.tolist())
+    ]
 
 
 def check_uniform_regularity(tree, subtree, constants=None):

@@ -287,7 +287,7 @@ def sigma_pi(M):
     spectral norm; symmetric in transposition.
     """
     pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
-    M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, -1)
+    M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, M.shape_block[1])
     return _block_norm(M4, 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))
 
 

@@ -141,6 +141,49 @@ def dense_solution_map(tree, k, nodes):
     return inv[idx[:, :, None, None], idx[None, None]] * cond[None, None, :, None]
 
 
+def apply_psi(Omega, nodes, nw, p_blocks):
+    """``w = Psi p`` for per-node perturbation blocks ``p_blocks``, with
+    ``Psi`` the first ``nw`` rows of each block of ``Omega`` over
+    ``nodes``: ``{node: w block}``."""
+    p = np.array([p_blocks[n] for n in nodes], dtype=float)
+    w = np.tensordot(Omega[:, :nw], p, axes=2)
+    return dict(zip(nodes, w))
+
+
+def block_norm(M4, f):
+    """Spectral norm of the block array ``M4[a, :, b, :]`` with block
+    ``(a, b)`` scaled by ``f[a, b]``: the root of the largest eigenvalue
+    of the Gram matrix on the smaller side."""
+    if M4.size == 0:
+        return 0.0
+    a, r, b, c = M4.shape
+    M = (M4 * f[:, None, :, None]).reshape(a * r, b * c)
+    gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def dense_decay(tree, nodes, Omega, nw):
+    """Stage-pair norms of a dense solution map ``Omega`` over ``nodes``
+    (as from :func:`dense_solution_map`), in any node order.
+
+    Returns ``(t, t', psi, omega)`` per ordered stage pair, stage-major:
+    the spectral norms of the stage blocks of Psi (the first ``nw`` rows
+    of each block) and of Omega, block (i, j) scaled by
+    ``sqrt(pi_i / pi_j)``.
+    """
+    nodes = list(nodes)
+    pi, stage = tree.pi[nodes], tree.stage[nodes]
+    rows = []
+    for t in sorted(set(stage.tolist())):
+        a = np.flatnonzero(stage == t)
+        for tp in sorted(set(stage.tolist())):
+            b = np.flatnonzero(stage == tp)
+            M4 = Omega[a][:, :, b]
+            f = np.sqrt(pi[a, None] / pi[None, b])
+            rows.append((t, tp, block_norm(M4[:, :nw], f), block_norm(M4, f)))
+    return rows
+
+
 def worst_path_product(tree, Phi, L, alpha):
     """Worst ratio ``||Phi_j ... Phi_c|| / (L alpha^dt)`` over every strict
     ancestor-descendant pair, c the child of the ancestor on the path, by

@@ -35,7 +35,6 @@ from spc_lab import (
     pi_norm_vec,
     recursion_matrices,
     run_spc,
-    solution_map,
     solve_anticipative,
     solve_here_and_now,
     solve_optimal,
@@ -115,7 +114,7 @@ def test_c04_solution_map_decay(instance_pool):
         for inst in instance_pool:
             c = inst.constants
             assert math.isfinite(c.c1)
-            rows = measure_decay(solution_map(inst.tree, 0, inst.tree.horizon))
+            rows = measure_decay(inst.tree, 0, inst.tree.horizon)
             assert len(rows) == (inst.tree.horizon + 1) ** 2
             for row in rows:
                 bound = c.c1 * c.rho ** abs(row.t - row.tprime) + 1e-9

@@ -1012,3 +1012,60 @@ class TestBuildTree:
         summary = json.loads(open(tmp_path / "tree_summary.json").read())
         assert summary["node_count"] == 7
         assert summary["stage_sizes"] == [1, 2, 4]
+
+
+# ---------------------------------------------------------- filesystem errors
+
+
+class TestFilesystemErrors:
+    def test_build_tree_input_directory_exit_2(self, tmp_path, capsys):
+        assert main(["build-tree", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_verify_cert_directory_exit_2(self, generated, tmp_path, capsys):
+        rc = main(
+            ["verify-bounds", "--suite", "stability", "--input",
+             str(generated / "problem.json"), "--cert", str(tmp_path),
+             "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solve_out_existing_file_exit_2(self, generated, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(
+            ["solve", "--input", str(generated / "problem.json"), "--out", str(taken)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# ------------------------------------------------------------ tolerance flags
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--tol-kkt"],
+        ["spc", "--tol-kkt"],
+        ["verify-bounds", "--suite", "lemmas", "--tol-bound"],
+        ["verify-norms", "--tol-bound"],
+    ],
+    ids=["solve", "spc", "verify-bounds", "verify-norms"],
+)
+def test_bad_tolerance_exit_2(generated, tmp_path, capsys, argv, value):
+    # refused by argparse before any work is done
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value, "--input", str(generated / "problem.json"),
+                     "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected a finite number >= 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_zero_and_exponent_tolerances_parse():
+    parse = cli.build_parser().parse_args
+    assert parse(["solve", "--input", "p", "--tol-kkt", "0"]).tol_kkt == 0.0
+    assert parse(["verify-norms", "--input", "p", "--tol-bound", "1e-300"]).tol_bound == 1e-300

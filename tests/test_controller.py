@@ -101,6 +101,20 @@ def test_solve_optimal_singleton_matches_deterministic_lq():
         assert np.allclose(sol.u[t], u_or[t], atol=1e-8)
 
 
+@pytest.mark.parametrize("T", [32, 40])
+def test_solve_optimal_open_loop_unstable_chain(T):
+    # with A = 2 an adjoint recursion for the multipliers amplifies
+    # rounding by 2^T on the way up; value gradients do not
+    nd = nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2)
+    tree = chain_tree(T, nd)
+    w_prev = (np.array([1.0]), np.array([0.0]))
+    sol = solve_optimal(tree, w_prev)
+    x_lq, u_lq, J_lq = riccati_chain(tree, w_prev)
+    assert sol.objective == pytest.approx(J_lq, abs=1e-10)
+    assert np.allclose(sol.x, [x_lq[t] for t in range(T + 1)], rtol=0, atol=1e-10)
+    assert np.allclose(sol.u, [u_lq[t] for t in range(T + 1)], rtol=0, atol=1e-10)
+
+
 def test_solve_optimal_seven_nodes_matches_dense_oracle():
     rng = np.random.default_rng(7)
     tree = random_tree(7, T=2, branching=2, nx=2, nu=1)

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
-    BlockVector,
     NodeData,
     ScaledKKT,
     SingularKKTError,
@@ -30,10 +29,13 @@ from spc_lab import (
     solve_here_and_now,
     subtree_nodes,
 )
+from spc_lab import kkt
 from spc_lab.kkt import stage_costs
 
 from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
 from .oracles import (
+    apply_psi,
+    dense_decay,
     dense_regularity,
     dense_solution_map,
     dense_unscaled_solve,
@@ -322,9 +324,9 @@ def test_map_linearity_reproduces_direct_solve(seed):
     smap = solution_map(tree, 0, 2)
     sol = solve_extensive(tree, 0, 2, (np.zeros(2), np.zeros(1)))
     p_blocks = {n: tree.data[n].p for n in smap.nodes}
-    w = smap.apply_p(p_blocks)
+    w = apply_psi(smap.Omega, smap.nodes, smap.nw, p_blocks)
     for i, n in enumerate(sol.nodes):
-        assert_allclose(w.blocks[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
+        assert_allclose(w[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
 
 
 def test_map_superposition():
@@ -335,12 +337,9 @@ def test_map_superposition():
     p1 = {n: rng.standard_normal(zd) for n in smap.nodes}
     p2 = {n: rng.standard_normal(zd) for n in smap.nodes}
     p12 = {n: p1[n] + p2[n] for n in smap.nodes}
-    lhs = smap.apply_p(p12)
-    r1, r2 = smap.apply_p(p1), smap.apply_p(p2)
+    lhs, r1, r2 = (apply_psi(smap.Omega, smap.nodes, smap.nw, p) for p in (p12, p1, p2))
     for n in smap.nodes:
-        assert_allclose(
-            lhs.blocks[n], r1.blocks[n] + r2.blocks[n], atol=1e-10
-        )
+        assert_allclose(lhs[n], r1[n] + r2[n], atol=1e-10)
 
 
 def test_interior_subtree_map_matches_interior_solve():
@@ -349,9 +348,9 @@ def test_interior_subtree_map_matches_interior_solve():
     smap = solution_map(tree, k, 2)
     sol = solve_extensive(tree, k, 2, (np.zeros(2), np.zeros(1)))
     p_blocks = {n: tree.data[n].p for n in smap.nodes}
-    w = smap.apply_p(p_blocks)
+    w = apply_psi(smap.Omega, smap.nodes, smap.nw, p_blocks)
     for i, n in enumerate(sol.nodes):
-        assert_allclose(w.blocks[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
+        assert_allclose(w[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
 
 
 def test_row_extraction_matches_full_map():
@@ -408,6 +407,7 @@ def test_maps_and_recursion_use_no_sparse_lu_or_assembled_kkt(monkeypatch):
     solution_map(tree, 0, 3)
     solution_map_rows(tree, 1, 2, (1, 3), rows="z")
     recursion_matrices(tree, 1)
+    measure_decay(tree, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +416,18 @@ def test_maps_and_recursion_use_no_sparse_lu_or_assembled_kkt(monkeypatch):
 
 def test_decoupled_instance_has_zero_off_diagonal_decay():
     tree = decoupled_tree(T=2, branching=2)
-    rows = measure_decay(solution_map(tree, 0, 2))
+    rows = measure_decay(tree, 0, 2)
     for row in rows:
         if row.t != row.tprime:
-            assert row.psi_norm == pytest.approx(0.0, abs=1e-12)
-            assert row.omega_norm == pytest.approx(0.0, abs=1e-12)
+            assert row.psi_norm == 0.0
+            assert row.omega_norm == 0.0
         else:
             assert row.psi_norm > 0.0
 
 
 def test_decay_table_covers_all_stage_pairs():
     tree = random_tree(seed=56, T=3, branching=2)
-    rows = measure_decay(solution_map(tree, 0, 3))
+    rows = measure_decay(tree, 0, 3)
     pairs = {(r.t, r.tprime) for r in rows}
     assert pairs == {(t, tp) for t in range(4) for tp in range(4)}
     for r in rows:
@@ -441,7 +441,7 @@ def test_decay_rows_match_hand_built_stage_blocks():
         assert smap.nodes == tuple(sorted(nodes))
         pos = {n: a for a, n in enumerate(smap.nodes)}
         stages = sorted({int(tree.stage[n]) for n in nodes})
-        rows = measure_decay(smap)
+        rows = measure_decay(tree, nodes[0], W)
         assert [(r.t, r.tprime) for r in rows] == [
             (t, tp) for t in stages for tp in stages
         ]
@@ -452,6 +452,54 @@ def test_decay_rows_match_hand_built_stage_blocks():
                 blocks = {(i, j): M[pos[i], :, pos[j]] for i in ri for j in ci}
                 expected = pi_norm_mat(BlockMatrix(tree, ri, ci, blocks))
                 assert measured == pytest.approx(expected, rel=1e-12)
+
+
+DECAY_TREES = [
+    (crossed_tree, 0, None),
+    (uneven_tree, 0, None),
+    (lambda rng: random_tree(57, T=4, branching=2, nx=2, nu=1), 0, None),
+    (lambda rng: random_tree(58, T=4, branching=2, nx=3, nu=1), 2, 2),
+    (lambda rng: decoupled_tree(T=3, branching=2, nx=2, nu=1), 0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "cut, chunk",
+    [(None, None), (0, None), (10, 7)],
+    ids=["dense", "krylov", "mixed"],
+)
+@pytest.mark.parametrize(
+    "build, root, W",
+    DECAY_TREES,
+    ids=["crossed", "uneven", "random-nu1", "interior", "decoupled"],
+)
+def test_decay_rows_match_dense_oracle(build, root, W, cut, chunk, monkeypatch):
+    # cut 0 sends every pair to Lanczos; cut 10 keeps the one-node stages
+    # dense, and chunks of 7 unit columns cross node and stage boundaries
+    if cut is not None:
+        monkeypatch.setattr(kkt, "DENSE_PAIR_CUT", cut)
+    if chunk is not None:
+        monkeypatch.setattr(kkt, "UNIT_CHUNK", chunk)
+    tree = build(np.random.default_rng(88))
+    W = tree.horizon - int(tree.stage[root]) if W is None else W
+    nodes = tuple(subtree_nodes(tree, root, W))
+    omega = dense_solution_map(tree, root, nodes)
+    expected = dense_decay(tree, nodes, omega, tree.nx + tree.nu)
+    rows = measure_decay(tree, root, W)
+    assert [(r.t, r.tprime) for r in rows] == [e[:2] for e in expected]
+    measured = [(r.psi_norm, r.omega_norm) for r in rows]
+    assert_allclose(measured, [e[2:] for e in expected], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("build", [crossed_tree, uneven_tree], ids=["crossed", "uneven"])
+def test_weighted_map_norms_are_symmetric_in_the_stage_pair(build):
+    # the weighted map is self-adjoint: ||Omega~[t, t']|| = ||Omega~[t', t]||
+    tree = build(np.random.default_rng(89))
+    nodes = tuple(subtree_nodes(tree, 0, tree.horizon))
+    rows = dense_decay(tree, nodes, dense_solution_map(tree, 0, nodes), tree.nx + tree.nu)
+    omega = {(t, tp): om for t, tp, _, om in rows}
+    for (t, tp), om in omega.items():
+        assert om == pytest.approx(omega[tp, t], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
