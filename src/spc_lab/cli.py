@@ -610,7 +610,7 @@ def build_parser():
         ),
         epilog=(
             "exit codes: 0 success; 2 input or validation error; "
-            "3 solver error; 4 verification failure."
+            "3 solver error or nonconvex problem; 4 verification failure."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,13 +20,14 @@ import scipy.sparse as sp
 
 from .kkt import (
     PolicySolution,
+    RiccatiFactor,
     ScaledKKT,
     SolverError,
     _mv,
+    _window,
     depth_layers,
     factor_kkt,
     forest_rhs,
-    riccati_gains,
     rollout,
     solve_extensive,
     solve_forest,
@@ -124,12 +125,12 @@ def run_spc(tree, w_prev_init, W):
     parent = np.where(par >= 0, pos[depth + 1, par], -1)
     weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
     p = tree.arrays.p[node][:, :, None]
-    K, kv, _ = riccati_gains(tree, node, parent, weight, depth_layers(depth), p)
+    factor = RiccatiFactor(tree, node, parent, weight, depth_layers(depth))
     every = np.arange(N)
     g = pos[own, every]
     levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
     d = forest_rhs(tree, every, tree.parent, (x_init, u_init))[:, tree.nx + tree.nu :]
-    x, u = rollout(tree, every, tree.parent, K[g], kv[g], d, levels)
+    x, u = rollout(tree, every, tree.parent, factor.K[g], factor.sweep(p)[0][g], d, levels)
     x, u = _frozen((x[..., 0], u[..., 0]))
     J_W = math.fsum(tree.pi * stage_costs(tree, every, x, u))
     return ClosedLoopTrace(tree, int(W), x, u, J_W, (x_init, u_init))
@@ -175,8 +176,10 @@ def solve_here_and_now(tree, w_prev):
     the states instead (condensing onto ``v``) is not used: its Hessian is
     as ill conditioned as the open-loop dynamics over the horizon, and on
     a scalar chain with A = 2 its pivot ratio falls below ``PIVOT_TOL``
-    from T = 22.
+    from T = 22.  The feasible set is a subspace of the full problem's, so
+    one full-horizon :class:`RiccatiFactor` refuses a nonconvex problem.
     """
+    RiccatiFactor(tree, *_window(tree, 0, tree.horizon))
     system = ScaledKKT(tree, range(tree.node_count), 0)
     nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
     # states and multipliers keep their column; node controls move to
@@ -312,16 +315,13 @@ def hypothetical_state(tree, trace):
     one step from the parent's pair applies it.
     """
     arr, parent = tree.arrays, tree.parent
-    weight = tree.pi / tree.pi[np.maximum(parent, 0)]
-    layers = depth_layers(tree.horizon - tree.stage)
-    node, p = np.arange(tree.node_count), arr.p[:, :, None]
-    K, kv, _ = riccati_gains(tree, node, parent, weight, layers, p)
+    factor = RiccatiFactor(tree, *_window(tree, 0, tree.horizon))
     x_init, u_init = trace.w_prev_init
     root = (parent < 0)[:, None]
     xp = np.where(root, x_init, trace.x[parent])
     up = np.where(root, u_init, trace.u[parent])
     x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
-    u = _mv(K, x) + kv[..., 0]
+    u = _mv(factor.K, x) + factor.sweep(arr.p[:, :, None])[0][..., 0]
     return np.concatenate([x, u], axis=1)
 
 

@@ -2,12 +2,13 @@
 
 The subproblem over the depth-W subtree rooted at k minimizes the
 conditional expected quadratic cost subject to the linear dynamics along
-tree edges.  Plans, policies and solution maps are solved by a backward
-Riccati pass over (node, remaining depth) pairs, batched by depth, and a
-forward rollout, for many right-hand sides at once (:func:`riccati_gains`,
-:func:`rollout`, :func:`solve_forest`); every solution is held to the
-residual of the KKT system below.  A subtree's nodes are taken in
-ascending node order (:func:`~spc_lab.tree.subtree_nodes`), and every
+tree edges.  Plans, policies and solution maps are solved on forests of
+(node, remaining depth) subproblems: a :class:`RiccatiFactor` runs the
+right-hand-side-free backward pass once per forest, refusing singular
+and nonconvex steps, and each :meth:`~RiccatiFactor.solve` sweeps any
+number of right-hand sides through it, rolls the gains forward, and holds
+every solution to the residual of the KKT system below in one pass.  A
+subtree's nodes ascend (:func:`~spc_lab.tree.subtree_nodes`), and every
 result is an array whose row follows that order: over the whole tree,
 row = node.
 
@@ -53,6 +54,10 @@ class SingularKKTError(SolverError):
     def __init__(self, message, pivot=0.0):
         super().__init__(message)
         self.pivot = pivot
+
+
+class NonconvexError(SolverError):
+    """A step matrix is not positive definite: the problem is nonconvex."""
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,11 @@ def _mv(M, v):
     return np.einsum("nij,nj->ni", M, v)
 
 
+def _sq(a):
+    """Squared norms ``sum_i a[m, i, r]**2``."""
+    return np.einsum("mir,mir->mr", a, a)
+
+
 def depth_layers(depth):
     """Positions grouped by depth: ``layers[h]`` holds, in position
     order, every position of depth h."""
@@ -284,83 +294,153 @@ def depth_layers(depth):
     return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _step_solve(G, rhs, node, h):
-    """Solve the symmetric step systems ``G[i] X[i] = rhs[i]``.
-
-    G may be indefinite: it is solved through its eigendecomposition, so a
-    nonconvex problem still yields its stationary point.  A step whose
-    ``min|eig| / max|eig|`` falls below ``PIVOT_TOL`` raises
-    :class:`SingularKKTError`, and every column is held to
-    ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``; a failure names the
-    subproblem by its root ``node`` and window ``h``.
-    """
-    lam, V = np.linalg.eigh(G)
-    mag = np.abs(lam)
-    top = mag.max(axis=1)
-    pivot = np.divide(
-        mag.min(axis=1), top, out=np.zeros_like(top), where=top > 0
+def _hold(ratio, node, window, what):
+    """Hold ``ratio`` (rows, R) to ``RESIDUAL_TOL``; the first row above it (or
+    NaN) raises :class:`SolverError` naming root ``node[i]`` and its window."""
+    if ratio.max(initial=0.0) <= RESIDUAL_TOL:
+        return
+    i = np.flatnonzero(~(ratio.max(axis=1) <= RESIDUAL_TOL))[0]
+    raise SolverError(
+        f"node {node[i]}, window {np.broadcast_to(window, len(node))[i]}: {what} "
+        f"{ratio[i].max():.3e} exceeds contract {RESIDUAL_TOL:g}"
     )
-    bad = np.flatnonzero(pivot < PIVOT_TOL)
-    if bad.size:
-        i = bad[0]
-        raise SingularKKTError(
-            f"node {node[i]}, window {h}: step matrix numerically singular: "
-            f"relative pivot {pivot[i]:.3e} below {PIVOT_TOL:g}",
-            pivot=float(pivot[i]),
-        )
-    X = V @ ((V.transpose(0, 2, 1) @ rhs) / lam[:, :, None])
-    resid = np.linalg.norm(G @ X - rhs, axis=1)
-    worst = resid / (1.0 + np.linalg.norm(rhs, axis=1))
-    i = int(np.argmax(worst.max(axis=1)))
-    if worst[i].max() > RESIDUAL_TOL:
-        raise SolverError(
-            f"node {node[i]}, window {h}: step residual {worst[i].max():.3e} "
-            f"exceeds contract {RESIDUAL_TOL:g}"
-        )
+
+
+def _step_solve(step, rhs, node, h):
+    """Solve ``G[i] X[i] = rhs[i]`` by G's eigenpairs, ``step = (G, lam, U, ...)``,
+    each column held to ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``."""
+    G, lam, U = step[:3]
+    X = U @ ((U.transpose(0, 2, 1) @ rhs) / lam[:, :, None])
+    _hold(np.sqrt(_sq(G @ X - rhs)) / (1.0 + np.sqrt(_sq(rhs))), node, h, "step residual")
     return X
 
 
-def riccati_gains(tree, node, parent, weight, layers, p):
-    """Feedback ``u = K x + k`` of every subproblem of a forest, for every
-    right-hand side, from one backward Riccati pass.
+class RiccatiFactor:
+    """One backward Riccati pass over a forest of subproblems, free of the
+    right-hand side and kept for any number of them.
 
     Position i is the depth-h subproblem rooted at tree node ``node[i]``,
     for the h with i in ``layers[h]``; its children are the positions whose
-    ``parent`` is i, in ``layers[h - 1]``, with ``weight`` their probability
-    conditional on i.  ``p[i]`` holds its perturbations (q, r, d), one
-    column per right-hand side.  A value ``1/2 x'P x - s'x + c`` is kept
-    row-only as ``[P, -s]``, so no two right-hand sides are ever paired.
-    One step per depth sums the stage cost and the weighted child values
-    into a form in ``z = [u; x]`` and eliminates the control, through the
-    step matrix ``G = R + sum_c w_c B_c' P_c B_c``.  Returns ``K``
-    (M, nu, nx), ``k`` (M, nu, R) and the values ``[P, -s]`` (M, nx, nx + R).
+    ``parent`` is i, with ``weight`` their probability conditional on i.  A
+    child's x is ``F z + d`` in its parent's ``z = [u; x]``, ``F = [B, A]``.
+    Each step sums the stage cost and the weighted child values ``F'PF``
+    into a Hessian H in z and eliminates u through the step matrix
+    ``G = H_uu`` and its eigenpairs (lam, U): ``K = -G^-1 H_ux``,
+    ``P = H_xx + H_xu K``.  A step with ``lam_min / max|lam|`` below
+    ``PIVOT_TOL`` raises :class:`SingularKKTError` when that ratio is within
+    ``PIVOT_TOL`` of zero, else :class:`NonconvexError` (every G is positive
+    definite exactly when the reduced Hessian is).  Children are grouped by
+    rank among their siblings: no two in a group share a parent, so one
+    fancy-index ``+=`` per group adds in exactly the order ``np.add.at`` does.
     """
-    arr, nx, nu = tree.arrays, tree.nx, tree.nu
-    nz, R = nu + nx, p.shape[2]
-    # stage costs 1/2 x'Qx + 1/2 u'Ru - q'x - r'u: the quadratic block,
-    # then the linear terms
-    S = np.zeros((len(node), nz, nz + R))
-    S[:, :nu, :nu], S[:, nu:, nu:nz] = arr.R[node], arr.Q[node]
-    S[:, :nu, nz:], S[:, nu:, nz:] = -p[:, nx:nz], -p[:, :nx]
-    # a position's x is F z + d in its parent's z, with F = [B, A]
-    E = np.concatenate([arr.B[node], arr.A[node], p[:, nz:]], axis=2)
-    V = np.empty((len(node), nx, nx + R))
-    X = np.empty((len(node), nu, nx + R))
-    for h, at in enumerate(layers):
-        if h:
-            ch = layers[h - 1][parent[layers[h - 1]] >= 0]
-            # a child's value in its parent's z: F'PF, and F'(P d - s)
-            PE = V[ch, :, :nx] @ E[ch]
-            PE[:, :, nz:] += V[ch, :, nx:]
-            child = E[ch, :, :nz].transpose(0, 2, 1) @ PE
-            np.add.at(S, parent[ch], weight[ch, None, None] * child)
-        Sa = S[at]
-        Sa[:, :, :nz] = 0.5 * (Sa[:, :, :nz] + Sa[:, :, :nz].transpose(0, 2, 1))
-        X[at] = -_step_solve(Sa[:, :nu, :nu], Sa[:, :nu, nu:], node[at], h)
-        Vh = Sa[:, nu:, nu:] + Sa[:, nu:, :nu] @ X[at]
-        Vh[:, :, :nx] = 0.5 * (Vh[:, :, :nx] + Vh[:, :, :nx].transpose(0, 2, 1))
-        V[at] = Vh
-    return X[:, :, :nx], X[:, :, nx:], V
+
+    def __init__(self, tree, node, parent, weight, layers):
+        arr, nx, nu, M = tree.arrays, tree.nx, tree.nu, len(node)
+        self.tree, self.node, self.parent, self.weight = tree, node, parent, weight
+        self.layers, depth, loc = layers, np.empty_like(parent), np.empty_like(parent)
+        for h, at in enumerate(layers):
+            depth[at], loc[at] = h, np.arange(len(at))
+        kids = np.flatnonzero(parent >= 0)
+        order = kids[np.argsort(parent[kids], kind="stable")]
+        rank = np.full(M, -1)
+        rank[order] = np.arange(kids.size) - np.searchsorted(parent[order], parent[order])
+
+        def by_rank(ch, up):  # children, and per rank (sel, where ch[sel] adds)
+            sel = (np.flatnonzero(rank[ch] == r) for r in range(rank.max() + 1))
+            return ch, [(s, up[s]) for s in sel]
+
+        self.kids = by_rank(kids, parent[kids])
+        self.groups = [by_rank(kids[:0], kids[:0])] + [  # into the places in the layer
+            by_rank(c, loc[parent[c]]) for c in (at[parent[at] >= 0] for at in layers[:-1])
+        ]
+        # positions sorted by root, with probabilities conditional on it
+        root, cond = np.arange(M), np.ones(M)
+        for at in layers[::-1]:
+            below = at[parent[at] >= 0]
+            root[below], cond[below] = root[parent[below]], cond[parent[below]] * weight[below]
+        self.by_root = np.argsort(root, kind="stable")
+        self.root_cut = np.flatnonzero(np.diff(root[self.by_root], prepend=-1))
+        self.cond, self.roots = cond[self.by_root], self.by_root[self.root_cut]
+        self.root_window = depth[self.roots]
+        self.F = F = np.concatenate([arr.B[node], arr.A[node]], axis=2)
+        self.P, self.K, self.steps = np.empty((M, nx, nx)), np.empty((M, nu, nx)), []
+        for h, at in enumerate(layers):
+            H = np.zeros((len(at), nu + nx, nu + nx))
+            H[:, :nu, :nu], H[:, nu:, nu:] = arr.R[node[at]], arr.Q[node[at]]
+            ch, ranks = self.groups[h]
+            child = weight[ch, None, None] * (F[ch].transpose(0, 2, 1) @ (self.P[ch] @ F[ch]))
+            for sel, up in ranks:
+                H[up] += child[sel]
+            H = 0.5 * (H + H.transpose(0, 2, 1))
+            lam, U = np.linalg.eigh(H[:, :nu, :nu])
+            top = np.abs(lam).max(axis=1)
+            bad = np.flatnonzero(~(lam[:, 0] > PIVOT_TOL * top))
+            if bad.size:
+                i = bad[0]
+                pivot = lam[i, 0] / top[i] if top[i] > 0 else 0.0
+                where = f"node {node[at[i]]}, window {h}: step matrix"
+                if not pivot <= -PIVOT_TOL:
+                    raise SingularKKTError(
+                        f"{where} numerically singular: relative pivot {abs(pivot):.3e} "
+                        f"below {PIVOT_TOL:g}", pivot=abs(float(pivot)),
+                    )
+                raise NonconvexError(
+                    f"{where} not positive definite: smallest eigenvalue "
+                    f"{lam[i, 0]:.3e}; the problem is nonconvex"
+                )
+            self.steps.append((H[:, :nu, :nu], lam, U, H[:, nu:, :nu]))
+            self.K[at] = K = -_step_solve(self.steps[h], H[:, :nu, nu:], node[at], h)
+            P = H[:, nu:, nu:] + H[:, nu:, :nu] @ K
+            self.P[at] = 0.5 * (P + P.transpose(0, 2, 1))
+
+    def sweep(self, p):
+        """Feedforward ``k`` (M, nu, R) of ``u = K x + k`` and gradients ``v``
+        (M, nx, R) of the values ``1/2 x'Px + v'x + c`` for perturbations
+        ``p`` (M, 2nx + nu, R) = (q, r, d), each column held to the step contract."""
+        nx, nu, F, w = self.tree.nx, self.tree.nu, self.F, self.weight
+        k, v = np.empty((len(p), nu, p.shape[2])), np.empty((len(p), nx, p.shape[2]))
+        for h, at in enumerate(self.layers):
+            g = -np.concatenate([p[at, nx : nx + nu], p[at, :nx]], axis=1)
+            ch, ranks = self.groups[h]
+            t = self.P[ch] @ p[ch, nx + nu :] + v[ch]
+            child = w[ch, None, None] * (F[ch].transpose(0, 2, 1) @ t)
+            for sel, up in ranks:
+                g[up] += child[sel]
+            k[at] = ka = -_step_solve(self.steps[h], g[:, :nu], self.node[at], h)
+            v[at] = g[:, nu:] + self.steps[h][3] @ ka
+        return k, v
+
+    def solve(self, p):
+        """x, u and y of every tree for perturbations ``p`` (see :meth:`sweep`):
+        a rollout of the gains, and ``y = -(P x + v)`` (an adjoint recursion
+        would amplify rounding by the open-loop dynamics).  Each tree and
+        column is held to its scaled KKT residual (the system :class:`ScaledKKT`
+        assembles) in one pass, rows weighted by probability conditional on the
+        root and summed per root, against ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``."""
+        arr, node, parent, F = self.tree.arrays, self.node, self.parent, self.F
+        nx, nz = self.tree.nx, self.tree.nx + self.tree.nu
+        k, v = self.sweep(p)
+        x, u = rollout(self.tree, node, parent, self.K, k, p[:, nz:], self.layers[::-1])
+        y = -(self.P @ x + v)
+        del k, v
+        # child sums of the weighted multipliers through F' = [B'; A']
+        (kids, ranks), Fy = self.kids, np.zeros((len(p), nz, p.shape[2]))
+        child = F[kids].transpose(0, 2, 1) @ (self.weight[kids, None, None] * y[kids])
+        for sel, up in ranks:
+            Fy[up] += child[sel]
+        res2 = _sq(arr.Q[node] @ x + y - Fy[:, nz - nx :] - p[:, :nx])
+        res2 += _sq(arr.R[node] @ u - Fy[:, : nz - nx] - p[:, nx:nz])
+        del Fy, child
+        dyn = x - p[:, nz:]
+        dyn[kids] -= F[kids] @ np.concatenate([u[parent[kids]], x[parent[kids]]], axis=1)
+        res2 += _sq(dyn)
+        res2, rhs2 = (
+            np.add.reduceat(self.cond[:, None] * a[self.by_root], self.root_cut)
+            for a in (res2, _sq(p))
+        )
+        ratio = np.sqrt(res2) / (1.0 + np.sqrt(rhs2))
+        _hold(ratio, node[self.roots], self.root_window, "KKT residual")
+        return x, u, y
 
 
 def rollout(tree, node, pred, K, k, d, levels):
@@ -391,49 +471,10 @@ def forest_rhs(tree, node, parent, w_prev):
 
 
 def solve_forest(tree, node, parent, weight, layers, p):
-    """Primal-dual solution of every tree of a forest of subproblems, for
-    every right-hand side.
-
-    The forest and ``p`` are laid out as for :func:`riccati_gains`; a
-    committed pair enters through its root's d (:func:`forest_rhs`).
-    States and controls come from a rollout of the gains, multipliers from
-    the value gradients ``y = s - P x`` (an adjoint recursion up the tree
-    would amplify rounding by the open-loop dynamics).  Each tree and
-    right-hand side is held to the residual of its scaled KKT system
-    (the one :class:`ScaledKKT` assembles), accumulated layer by layer
-    with rows weighted by probabilities conditional on the root, against
-    ``RESIDUAL_TOL`` relative to ``1 + ||rhs||``.  Returns x, u and y.
-    """
-    arr, nx, nz = tree.arrays, tree.nx, tree.nx + tree.nu
-    K, k, V = riccati_gains(tree, node, parent, weight, layers, p)
-    x, u = rollout(tree, node, parent, K, k, p[:, nz:], layers[::-1])
-    y = -(V[:, :, :nx] @ x + V[:, :, nx:])
-    A, B, Q, R = (a[node] for a in (arr.A, arr.B, arr.Q, arr.R))
-    # each position's root, and its probability conditional on the root
-    root, cond = np.arange(len(node)), np.ones(len(node))
-    for at in layers[::-1]:
-        below = at[parent[at] >= 0]
-        root[below] = root[parent[below]]
-        cond[below] = cond[parent[below]] * weight[below]
-    # SA, SB: child sums of the weighted multipliers through A' and B';
-    # res2, rhs2: squared residual and right-hand-side norms per root
-    SA, SB = np.zeros_like(x), np.zeros_like(u)
-    res2, rhs2 = np.zeros((2, len(node), p.shape[2]))
-    for at in layers:
-        ch = at[parent[at] >= 0]
-        wy = weight[ch, None, None] * y[ch]
-        np.add.at(SA, parent[ch], A[ch].transpose(0, 2, 1) @ wy)
-        np.add.at(SB, parent[ch], B[ch].transpose(0, 2, 1) @ wy)
-        prev, live = np.maximum(parent[at], 0), parent[at, None, None] >= 0
-        drive = live * (A[at] @ x[prev] + B[at] @ u[prev])
-        z = [Q[at] @ x[at] + y[at] - SA[at], R[at] @ u[at] - SB[at], x[at] - drive]
-        resid = np.concatenate(z, axis=1) - p[at]
-        np.add.at(res2, root[at], cond[at, None] * np.sum(resid**2, axis=1))
-        np.add.at(rhs2, root[at], cond[at, None] * np.sum(p[at] ** 2, axis=1))
-    worst = float(np.max(np.sqrt(res2) / (1.0 + np.sqrt(rhs2))))
-    if worst > RESIDUAL_TOL:
-        raise SolverError(f"KKT residual {worst:.3e} exceeds contract {RESIDUAL_TOL:g}")
-    return x, u, y
+    """x, u and y of every tree of a forest for every right-hand side:
+    :meth:`RiccatiFactor.solve` on a fresh factor.  A committed pair
+    enters through its root's d (:func:`forest_rhs`)."""
+    return RiccatiFactor(tree, node, parent, weight, layers).solve(p)
 
 
 def _window(tree, k, W):
@@ -463,23 +504,29 @@ def solve_extensive(tree, k, W, w_prev):
     return PolicySolution(tree, k, tuple(node.tolist()), x, u, y, objective)
 
 
+def _unit_response(factor, c):
+    """Responses z = (x, u, y), (m, 2nx + nu, c.size), of the forest of
+    ``factor`` to unit perturbations of its flat coordinates ``c``."""
+    zd = 2 * factor.tree.nx + factor.tree.nu
+    p = np.zeros((len(factor.node), zd, c.size))
+    p[c // zd, c % zd, np.arange(c.size)] = 1.0
+    return np.concatenate(factor.solve(p), axis=1)
+
+
 def solution_map(tree, k, W):
     """Linear solution maps of the subtree problem at ``k`` with zero
     committed pair: column (b, c) of Omega is the response to a unit
     perturbation of coordinate c of node b.  Columns are solved in eight
     chunks, straight into Omega, so the working arrays stay a fraction of it.
     """
-    forest = _window(tree, k, W)
-    m, zd = len(forest[0]), 2 * tree.nx + tree.nu
+    factor = RiccatiFactor(tree, *_window(tree, k, W))
+    m, zd = len(factor.node), 2 * tree.nx + tree.nu
     Omega = np.empty((m, zd, m, zd))
     cols = Omega.reshape(m, zd, m * zd)
     for c in np.array_split(np.arange(m * zd), min(8, m * zd)):
-        p = np.zeros((m, zd, c.size))
-        p[c // zd, c % zd, np.arange(c.size)] = 1.0
-        Z = np.concatenate(solve_forest(tree, *forest, p), axis=1)
-        cols[:, :, c[0] : c[-1] + 1] = Z
+        cols[:, :, c[0] : c[-1] + 1] = _unit_response(factor, c)
     Omega.flags.writeable = False
-    return SolutionMap(tree, k, tuple(forest[0].tolist()), Omega, tree.nx + tree.nu)
+    return SolutionMap(tree, k, tuple(factor.node.tolist()), Omega, tree.nx + tree.nu)
 
 
 def solution_map_rows(tree, k, W, row_nodes, rows="w"):
@@ -496,10 +543,7 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     nodes, zd = forest[0].tolist(), 2 * tree.nx + tree.nu
     nrow = tree.nx + tree.nu if rows == "w" else zd
     at = np.repeat([nodes.index(i) for i in row_nodes], nrow)
-    c = np.arange(at.size)
-    p = np.zeros((len(nodes), zd, at.size))
-    p[at, c % nrow, c] = 1.0
-    Z = np.concatenate(solve_forest(tree, *forest, p), axis=1)
+    Z = _unit_response(RiccatiFactor(tree, *forest), at * zd + np.arange(at.size) % nrow)
     Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow)
     return {
         (i, j): (tree.pi[j] / tree.pi[i]) * Z[b, :, a].T
@@ -564,22 +608,15 @@ def measure_decay(tree, k, W):
     keys = [(i, ki, j, kj) for i in range(len(stages)) for j in range(i + 1)
             for ki, kj in [(zd, zd), (nw, zd), (zd, nw)][: 2 + (i > j)]]
 
-    def solve(p):
-        return np.concatenate(solve_forest(tree, *forest, p), axis=1)
-
-    def unit_columns():  # ascending; a chunk may cross a stage boundary
-        ncols = cut[np.count_nonzero(small)] * zd
-        for c0 in range(0, ncols, UNIT_CHUNK):
-            c = np.arange(c0, min(c0 + UNIT_CHUNK, ncols))
-            p = np.zeros((m, zd, c.size))
-            p[c // zd, c % zd, np.arange(c.size)] = 1.0
-            yield from np.moveaxis(solve(p), 2, 0)
-
-    columns, norm = unit_columns(), {}
+    # each small stage's unit columns, UNIT_CHUNK per solve, straight into
+    # its block on the rows of stages >= j
+    factor, norm = RiccatiFactor(tree, *forest), {}
     for j in np.flatnonzero(small):
-        block = np.empty((m - cut[j], zd, size[j] * zd))
-        for c in range(block.shape[2]):
-            block[:, :, c] = next(columns)[cut[j] :]
+        lo, hi = cut[j] * zd, cut[j + 1] * zd
+        block = np.empty((m - cut[j], zd, hi - lo))
+        for a in range(lo, hi, UNIT_CHUNK):
+            b = min(a + UNIT_CHUNK, hi)
+            block[:, :, a - lo : b - lo] = _unit_response(factor, np.arange(a, b))[cut[j] :]
         for i, ki, _, kj in (key for key in keys if key[2] == j):
             M4 = block[cut[i] - cut[j] : cut[i + 1] - cut[j]].reshape(-1, zd, size[j], zd)
             f = np.sqrt(pi[span[i], None] / pi[None, span[j]])
@@ -591,10 +628,10 @@ def measure_decay(tree, k, W):
         p = np.zeros((m, zd, len(live)))
         for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
             p[span[j], :kj, r] = vectors[r].reshape(-1, kj) / sq[span[j]]
-        Z, p[:] = solve(p), 0.0
+        Z, p[:] = np.concatenate(factor.solve(p), axis=1), 0.0
         for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
             p[span[i], :ki, r] = Z[span[i], :ki, r]
-        Z = solve(p)
+        Z = np.concatenate(factor.solve(p), axis=1)
         return [(sq[span[j]] * Z[span[j], :kj, r]).ravel()
                 for r, (i, ki, j, kj) in enumerate(large[g] for g in live)]
 

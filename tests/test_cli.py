@@ -7,6 +7,7 @@ the library test modules.
 
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -537,11 +538,28 @@ class TestSpc:
 
     def test_undercut_regret_exit_3(self, tmp_path, capsys):
         # Q < 0 makes the problem nonconvex: the full-horizon stationary
-        # point is a saddle, and the policy's cost falls below it
+        # point is a saddle, which the policy's cost would fall below; the
+        # root's W = 1 window has step matrix 1 - 5 = -4 and is refused
         path = write_nonconvex_problem(tmp_path / "p.json", horizon=2)
         rc = main(["spc", "--input", path, "--out", str(tmp_path), "--W", "1"])
         assert rc == 3
-        assert "undercuts the optimum" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "node 0, window 1: step matrix not positive definite" in err
+        assert "smallest eigenvalue -4.000e+00; the problem is nonconvex" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--policy", "optimal"], ["solve", "--policy", "hn"],
+         ["solve", "--policy", "an"], ["spc", "--W", "2"]],
+        ids=["optimal", "hn", "an", "spc"],
+    )
+    def test_nonconvex_problem_refused_exit_3(self, argv, tmp_path, capsys):
+        path = write_nonconvex_problem(tmp_path / "p.json", horizon=2)
+        assert main(argv + ["--input", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"node \d+, window [12]: step matrix not positive definite", err)
+        assert err.rstrip().endswith("the problem is nonconvex")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def oracle_trace(tree, initial, argv):

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from spc_lab import (
     BlockMatrix,
     SingularKKTError,
+    SolverError,
     build_tree_explicit,
     check_time_consistency,
     dynamic_regret,
@@ -27,6 +28,8 @@ from spc_lab import (
     stage_norm,
     subtree_nodes,
 )
+
+from spc_lab.controller import checked_regret
 
 from .helpers import (
     crossed_tree,
@@ -310,6 +313,13 @@ def test_regret_curve_reported_not_asserted():
         curve.append(regret)
     print("regret vs window:", [f"{r:.3e}" for r in curve])
     assert curve[-1] <= 1e-8
+
+
+def test_checked_regret_refuses_a_cost_below_the_optimum():
+    # convex problems are solved to 1e-8, so only a broken solve undercuts
+    assert checked_regret(1.0, 1.0 - 1e-9) == pytest.approx(1e-9)
+    with pytest.raises(SolverError, match="undercuts the optimum"):
+        checked_regret(1.0, 1.0 + 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from numpy.testing import assert_allclose
 from spc_lab import (
     BlockMatrix,
     NodeData,
+    NonconvexError,
     ScaledKKT,
     SingularKKTError,
+    SolverError,
     TreeError,
     build_tree_explicit,
     build_tree_stagewise,
@@ -26,13 +28,22 @@ from spc_lab import (
     solution_map,
     solution_map_rows,
     solve_extensive,
+    run_spc,
+    solve_anticipative,
     solve_here_and_now,
     subtree_nodes,
 )
 from spc_lab import kkt
 from spc_lab.kkt import stage_costs
 
-from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .helpers import (
+    crossed_tree,
+    nd_scalar,
+    random_node_data,
+    random_tree,
+    uneven_tree,
+    uniform_outcome,
+)
 from .oracles import (
     apply_psi,
     dense_decay,
@@ -301,6 +312,150 @@ def test_zero_window_solution_matches_forward_simulation_on_root():
     ox, ou, _ = simulate_no_lookahead(tree, w_prev)
     assert_allclose(sol.x[0], ox[0], atol=1e-10)
     assert_allclose(sol.u[0], ou[0], atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Riccati factorization
+
+
+def path_forest(tree):
+    """The anticipative baseline's forest: position t * L + l is stage t of
+    the path to leaf l, every branch weight 1."""
+    leaves = np.asarray(tree.leaves())
+    L, T = len(leaves), tree.horizon
+    node = tree.ancestors[leaves].T.ravel()
+    parent = np.arange(node.size) - L
+    parent[:L] = -1
+    return node, parent, np.ones(node.size), kkt.depth_layers(np.repeat(np.arange(T, -1, -1), L))
+
+
+def window_forest(tree, W):
+    """The closed-loop recursion's forest, one tree per node's depth-W
+    window: position (j, t) is node j in the window of its stage-t
+    ancestor, so siblings are not contiguous."""
+    anc, stage, T = tree.ancestors, tree.stage, tree.horizon
+    j, t = np.nonzero((anc >= 0) & (stage[:, None] - np.arange(T + 1) <= W))
+    pos = np.full((tree.node_count, T + 1), -1)
+    pos[j, t] = np.arange(j.size)
+    par = np.maximum(tree.parent[j], 0)
+    parent = np.where(stage[j] > t, pos[par, t], -1)
+    layers = kkt.depth_layers(np.minimum(W, T - t) - (stage[j] - t))
+    return j, parent, tree.pi[j] / tree.pi[par], layers
+
+
+def interleaved_tree(rng):
+    """Two stage-1 nodes with three children each, listed alternately."""
+    return build_tree_explicit(
+        [-1, 0, 0, 1, 2, 1, 2, 1, 2],
+        [0, 1, 1, 2, 2, 2, 2, 2, 2],
+        [1.0, 0.4, 0.6] + [0.1, 0.3, 0.1, 0.2, 0.2, 0.1],
+        [random_node_data(rng, 2, 1) for _ in range(9)],
+    )
+
+
+def whole_tree(tree):
+    return kkt._window(tree, 0, tree.horizon)
+
+
+FORESTS = {  # name: (tree builder, forest builder)
+    "stagewise": (lambda rng: random_tree(71, T=3), whole_tree),
+    "crossed": (crossed_tree, whole_tree),
+    "uneven": (uneven_tree, whole_tree),
+    "paths": (uneven_tree, path_forest),
+    "windows": (lambda rng: random_tree(72, T=4, nu=2), lambda tree: window_forest(tree, 2)),
+}
+
+
+def build_forest(name, rng):
+    make_tree, make_forest = FORESTS[name]
+    tree = make_tree(rng)
+    return tree, make_forest(tree)
+
+
+@pytest.mark.parametrize("name", list(FORESTS))
+def test_factor_solves_match_fresh_forest_solves_bit_for_bit(name):
+    rng = np.random.default_rng(70)
+    tree, forest = build_forest(name, rng)
+    factor = kkt.RiccatiFactor(tree, *forest)
+    zd = 2 * tree.nx + tree.nu
+    for R in (1, 5, 1, 12):
+        p = rng.standard_normal((len(forest[0]), zd, R))
+        for a, b in zip(factor.solve(p), kkt.solve_forest(tree, *forest, p)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["crossed", "windows"])
+def test_kkt_residual_check_catches_a_perturbed_rollout(name, monkeypatch):
+    rng = np.random.default_rng(74)
+    tree, forest = build_forest(name, rng)
+    node, parent, _, layers = forest
+    factor = kkt.RiccatiFactor(tree, *forest)
+    p = rng.standard_normal((len(node), 2 * tree.nx + tree.nu, 3))
+    factor.solve(p)
+    # perturb one leaf of the last tree; the check names that tree's root
+    bad = int(np.flatnonzero(parent >= 0)[-1])
+    root = bad
+    while parent[root] >= 0:
+        root = int(parent[root])
+    window = next(h for h, at in enumerate(layers) if root in at)
+    rollout = kkt.rollout
+
+    def perturbed(*args):
+        x, u = rollout(*args)
+        x[bad, 0, 1] += 1e-6
+        return x, u
+
+    monkeypatch.setattr(kkt, "rollout", perturbed)
+    with pytest.raises(SolverError, match=f"node {node[root]}, window {window}: KKT residual"):
+        factor.solve(p)
+
+
+@pytest.mark.parametrize("build", [crossed_tree, interleaved_tree], ids=["crossed", "interleaved"])
+def test_sibling_group_sums_match_add_at_bit_for_bit(build):
+    # sums start from a nonzero base, as the step Hessians start from the
+    # stage cost, so the order of the additions shows in the last bits
+    rng = np.random.default_rng(75)
+    tree = build(rng)
+    node, parent, weight, layers = window_forest(tree, 2)
+    factor = kkt.RiccatiFactor(tree, node, parent, weight, layers)
+    vals = rng.standard_normal((len(node), 4)) * 10.0 ** rng.uniform(-8, 8, (len(node), 4))
+    base = rng.standard_normal((len(node), 4))
+    kids = np.flatnonzero(parent >= 0)
+    expected = base.copy()
+    np.add.at(expected, parent[kids], vals[kids])
+    (ch, ranks), got, backwards = factor.kids, base.copy(), base.copy()
+    for sel, up in ranks:
+        got[up] += vals[ch[sel]]
+    for sel, up in ranks[::-1]:
+        backwards[up] += vals[ch[sel]]
+    assert np.array_equal(got, expected)
+    if build is interleaved_tree:
+        assert not np.array_equal(backwards, expected)  # the test can see order
+    for h, at in enumerate(layers):  # per depth, into the parents' places
+        (ch, ranks), local = factor.groups[h], base[at].copy()
+        for sel, up in ranks:
+            local[up] += vals[ch[sel]]
+        assert np.array_equal(local, expected[at])
+
+
+@pytest.mark.parametrize(
+    "solve, where",
+    [
+        (lambda tree, w: solve_extensive(tree, 0, 3, w), "node 3, window 1"),
+        (solve_here_and_now, "node 3, window 1"),
+        (solve_anticipative, "node 3, window 1"),
+        (lambda tree, w: run_spc(tree, w, 1), "node 0, window 1"),
+        (lambda tree, w: recursion_matrices(tree, 2), "node 1, window 1"),
+    ],
+    ids=["extensive", "here_and_now", "anticipative", "run_spc", "recursion"],
+)
+def test_nonconvex_problem_refused_naming_node_and_window(solve, where):
+    # Q = -5: depth-0 steps are R = 1 > 0, depth-1 ones 1 - 5 = -4; the
+    # first refused is the first depth-1 subproblem in layer order
+    tree = nonconvex_tree(T=3)
+    with pytest.raises(NonconvexError, match=f"{where}: step matrix not positive definite"):
+        solve(tree, (np.zeros(1), np.zeros(1)))
+    assert issubclass(NonconvexError, SolverError)
 
 
 # ---------------------------------------------------------------------------
