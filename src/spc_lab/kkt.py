@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -332,36 +333,25 @@ class RiccatiFactor:
     definite exactly when the reduced Hessian is).  Children are grouped by
     rank among their siblings: no two in a group share a parent, so one
     fancy-index ``+=`` per group adds in exactly the order ``np.add.at`` does.
+    The residual layout of :meth:`solve` (:attr:`kids`, :attr:`root_sums`)
+    is built on first use, so a factor used for its gains and :meth:`sweep`
+    alone never pays for it.
     """
 
     def __init__(self, tree, node, parent, weight, layers):
         arr, nx, nu, M = tree.arrays, tree.nx, tree.nu, len(node)
         self.tree, self.node, self.parent, self.weight = tree, node, parent, weight
-        self.layers, depth, loc = layers, np.empty_like(parent), np.empty_like(parent)
-        for h, at in enumerate(layers):
-            depth[at], loc[at] = h, np.arange(len(at))
+        self.layers, loc = layers, np.empty_like(parent)
+        for at in layers:
+            loc[at] = np.arange(len(at))
         kids = np.flatnonzero(parent >= 0)
         order = kids[np.argsort(parent[kids], kind="stable")]
-        rank = np.full(M, -1)
+        self._rank = rank = np.full(M, -1)
         rank[order] = np.arange(kids.size) - np.searchsorted(parent[order], parent[order])
-
-        def by_rank(ch, up):  # children, and per rank (sel, where ch[sel] adds)
-            sel = (np.flatnonzero(rank[ch] == r) for r in range(rank.max() + 1))
-            return ch, [(s, up[s]) for s in sel]
-
-        self.kids = by_rank(kids, parent[kids])
-        self.groups = [by_rank(kids[:0], kids[:0])] + [  # into the places in the layer
-            by_rank(c, loc[parent[c]]) for c in (at[parent[at] >= 0] for at in layers[:-1])
+        self.groups = [self._by_rank(kids[:0], kids[:0])] + [  # into the places in the layer
+            self._by_rank(c, loc[parent[c]])
+            for c in (at[parent[at] >= 0] for at in layers[:-1])
         ]
-        # positions sorted by root, with probabilities conditional on it
-        root, cond = np.arange(M), np.ones(M)
-        for at in layers[::-1]:
-            below = at[parent[at] >= 0]
-            root[below], cond[below] = root[parent[below]], cond[parent[below]] * weight[below]
-        self.by_root = np.argsort(root, kind="stable")
-        self.root_cut = np.flatnonzero(np.diff(root[self.by_root], prepend=-1))
-        self.cond, self.roots = cond[self.by_root], self.by_root[self.root_cut]
-        self.root_window = depth[self.roots]
         self.F = F = np.concatenate([arr.B[node], arr.A[node]], axis=2)
         self.P, self.K, self.steps = np.empty((M, nx, nx)), np.empty((M, nu, nx)), []
         for h, at in enumerate(layers):
@@ -392,6 +382,35 @@ class RiccatiFactor:
             self.K[at] = K = -_step_solve(self.steps[h], H[:, :nu, nu:], node[at], h)
             P = H[:, nu:, nu:] + H[:, nu:, :nu] @ K
             self.P[at] = 0.5 * (P + P.transpose(0, 2, 1))
+
+    def _by_rank(self, ch, up):
+        """Children ``ch``, and per sibling rank (sel, where ch[sel] adds)."""
+        rank = self._rank
+        sel = (np.flatnonzero(rank[ch] == r) for r in range(rank.max() + 1))
+        return ch, [(s, up[s]) for s in sel]
+
+    @cached_property
+    def kids(self):
+        """Every child position, grouped by sibling rank into its parent's."""
+        kids = np.flatnonzero(self.parent >= 0)
+        return self._by_rank(kids, self.parent[kids])
+
+    @cached_property
+    def root_sums(self):
+        """``(by_root, root_cut, cond, roots, root_window)``: positions sorted
+        by root, the start of each root's run, their probabilities conditional
+        on the root, and each root's position and window."""
+        parent, weight, M = self.parent, self.weight, len(self.node)
+        root, cond = np.arange(M), np.ones(M)
+        for at in self.layers[::-1]:
+            below = at[parent[at] >= 0]
+            root[below], cond[below] = root[parent[below]], cond[parent[below]] * weight[below]
+        by_root = np.argsort(root, kind="stable")
+        root_cut = np.flatnonzero(np.diff(root[by_root], prepend=-1))
+        roots, window = by_root[root_cut], np.empty(M, dtype=int)
+        for h, at in enumerate(self.layers):
+            window[at] = h
+        return by_root, root_cut, cond[by_root], roots, window[roots]
 
     def sweep(self, p):
         """Feedforward ``k`` (M, nu, R) of ``u = K x + k`` and gradients ``v``
@@ -434,12 +453,12 @@ class RiccatiFactor:
         dyn = x - p[:, nz:]
         dyn[kids] -= F[kids] @ np.concatenate([u[parent[kids]], x[parent[kids]]], axis=1)
         res2 += _sq(dyn)
+        by_root, root_cut, cond, roots, root_window = self.root_sums
         res2, rhs2 = (
-            np.add.reduceat(self.cond[:, None] * a[self.by_root], self.root_cut)
-            for a in (res2, _sq(p))
+            np.add.reduceat(cond[:, None] * a[by_root], root_cut) for a in (res2, _sq(p))
         )
         ratio = np.sqrt(res2) / (1.0 + np.sqrt(rhs2))
-        _hold(ratio, node[self.roots], self.root_window, "KKT residual")
+        _hold(ratio, node[roots], root_window, "KKT residual")
         return x, u, y
 
 

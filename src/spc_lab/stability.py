@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .norms import stage_perturbation_moments
-from .tree import TreeError, committed_pair
+from .tree import TreeError, committed_pair, spectral_norms
 
 GAIN_TOL = 1e-10
 STAB_TOL = 1e-9
@@ -251,7 +251,8 @@ def check_stability_tree(tree, Phi, L, alpha):
     matrices along the path (excluding i's stage, including j's) must
     satisfy ``||prod|| <= L * alpha**(t(j)-t(i))`` within relative 1e-9.  Exact
     enumeration, one stacked product and norm per depth step over every
-    descendant; the worst pair is the first maximum in (j, depth) order.
+    descendant; the worst pair is the first maximum in (j, depth) order.  A
+    product that overflows has a non-finite norm and fails with ratio inf.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -271,11 +272,12 @@ def check_stability_tree(tree, Phi, L, alpha):
     stacked[js] = M
     # ratio[a, dt - 1]: the path from js[a] up dt stages, where it exists
     ratio, anc = np.empty((js.size, tree.horizon)), np.maximum(tree.parent[js], 0)
-    for dt in range(1, tree.horizon + 1):
-        ratio[:, dt - 1] = np.linalg.norm(M, 2, axis=(1, 2)) / (L * alpha**dt)
-        M, anc = M @ stacked[anc], np.maximum(tree.parent[anc], 0)
-    beyond = np.arange(1, tree.horizon + 1) > tree.stage[js, None]
-    ratio[beyond | np.isnan(ratio)] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dt in range(1, tree.horizon + 1):
+            ratio[:, dt - 1] = spectral_norms(M) / (L * alpha**dt)
+            M, anc = M @ stacked[anc], np.maximum(tree.parent[anc], 0)
+    ratio[~np.isfinite(ratio)] = np.inf
+    ratio[np.arange(1, tree.horizon + 1) > tree.stage[js, None]] = -np.inf
     a, dt = np.unravel_index(np.argmax(ratio), ratio.shape)
     worst, j = float(ratio[a, dt]), int(js[a])
     if not worst > 0.0:
@@ -289,22 +291,31 @@ def _stacked_gains(cert, stages, shape, tree):
     rows elsewhere), or the message of the first gain above ``cert.L``.
 
     Faults are taken in node order: an oversized gain before the first
-    missing or misshaped one fails the check, the latter raise.
+    missing or misshaped one fails the check, the latter raise.  The gains
+    are stacked at once; only a stack that fails is walked node by node, up
+    to its first fault.
     """
-    nodes = np.flatnonzero(np.isin(tree.stage, stages))
-    gains, fault = [], None
-    for n in nodes:
-        if n not in cert.K:
-            fault = f"missing gain for node {n}"
-            break
-        K = np.asarray(cert.K[n], dtype=float)
-        if K.shape != shape:
-            fault = f"gain for node {n} has shape {K.shape}, expected {shape}"
-            break
-        gains.append(K)
+    nodes = np.flatnonzero(np.isin(tree.stage, stages)).tolist()
+    fault = None
+    try:
+        gains = np.array(list(map(cert.K.__getitem__, nodes)), dtype=float)
+    except (KeyError, TypeError, ValueError):
+        gains = None
+    if gains is None or gains.shape != (len(nodes),) + shape:
+        gains = []
+        for n in nodes:
+            if n not in cert.K:
+                fault = f"missing gain for node {n}"
+                break
+            K = np.asarray(cert.K[n], dtype=float)
+            if K.shape != shape:
+                fault = f"gain for node {n} has shape {K.shape}, expected {shape}"
+                break
+            gains.append(K)
+        gains = np.reshape(gains, (len(gains),) + shape)
     G, done = np.zeros((tree.node_count,) + shape), nodes[: len(gains)]
-    G[done] = np.reshape(gains, (len(gains),) + shape)
-    norm = np.linalg.norm(G[done], 2, axis=(1, 2))
+    G[done] = gains
+    norm = spectral_norms(gains)
     over = np.flatnonzero(norm > cert.L + GAIN_TOL)
     if over.size:
         return None, (
@@ -387,23 +398,25 @@ def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
     is reported distinctly from a stability failure.
     """
     Phi_nominal = np.asarray(Phi_nominal, dtype=float)
-    T = tree.horizon
-    P = np.eye(Phi_nominal.shape[0])
-    for t in range(T + 1):
-        bound = L * alpha**t
-        norm = float(np.linalg.norm(P, 2))
-        if norm > bound * (1.0 + STAB_TOL):
-            return PerturbationCheck(
-                "precondition_violated",
-                f"nominal matrix is not (L, alpha)-stable: ||Phi^{t}|| = "
-                f"{norm:.6g} > {bound:.6g}",
-                None,
-            )
-        P = P @ Phi_nominal
+    powers = [np.eye(Phi_nominal.shape[0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tree.horizon):
+            powers.append(powers[-1] @ Phi_nominal)
+    bound = L * alpha ** np.arange(tree.horizon + 1)
+    norm = spectral_norms(np.array(powers))
+    over = np.flatnonzero(~(norm <= bound * (1.0 + STAB_TOL)))
+    if over.size:
+        t = over[0]
+        return PerturbationCheck(
+            "precondition_violated",
+            f"nominal matrix is not (L, alpha)-stable: ||Phi^{t}|| = "
+            f"{norm[t]:.6g} > {bound[t]:.6g}",
+            None,
+        )
     delta = perturbation_margin(L, alpha)
     dev = [np.asarray(deviations[n], dtype=float) for n in range(1, tree.node_count)]
     dev = np.array(dev) if dev else np.zeros((0,) + Phi_nominal.shape)
-    norm = np.linalg.norm(dev, 2, axis=(1, 2))
+    norm = spectral_norms(dev)
     over = np.flatnonzero(norm > delta * (1.0 + STAB_TOL))
     if over.size:
         return PerturbationCheck(

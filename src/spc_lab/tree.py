@@ -79,6 +79,45 @@ class NodeData:
         return float(symmetry_defects(self.Q[None], self.R[None])[0])
 
 
+def spectral_norms(M):
+    """Spectral norm of each matrix of a ``(k, r, c)`` stack, without an SVD.
+
+    Each matrix is divided by its largest |entry|, so that its Gram matrix
+    on the smaller side neither overflows nor underflows, and the norm is
+    that scale times the root of the Gram's top eigenvalue.  Orders 1 and
+    2 take it in closed form: ``(a + c)/2 + hypot((a - c)/2, b)`` for the
+    Gram ``[[a, b], [b, c]]``, evaluated as ``max(a, c) + b**2 / (|h| +
+    hypot(h, b))`` with ``h = (a - c)/2``, which does not cancel and is
+    exact on diagonal input.  Larger orders take ``np.linalg.eigvalsh``.
+    A matrix with an infinite entry has norm inf, one with a NaN entry NaN.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape[1] < M.shape[2]:
+        M = M.transpose(0, 2, 1)
+    if not M.size:
+        return np.zeros(len(M))
+    # a copy with the stack axis last, so every reduction runs along it
+    X = np.array(M.transpose(1, 2, 0), order="C")
+    scale = np.abs(X).max(axis=(0, 1))
+    ok = np.isfinite(scale) & (scale > 0.0)
+    X[:, :, ~ok] = 0.0
+    unit = np.where(ok, scale, 1.0)
+    X /= unit
+    if X.shape[1] == 1:
+        top = (X[:, 0] * X[:, 0]).sum(axis=0)
+    elif X.shape[1] == 2:
+        x, y = X[:, 0], X[:, 1]
+        a, b, c = (x * x).sum(axis=0), (x * y).sum(axis=0), (y * y).sum(axis=0)
+        h = 0.5 * (a - c)
+        # max(a, c) >= 1, so the denominator is 0 only where b is
+        den = np.maximum(np.abs(h) + np.hypot(h, b), np.finfo(float).tiny)
+        top = np.maximum(a, c) + b * b / den
+    else:
+        X = X.transpose(2, 0, 1)
+        top = np.linalg.eigvalsh(X.transpose(0, 2, 1) @ X)[:, -1]
+    return np.where(ok, unit * np.sqrt(top), scale)
+
+
 def symmetry_defects(Q, R):
     """Per-node relative asymmetry ``max ||M - M'||_2 / max(1, ||M||_2)``
     over ``M`` in Q and R, stacked along a leading node axis."""
@@ -86,8 +125,8 @@ def symmetry_defects(Q, R):
     for M in (Q, R):
         skew = np.flatnonzero((M != M.transpose(0, 2, 1)).any(axis=(1, 2)))
         M = M[skew]
-        scale = np.maximum(1.0, np.linalg.norm(M, 2, axis=(1, 2)))
-        gap = np.linalg.norm(M - M.transpose(0, 2, 1), 2, axis=(1, 2))
+        scale = np.maximum(1.0, spectral_norms(M))
+        gap = spectral_norms(M - M.transpose(0, 2, 1))
         out[skew] = np.maximum(out[skew], gap / scale)
     return out
 

@@ -13,6 +13,12 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 
+def svd_spectral_norms(M):
+    """Largest singular value of each matrix of a ``(k, r, c)`` stack, one
+    LAPACK SVD per matrix."""
+    return np.array([np.linalg.svd(m, compute_uv=False)[0] for m in M], dtype=float)
+
+
 def leaf_products(per_stage_probs):
     """All root-to-leaf branch probability products, by direct recursion."""
     out = []

@@ -25,6 +25,7 @@ from spc_lab import (
     subtree_nodes,
 )
 
+from spc_lab import experiments
 from spc_lab.cli import _points_pass
 from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
 
@@ -217,6 +218,45 @@ def test_generator_svd_count_does_not_grow_with_nodes(monkeypatch):
     # 63 -> 127 nodes; each certificate's path-product check takes one more
     # depth step, a per-node SVD would add at least 64 calls
     assert counts[6] - counts[5] <= 2
+
+
+def _counted_svd(monkeypatch):
+    """A list that grows by one per ``np.linalg.svd`` call from now on."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting)
+    return calls
+
+
+def test_generator_svd_calls_are_its_recipe_scalings(monkeypatch):
+    scalings, scaled = [], experiments._scaled
+
+    def counting(*args):
+        scalings.append(1)
+        return scaled(*args)
+
+    monkeypatch.setattr(experiments, "_scaled", counting)
+    calls = _counted_svd(monkeypatch)
+    for T in (5, 6):
+        calls.clear()
+        scalings.clear()
+        generate_certified_instance(small_spec(T=T))
+        assert len(calls) == len(scalings) == 5
+
+
+def test_certificate_checks_make_no_svd_call(monkeypatch):
+    instances = [generate_certified_instance(small_spec(T=T)) for T in (5, 6)]
+    calls = _counted_svd(monkeypatch)
+    for inst in instances:
+        for role, check in (("stabilizability", check_stabilizability),
+                            ("detectability", check_detectability)):
+            assert check(inst.tree, inst.certificates[role]).passed
+    assert calls == []
 
 
 def test_stage_moments_match_manual_sum():

@@ -22,6 +22,7 @@ from spc_lab import (
     build_tree_explicit,
     build_tree_stagewise,
     check_uniform_regularity,
+    hypothetical_state,
     measure_decay,
     pi_norm_mat,
     recursion_matrices,
@@ -382,6 +383,26 @@ def test_factor_solves_match_fresh_forest_solves_bit_for_bit(name):
         p = rng.standard_normal((len(forest[0]), zd, R))
         for a, b in zip(factor.solve(p), kkt.solve_forest(tree, *forest, p)):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_factor_builds_the_residual_layout_on_first_solve(monkeypatch):
+    rng = np.random.default_rng(76)
+    tree, forest = build_forest("windows", rng)
+    factor = kkt.RiccatiFactor(tree, *forest)
+    p = rng.standard_normal((len(forest[0]), 2 * tree.nx + tree.nu, 2))
+    factor.sweep(p)
+    assert not {"kids", "root_sums"} & set(vars(factor))
+    factor.solve(p)
+    assert {"kids", "root_sums"} <= set(vars(factor))
+
+    # the policy and the hypothetical states use the gains and sweep alone
+    def refuse(self):
+        raise AssertionError("residual layout built")
+
+    for name in ("kids", "root_sums"):
+        monkeypatch.setattr(kkt.RiccatiFactor, name, property(refuse))
+    w_prev = (rng.standard_normal(tree.nx), rng.standard_normal(tree.nu))
+    hypothetical_state(tree, run_spc(tree, w_prev, 2))
 
 
 @pytest.mark.parametrize("name", ["crossed", "windows"])

@@ -1,4 +1,5 @@
-"""The problem and certificate writers emit the stdlib encoder's bytes.
+"""The problem and certificate writers emit the stdlib encoder's bytes, and
+certificate files read back to the gains that were written.
 
 Each expected file is ``json.dumps(doc, indent=2, sort_keys=True)`` plus
 a newline, with ``doc`` built here from the tree's own arrays, so the
@@ -6,17 +7,24 @@ comparison does not depend on how the writers render their text.
 """
 
 import csv
+import gc
 import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc_lab import (
     InitialCondition,
+    InstanceSpec,
     NodeData,
     ScenarioTree,
+    TreeError,
+    generate_certified_instance,
+    load_certificate,
+    load_problem,
     save_certificate,
     save_problem,
     write_trace_csv,
@@ -159,3 +167,113 @@ def test_certificate_keys_sort_as_strings_and_empty_k(tmp_path):
     assert path.read_text() == stdlib_text(
         {"K": {}, "L": 1.0, "alpha": 0.5, "role": "stabilizability"}
     )
+
+
+# ---------------------------------------------------------------------------
+# certificate files at scale
+
+
+def test_generated_certificates_round_trip_byte_for_byte(tmp_path):
+    # T=8: 255 stabilizability and 510 detectability gains, so the writer
+    # crosses batch boundaries
+    spec = InstanceSpec(n_x=2, n_u=1, T=8, branching=2, L=1.0, alpha=0.04,
+                        gamma=1.0, noise_scale=0.1, seed=5)
+    for role, cert in generate_certified_instance(spec).certificates.items():
+        first, second = tmp_path / f"{role}.json", tmp_path / f"{role}-again.json"
+        save_certificate(str(first), cert)
+        loaded = load_certificate(str(first))
+        assert sorted(loaded.K) == sorted(cert.K)
+        assert all(np.array_equal(loaded.K[n], cert.K[n]) for n in cert.K)
+        save_certificate(str(second), loaded)
+        assert second.read_bytes() == first.read_bytes()
+        assert first.read_text() == stdlib_text(json.loads(first.read_text()))
+
+
+def deep_certificate(path, edit):
+    """A 2047-gain certificate file in node order, after ``edit(items)`` on
+    its list of ``[key, gain]`` pairs."""
+    items = [[str(n), [[0.1 * n, 0.0], [0.0, 0.2]]] for n in range(2047)]
+    edit(items)
+    path.write_text(json.dumps({"K": dict(items), "L": 1.0, "alpha": 0.5}))
+    return str(path)
+
+
+def _set(at, value):
+    def edit(items):
+        items[at][1][1][0] = value
+    return edit
+
+
+def _key(at, key):
+    def edit(items):
+        items[at][0] = key
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(1900, float("nan")), "gain for node 1900 has non-finite entries"),
+        (_set(1900, float("-inf")), "gain for node 1900 has non-finite entries"),
+        (_set(1900, None), "gain for node 1900 has non-finite entries"),
+        (_set(1900, "x"), "field K[1900] is not numeric"),
+        (_key(1900, "01900"), 'certificate gain key "01900" is not a node id'),
+        (_key(1900, "-1900"), 'certificate gain key "-1900" is not a node id'),
+        (_key(1900, "+1900"), 'certificate gain key "+1900" is not a node id'),
+        (_key(1900, " 1900"), 'certificate gain key " 1900" is not a node id'),
+        (_key(1900, "1_900"), 'certificate gain key "1_900" is not a node id'),
+        (_key(1900, "１"), 'certificate gain key "\\uff11" is not a node id'),
+        # the first fault in file order decides, whatever its kind
+        (lambda items: (_set(2000, float("nan"))(items), _key(1950, "x")(items)),
+         'certificate gain key "x" is not a node id'),
+        (lambda items: (_set(1950, float("inf"))(items), _key(2000, "x")(items)),
+         "gain for node 1950 has non-finite entries"),
+    ],
+)
+def test_deep_certificate_fault_is_named(tmp_path, edit, message):
+    with pytest.raises(TreeError) as err:
+        load_certificate(deep_certificate(tmp_path / "cert.json", edit))
+    assert str(err.value).startswith(message)
+
+
+def test_deep_misshaped_gains_load_one_by_one(tmp_path):
+    # shapes are the check's business: a ragged K loads, gain by gain
+    cert = load_certificate(deep_certificate(
+        tmp_path / "cert.json", lambda items: items[1900].__setitem__(1, [[0.5]])))
+    assert cert.K[1900].shape == (1, 1) and cert.K[1899].shape == (2, 2)
+    assert len(cert.K) == 2047
+
+
+def test_loaders_hold_off_garbage_collection(tmp_path):
+    # a parsed document holds no cycles; collecting while it is built only
+    # walks it, so the loaders collect nothing and restore the collector
+    spec = InstanceSpec(n_x=2, n_u=1, T=7, branching=2, L=1.0, alpha=0.04,
+                        gamma=1.0, noise_scale=0.1, seed=5)
+    inst = generate_certified_instance(spec)
+    problem, cert = tmp_path / "problem.json", tmp_path / "cert.json"
+    save_problem(str(problem), inst.tree, InitialCondition(*inst.w_prev))
+    save_certificate(str(cert), inst.certificates["detectability"])
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        load_problem(str(problem))
+        load_certificate(str(cert))
+    finally:
+        gc.callbacks.remove(record)
+    assert started == [] and gc.isenabled()
+    (tmp_path / "bad.json").write_text("{")
+    with pytest.raises(TreeError, match="not valid JSON"):
+        load_problem(str(tmp_path / "bad.json"))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_certificate(str(cert))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 """Constants chain, stability certificates, and perturbation margins."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from spc_lab import (
     verify_perturbed_stability,
 )
 
-from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .helpers import (
+    crossed_tree,
+    nd_scalar,
+    random_node_data,
+    random_tree,
+    uneven_tree,
+    uniform_outcome,
+)
 from .oracles import decimal_constants, worst_path_product
 
 
@@ -228,6 +236,19 @@ def test_stability_ties_resolve_to_first_descendant_and_depth():
     walked = worst_path_product(tree, Phi, 1.0, 0.5)
     assert (result.worst_ratio, result.worst_pair) == walked
     assert result == (True, (0, 1), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stability_overflowing_path_product_fails_with_ratio_inf(n):
+    # one step: 1e200 against L * alpha = 5e299; two steps: 1e400 against
+    # 2.5e299, a product that overflows to inf.  The SVD of an inf matrix is
+    # NaN, which the path-walk oracle skips as the old check did
+    tree = uniform_binary_tree(random_node_data(np.random.default_rng(43), n, 1), 2)
+    Phi = {j: 1e200 * np.eye(n) for j in range(1, tree.node_count)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = check_stability_tree(tree, Phi, 1e300, 0.5)
+    assert result == (False, (0, 3), math.inf)
 
 
 def test_stability_single_stage_tree_passes_vacuously():

@@ -21,7 +21,9 @@ from spc_lab import (
 )
 
 from .helpers import crossed_tree, nd_scalar, random_node_data, random_tree, uniform_outcome
-from .oracles import leaf_products, validate_tree_reference
+from spc_lab.tree import spectral_norms
+
+from .oracles import leaf_products, svd_spectral_norms, validate_tree_reference
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,55 @@ def test_symmetry_defect_flags_asymmetric():
         r=np.zeros(1),
     )
     assert nd.symmetry_defect() > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# spectral_norms
+
+
+KERNEL_SHAPES = [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("k", [0, 2047])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_spectral_norms_match_svd_at_every_scale(shape, k):
+    M = np.random.default_rng(11).standard_normal((k,) + shape)
+    want = svd_spectral_norms(M)
+    for scale in (1.0, 1e150, 1e-150):
+        got = spectral_norms(M * scale)
+        assert got.shape == (k,)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        assert_allclose(got, want * scale, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_spectral_norms_of_zero_matrices_are_zero(shape):
+    M = np.zeros((5,) + shape)
+    M[2] = 1e-150  # a tiny matrix among zeros keeps its own scale
+    got = spectral_norms(M)
+    assert_allclose(got, svd_spectral_norms(M), rtol=1e-13, atol=0.0)
+    assert got[[0, 1, 3, 4]].tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectral_norms_exact_on_scalar_and_diagonal_input(n):
+    rng = np.random.default_rng(12)
+    for scale in (1.0, 1e150, 1e-150):
+        d = rng.standard_normal((2047, n)) * scale
+        D = np.zeros((2047, n, n))
+        D[:, range(n), range(n)] = d
+        assert np.array_equal(spectral_norms(D), np.abs(d).max(axis=1))
+        assert np.array_equal(spectral_norms(d[:, :1, None]), np.abs(d[:, 0]))
+
+
+def test_spectral_norms_non_finite_entries_and_input_untouched():
+    M = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                  [[3.0, 4.0], [0.0, 0.0]]])
+    before = M.copy()
+    with np.errstate(all="raise"):
+        got = spectral_norms(M)
+    assert got[0] == np.inf and np.isnan(got[1]) and got[2] == 5.0
+    assert np.array_equal(M, before, equal_nan=True)
 
 
 def test_initial_condition_dims_checked_against_tree():
