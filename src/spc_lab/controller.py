@@ -99,25 +99,40 @@ def spc_step(tree, k, w_prev_committed, W):
 
 
 def run_spc(tree, w_prev_init, W):
-    """Run the policy over the whole tree in breadth-first order.
+    """Run the policy with window W over the whole tree: the one-window case
+    of :func:`run_spc_windows`."""
+    return run_spc_windows(tree, w_prev_init, [W])[0]
+
+
+def run_spc_windows(tree, w_prev_init, windows):
+    """Run the policy over the whole tree in breadth-first order, once per
+    window of ``windows``; returns one :class:`ClosedLoopTrace` per window.
 
     Every node's commitment is computed from its parent's committed pair;
     the reported performance is the exact probability-weighted cost of
-    the committed pairs.  Node j's own window has depth
+    the committed pairs.  With window W, node j's own window has depth
     ``min(W, T - stage(j))``, and its ancestors' windows reach it with
-    every depth down to ``min(max(W - stage(j), 0), T - stage(j))``: one
-    Riccati pass over exactly those (node, depth) subproblems gives every
-    window's first feedback, and one forward pass commits them.  Solver
-    failures name the failing node and window.
+    every depth down to ``min(max(W - stage(j), 0), T - stage(j))``.  A
+    (node, depth) subproblem is the same whichever window reaches it, so
+    one Riccati pass over the (node, depth) pairs that any of the windows
+    uses gives every window's first feedbacks, and one forward pass over
+    the stacked (window, node) items commits them.  Solver failures name
+    the failing node and window.
     """
-    if W < 0:
+    if any(W < 0 for W in windows):
         raise TreeError("window W must be >= 0")
+    if not len(windows):
+        return []
     x_init, u_init = committed_pair(w_prev_init, tree)
     N, T, stage = tree.node_count, tree.horizon, tree.stage
-    own = np.minimum(W, T - stage)
-    low = np.minimum(np.maximum(W - stage, 0), T - stage)
+    Ws = np.asarray(windows)[:, None]
+    own = np.minimum(Ws, T - stage)
+    low = np.minimum(np.maximum(Ws - stage, 0), T - stage)
     depths = np.arange(int(own.max()) + 1)[:, None]
-    depth, node = np.nonzero((low <= depths) & (depths <= own))
+    used = np.zeros((len(depths), N), dtype=bool)
+    for lo, hi in zip(low, own):
+        used |= (lo <= depths) & (depths <= hi)
+    depth, node = np.nonzero(used)
     pos = np.full((len(depths) + 1, N), -1)
     pos[depth, node] = np.arange(len(node))
     # (j, h) is a child of (parent(j), h + 1) when that pair is used
@@ -126,14 +141,24 @@ def run_spc(tree, w_prev_init, W):
     weight = tree.pi[node] / tree.pi[np.maximum(par, 0)]
     p = tree.arrays.p[node][:, :, None]
     factor = RiccatiFactor(tree, node, parent, weight, depth_layers(depth))
-    every = np.arange(N)
-    g = pos[own, every]
-    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    # item w * N + j is node j under windows[w]
+    n_w, every = len(Ws), np.arange(N)
+    g = pos[own, every].ravel()
+    K, k = factor.K[g], factor.sweep(p)[0][g]
+    del factor  # before the stacked rollout, which sets the peak memory
+    shift = N * np.arange(n_w)[:, None]
+    pred = np.where(tree.parent >= 0, tree.parent + shift, -1).ravel()
+    levels = [(np.asarray(tree.stage_nodes(t)) + shift).ravel() for t in range(T + 1)]
     d = forest_rhs(tree, every, tree.parent, (x_init, u_init))[:, tree.nx + tree.nu :]
-    x, u = rollout(tree, every, tree.parent, factor.K[g], factor.sweep(p)[0][g], d, levels)
-    x, u = _frozen((x[..., 0], u[..., 0]))
-    J_W = math.fsum(tree.pi * stage_costs(tree, every, x, u))
-    return ClosedLoopTrace(tree, int(W), x, u, J_W, (x_init, u_init))
+    x, u = rollout(tree, np.tile(every, n_w), pred, K, k, np.tile(d, (n_w, 1, 1)), levels)
+    x, u = _frozen((x.reshape(n_w, N, -1), u.reshape(n_w, N, -1)))
+    return [
+        ClosedLoopTrace(
+            tree, int(W), x[i], u[i],
+            math.fsum(tree.pi * stage_costs(tree, every, x[i], u[i])), (x_init, u_init),
+        )
+        for i, W in enumerate(windows)
+    ]
 
 
 def checked_regret(J_W, J_star):

@@ -20,6 +20,7 @@ from .controller import (
     hypothetical_state,
     recursion_matrices,
     run_spc,
+    run_spc_windows,
     solve_optimal,
 )
 from .kkt import _mv, solve_extensive
@@ -346,8 +347,8 @@ def regret_sweep(tree, constants, w_prev, W_list):
 
     J_star = solve_optimal(tree, w_prev).objective
     points, rows = [], []
-    for W in W_values:
-        J_W = run_spc(tree, w_prev, W).J_W
+    for trace in run_spc_windows(tree, w_prev, W_values):
+        W, J_W = trace.W, trace.J_W
         regret = checked_regret(J_W, J_star)
         bound = _mul(coeff, c.rho**W)
         applies = W >= c.W_bar_ceil

@@ -18,7 +18,7 @@ import gc
 import json
 import math
 import re
-from itertools import chain, count, groupby
+from itertools import count, groupby
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -228,18 +228,13 @@ def _template(skeleton, depth):
     return text.replace("\n", "\n" + "  " * depth).replace("null", "%s")
 
 
-def _records(member, rows, depth, names=None):
-    """Members of an array (or object) at nesting ``depth``, one per row of
-    ``rows`` filling the %-format ``member``, in runs of ``_BATCH``; each
-    of ``names``, when given, fills the first ``%s`` of its row's member."""
+def _records(member, rows, depth):
+    """Members of an array at nesting ``depth``, one per row of ``rows``
+    filling the %-format ``member``, in runs of ``_BATCH``."""
     sep = ",\n" + "  " * (depth + 1)
     for lo in range(0, len(rows), _BATCH):
         batch = rows[lo : lo + _BATCH]
-        values = _numbers(batch)
-        if names is not None:
-            per_row = [iter(values)] * batch.shape[1]
-            values = chain.from_iterable(zip(names[lo : lo + _BATCH], *per_row))
-        yield sep.join([member] * len(batch)) % tuple(values)
+        yield sep.join([member] * len(batch)) % tuple(_numbers(batch))
 
 
 def _write_doc(path, doc, holes):
@@ -327,18 +322,27 @@ def _gain_rows(block):
 
 
 def _gains(K):
-    """``"node": gain`` members of a K object, keys sorted as strings: runs
-    of one shape, each filling one template ``_BATCH`` gains at a time."""
+    """``"node": gain`` members of a K object, keys sorted as strings,
+    ``_BATCH`` at a time.  Each run of one shape has one template, filled
+    once per distinct gain of the run; gains are told apart by their bits,
+    since ``0.0 == -0.0`` but the two render differently."""
     keys = sorted(K, key=str)
     names = list(map(encode_basestring_ascii, map(str, keys)))
     mats = [np.asarray(K[k], dtype=float) for k in keys]
-    lo = 0
+    lo, members = 0, []
     for shape, run in groupby(m.shape for m in mats):
         hi = lo + len(list(run))
-        member = "%s: " + _template(np.full(shape, None).tolist(), 2)
         rows = np.reshape(mats[lo:hi], (hi - lo, math.prod(shape)))
-        yield from _records(member, rows, 1, names[lo:hi])
+        _, first, which = np.unique(
+            rows.view(np.int64), axis=0, return_index=True, return_inverse=True
+        )
+        member = _template(np.full(shape, None).tolist(), 2)
+        values, w = _numbers(rows[first]), rows.shape[1]
+        text = [member % tuple(values[i * w : (i + 1) * w]) for i in range(len(first))]
+        members += [f"{name}: {text[i]}" for name, i in zip(names[lo:hi], which)]
         lo = hi
+    for lo in range(0, len(members), _BATCH):
+        yield ",\n    ".join(members[lo : lo + _BATCH])
 
 
 def save_certificate(path, cert):

@@ -87,3 +87,17 @@ def uneven_tree(rng):
     stages = [0] + [1] * 3 + [2] * 6 + [3] * 8
     data = [random_node_data(rng, 3, 2) for _ in parents]
     return build_tree_explicit(parents, stages, probs, data)
+
+
+def depth_one_nonconvex_tree():
+    """Binary depth-3 scalar tree whose last leaf has Q = -5: its parent
+    (node 6) has depth-1 step matrix 1 + 0.5 * (-5) < 0, while every
+    depth-0 step matrix is R = 1, so window 0 runs and window 1 is refused."""
+    good, bad = nd_scalar(A=0.9, B=1.0, d=0.1, q=0.2), nd_scalar(A=0.9, B=1.0, Q=-5.0)
+    stages = [0, 1, 1, 2, 2, 2, 2] + [3] * 8
+    return build_tree_explicit(
+        [-1, 0, 0, 1, 1, 2, 2] + [3 + i // 2 for i in range(8)],
+        stages,
+        [0.5**t for t in stages],
+        [good] * 14 + [bad],
+    )

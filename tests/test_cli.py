@@ -31,7 +31,7 @@ from spc_lab import cli
 from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, random_tree
+from .helpers import crossed_tree, depth_one_nonconvex_tree, random_tree
 from .oracles import dense_unscaled_solve, here_and_now_dense
 
 
@@ -664,6 +664,19 @@ class TestRegretSweep:
         assert "constants" in manifest and "timestamp" not in manifest
         trailer = open(tmp_path / "regret.csv").read().splitlines()[-1]
         assert "passed=true" in trailer
+
+    def test_nonconvex_window_refused_exit_3(self, tmp_path, capsys):
+        # window 0 runs; the depth-1 subproblem at node 6 is nonconvex
+        tree = depth_one_nonconvex_tree()
+        initial = InitialCondition(np.array([0.3]), np.array([0.1]))
+        path = write_problem(
+            tmp_path / "p.json", tree, initial, {"L": 5.0, "alpha": 0.5, "gamma": 1.0}
+        )
+        rc = main(["regret-sweep", "--input", path, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "node 6, window 1: step matrix not positive definite" in err
+        assert err.rstrip().endswith("the problem is nonconvex")
 
     def test_requires_assumption_block(self, tmp_path, capsys):
         tree = random_tree(seed=3, T=2, branching=2, nx=2, nu=1)

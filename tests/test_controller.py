@@ -11,11 +11,14 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
+    InstanceSpec,
     SingularKKTError,
     SolverError,
+    TreeError,
     build_tree_explicit,
     check_time_consistency,
     dynamic_regret,
+    generate_certified_instance,
     hypothetical_state,
     pi_norm_mat,
     recursion_matrices,
@@ -29,7 +32,8 @@ from spc_lab import (
     subtree_nodes,
 )
 
-from spc_lab.controller import checked_regret
+from spc_lab.cli import DEFAULT_SPEC
+from spc_lab.controller import checked_regret, run_spc_windows
 
 from .helpers import (
     crossed_tree,
@@ -276,6 +280,52 @@ def test_run_spc_rejects_negative_window():
     tree = zero_data_tree(T=1)
     with pytest.raises(Exception, match="W"):
         run_spc(tree, zero_pair(tree), -1)
+
+
+def window_sets(T):
+    """Window sets with gaps, ends, a single window, a run and the full range."""
+    return [[1, 4], [0, T], [3], [2, 5, 6], list(range(T + 1))]
+
+
+def seed5_instance(T):
+    inst = generate_certified_instance(InstanceSpec(**{**DEFAULT_SPEC, "T": T, "seed": 5}))
+    return inst.tree, inst.w_prev
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: seed5_instance(7),
+        lambda: seed5_instance(8),
+        lambda: (crossed_tree(np.random.default_rng(64)), None),
+        lambda: (uneven_tree(np.random.default_rng(65)), None),
+    ],
+    ids=["seed5-T7", "seed5-T8", "crossed", "uneven"],
+)
+def test_shared_factor_traces_equal_one_window_runs_bit_for_bit(build):
+    tree, w_prev = build()
+    if w_prev is None:
+        w_prev = random_pair(np.random.default_rng(66), tree)
+    for windows in window_sets(tree.horizon):
+        traces = run_spc_windows(tree, w_prev, windows)
+        assert [trace.W for trace in traces] == windows
+        for W, trace in zip(windows, traces):
+            alone = run_spc(tree, w_prev, W)
+            assert np.array_equal(trace.x, alone.x)
+            assert np.array_equal(trace.u, alone.u)
+            assert trace.J_W == alone.J_W
+            assert not trace.x.flags.writeable and not trace.u.flags.writeable
+
+
+def test_run_spc_windows_empty_list_factors_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored for an empty window list")
+
+    monkeypatch.setattr("spc_lab.controller.RiccatiFactor", refuse)
+    tree = zero_data_tree(T=2)
+    assert run_spc_windows(tree, zero_pair(tree), []) == []
+    with pytest.raises(TreeError, match="W"):
+        run_spc_windows(tree, zero_pair(tree), [2, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from spc_lab import (
     InstanceSpec,
+    NonconvexError,
     TreeError,
     build_tree_explicit,
     check_detectability,
@@ -27,9 +28,10 @@ from spc_lab import (
 
 from spc_lab import experiments
 from spc_lab.cli import _points_pass
+from spc_lab.controller import run_spc_windows
 from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
 
-from .helpers import nd_scalar, random_node_data
+from .helpers import depth_one_nonconvex_tree, nd_scalar, random_node_data
 
 
 def small_spec(**overrides):
@@ -329,6 +331,40 @@ def test_regret_sweep_rejects_out_of_range_window(noisy_instance):
     inst = noisy_instance
     with pytest.raises(TreeError, match="window"):
         regret_sweep(inst.tree, inst.constants, inst.w_prev, [99])
+
+
+def test_regret_sweep_sorts_and_deduplicates_windows(noisy_instance):
+    inst = noisy_instance
+    full = regret_sweep(inst.tree, inst.constants, inst.w_prev, range(inst.tree.horizon + 1))
+    report = regret_sweep(inst.tree, inst.constants, inst.w_prev, [4, 1, 4, 0, 1])
+    rows = report.details["rows"]
+    assert [row["W"] for row in rows] == [0, 1, 4]
+    assert rows == [full.details["rows"][W] for W in (0, 1, 4)]
+    for row in rows:
+        assert row["J_W"] == run_spc(inst.tree, inst.w_prev, row["W"]).J_W
+
+
+def test_regret_sweep_empty_window_list(noisy_instance):
+    inst = noisy_instance
+    report = regret_sweep(inst.tree, inst.constants, inst.w_prev, [])
+    assert report.points == () and report.details["rows"] == []
+    assert report.passed and math.isnan(report.details["slope"])
+
+
+def test_shared_factor_names_the_failing_node_and_window():
+    tree = depth_one_nonconvex_tree()
+    w_prev = (np.array([0.3]), np.array([0.1]))
+    constants = compute_constants(1.0, 0.5, 1.0, tree=tree, w_prev=w_prev)
+    run_spc(tree, w_prev, 0)
+    with pytest.raises(NonconvexError) as one:
+        run_spc(tree, w_prev, 1)
+    assert "node 6, window 1: step matrix not positive definite" in str(one.value)
+    every = range(tree.horizon + 1)
+    for sweep in (lambda: run_spc_windows(tree, w_prev, every),
+                  lambda: regret_sweep(tree, constants, w_prev, every)):
+        with pytest.raises(NonconvexError) as shared:
+            sweep()
+        assert str(shared.value) == str(one.value)
 
 
 # ---------------------------------------------------------------------------

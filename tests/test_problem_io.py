@@ -29,6 +29,7 @@ from spc_lab import (
     save_problem,
     write_trace_csv,
 )
+from spc_lab import problem_io
 from spc_lab.stability import GainCertificate
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
@@ -167,6 +168,30 @@ def test_certificate_keys_sort_as_strings_and_empty_k(tmp_path):
     assert path.read_text() == stdlib_text(
         {"K": {}, "L": 1.0, "alpha": 0.5, "role": "stabilizability"}
     )
+
+
+def test_certificate_renders_each_distinct_gain_once(tmp_path, monkeypatch):
+    # keys "10".."39" hold three interleaved (1, 2) gains, two of them a
+    # 0.0 / -0.0 pair; keys "400".."699" alternate two (2, 1) gains, a
+    # run that crosses batch boundaries
+    first_run = [[[1.0, 0.0]], [[1.0, -0.0]], [[0.5, 2.0]]]
+    second_run = [[[0.0], [3.0]], [[-0.0], [3.0]]]
+    K = {n: np.array(first_run[n % 3]) for n in range(10, 40)}
+    K.update({n: np.array(second_run[n % 2]) for n in range(400, 700)})
+    rendered, numbers = [], problem_io._numbers
+
+    def counted(arr):
+        rendered.extend(numbers(arr))
+        return numbers(arr)
+
+    monkeypatch.setattr(problem_io, "_numbers", counted)
+    path = tmp_path / "cert.json"
+    save_certificate(str(path), GainCertificate(K=K, L=1.0, alpha=0.5))
+    doc = {"K": {str(n): mat.tolist() for n, mat in K.items()}, "L": 1.0, "alpha": 0.5,
+           "role": "stabilizability"}
+    assert path.read_text() == stdlib_text(doc)
+    assert sorted(rendered) == sorted(["1.0", "0.0", "1.0", "-0.0", "0.5", "2.0",
+                                       "0.0", "3.0", "-0.0", "3.0"])
 
 
 # ---------------------------------------------------------------------------
