@@ -24,6 +24,11 @@ scaled KKT matrix is uniformly well conditioned, while the raw weighted
 system is not.  The per-node variable layout is ``(x, u, y)``, one block
 per node of the given node set; the scaled KKT matrix couples a node to
 itself and to its parent only, and is exactly symmetric by construction.
+Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
+eigenvalues off that matrix H, its constraint rows F and its cost block
+G, by Lanczos on sparse operators with one sparse LU, of F F': the cost
+on the null space of F is a standard eigenproblem under the orthogonal
+projector onto that space, with no null-space basis and no KKT solve.
 """
 
 from __future__ import annotations
@@ -469,11 +474,11 @@ def rollout(tree, node, pred, K, k, d, levels):
     ``u = K[i] x + k[i]``, for every right-hand side.  ``levels`` lists
     each item after its predecessor.
     """
-    A, B = tree.arrays.A[node], tree.arrays.B[node]
+    A, B = tree.arrays.A, tree.arrays.B
     x, u = np.zeros(d.shape), np.zeros(k.shape)
     for at in levels:
-        prev, live = np.maximum(pred[at], 0), pred[at, None, None] >= 0
-        x[at] = live * (A[at] @ x[prev] + B[at] @ u[prev]) + d[at]
+        n, prev, live = node[at], np.maximum(pred[at], 0), pred[at, None, None] >= 0
+        x[at] = live * (A[n] @ x[prev] + B[n] @ u[prev]) + d[at]
         u[at] = K[at] @ x[at] + k[at]
     return x, u
 
@@ -670,57 +675,41 @@ def check_uniform_regularity(tree, subtree, constants=None):
     ``L_H``, ``gamma_F``, ``gamma_G``).  F is the multiplier rows of the
     scaled KKT matrix H over its state-control columns, G its
     state-control block.  Each quantity is one extreme eigenvalue of a
-    sparse operator, by Lanczos, with no dense matrix:
+    sparse operator, by Lanczos, with no dense matrix, and one sparse LU,
+    of F F', serves the last two:
 
     - ``H_norm``: the largest-magnitude eigenvalue of H (exactly symmetric).
     - ``FFt_min_eig``: the smallest eigenvalue of F F', by shift-invert at
-      0.  The state columns F_x of F are block unit lower triangular, so F
-      has full row rank; ``rank_deficient`` reports F F' singular to
-      working precision, against ``||F|| <= ||H||``.
-    - ``ReH_min_eig``: the smallest algebraic eigenvalue (``which="SA"``)
-      of the pencil (N'GN, N'N), G on the null space of F, for the
-      forward-simulation basis N = [-F_x^{-1} F_u; I], applied through one
-      LU of F_x.  ``N'N v = b`` is one KKT solve with G replaced by the
-      identity (the tree LQ problem with Q = R = I).  Shift-invert at 0
-      would find the eigenvalue nearest zero: on a nonconvex problem, not
-      the smallest.
+      0 through that LU.  The state columns of F are block unit lower
+      triangular, so F has full row rank; ``rank_deficient`` reports F F'
+      singular to working precision, against ``||F|| <= ||H||``.
+    - ``ReH_min_eig``: the smallest eigenvalue of G on the null space of
+      F, as ``sigma - lambda_max(P (sigma I - G) P)`` with
+      ``sigma = H_norm`` and the projector ``P = I - F'(F F')^{-1} F``
+      onto that null space.  Since ``||G|| <= ||H||`` the operator is
+      positive semidefinite, vanishes on the range of F', and its largest
+      eigenvalue (``which="LA"``) gives the smallest algebraic eigenvalue
+      on the null space: on a nonconvex problem the negative one, not the
+      one nearest zero that shift-invert at 0 would find.  P is
+      conditioned by F F', not by the open-loop dynamics.
     """
     nodes = tuple(subtree)
     system = ScaledKKT(tree, nodes, nodes[0])
-    H, dim, nx, nw = system.H, system.dim, system.nx, system.nx + system.nu
-    # each node block of H is laid out (x, u, y), parts 0, 1 and 2
-    part = np.searchsorted([nx, nw], np.arange(dim) % system.zdim, side="right")
-    x, u, y = (np.flatnonzero(part == p) for p in range(3))
-    H_norm = abs(_lanczos(H, dim, which="LM"))
-    Hy = H.tocsr()[y]
-    F, Fu, FuT = Hy[:, part < 2], Hy[:, u], Hy[:, u].T.tocsr()
-    FFt_min = _lanczos((F @ F.T).tocsc(), y.size, sigma=0)
-    Fx = spla.splu(Hy[:, x].tocsc())
-    # H with G replaced by the identity, and the embedding of the u-part
-    D = sp.diags((part < 2).astype(float))
-    K = (H - D @ H @ D + D).tocsc()
-    lu, lift = factor_kkt(K), sp.eye(dim, format="csr")[:, u]
-
-    def N(v):  # the basis applied, as a full vector with y = 0
-        z = lift @ v
-        z[x] = -Fx.solve(Fu @ v)
-        return z
-
-    def Nt(z):
-        return z[u] - FuT @ Fx.solve(z[x], trans="T")
-
-    A, M, Minv = (
-        spla.LinearOperator((u.size, u.size), matvec=f, dtype=float)
-        for f in (
-            lambda v: Nt(H @ N(v)),
-            lambda v: Nt(N(v)),
-            lambda b: solve_kkt(K, lu, lift @ b)[u],
-        )
-    )
+    # each node block of H is laid out (x, u, y); w marks G's part (x, u)
+    w = np.arange(system.dim) % system.zdim < system.nx + system.nu
+    H_norm = abs(_lanczos(system.H, which="LM"))
+    H = system.H.tocsr()
+    F, G = H[~w][:, w], H[w][:, w]
+    FFt = (F @ F.T).tocsc()
+    inv = spla.LinearOperator(FFt.shape, matvec=spla.splu(FFt).solve, dtype=float)
+    FFt_min = _lanczos(FFt, sigma=0, OPinv=inv)
+    F, eye = spla.aslinearoperator(F), sp.eye(G.shape[0])
+    P = spla.aslinearoperator(eye) - F.T @ inv @ F
+    shifted = P @ spla.aslinearoperator(H_norm * eye - G) @ P
     return RegularityReport(
         H_norm=H_norm,
         FFt_min_eig=FFt_min,
-        ReH_min_eig=_lanczos(A, u.size, M=M, Minv=Minv, which="SA"),
+        ReH_min_eig=H_norm - _lanczos(shifted, which="LA"),
         L_H=float(getattr(constants, "L_H", math.inf)),
         gamma_F=float(getattr(constants, "gamma_F", 0.0)),
         gamma_G=float(getattr(constants, "gamma_G", 0.0)),

@@ -219,9 +219,9 @@ def _block_norm(M4, f):
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def _lanczos(A, n, **kw):
-    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of an order-``n``
-    symmetric operator (of a pencil when ``kw`` holds ``M``).
+def _lanczos(A, **kw):
+    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric
+    operator.
 
     The start is a fixed-seed random vector (``np.ones`` can be orthogonal
     to the wanted eigenvector) and ``tol=0`` iterates to working
@@ -229,13 +229,13 @@ def _lanczos(A, n, **kw):
     start ARPACK refuses, has eigenvalue 0.0; ARPACK needs ``k < n``, so an
     order-1 operator is read off its one entry.
     """
+    n = A.shape[0]
     v0 = np.random.default_rng(0).standard_normal(n)
     Av = A @ v0
     if not np.any(Av):
         return 0.0
     if n == 1:
-        one = np.ones(1)
-        return float((A @ one)[0] / (kw["M"] @ one if "M" in kw else one)[0])
+        return float((A @ np.ones(1))[0])
     return float(
         spla.eigsh(A, k=1, v0=v0, tol=0, return_eigenvectors=False, **kw)[0]
     )
@@ -253,7 +253,7 @@ def pi_norm_mat(M):
     pi = M.tree.pi
     S = M.sparse(lambda i, j: math.sqrt(pi[i] / pi[j]))
     op = spla.aslinearoperator(S if S.shape[0] >= S.shape[1] else S.T)
-    return math.sqrt(_lanczos(op.T @ op, op.shape[1], which="LA"))
+    return math.sqrt(_lanczos(op.T @ op, which="LA"))
 
 
 def stage_norm(pi, blocks, rows, cols):

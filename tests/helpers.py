@@ -61,6 +61,20 @@ def random_tree(seed, T=3, branching=2, nx=2, nu=1, spread=0.4):
     return build_tree_stagewise(stages)
 
 
+def chain_tree(T, nd=None):
+    """One-outcome chain of T + 1 nodes sharing one NodeData."""
+    nd = nd or nd_scalar(A=1.0, B=1.0, d=0.0, Q=1.0, R=1.0)
+    return build_tree_explicit(
+        list(range(-1, T)), list(range(T + 1)), [1.0] * (T + 1), [nd] * (T + 1)
+    )
+
+
+def unstable_chain(T):
+    """Scalar chain with open-loop dynamics A = 2: maps that simulate the
+    states forward grow like 2^T."""
+    return chain_tree(T, nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2))
+
+
 def random_block_vector(rng, tree, dims):
     """One random block per node; ``dims`` maps node -> block size or int."""
     if isinstance(dims, int):

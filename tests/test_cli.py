@@ -31,7 +31,7 @@ from spc_lab import cli
 from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, depth_one_nonconvex_tree, random_tree
+from .helpers import crossed_tree, depth_one_nonconvex_tree, random_tree, unstable_chain
 from .oracles import dense_unscaled_solve, here_and_now_dense
 
 
@@ -800,6 +800,21 @@ class TestVerify:
         )
         assert rc == 2
         assert "assumption" in capsys.readouterr().err
+
+    def test_regularity_on_open_loop_unstable_chain(self, tmp_path, capsys):
+        # A = 2 over 61 stages: G = I on a convex problem, so the reduced
+        # Hessian's smallest eigenvalue is 1, however unstable the dynamics
+        tree = unstable_chain(60)
+        initial = InitialCondition(np.array([1.0]), np.array([0.0]))
+        path = write_problem(tmp_path / "p.json", tree, initial)
+        rc = main(
+            ["verify-bounds", "--input", path, "--suite", "regularity",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0, capsys.readouterr().out
+        report = json.loads(open(tmp_path / "verify_report.json").read())
+        detail = report["summary"]["regularity"]["detail"]
+        assert detail["ReH_min_eig"] == pytest.approx(1.0, rel=1e-10)
 
     def test_regularity_without_constants_is_structural(self, tmp_path):
         tree = random_tree(seed=3, T=2, branching=2, nx=2, nu=1)

@@ -36,11 +36,13 @@ from spc_lab.cli import DEFAULT_SPEC
 from spc_lab.controller import checked_regret, run_spc_windows
 
 from .helpers import (
+    chain_tree,
     crossed_tree,
     nd_scalar,
     random_node_data,
     random_tree,
     uneven_tree,
+    unstable_chain,
 )
 from .oracles import (
     dense_solution_map,
@@ -76,13 +78,6 @@ def zero_data_tree(T=3, branching=2):
     return build_tree_explicit(parents, stages, probs, data)
 
 
-def chain_tree(T, nd=None):
-    nd = nd or nd_scalar(A=1.0, B=1.0, d=0.0, Q=1.0, R=1.0)
-    return build_tree_explicit(
-        list(range(-1, T)), list(range(T + 1)), [1.0] * (T + 1), [nd] * (T + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # solve_optimal
 
@@ -112,8 +107,7 @@ def test_solve_optimal_singleton_matches_deterministic_lq():
 def test_solve_optimal_open_loop_unstable_chain(T):
     # with A = 2 an adjoint recursion for the multipliers amplifies
     # rounding by 2^T on the way up; value gradients do not
-    nd = nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2)
-    tree = chain_tree(T, nd)
+    tree = unstable_chain(T)
     w_prev = (np.array([1.0]), np.array([0.0]))
     sol = solve_optimal(tree, w_prev)
     x_lq, u_lq, J_lq = riccati_chain(tree, w_prev)
@@ -409,8 +403,7 @@ def test_here_and_now_open_loop_unstable_chain(T):
     # with A = 2 the map from v_0 to x_T grows like 2^T, so a solve that
     # eliminates the states loses 4^T in conditioning; on one outcome the
     # baseline is the deterministic optimum, solved here by two oracles
-    nd = nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2)
-    tree = chain_tree(T, nd)
+    tree = unstable_chain(T)
     w_prev = (np.array([1.0]), np.array([0.0]))
     hn = solve_here_and_now(tree, w_prev)
     v_or, x_or, J_or = here_and_now_dense(tree, w_prev)

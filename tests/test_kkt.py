@@ -44,6 +44,7 @@ from .helpers import (
     random_tree,
     uneven_tree,
     uniform_outcome,
+    unstable_chain,
 )
 from .oracles import (
     apply_psi,
@@ -728,12 +729,17 @@ def nonconvex_tree(T=3):
         (lambda rng: random_tree(94, T=4, branching=2, nx=1, nu=3), 2),
         (crossed_tree, 0),
         (uneven_tree, 0),
+        (lambda rng: unstable_chain(24), 0),
+        (lambda rng: unstable_chain(60), 0),
     ],
     ids=[
         "stagewise-T2", "stagewise-T3", "stagewise-T4", "interior", "crossed", "uneven",
+        "unstable-chain-T24", "unstable-chain-T60",
     ],
 )
 def test_regularity_matches_dense_oracle(build, root):
+    # on the A = 2 chain a null-space basis that simulates the states
+    # forward grows like 2^T; the projector onto null(F) does not
     tree = build(np.random.default_rng(90))
     nodes = tuple(subtree_nodes(tree, root, tree.horizon - int(tree.stage[root])))
     report = check_uniform_regularity(tree, nodes)
@@ -755,6 +761,30 @@ def test_regularity_finds_smallest_not_nearest_zero_on_nonconvex_tree():
     report = check_uniform_regularity(tree, nodes)
     assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
     assert not report.ReH_pass
+
+
+def test_regularity_factors_F_Ft_once_and_no_kkt_system(monkeypatch):
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def counted(A, *args, **kwargs):
+        factored.append(A.toarray())
+        return splu(A, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("KKT system factored or solved")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+    monkeypatch.setattr(kkt, "factor_kkt", refuse)
+    monkeypatch.setattr(kkt, "solve_kkt", refuse)
+    tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
+    nodes = tuple(range(tree.node_count))
+    check_uniform_regularity(tree, nodes)
+    assert len(factored) == 1
+    H = ScaledKKT(tree, nodes, 0).H.toarray()
+    w = np.arange(H.shape[0]) % 6 < 4  # (x, u) of each (x, u, y) block
+    F = H[~w][:, w]
+    assert_allclose(factored[0], F @ F.T, rtol=0, atol=1e-14)
 
 
 def test_regularity_reruns_bit_identical():
