@@ -135,6 +135,40 @@ class CertifiedInstance:
     w_prev: tuple
 
 
+def _node_rng(seed, i):
+    """The generator of node i's data."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
+
+
+def _node_draws(seed, N, nx, nu):
+    """The per-node draws of :func:`generate_certified_instance`, stacked
+    over nodes: six amplitudes per node and a dict of raw A, B, C and unit
+    q, r, d.  Node i makes one ``uniform`` and one ``standard_normal``
+    call, whose values are those of the separate calls in the documented
+    order; the unit vectors are scaled after the loop, and a node with a
+    zero-norm draw is drawn again call by call."""
+    shapes = {"A": (nx, nx), "B": (nx, nu), "C": (nx, nx), "q": (nx,), "r": (nu,), "d": (nx,)}
+    sizes = [math.prod(s) for s in shapes.values()]
+    amp, Z = np.empty((N, 6)), np.empty((N, sum(sizes)))
+    for i in range(N):
+        rng = _node_rng(seed, i)
+        amp[i] = rng.uniform(0.5, 1.0, size=6)
+        Z[i] = rng.standard_normal(Z.shape[1])
+    raw = dict(zip(shapes, np.split(Z, np.cumsum(sizes[:-1]), axis=1)))
+    # sqrt(v @ v) row by row: the stacked matmul runs the dot of v @ v per row
+    norm = {f: np.sqrt((raw[f][:, None] @ raw[f][:, :, None])[:, 0, 0]) for f in "qrd"}
+    for i in np.flatnonzero(np.any([norm[f] == 0.0 for f in "qrd"], axis=0)):
+        # a unit vector redrawn after a zero norm moves the node's later draws
+        rng = _node_rng(seed, i)
+        amp[i] = rng.uniform(0.5, 1.0, size=6)
+        for f in "ABC":
+            raw[f][i] = rng.standard_normal(shapes[f]).ravel()
+        for f in "qrd":
+            raw[f][i], norm[f][i] = _unit(rng, shapes[f]), 1.0
+    return amp, {f: (raw[f] / norm[f][:, None] if f in "qrd"
+                     else raw[f].reshape((N, *shapes[f]))) for f in shapes}
+
+
 def _unit(rng, n):
     # sqrt(v @ v) is the bits of np.linalg.norm(v), without its overhead
     v = rng.standard_normal(n)
@@ -175,9 +209,11 @@ def generate_certified_instance(spec):
     draws, in order: six amplitudes ``uniform(0.5, 1, 6)``, standard
     normal raw matrices for A (nx, nx), B (nx, nu) and C (nx, nx), then
     unit vectors for q, r and d (a standard normal vector over its norm,
-    redrawn while that norm is 0).  Only the draws run node by node; the
-    spectral scalings (raw C symmetrized first), ``Q = C @ C`` and the
-    data-bound check run on arrays stacked over the nodes.
+    redrawn while that norm is 0).  Only the draws run node by node, one
+    ``uniform`` and one ``standard_normal`` call per node (see
+    :func:`_node_draws`); the unit scalings, the spectral scalings (raw C
+    symmetrized first), ``Q = C @ C`` and the data-bound check run on
+    arrays stacked over the nodes.
     """
     L, alpha, gamma = float(spec.L), float(spec.alpha), float(spec.gamma)
     alpha_cert = math.sqrt(alpha)
@@ -227,27 +263,17 @@ def generate_certified_instance(spec):
 
     dev_c_cap = min(delta / (2.0 * L), 0.29)
     N = len(parents)
-    amp = np.empty((N, 6))
-    q, r, d = np.empty((N, nx)), np.empty((N, nu)), np.empty((N, nx))
-    raw = {f: np.empty((N, nx, k)) for f, k in (("A", nx), ("B", nu), ("C", nx))}
-    for i in range(N):
-        rng_i = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(0, i))
-        )
-        amp[i] = rng_i.uniform(0.5, 1.0, size=6)
-        for M in raw.values():
-            M[i] = rng_i.standard_normal(M.shape[1:])
-        q[i], r[i], d[i] = _unit(rng_i, nx), _unit(rng_i, nu), _unit(rng_i, nx)
-    C = raw["C"]
+    amp, draws = _node_draws(spec.seed, N, nx, nu)
+    C = draws["C"]
     C = C_nom + _scaled(0.5 * (C + C.transpose(0, 2, 1)), sigma * dev_c_cap * amp[:, 2])
     stack = {
-        "A": A_nom + _scaled(raw["A"], sigma * (delta / 2.0) * amp[:, 0]),
-        "B": B_nom + _scaled(raw["B"], sigma * (delta / (2.0 * L)) * amp[:, 1]),
+        "A": A_nom + _scaled(draws["A"], sigma * (delta / 2.0) * amp[:, 0]),
+        "B": B_nom + _scaled(draws["B"], sigma * (delta / (2.0 * L)) * amp[:, 1]),
         "Q": C @ C,
         "R": np.repeat(R[None], N, axis=0),
     }
-    for name, v, k in (("q", q, 3), ("r", r, 4), ("d", d, 5)):
-        stack[name] = np.minimum(spec.noise_scale * amp[:, k], L)[:, None] * v
+    for name, k in (("q", 3), ("r", 4), ("d", 5)):
+        stack[name] = np.minimum(spec.noise_scale * amp[:, k], L)[:, None] * draws[name]
     tree = build_tree_explicit(parents, stages, probs, stack)
 
     x_prev = spec.noise_scale * rng_init.uniform(0.5, 1.0) * _unit(rng_init, nx)

@@ -257,8 +257,8 @@ class ScaledKKT:
         the root constraint."""
         x_prev, u_prev = committed_pair(w_prev, self.tree)
         p = self.tree.arrays.p[list(self.nodes)]
-        root = self.tree.data[self.k]
-        p[0, self.nx + self.nu :] = root.d + root.A @ x_prev + root.B @ u_prev
+        raw, k = self.tree.raw_arrays, self.k
+        p[0, self.nx + self.nu :] = raw.d[k] + raw.A[k] @ x_prev + raw.B[k] @ u_prev
         return (self.scales[:, None] * p).ravel()
 
     def unscale(self, ztilde):

@@ -18,7 +18,7 @@ import gc
 import json
 import math
 import re
-from itertools import count, groupby
+from itertools import chain, count, groupby
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -37,11 +37,44 @@ _FIELDS = NodeArrays._fields
 
 
 def _matrix(obj, name):
+    """``obj`` as a float array; a TreeError naming field ``name`` when an
+    entry is neither a 64-bit JSON number nor null (read as NaN) or the
+    entries do not stack."""
+    for v in _entries(obj):
+        if v is not None and not _is_number(v):
+            raise TreeError(f"field {name} is not numeric: {json.dumps(v)} is not a 64-bit number")
     try:
-        arr = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return np.array(obj, dtype=float)
+    except ValueError as exc:
         raise TreeError(f"field {name} is not numeric: {exc}") from exc
-    return arr
+
+
+def _entries(obj):
+    """The values nested in ``obj`` that are not arrays, in text order."""
+    todo = [obj]
+    while todo:
+        v = todo.pop()
+        if type(v) is list:
+            todo.extend(reversed(v))
+        else:
+            yield v
+
+
+def _stacked(values):
+    """``values`` as one float array of shape ``(len(values), ...)``, made
+    by one flat conversion: each value must have the first one's nesting
+    and lengths and hold only 64-bit JSON numbers, or a ValueError says
+    that it does not."""
+    shape, level = [len(values)], values
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            raise ValueError("lengths differ")
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if not kinds <= {int, float} or (int in kinds and not all(map(_is_number, level))):
+        raise ValueError("not all entries are 64-bit numbers")
+    return np.fromiter(level, float, len(level)).reshape(shape)
 
 
 def json_object(obj, name):
@@ -69,11 +102,11 @@ def _node_data(obj, where, extra=()):
 
 
 def _explicit_nodes(nodes):
-    """The seven node fields, each stacked by one ``np.array`` call.  Nodes
-    that do not stack are read one by one, which raises the first fault's
-    message (differing dims: tree validation)."""
+    """The seven node fields, each stacked by :func:`_stacked`.  Nodes that
+    do not stack are read one by one into :class:`NodeData`, which raises
+    the first fault's message (differing dims: tree validation)."""
     try:
-        return {f: np.array([o[f] for o in nodes], dtype=float) for f in _FIELDS}
+        return {f: _stacked([o[f] for o in nodes]) for f in _FIELDS}
     except (KeyError, TypeError, ValueError):
         return [_node_data(o, f"node {i}") for i, o in enumerate(nodes)]
 
@@ -306,13 +339,13 @@ def load_certificate(path):
 
 def _gain_rows(block):
     """The gains of a K block keyed by node id, as rows of one array made
-    by one ``np.array`` call; None when a key is not a node id (digits
-    without a leading zero) or the gains do not stack into finite numbers."""
+    by :func:`_stacked`; None when a key is not a node id (digits without a
+    leading zero) or the gains do not stack into finite numbers."""
     keys = list(block)
     try:
         ids = list(map(int, keys))
-        gains = np.array(list(block.values()), dtype=float)
-    except (TypeError, ValueError):
+        gains = _stacked(list(block.values()))
+    except ValueError:
         return None
     if list(map(str, ids)) != keys or min(ids, default=0) < 0:
         return None

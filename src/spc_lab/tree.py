@@ -10,7 +10,7 @@ vector and matrix built downstream, so it is part of the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -51,15 +51,7 @@ class NodeData:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.d.ndim != 1 or self.r.ndim != 1:
-            raise TreeError("q/r/d dimension mismatch")
-        nx, nu = self.nx, self.nu
-        if self.A.shape != (nx, nx) or self.B.shape != (nx, nu):
-            raise TreeError("A/B dimension mismatch")
-        if self.Q.shape != (nx, nx) or self.R.shape != (nu, nu):
-            raise TreeError("Q/R dimension mismatch")
-        if self.q.shape != (nx,) or self.d.shape != (nx,) or self.r.shape != (nu,):
-            raise TreeError("q/r/d dimension mismatch")
+        _check_dims(*(getattr(self, f).shape for f in FIELDS))
 
     @property
     def nx(self):
@@ -67,7 +59,7 @@ class NodeData:
 
     @property
     def nu(self):
-        return self.r.shape[0] if self.r.ndim == 1 else self.R.shape[0]
+        return self.r.shape[0]
 
     @property
     def p(self):
@@ -77,6 +69,20 @@ class NodeData:
     def symmetry_defect(self):
         """Relative asymmetry of Q and R (0 for exactly symmetric data)."""
         return float(symmetry_defects(self.Q[None], self.R[None])[0])
+
+
+def _check_dims(A, B, d, Q, R, q, r):
+    """A TreeError unless the field shapes are one node's: A and Q
+    (nx, nx), B (nx, nu), R (nu, nu), q and d (nx,), r (nu,)."""
+    if len(d) != 1 or len(r) != 1:
+        raise TreeError("q/r/d dimension mismatch")
+    nx, nu = d[0], r[0]
+    if A != (nx, nx) or B != (nx, nu):
+        raise TreeError("A/B dimension mismatch")
+    if Q != (nx, nx) or R != (nu, nu):
+        raise TreeError("Q/R dimension mismatch")
+    if q != (nx,):
+        raise TreeError("q/r/d dimension mismatch")
 
 
 def spectral_norms(M):
@@ -202,52 +208,51 @@ def committed_pair(w_prev, tree=None):
     return x, u
 
 
-@dataclass(frozen=True)
 class ScenarioTree:
     """Immutable scenario tree in breadth-first node order.
 
-    ``parent[0] == -1`` marks the root.  ``children``, ``horizon`` and the
-    per-stage node lists are derived at construction.  Invariants are not
+    ``parent[0] == -1`` marks the root.  The node data come as a
+    :class:`NodeArrays` stack, which becomes ``raw_arrays`` and stays the
+    one copy (the ``data`` rows are views of it, made on first use), or
+    as a sequence of :class:`NodeData`, stacked on first use.  ``horizon``
+    is set at construction; ``children`` and the per-stage node lists are
+    derived from ``parent`` and ``stage`` on first use.  Invariants are not
     enforced here; builders call :func:`validate_tree` and raise, while this
     constructor stays usable for assembling deliberately broken fixtures.
     """
 
-    parent: np.ndarray
-    stage: np.ndarray
-    pi: np.ndarray
-    data: tuple
-    children: tuple = field(init=False)
-    horizon: int = field(init=False)
-
-    def __post_init__(self):
-        parent = np.array(self.parent, dtype=int)
-        stage = np.array(self.stage, dtype=int)
-        pi = np.array(self.pi, dtype=float)
-        for arr in (parent, stage, pi):
+    def __init__(self, parent, stage, pi, data):
+        put = self.__dict__.__setitem__
+        for name, value, kind in (("parent", parent, int), ("stage", stage, int),
+                                  ("pi", pi, float)):
+            arr = np.array(value, dtype=kind)
             arr.setflags(write=False)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "data", tuple(self.data))
-        kids = [[] for _ in range(len(parent))]
-        for i, p in enumerate(parent.tolist()[1:], 1):
-            if 0 <= p < len(kids):
-                kids[p].append(i)
-        object.__setattr__(self, "children", tuple(tuple(k) for k in kids))
-        object.__setattr__(self, "horizon", int(stage.max()) if len(stage) else 0)
-        by_stage = [[] for _ in range(self.horizon + 1)]
-        for i, t in enumerate(stage.tolist()):
-            if 0 <= t <= self.horizon:
-                by_stage[t].append(i)
-        object.__setattr__(self, "_by_stage", tuple(tuple(s) for s in by_stage))
+            put(name, arr)
+        if isinstance(data, NodeArrays):
+            put("raw_arrays", _frozen(data))
+        else:
+            put("data", tuple(data))
+        put("horizon", int(self.stage.max()) if len(self.stage) else 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ScenarioTree is immutable: cannot set {name!r}")
 
     @property
     def node_count(self):
         return len(self.parent)
 
     @cached_property
+    def data(self):
+        """One read-only :class:`NodeData` per node, views of the stack
+        made without per-row checks."""
+        rows = [object.__new__(NodeData) for _ in range(self.node_count)]
+        for nd, row in zip(rows, zip(*self.raw_arrays)):
+            nd.__dict__.update(zip(FIELDS, row))
+        return tuple(rows)
+
+    @cached_property
     def raw_arrays(self):
-        """:class:`NodeArrays` of the node data as given (a builder may seed it)."""
+        """:class:`NodeArrays` of the node data as given."""
         try:
             stack = {f: np.array([getattr(nd, f) for nd in self.data]) for f in FIELDS}
         except ValueError:
@@ -263,11 +268,37 @@ class ScenarioTree:
 
     @property
     def nx(self):
-        return self.data[0].nx
+        return self._dims[0]
 
     @property
     def nu(self):
-        return self.data[0].nu
+        return self._dims[1]
+
+    @cached_property
+    def _dims(self):
+        """``(nx, nu)`` of node 0, read off the stack when there is one."""
+        if "raw_arrays" in self.__dict__:
+            return self.raw_arrays.d.shape[1], self.raw_arrays.r.shape[1]
+        return self.data[0].nx, self.data[0].nu
+
+    @cached_property
+    def children(self):
+        """Children of each node in index order; a parent outside the
+        tree has none."""
+        n, parent = self.node_count, self.parent
+        kid = 1 + np.flatnonzero((parent[1:] >= 0) & (parent[1:] < n))
+        kid = kid[np.argsort(parent[kid], kind="stable")]
+        cuts = [0, *np.cumsum(np.bincount(parent[kid], minlength=n)).tolist()]
+        kid = kid.tolist()
+        return tuple(tuple(kid[a:b]) for a, b in zip(cuts[:-1], cuts[1:]))
+
+    @cached_property
+    def _by_stage(self):
+        """Nodes of each stage 0..horizon, ascending; stages outside that
+        range are dropped."""
+        order = np.argsort(self.stage, kind="stable")
+        cuts = np.searchsorted(self.stage[order], np.arange(self.horizon + 2))
+        return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
     @cached_property
     def ancestors(self):
@@ -276,7 +307,6 @@ class ScenarioTree:
         stage by stage from ``parent``."""
         anc = np.full((self.node_count, self.horizon + 1), -1)
         for t, nodes in enumerate(self._by_stage):
-            nodes = np.asarray(nodes, dtype=int)
             anc[nodes, :t] = anc[self.parent[nodes], :t]
             anc[nodes, t] = nodes
         anc.setflags(write=False)
@@ -284,10 +314,14 @@ class ScenarioTree:
 
     def stage_nodes(self, t):
         """Nodes at stage t, in index (breadth-first) order."""
-        return list(self._by_stage[t])
+        return self._by_stage[t].tolist()
 
     def leaves(self):
-        return [i for i in range(self.node_count) if not self.children[i]]
+        """Nodes without children, ascending."""
+        n, parent = self.node_count, self.parent[1:]
+        inner = np.zeros(n, dtype=bool)
+        inner[parent[(parent >= 0) & (parent < n)]] = True
+        return np.flatnonzero(~inner).tolist()
 
     def ancestry(self, j):
         """Path from the root to j, inclusive."""
@@ -453,27 +487,21 @@ def build_tree_explicit(parents, stage_labels, probabilities, node_data):
 
     ``node_data`` is a sequence of :class:`NodeData` or a dict of the seven
     fields stacked over nodes.  A stack becomes ``tree.raw_arrays`` without a
-    copy (its arrays turn read-only) after one shape check; the ``tree.data``
-    rows are read-only views of it, made without per-row checks.
+    copy (its arrays turn read-only) after one shape check, and no
+    :class:`NodeData` is made for it.
     """
-    stack = None
-    if isinstance(node_data, dict):
-        stack = _frozen(NodeArrays(*(np.asarray(node_data[f], float) for f in FIELDS)))
+    stacked = isinstance(node_data, dict)
+    if stacked:
+        node_data = NodeArrays(*(np.asarray(node_data[f], float) for f in FIELDS))
     n = len(parents)
-    sizes = {len(node_data)} if stack is None else {len(arr) for arr in stack}
+    sizes = {len(arr) for arr in node_data} if stacked else {len(node_data)}
     if {len(stage_labels), len(probabilities), *sizes} != {n}:
         raise TreeError("parents/stages/probs/nodes arrays have mismatched lengths")
     if n == 0:
         raise TreeError("empty tree")
-    if stack is None:
-        return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
-    NodeData(*(arr[0] for arr in stack))  # every row has row 0's shapes
-    rows = [object.__new__(NodeData) for _ in range(n)]
-    for nd, row in zip(rows, zip(*stack)):
-        nd.__dict__.update(zip(FIELDS, row))
-    tree = ScenarioTree(parents, stage_labels, probabilities, rows)
-    tree.__dict__["raw_arrays"] = stack
-    return _checked(tree)
+    if stacked:  # every row has row 0's shapes
+        _check_dims(*(arr.shape[1:] for arr in node_data))
+    return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
 
 
 def conditional_prob(tree, j, k):

@@ -5,6 +5,7 @@ the emitted artifacts; the numerics behind each command are covered by
 the library test modules.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -219,6 +220,19 @@ class TestProblemFile:
             ({**valid, "horizon": 6.7}, r"^horizon 6\.7 is not a 64-bit integer$"),
             ({**valid, "dims": {"nx": None, "nu": 1}}, "^dims nx null is not a 64-bit integer$"),
             ({**valid, "dims": {"nx": 1, "nu": True}}, "^dims nu true is not a 64-bit integer$"),
+            # matrix entries are 64-bit JSON numbers: no overflow, string or boolean
+            ({**valid, "stagewise": [[{**outcome, "prob": 1.0, "A": [[10**400]]}]]},
+             f"^field A is not numeric: {10**400} is not a 64-bit number$"),
+            ({**valid, "stagewise": [[{**outcome, "prob": 1.0, "q": ["0.5"]}]]},
+             '^field q is not numeric: "0.5" is not a 64-bit number$'),
+            ({**valid, "initial": {"x_prev": [10**400], "u_prev": [0.0]}},
+             f"^field x_prev is not numeric: {10**400} is not a 64-bit number$"),
+            ({**valid, "initial": {"x_prev": [0.0], "u_prev": ["0.5"]}},
+             '^field u_prev is not numeric: "0.5" is not a 64-bit number$'),
+            ({**valid, "initial": {"x_prev": [True], "u_prev": [0.0]}},
+             "^field x_prev is not numeric: true is not a 64-bit number$"),
+            ({**head, "explicit": {**explicit, "nodes": [{**outcome, "R": [[2**63]]}]}},
+             f"^field R is not numeric: {2**63} is not a 64-bit number$"),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))
@@ -237,6 +251,12 @@ class TestProblemFile:
             ({"A": [[1.0, 0.0], [1.0]]}, "field A is not numeric"),
             (wide, r"node 3: data dims \(3, 1\) != \(2, 1\)"),
             (None, "node 3 must be a JSON object"),
+            ({"d": [[0.0], [0.0]]}, "q/r/d dimension mismatch"),
+            ({"Q": [[1.0, 0.0], [0.0, 1.0, 0.0]]}, "field Q is not numeric"),
+            ({"B": [[10**400], [0.0]]}, f"^field B is not numeric: {10**400} is not a 64-bit"),
+            ({"q": ["0.5", 0.0]}, '^field q is not numeric: "0.5" is not a 64-bit number$'),
+            ({"R": [[False]]}, "^field R is not numeric: false is not a 64-bit number$"),
+            ({"A": [[1.0, 0.0], [0.0, {}]]}, "^field A is not numeric: {} is not a 64-bit"),
         ]:
             doc = json.loads(open(path).read())
             nodes = doc["explicit"]["nodes"]
@@ -905,8 +925,16 @@ class TestCertify:
              "gain for node 3 has non-finite entries"),
             ("stabilizability", lambda c: c["K"].update(x=c["K"]["0"]),
              'certificate gain key "x" is not a node id'),
+            # refused, not read as a number that moves the verdict
+            ("stabilizability", lambda c: c["K"]["3"][0].__setitem__(1, "0.5"),
+             'field K[3] is not numeric: "0.5" is not a 64-bit number'),
+            ("detectability", lambda c: c["K"]["3"][1].__setitem__(0, True),
+             "field K[3] is not numeric: true is not a 64-bit number"),
+            ("detectability", lambda c: c["K"]["3"][0].__setitem__(0, 10**400),
+             f"field K[3] is not numeric: {10**400} is not a 64-bit number"),
         ],
-        ids=["nan-L", "bool-L", "nan-gain", "inf-gain", "non-integer-key"],
+        ids=["nan-L", "bool-L", "nan-gain", "inf-gain", "non-integer-key", "string-gain",
+             "bool-gain", "overflow-gain"],
     )
     def test_malformed_certificate_exit_2(
         self, generated, tmp_path, capsys, role, edit, message
@@ -973,6 +1001,13 @@ class TestConstantsCmd:
         assert written["D"] == c.D
 
 
+SEED_5_T6_SHA256 = {
+    "problem.json": "7c9e5fb674dec5fd959fe36ec6192952c91a701fbcb25edcd413834b023d1f9a",
+    "stabilizability.json": "6f911e1db1666ad39ede45906bc2419b09db3e30bb3007e6691b208c3784251b",
+    "detectability.json": "8db3414d375b5a4392e2641d829b41a2005577cdfc46e2d5c4eb4bf3abc05833",
+}
+
+
 class TestGenerate:
     def test_writes_expected_files(self, generated):
         for name in (
@@ -1006,6 +1041,20 @@ class TestGenerate:
             assert (tmp_path / "g" / name).read_bytes() == (
                 generated / name
             ).read_bytes()
+
+    def test_seed_5_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of `generate --seed 5` at T=6, recorded before the node
+        # draws were batched, so that a change to the draws cannot drift
+        # silently.  The unit vectors' norms run the BLAS dot, so these
+        # bytes are those of x86-64 with numpy's bundled OpenBLAS
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"T": 6}))
+        out = tmp_path / "g"
+        assert main(["generate", "--input", str(spec_path), "--seed", "5",
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in SEED_5_T6_SHA256}
+        assert digests == SEED_5_T6_SHA256
 
     def test_generated_problem_verifies(self, generated, tmp_path):
         rc = main(

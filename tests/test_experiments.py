@@ -201,6 +201,48 @@ def test_generator_nodes_reproduce_in_isolation(noise_scale):
             assert np.array_equal(getattr(tree.data[i], field), want), (i, field)
 
 
+class _Stream:
+    """A stand-in for a node's generator: ``uniform`` and ``standard_normal``
+    hand out the next values of two fixed streams, in which the normal
+    stream of node i is zero over the positions listed in ``zeros[i]``."""
+
+    def __init__(self, i, zeros):
+        rng = np.random.default_rng(100 + i)
+        self.u, self.n = rng.uniform(size=64), rng.standard_normal(64)
+        self.n[list(zeros.get(i, ()))] = 0.0
+        self.at_u = self.at_n = 0
+
+    def uniform(self, low, high, size):
+        self.at_u += size
+        return low + (high - low) * self.u[self.at_u - size : self.at_u]
+
+    def standard_normal(self, shape):
+        size = math.prod(np.atleast_1d(shape))
+        self.at_n += size
+        return self.n[self.at_n - size : self.at_n].reshape(shape)
+
+
+def test_batched_draws_redraw_zero_norms_as_the_sequential_calls(monkeypatch):
+    # nx = 2, nu = 1: q sits at normal draws 10-11, r at 12, d at 13-14 of
+    # the one batched call.  Node 1 has a zero q, node 2 a zero r twice in a
+    # row, node 4 a zero d; node 3 has a zero entry but no zero norm
+    nx, nu, N = 2, 1, 6
+    zeros = {1: (10, 11), 2: (12, 13), 3: (10,), 4: (13, 14)}
+    monkeypatch.setattr(experiments, "_node_rng", lambda seed, i: _Stream(i, zeros))
+    amp, draws = experiments._node_draws(5, N, nx, nu)
+    used = []
+    for i in range(N):
+        rng = _Stream(i, zeros)
+        assert np.array_equal(amp[i], rng.uniform(0.5, 1.0, size=6)), i
+        for f, shape in (("A", (nx, nx)), ("B", (nx, nu)), ("C", (nx, nx))):
+            assert np.array_equal(draws[f][i], rng.standard_normal(shape)), (i, f)
+        for f, n in (("q", nx), ("r", nu), ("d", nx)):
+            assert np.array_equal(draws[f][i], experiments._unit(rng, n)), (i, f)
+        used.append(rng.at_n)
+    # the redraws moved every later vector of nodes 1, 2 and 4
+    assert used == [15, 17, 17, 15, 17, 15]
+
+
 def test_generator_svd_count_does_not_grow_with_nodes(monkeypatch):
     # np.linalg.norm(M, 2) reaches svd through the implementation module
     calls, svd = [], np.linalg.svd

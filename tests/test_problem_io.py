@@ -29,8 +29,10 @@ from spc_lab import (
     save_problem,
     write_trace_csv,
 )
-from spc_lab import problem_io
+from spc_lab import problem_io, tree as tree_module
 from spc_lab.stability import GainCertificate
+
+from .helpers import crossed_tree, random_tree, uneven_tree
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
@@ -242,6 +244,10 @@ def _key(at, key):
         (_set(1900, float("-inf")), "gain for node 1900 has non-finite entries"),
         (_set(1900, None), "gain for node 1900 has non-finite entries"),
         (_set(1900, "x"), "field K[1900] is not numeric"),
+        # a gain entry is a 64-bit JSON number: no string, boolean or overflow
+        (_set(1900, "0.5"), 'field K[1900] is not numeric: "0.5" is not a 64-bit number'),
+        (_set(1900, True), "field K[1900] is not numeric: true is not a 64-bit number"),
+        (_set(1900, 10**400), "field K[1900] is not numeric: 1000000000"),
         (_key(1900, "01900"), 'certificate gain key "01900" is not a node id'),
         (_key(1900, "-1900"), 'certificate gain key "-1900" is not a node id'),
         (_key(1900, "+1900"), 'certificate gain key "+1900" is not a node id'),
@@ -302,3 +308,56 @@ def test_loaders_hold_off_garbage_collection(tmp_path):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# node data stacked from file to solver
+
+
+def _generated(T):
+    spec = InstanceSpec(n_x=2, n_u=1, T=T, branching=2, L=1.0, alpha=0.04,
+                        gamma=1.0, noise_scale=0.1, seed=5)
+    return generate_certified_instance(spec).tree
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _generated(6), lambda: crossed_tree(np.random.default_rng(1)),
+     lambda: uneven_tree(np.random.default_rng(2)), lambda: random_tree(seed=3, nu=2)],
+    ids=["seed5-T6", "crossed", "uneven", "stagewise"],
+)
+def test_flat_stacking_equals_per_node_path(tmp_path, make):
+    tree = make()
+    path = tmp_path / "problem.json"
+    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    nodes = json.loads(path.read_text())["explicit"]["nodes"]
+    flat = problem_io._explicit_nodes(nodes)
+    rows = [problem_io._node_data(o, f"node {i}") for i, o in enumerate(nodes)]
+    loaded = load_problem(str(path))[0].raw_arrays
+    for f in FIELDS:
+        want = np.array([getattr(nd, f) for nd in rows])
+        for got in (flat[f], getattr(loaded, f), getattr(tree.raw_arrays, f)):
+            assert got.dtype == want.dtype and got.shape == want.shape, f
+            assert got.tobytes() == want.tobytes(), f
+
+
+def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
+    tree = _generated(6)
+    path = tmp_path / "problem.json"
+    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    made, post_init = [], tree_module.NodeData.__post_init__
+
+    def counted(self):
+        made.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(tree_module.NodeData, "__post_init__", counted)
+    loaded, _, _ = load_problem(str(path))
+    queries = (loaded.nx, loaded.nu, loaded.leaves(), loaded.stage_nodes(3),
+               loaded.children[0], loaded.arrays, loaded.ancestors)
+    assert made == [] and "data" not in vars(loaded)
+    assert queries[:3] == (2, 1, list(range(63, 127)))
+    assert queries[3] == list(range(7, 15)) and queries[4] == (1, 2)
+    # the rows made on first use are views of the one stack
+    raw = loaded.raw_arrays
+    assert all(np.shares_memory(nd.Q, raw.Q) for nd in loaded.data) and made == []
