@@ -27,8 +27,8 @@ from .stability import GainCertificate
 from .tree import (
     InitialCondition,
     NodeArrays,
-    NodeData,
     TreeError,
+    _check_dims,
     build_tree_explicit,
     build_tree_stagewise,
 )
@@ -93,22 +93,46 @@ def json_array(obj, name):
     return obj
 
 
-def _node_data(obj, where, extra=()):
+def _node_data(obj, where, prob=False):
+    """One node record (with its ``prob`` when asked) as checked float
+    arrays; a TreeError at the record's first fault, which names the
+    record as ``where`` unless it is a field that is not numeric."""
+    keys = (*_FIELDS, "prob") if prob else _FIELDS
     json_object(obj, where)
-    missing = [k for k in (*_FIELDS, *extra) if k not in obj]
+    missing = [k for k in keys if k not in obj]
     if missing:
         raise TreeError(f"{where} missing fields {missing}")
-    return NodeData(**{f: _matrix(obj[f], f) for f in _FIELDS})
-
-
-def _explicit_nodes(nodes):
-    """The seven node fields, each stacked by :func:`_stacked`.  Nodes that
-    do not stack are read one by one into :class:`NodeData`, which raises
-    the first fault's message (differing dims: tree validation)."""
+    row = {f: _matrix(obj[f], f) for f in _FIELDS}
     try:
-        return {f: _stacked([o[f] for o in nodes]) for f in _FIELDS}
+        _check_dims(*(a.shape for a in row.values()))
+    except TreeError as exc:
+        raise TreeError(f"{where}: {exc}") from None
+    if prob:
+        row["prob"] = _number(obj["prob"], f"{where}: probability")
+    return row
+
+
+def _node_records(records, where, prob=False):
+    """The seven node fields of ``records`` (and ``prob`` when asked), each
+    stacked by :func:`_stacked`.  Records that do not stack into one node's
+    shapes are read one by one by :func:`_node_data`, which raises the
+    first fault naming the record as ``where(i)``; so does a record whose
+    dims differ from the first record's."""
+    keys = (*_FIELDS, "prob") if prob else _FIELDS
+    try:
+        stack = {k: _stacked([o[k] for o in records]) for k in keys}
+        _check_dims(*(stack[f].shape[1:] for f in _FIELDS))
+        if not prob or stack["prob"].ndim == 1:
+            return stack
     except (KeyError, TypeError, ValueError):
-        return [_node_data(o, f"node {i}") for i, o in enumerate(nodes)]
+        pass
+    rows = []
+    for i, o in enumerate(records):
+        rows.append(_node_data(o, where(i), prob))
+        dims = [(len(r["d"]), len(r["r"])) for r in (rows[-1], rows[0])]
+        if dims[0] != dims[1]:
+            raise TreeError(f"{where(i)}: data dims {dims[0]} != {dims[1]}")
+    return {k: np.array([r[k] for r in rows], dtype=float) for k in keys}
 
 
 def _is_number(v, kinds=(int, float)):
@@ -141,12 +165,6 @@ def _column(values, name, kind):
     i, v = next((i, v) for i, v in enumerate(values) if not _is_number(v, kinds))
     what = "integer" if kind is int else "number"
     raise TreeError(f"node {i}: {name} {json.dumps(v)} is not a 64-bit {what}")
-
-
-def _outcome(obj, where):
-    """One stagewise outcome as ``(NodeData, probability)``."""
-    nd = _node_data(obj, where, ("prob",))
-    return nd, _number(obj["prob"], f"{where}: probability")
 
 
 def _gc_paused(load):
@@ -191,16 +209,15 @@ def load_problem(path):
     nx, nu = (_number(dims[k], f"dims {k}", kind=int) for k in ("nx", "nu"))
     horizon = _number(doc["horizon"], "horizon", kind=int)
     if "stagewise" in doc:
-        stages = [
-            [
-                _outcome(o, f"stage {t} outcome {i}")
-                for i, o in enumerate(json_array(outcomes, f"stage {t}"))
-            ]
-            for t, outcomes in enumerate(
-                json_array(doc["stagewise"], "stagewise block")
-            )
-        ]
-        tree = build_tree_stagewise(stages)
+        stages = [json_array(outcomes, f"stage {t}") for t, outcomes
+                  in enumerate(json_array(doc["stagewise"], "stagewise block"))]
+        sizes = [len(outcomes) for outcomes in stages]
+        names = [f"stage {t} outcome {i}" for t, k in enumerate(sizes) for i in range(k)]
+        stack = _node_records(list(chain(*stages)), names.__getitem__, prob=True)
+        split = {k: np.split(arr, np.cumsum(sizes)[:-1]) for k, arr in stack.items()}
+        tree = build_tree_stagewise([
+            ({f: split[f][t] for f in _FIELDS}, split["prob"][t]) for t in range(len(sizes))
+        ])
     elif "explicit" in doc:
         ex = json_object(doc["explicit"], "explicit block")
         for key in ("parents", "stages", "probs", "nodes"):
@@ -211,7 +228,7 @@ def load_problem(path):
             _column(ex["parents"], "parent", int),
             _column(ex["stages"], "stage", int),
             _column(ex["probs"], "probability", float),
-            _explicit_nodes(ex["nodes"]),
+            _node_records(ex["nodes"], "node {}".format),
         )
     else:
         raise TreeError("problem file needs a 'stagewise' or 'explicit' block")

@@ -29,48 +29,6 @@ class TreeError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class NodeData:
-    """Per-node problem data.
-
-    ``A, B, d`` define the transition into this node from its parent's
-    state-control pair, ``x = A x_parent + B u_parent + d``.  ``Q, R, q, r``
-    define the node's stage cost ``0.5 x'Qx + 0.5 u'Ru - q'x - r'u``.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    d: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        for name in FIELDS:
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        _check_dims(*(getattr(self, f).shape for f in FIELDS))
-
-    @property
-    def nx(self):
-        return self.d.shape[0]
-
-    @property
-    def nu(self):
-        return self.r.shape[0]
-
-    @property
-    def p(self):
-        """Stacked perturbation vector (q, r, d) driving the solution maps."""
-        return np.concatenate([self.q, self.r, self.d])
-
-    def symmetry_defect(self):
-        """Relative asymmetry of Q and R (0 for exactly symmetric data)."""
-        return float(symmetry_defects(self.Q[None], self.R[None])[0])
-
-
 def _check_dims(A, B, d, Q, R, q, r):
     """A TreeError unless the field shapes are one node's: A and Q
     (nx, nx), B (nx, nu), R (nu, nu), q and d (nx,), r (nu,)."""
@@ -140,6 +98,9 @@ def symmetry_defects(Q, R):
 class NodeArrays(NamedTuple):
     """Node data stacked along a leading node axis, read-only.
 
+    Node i's ``A, B, d`` define the transition into it from its parent's
+    state-control pair, ``x = A x_parent + B u_parent + d``, and its
+    ``Q, R, q, r`` its stage cost ``0.5 x'Qx + 0.5 u'Ru - q'x - r'u``.
     In ``tree.arrays``, ``Q`` and ``R`` hold the symmetric parts
     ``(M + M')/2``: quadratic forms only see those, and storing them keeps
     every assembled system exactly symmetric.  ``tree.raw_arrays`` holds
@@ -211,27 +172,23 @@ def committed_pair(w_prev, tree=None):
 class ScenarioTree:
     """Immutable scenario tree in breadth-first node order.
 
-    ``parent[0] == -1`` marks the root.  The node data come as a
+    ``parent[0] == -1`` marks the root.  The node data come as one
     :class:`NodeArrays` stack, which becomes ``raw_arrays`` and stays the
-    one copy (the ``data`` rows are views of it, made on first use), or
-    as a sequence of :class:`NodeData`, stacked on first use.  ``horizon``
-    is set at construction; ``children`` and the per-stage node lists are
-    derived from ``parent`` and ``stage`` on first use.  Invariants are not
+    one copy; ``nx`` and ``nu`` are read off it.  ``horizon`` is set at
+    construction; ``children`` and the per-stage node lists are derived
+    from ``parent`` and ``stage`` on first use.  Invariants are not
     enforced here; builders call :func:`validate_tree` and raise, while this
     constructor stays usable for assembling deliberately broken fixtures.
     """
 
-    def __init__(self, parent, stage, pi, data):
+    def __init__(self, parent, stage, pi, arrays):
         put = self.__dict__.__setitem__
         for name, value, kind in (("parent", parent, int), ("stage", stage, int),
                                   ("pi", pi, float)):
             arr = np.array(value, dtype=kind)
             arr.setflags(write=False)
             put(name, arr)
-        if isinstance(data, NodeArrays):
-            put("raw_arrays", _frozen(data))
-        else:
-            put("data", tuple(data))
+        put("raw_arrays", _frozen(arrays))
         put("horizon", int(self.stage.max()) if len(self.stage) else 0)
 
     def __setattr__(self, name, value):
@@ -242,24 +199,6 @@ class ScenarioTree:
         return len(self.parent)
 
     @cached_property
-    def data(self):
-        """One read-only :class:`NodeData` per node, views of the stack
-        made without per-row checks."""
-        rows = [object.__new__(NodeData) for _ in range(self.node_count)]
-        for nd, row in zip(rows, zip(*self.raw_arrays)):
-            nd.__dict__.update(zip(FIELDS, row))
-        return tuple(rows)
-
-    @cached_property
-    def raw_arrays(self):
-        """:class:`NodeArrays` of the node data as given."""
-        try:
-            stack = {f: np.array([getattr(nd, f) for nd in self.data]) for f in FIELDS}
-        except ValueError:
-            raise TreeError("node data dims differ between nodes") from None
-        return _frozen(NodeArrays(**stack))
-
-    @cached_property
     def arrays(self):
         """:class:`NodeArrays` of all nodes with Q and R symmetrized."""
         raw = self.raw_arrays
@@ -268,18 +207,11 @@ class ScenarioTree:
 
     @property
     def nx(self):
-        return self._dims[0]
+        return self.raw_arrays.d.shape[1]
 
     @property
     def nu(self):
-        return self._dims[1]
-
-    @cached_property
-    def _dims(self):
-        """``(nx, nu)`` of node 0, read off the stack when there is one."""
-        if "raw_arrays" in self.__dict__:
-            return self.raw_arrays.d.shape[1], self.raw_arrays.r.shape[1]
-        return self.data[0].nx, self.data[0].nu
+        return self.raw_arrays.r.shape[1]
 
     @cached_property
     def children(self):
@@ -402,24 +334,15 @@ def _flag(v, *checks):
 
 
 def _data_checks(tree):
-    """Node data checks, exclusive per node: dims that differ from the
-    root's, then non-finite fields, then asymmetric Q or R."""
-    dims = (tree.nx, tree.nu)
-    fits = np.ones(tree.node_count, dtype=bool)
-    try:
-        raw = tree.raw_arrays
-    except TreeError:  # check the nodes that fit; the others are reported
-        fits = np.array([(nd.nx, nd.nu) == dims for nd in tree.data])
-        rows = [tree.data[i] for i in np.flatnonzero(fits)]
-        raw = NodeArrays(*(np.array([getattr(nd, f) for nd in rows]) for f in FIELDS))
-    bad = np.zeros((tree.node_count, len(FIELDS)), dtype=bool)
-    bad[fits] = np.array([~np.isfinite(a.reshape(len(a), -1)).all(1) for a in raw]).T
-    ok = fits & ~bad.any(axis=1)
+    """Node data checks, exclusive per node: non-finite fields, then
+    asymmetric Q or R."""
+    raw = tree.raw_arrays
+    bad = np.array([~np.isfinite(a.reshape(len(a), -1)).all(1) for a in raw]).T
+    ok = ~bad.any(axis=1)
     defect = np.zeros(tree.node_count)
-    defect[ok] = symmetry_defects(raw.Q[ok[fits]], raw.R[ok[fits]])
+    defect[ok] = symmetry_defects(raw.Q[ok], raw.R[ok])
     return (
-        (~fits, lambda i: f"data dims {(tree.data[i].nx, tree.data[i].nu)} != {dims}"),
-        (fits & ~ok, lambda i: "non-finite entries in "
+        (~ok, lambda i: "non-finite entries in "
          + ", ".join(f for f, b in zip(FIELDS, bad[i]) if b)),
         (ok & (defect > SYM_TOL), lambda i: f"Q or R not symmetric within {SYM_TOL:g}"),
     )
@@ -437,44 +360,55 @@ def build_tree_stagewise(per_stage_outcomes):
 
     Parameters
     ----------
-    per_stage_outcomes : list over stages 0..T of lists of (NodeData, prob)
-        Stage 0 must hold exactly one outcome (the root realization is
-        observed); each later stage's probabilities must be positive and
-        sum to one within 1e-12.
+    per_stage_outcomes : list over stages 0..T of ``(fields, probs)``
+        ``fields`` maps each of the seven node fields to the stage's
+        outcomes stacked along a leading axis, and ``probs`` holds their
+        probabilities.  Stage 0 must hold exactly one outcome (the root
+        realization is observed); each later stage's probabilities must be
+        positive and sum to one within 1e-12.
 
     Returns
     -------
-    ScenarioTree whose node probability is the product of branch
-    probabilities along its root path.
+    ScenarioTree in which each stage-t node has one child per stage-(t+1)
+    outcome, in outcome order, and a node's probability is the product of
+    branch probabilities along its root path.  It is built by repeating
+    and tiling the parents, probabilities and outcome rows of each stage.
     """
     if not per_stage_outcomes:
         raise TreeError("empty stage list")
-    if len(per_stage_outcomes[0]) != 1:
-        raise TreeError(
-            f"stage 0 must have exactly one outcome, got {len(per_stage_outcomes[0])}"
-        )
-    for t, outcomes in enumerate(per_stage_outcomes):
-        if not outcomes:
+    probs = [np.asarray(p, dtype=float) for _, p in per_stage_outcomes]
+    if len(probs[0]) != 1:
+        raise TreeError(f"stage 0 must have exactly one outcome, got {len(probs[0])}")
+    for t, p in enumerate(probs):
+        if not len(p):
             raise TreeError(f"stage {t}: no outcomes")
-        s = float(sum(prob for _, prob in outcomes))
-        if any(prob <= 0 for _, prob in outcomes):
+        s = sum(p.tolist())
+        if (p <= 0).any():
             raise TreeError(f"stage {t}: nonpositive outcome probability")
         if abs(s - 1.0) > PROB_TOL:
             raise TreeError(f"stage {t}: outcome probabilities sum {s:.12g} != 1")
-    parents, stages, pis, payload = [-1], [0], [1.0], [per_stage_outcomes[0][0][0]]
-    prev_level = [0]
-    for t in range(1, len(per_stage_outcomes)):
-        level = []
-        for node in prev_level:
-            for nd, prob in per_stage_outcomes[t]:
-                idx = len(parents)
-                parents.append(node)
-                stages.append(t)
-                pis.append(pis[node] * prob)
-                payload.append(nd)
-                level.append(idx)
-        prev_level = level
-    return _checked(ScenarioTree(parents, stages, pis, payload))
+    try:  # every stage's outcomes in one stack per field
+        pool = NodeArrays(*(np.concatenate(
+            [np.asarray(fields[f], dtype=float) for fields, _ in per_stage_outcomes])
+            for f in FIELDS))
+    except ValueError:
+        raise TreeError("outcome data dims differ between stages") from None
+    sizes = [len(p) for p in probs]
+    if {len(arr) for arr in pool} != {sum(sizes)}:
+        raise TreeError("outcome fields and probabilities have mismatched lengths")
+    _check_dims(*(arr.shape[1:] for arr in pool))
+    first = np.cumsum([0] + sizes)  # pool row of each stage's first outcome
+    parent, take, pi, start = [[-1]], [[0]], [np.ones(1)], 0
+    for t in range(1, len(sizes)):
+        width, k = len(pi[-1]), sizes[t]
+        parent.append(start + np.repeat(np.arange(width), k))
+        take.append(first[t] + np.tile(np.arange(k), width))
+        pi.append(np.repeat(pi[-1], k) * np.tile(probs[t], width))
+        start += width
+    stage = np.repeat(np.arange(len(sizes)), [len(p) for p in pi])
+    rows = np.concatenate(take)
+    arrays = NodeArrays(*(arr[rows] for arr in pool))
+    return _checked(ScenarioTree(np.concatenate(parent), stage, np.concatenate(pi), arrays))
 
 
 def build_tree_explicit(parents, stage_labels, probabilities, node_data):
@@ -485,22 +419,17 @@ def build_tree_explicit(parents, stage_labels, probabilities, node_data):
     indices must precede their children; all invariants are validated and
     a :class:`TreeError` carrying the report is raised on any violation.
 
-    ``node_data`` is a sequence of :class:`NodeData` or a dict of the seven
-    fields stacked over nodes.  A stack becomes ``tree.raw_arrays`` without a
-    copy (its arrays turn read-only) after one shape check, and no
-    :class:`NodeData` is made for it.
+    ``node_data`` maps each of the seven fields to its values stacked over
+    nodes.  The stack becomes ``tree.raw_arrays`` without a copy (its
+    arrays turn read-only) after one shape check.
     """
-    stacked = isinstance(node_data, dict)
-    if stacked:
-        node_data = NodeArrays(*(np.asarray(node_data[f], float) for f in FIELDS))
+    node_data = NodeArrays(*(np.asarray(node_data[f], float) for f in FIELDS))
     n = len(parents)
-    sizes = {len(arr) for arr in node_data} if stacked else {len(node_data)}
-    if {len(stage_labels), len(probabilities), *sizes} != {n}:
+    if {len(stage_labels), len(probabilities), *map(len, node_data)} != {n}:
         raise TreeError("parents/stages/probs/nodes arrays have mismatched lengths")
     if n == 0:
         raise TreeError("empty tree")
-    if stacked:  # every row has row 0's shapes
-        _check_dims(*(arr.shape[1:] for arr in node_data))
+    _check_dims(*(arr.shape[1:] for arr in node_data))
     return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
 
 

@@ -1,25 +1,39 @@
 """Shared fixture factories for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from spc_lab import (
-    NodeData,
-    ScenarioTree,
-    build_tree_explicit,
-    build_tree_stagewise,
-)
+from spc_lab import build_tree_explicit, build_tree_stagewise
+
+FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
+
+
+def node_data(A, B, d, Q, R, q, r):
+    """One node's seven fields as float arrays, read by attribute."""
+    values = (A, B, d, Q, R, q, r)
+    return SimpleNamespace(**{f: np.array(v, dtype=float) for f, v in zip(FIELDS, values)})
+
+
+def stack(rows):
+    """The fields of ``rows`` stacked over the rows, as the builders take them."""
+    return {f: np.array([getattr(nd, f) for nd in rows], dtype=float) for f in FIELDS}
+
+
+def stagewise(per_stage):
+    """Stagewise builder input from per-stage lists of (node data, prob)."""
+    return [(stack([nd for nd, _ in outcomes]), [p for _, p in outcomes])
+            for outcomes in per_stage]
 
 
 def nd_scalar(A=1.0, B=1.0, d=0.0, Q=1.0, R=1.0, q=0.0, r=0.0):
     """Scalar-system node data from plain floats."""
-    return NodeData(
-        A=[[A]], B=[[B]], d=[d], Q=[[Q]], R=[[R]], q=[q], r=[r]
-    )
+    return node_data(A=[[A]], B=[[B]], d=[d], Q=[[Q]], R=[[R]], q=[q], r=[r])
 
 
 def uniform_outcome(nd, prob_splits):
-    """Stagewise outcome lists that reuse one NodeData everywhere."""
-    return [[(nd, p) for p in probs] for probs in prob_splits]
+    """Stagewise builder input that reuses one node's data everywhere."""
+    return stagewise([[(nd, p) for p in probs] for probs in prob_splits])
 
 
 def random_node_data(rng, nx, nu, spread=0.4):
@@ -30,7 +44,7 @@ def random_node_data(rng, nx, nu, spread=0.4):
     Q = 0.5 * (Mq @ Mq.T) / nx
     Mr = rng.standard_normal((nu, nu))
     R = np.eye(nu) + 0.5 * (Mr @ Mr.T) / nu
-    return NodeData(
+    return node_data(
         A=A,
         B=B,
         d=rng.standard_normal(nx),
@@ -47,6 +61,11 @@ def random_tree(seed, T=3, branching=2, nx=2, nu=1, spread=0.4):
     Stage 0 has a single outcome; later stages split ``branching`` ways with
     random positive probabilities summing to one.
     """
+    return build_tree_stagewise(stagewise(random_stages(seed, T, branching, nx, nu, spread)))
+
+
+def random_stages(seed, T=3, branching=2, nx=2, nu=1, spread=0.4):
+    """The per-stage lists of (node data, prob) that :func:`random_tree` builds."""
     rng = np.random.default_rng(seed)
     stages = []
     for t in range(T + 1):
@@ -58,14 +77,14 @@ def random_tree(seed, T=3, branching=2, nx=2, nu=1, spread=0.4):
         stages.append(
             [(random_node_data(rng, nx, nu, spread), float(p)) for p in probs]
         )
-    return build_tree_stagewise(stages)
+    return stages
 
 
 def chain_tree(T, nd=None):
-    """One-outcome chain of T + 1 nodes sharing one NodeData."""
+    """One-outcome chain of T + 1 nodes sharing one node's data."""
     nd = nd or nd_scalar(A=1.0, B=1.0, d=0.0, Q=1.0, R=1.0)
     return build_tree_explicit(
-        list(range(-1, T)), list(range(T + 1)), [1.0] * (T + 1), [nd] * (T + 1)
+        list(range(-1, T)), list(range(T + 1)), [1.0] * (T + 1), stack([nd] * (T + 1))
     )
 
 
@@ -89,7 +108,7 @@ def crossed_tree(rng):
         [-1, 0, 0, 2, 1, 4, 3],
         [0, 1, 1, 2, 2, 3, 3],
         [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        [random_node_data(rng, 3, 2) for _ in range(7)],
+        stack([random_node_data(rng, 3, 2) for _ in range(7)]),
     )
 
 
@@ -99,7 +118,7 @@ def uneven_tree(rng):
     probs = [1.0, 0.2, 0.5, 0.3, 0.2, 0.3, 0.2, 0.1, 0.15, 0.05]
     probs += [0.2, 0.1, 0.2, 0.2, 0.1, 0.05, 0.1, 0.05]
     stages = [0] + [1] * 3 + [2] * 6 + [3] * 8
-    data = [random_node_data(rng, 3, 2) for _ in parents]
+    data = stack([random_node_data(rng, 3, 2) for _ in parents])
     return build_tree_explicit(parents, stages, probs, data)
 
 
@@ -113,5 +132,5 @@ def depth_one_nonconvex_tree():
         [-1, 0, 0, 1, 1, 2, 2] + [3 + i // 2 for i in range(8)],
         stages,
         [0.5**t for t in stages],
-        [good] * 14 + [bad],
+        stack([good] * 14 + [bad]),
     )

@@ -12,6 +12,16 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
+FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
+
+
+class NodeRow:
+    """Node n's data, one attribute per field, each read by name off the
+    stacked ``tree.raw_arrays``."""
+
+    def __init__(self, tree, n):
+        self.__dict__.update((f, getattr(tree.raw_arrays, f)[n]) for f in FIELDS)
+
 
 def svd_spectral_norms(M):
     """Largest singular value of each matrix of a ``(k, r, c)`` stack, one
@@ -83,7 +93,7 @@ def _weighted_kkt(tree, k, nodes):
     cond = np.array([tree.pi[n] / tree.pi[k] for n in nodes])
     M = np.zeros((nw + nx * m, nw + nx * m))
     for a, n in enumerate(nodes):
-        nd, c = tree.data[n], cond[a]
+        nd, c = NodeRow(tree, n), cond[a]
         x, u, y = idx[a, :nx], idx[a, nx : nx + nu], idx[a, nx + nu :]
         M[np.ix_(x, x)] += c * nd.Q
         M[np.ix_(x, y)] += c * np.eye(nx)
@@ -92,7 +102,7 @@ def _weighted_kkt(tree, k, nodes):
         for ch in tree.children[n]:
             if ch not in local:
                 continue
-            b, cd = local[ch], tree.data[ch]
+            b, cd = local[ch], NodeRow(tree, ch)
             yc = idx[b, nx + nu :]
             M[np.ix_(x, yc)] -= cond[b] * cd.A.T
             M[np.ix_(u, yc)] -= cond[b] * cd.B.T
@@ -110,7 +120,7 @@ def _weighted_rhs(tree, k, nodes, idx, cond, w_prev):
     x_prev, u_prev = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
     rhs = np.zeros(idx.size)
     for a, n in enumerate(nodes):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         d = nd.A @ x_prev + nd.B @ u_prev + nd.d if n == k else nd.d
         rhs[idx[a]] = cond[a] * np.concatenate([nd.q, nd.r, d])
     return rhs
@@ -130,7 +140,7 @@ def dense_unscaled_solve(tree, k, nodes, w_prev):
     u = {n: sol[idx[a, nx : nx + nu]] for a, n in enumerate(nodes)}
     y = {n: sol[idx[a, nx + nu :]] for a, n in enumerate(nodes)}
     obj = math.fsum(
-        cond[a] * stage_cost(tree.data[n], x[n], u[n]) for a, n in enumerate(nodes)
+        cond[a] * stage_cost(NodeRow(tree, n), x[n], u[n]) for a, n in enumerate(nodes)
     )
     return x, u, y, obj
 
@@ -221,10 +231,10 @@ def stage_cost(nd, x, u):
 
 def stage_costs_loop(tree, node, x, u):
     """Stage cost of each position over tree nodes ``node``, node by node
-    from ``tree.data``, with the sum of the absolute values of its terms."""
+    from ``tree.raw_arrays``, with the sum of the absolute values of its terms."""
     cost, scale = [], []
     for n, xi, ui in zip(node, x, u):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         cost.append(stage_cost(nd, xi, ui))
         scale.append(
             0.5 * (abs(xi) @ abs(nd.Q) @ abs(xi)) + 0.5 * (abs(ui) @ abs(nd.R) @ abs(ui))
@@ -245,7 +255,7 @@ def simulate_no_lookahead(tree, w_prev):
     """Zero-window policy by forward simulation: u = R^{-1} r at each node."""
     x, u = {}, {}
     for n in range(tree.node_count):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         if n == 0:
             xp, up = np.asarray(w_prev[0], float), np.asarray(w_prev[1], float)
         else:
@@ -254,7 +264,7 @@ def simulate_no_lookahead(tree, w_prev):
         x[n] = nd.A @ xp + nd.B @ up + nd.d
         u[n] = np.linalg.solve(nd.R, nd.r)
     obj = math.fsum(
-        tree.pi[n] * stage_cost(tree.data[n], x[n], u[n])
+        tree.pi[n] * stage_cost(NodeRow(tree, n), x[n], u[n])
         for n in range(tree.node_count)
     )
     return x, u, obj
@@ -347,7 +357,7 @@ def riccati_chain(tree, w_prev):
     """
     T = tree.horizon
     assert all(len(tree.children[i]) <= 1 for i in range(tree.node_count))
-    data = [tree.data[t] for t in range(T + 1)]
+    data = [NodeRow(tree, t) for t in range(T + 1)]
     P = {T: data[T].Q}
     p = {T: data[T].q}
     uT = np.linalg.solve(data[T].R, data[T].r)
@@ -416,7 +426,7 @@ def here_and_now_dense(tree, w_prev):
     x = (E @ zeta)[idx[:, :nx]]
     v = zeta[keep.size :].reshape(T + 1, nu)
     objective = math.fsum(
-        tree.pi[n] * stage_cost(tree.data[n], x[n], v[int(tree.stage[n])])
+        tree.pi[n] * stage_cost(NodeRow(tree, n), x[n], v[int(tree.stage[n])])
         for n in nodes
     )
     return v, x, objective
@@ -459,7 +469,7 @@ def dense_regularity(tree, nodes):
     F = np.zeros((m * nx, m * nw))
     G = np.zeros((m * nw, m * nw))
     for n in nodes:
-        a, nd = local[n], tree.data[n]
+        a, nd = local[n], NodeRow(tree, n)
         xs, us = slice(a * nw, a * nw + nx), slice(a * nw + nx, (a + 1) * nw)
         row = slice(a * nx, (a + 1) * nx)
         G[xs, xs] = 0.5 * (nd.Q + nd.Q.T)
@@ -532,13 +542,10 @@ def validate_tree_reference(tree, prob_tol=1e-12, sym_tol=1e-12):
                 )
         elif stage[i] != horizon:
             v.append(f"node {i}: leaf at wrong stage {stage[i]} (expected {horizon})")
-    fields = ("A", "B", "d", "Q", "R", "q", "r")
-    dims = (len(tree.data[0].d), len(tree.data[0].r))
-    for i, nd in enumerate(tree.data):
-        bad = [f for f in fields if not np.all(np.isfinite(getattr(nd, f)))]
-        if (len(nd.d), len(nd.r)) != dims:
-            v.append(f"node {i}: data dims ({len(nd.d)}, {len(nd.r)}) != {dims}")
-        elif bad:
+    for i in range(n):
+        nd = NodeRow(tree, i)
+        bad = [f for f in FIELDS if not np.all(np.isfinite(getattr(nd, f)))]
+        if bad:
             v.append(f"node {i}: non-finite entries in {', '.join(bad)}")
         else:
             defect = max(

@@ -346,12 +346,8 @@ def test_c12_kkt_residual_and_determinism(instance_pool):
 
         regen = generate_certified_instance(pool_spec(101))
         base = instance_pool[0]
-        for n in range(base.tree.node_count):
-            for field in ("A", "B", "d", "Q", "R", "q", "r"):
-                assert np.array_equal(
-                    getattr(regen.tree.data[n], field),
-                    getattr(base.tree.data[n], field),
-                )
+        for x, y in zip(regen.tree.raw_arrays, base.tree.raw_arrays):
+            assert np.array_equal(x, y)
         assert np.array_equal(regen.w_prev[0], base.w_prev[0])
         r1 = dynamic_regret(base.tree, base.w_prev, 2)
         r2 = dynamic_regret(base.tree, base.w_prev, 2)

@@ -16,7 +16,6 @@ import pytest
 
 from spc_lab import (
     InitialCondition,
-    NodeData,
     SolverError,
     TreeError,
     build_tree_stagewise,
@@ -32,8 +31,11 @@ from spc_lab import cli
 from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, depth_one_nonconvex_tree, random_tree, unstable_chain
-from .oracles import dense_unscaled_solve, here_and_now_dense
+from .helpers import (
+    FIELDS, crossed_tree, depth_one_nonconvex_tree, node_data, random_stages, random_tree,
+    stagewise, unstable_chain,
+)
+from .oracles import NodeRow, dense_unscaled_solve, here_and_now_dense
 
 
 def write_problem(path, tree, initial, assumption=None):
@@ -59,7 +61,7 @@ def zero_data_tree(T=2, branching=2, nx=2, nu=1):
             B = 0.4 * rng.standard_normal((nx, nu))
             outcomes.append(
                 (
-                    NodeData(
+                    node_data(
                         A=A,
                         B=B,
                         d=np.zeros(nx),
@@ -72,7 +74,7 @@ def zero_data_tree(T=2, branching=2, nx=2, nu=1):
                 )
             )
         stages.append(outcomes)
-    return build_tree_stagewise(stages)
+    return build_tree_stagewise(stagewise(stages))
 
 
 def read_summary(path):
@@ -129,11 +131,8 @@ class TestProblemFile:
         assert np.array_equal(tree2.parent, tree.parent)
         assert np.array_equal(tree2.stage, tree.stage)
         assert np.array_equal(tree2.pi, tree.pi)
-        for n in range(tree.node_count):
-            for field in ("A", "B", "d", "Q", "R", "q", "r"):
-                assert np.array_equal(
-                    getattr(tree2.data[n], field), getattr(tree.data[n], field)
-                )
+        for a, b in zip(tree2.raw_arrays, tree.raw_arrays):
+            assert np.array_equal(a, b)
         assert np.array_equal(initial2.x_prev, initial.x_prev)
         assert np.array_equal(initial2.u_prev, initial.u_prev)
         assert assumption == {"L": 1.5, "alpha": 0.3, "gamma": 0.5}
@@ -185,7 +184,7 @@ class TestProblemFile:
         tree, initial, assumption = load_problem(str(path))
         assert tree.node_count == 3
         assert tree.pi[1] == 0.25 and tree.pi[2] == 0.75
-        assert tree.data[1].d[0] == 1.0 and tree.data[2].d[0] == -1.0
+        assert tree.raw_arrays.d[1:, 0].tolist() == [1.0, -1.0]
         assert assumption is None
 
     def test_missing_field_rejected(self, tmp_path):
@@ -200,6 +199,12 @@ class TestProblemFile:
         valid = {**no_prob, "stagewise": [[{**outcome, "prob": 1.0}]]}
         head = {k: v for k, v in no_prob.items() if k != "stagewise"}
         explicit = {"parents": [-1], "stages": [0], "probs": [1.0], "nodes": [outcome]}
+        # a 2-d outcome at stage 4 of a 1-d problem: named as the file does
+        plane = {"A": np.eye(2).tolist(), "B": [[1.0], [0.0]], "Q": np.eye(2).tolist()}
+        plane.update(d=[0.0, 0.0], q=[0.0, 0.0], prob=0.5)
+        halves = [[{**outcome, "prob": 0.5}] * 2 for _ in range(5)]
+        halves[3] = [halves[3][0], {**outcome, **plane}]
+        deep = {**head, "horizon": 5, "stagewise": [[{**outcome, "prob": 1.0}]] + halves}
         for doc, match in [
             ({"dims": {"nx": 1, "nu": 1}}, "missing"),
             (no_prob, r"stage 0 outcome 0 missing fields \['prob'\]"),
@@ -233,6 +238,10 @@ class TestProblemFile:
              "^field x_prev is not numeric: true is not a 64-bit number$"),
             ({**head, "explicit": {**explicit, "nodes": [{**outcome, "R": [[2**63]]}]}},
              f"^field R is not numeric: {2**63} is not a 64-bit number$"),
+            # shape faults name the record
+            ({**valid, "stagewise": [[{**outcome, "prob": 1.0, "A": np.eye(2).tolist()}]]},
+             "^stage 0 outcome 0: A/B dimension mismatch$"),
+            (deep, r"^stage 4 outcome 1: data dims \(2, 1\) != \(1, 1\)$"),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))
@@ -244,10 +253,11 @@ class TestProblemFile:
     def test_malformed_explicit_node_keeps_message(self, tmp_path, capsys):
         tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
         path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
-        wide = random_tree(seed=3, T=1, branching=1, nx=3, nu=1).data[0]
-        wide = {f: getattr(wide, f).tolist() for f in ("A", "B", "d", "Q", "R", "q", "r")}
+        wide = NodeRow(random_tree(seed=3, T=1, branching=1, nx=3, nu=1), 0)
+        wide = {f: getattr(wide, f).tolist() for f in FIELDS}
         for patch, match in [
             ({"A": [[1.0, 0.0, 0.0]] * 3}, "A/B dimension mismatch"),
+            ({"A": [[1.0, 0.0]]}, "^node 3: A/B dimension mismatch$"),
             ({"A": [[1.0, 0.0], [1.0]]}, "field A is not numeric"),
             (wide, r"node 3: data dims \(3, 1\) != \(2, 1\)"),
             (None, "node 3 must be a JSON object"),
@@ -409,8 +419,8 @@ class TestSolve:
         rng = np.random.default_rng(8)
         u = rng.standard_normal((tree.node_count, tree.nu))
         x = np.empty((tree.node_count, tree.nx))
-        for n, nd in enumerate(tree.data):
-            p = int(tree.parent[n])
+        for n in range(tree.node_count):
+            nd, p = NodeRow(tree, n), int(tree.parent[n])
             xp, up = (initial.x_prev, initial.u_prev) if p < 0 else (x[p], u[p])
             x[n] = nd.A @ xp + nd.B @ up + nd.d
         cli._check_dynamics(tree, x, u, initial, 1e-12)
@@ -580,6 +590,47 @@ class TestSpc:
         assert re.search(r"node \d+, window [12]: step matrix not positive definite", err)
         assert err.rstrip().endswith("the problem is nonconvex")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def write_random_stagewise_problem(path):
+    """The stagewise file of ``random_tree(seed=3, nu=2)``."""
+    stages = random_stages(seed=3, nu=2)
+    tree = build_tree_stagewise(stagewise(stages))
+    initial = rng_initial(tree, 3)
+    doc = {
+        "dims": {"nx": 2, "nu": 2},
+        "horizon": len(stages) - 1,
+        "stagewise": [[{"prob": p, **{f: getattr(nd, f).tolist() for f in FIELDS}}
+                       for nd, p in outcomes] for outcomes in stages],
+        "initial": {"x_prev": initial.x_prev.tolist(), "u_prev": initial.u_prev.tolist()},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [write_random_stagewise_problem, lambda path: write_nonconvex_problem(path, 3)],
+    ids=["random", "nonconvex"],
+)
+def test_stagewise_and_explicit_files_agree(tmp_path, capsys, write):
+    # the explicit file is what save_problem writes from the loaded tree
+    stagewise_path = write(tmp_path / "stagewise.json")
+    tree, initial, assumption = load_problem(stagewise_path)
+    explicit_path = write_problem(tmp_path / "explicit.json", tree, initial, assumption)
+    tree2, _, _ = load_problem(explicit_path)
+    for a, b in zip((tree.parent, tree.stage, tree.pi, *tree.raw_arrays),
+                    (tree2.parent, tree2.stage, tree2.pi, *tree2.raw_arrays)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for argv in (["solve", "--policy", "optimal"], ["solve", "--policy", "hn"],
+                 ["solve", "--policy", "an"], ["spc", "--W", "1"]):
+        runs = []
+        for name, path in (("s", stagewise_path), ("e", explicit_path)):
+            out = tmp_path / f"{argv[-1]}-{name}"
+            rc = main(argv + ["--input", path, "--out", str(out)])
+            files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+            runs.append((rc, capsys.readouterr(), files))
+        assert runs[0] == runs[1], argv
 
 
 def oracle_trace(tree, initial, argv):

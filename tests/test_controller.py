@@ -41,10 +41,12 @@ from .helpers import (
     nd_scalar,
     random_node_data,
     random_tree,
+    stack,
     uneven_tree,
     unstable_chain,
 )
 from .oracles import (
+    NodeRow,
     dense_solution_map,
     dense_unscaled_solve,
     here_and_now_dense,
@@ -75,7 +77,7 @@ def zero_data_tree(T=3, branching=2):
                 data.append(nd)
                 nxt.append(len(parents) - 1)
         frontier = nxt
-    return build_tree_explicit(parents, stages, probs, data)
+    return build_tree_explicit(parents, stages, probs, stack(data))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_spc_step_zero_window_first_order_control():
     k = 2
     prev = random_pair(rng, tree)
     step = spc_step(tree, k, prev, 0)
-    nd = tree.data[k]
+    nd = NodeRow(tree, k)
     assert np.allclose(step.u, np.linalg.solve(nd.R, nd.r), atol=1e-10)
     forced = nd.A @ prev[0] + nd.B @ prev[1] + nd.d
     assert np.allclose(step.x, forced, atol=1e-10)
@@ -206,7 +208,7 @@ def test_run_spc_dynamics_invariant():
     tree = random_tree(19, T=3, branching=2)
     trace = run_spc(tree, random_pair(rng, tree), 1)
     for n in range(1, tree.node_count):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         par = int(tree.parent[n])
         forced = nd.A @ trace.x[par] + nd.B @ trace.u[par] + nd.d
         assert np.allclose(trace.x[n], forced, atol=1e-8)
@@ -216,7 +218,7 @@ def test_run_spc_annotates_failing_node():
     nd = nd_scalar()
     broken = nd_scalar(R=0.0)
     tree = build_tree_explicit(
-        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], [nd, nd, broken]
+        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], stack([nd, nd, broken])
     )
     with pytest.raises(SingularKKTError, match="node 2"):
         run_spc(tree, (np.zeros(1), np.zeros(1)), 0)
@@ -257,7 +259,7 @@ def test_run_spc_root_without_control_cost():
     root = nd_scalar(A=0.5, B=1.0, d=0.2, Q=1.0, R=0.0, q=0.3, r=0.1)
     tree = build_tree_explicit(
         [-1, 0, 0, 1, 2], [0, 1, 1, 2, 2], [1.0, 0.5, 0.5, 0.5, 0.5],
-        [root, nd, nd, nd, nd],
+        stack([root, nd, nd, nd, nd]),
     )
     w_prev = random_pair(rng, tree)
     for W in (1, 2):
@@ -421,12 +423,12 @@ def test_here_and_now_states_follow_dynamics():
     tree = random_tree(41, T=3, branching=2)
     x_prev, u_prev = random_pair(rng, tree)
     hn = solve_here_and_now(tree, (x_prev, u_prev))
-    root = tree.data[0]
+    root = NodeRow(tree, 0)
     assert np.allclose(
         hn.x[0], root.A @ x_prev + root.B @ u_prev + root.d, atol=1e-8
     )
     for n in range(1, tree.node_count):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         par = int(tree.parent[n])
         t = int(tree.stage[n])
         forced = nd.A @ hn.x[par] + nd.B @ hn.v[t - 1] + nd.d
@@ -470,7 +472,7 @@ def test_anticipative_paths_match_dense_oracle():
             list(range(-1, len(path) - 1)),
             list(range(len(path))),
             [1.0] * len(path),
-            [tree.data[n] for n in path],
+            stack([NodeRow(tree, n) for n in path]),
         )
         _, _, _, J_or = dense_unscaled_solve(
             chain, 0, tuple(range(len(path))), w_prev
@@ -501,8 +503,8 @@ def test_recursion_lambda_layout():
         lam = rec.Lambda[n]
         assert lam.shape == (2 * nx + nu, nx + nu)
         assert np.all(lam[: nx + nu, :] == 0.0)
-        assert np.array_equal(lam[nx + nu :, :nx], tree.data[n].A)
-        assert np.array_equal(lam[nx + nu :, nx:], tree.data[n].B)
+        assert np.array_equal(lam[nx + nu :, :nx], NodeRow(tree, n).A)
+        assert np.array_equal(lam[nx + nu :, nx:], NodeRow(tree, n).B)
 
 
 def test_recursion_s_consistent_with_solution_maps():
@@ -575,7 +577,7 @@ def test_recursion_zero_dynamics_gives_zero_S():
     stages = [0, 1, 1, 2, 2, 2, 2]
     probs = [1.0, 0.4, 0.6, 0.2, 0.2, 0.3, 0.3]
     tree = build_tree_explicit(
-        parents, stages, probs, [still(s) for s in range(7)]
+        parents, stages, probs, stack([still(s) for s in range(7)])
     )
     rec = recursion_matrices(tree, 1)
     for n in range(tree.node_count):
@@ -651,7 +653,7 @@ def psi_stage_apply(rec, t, tp):
     tree = rec.tree
     out = {i: np.zeros(tree.nx + tree.nu) for i in tree.stage_nodes(t)}
     for j in tree.stage_nodes(tp):
-        out[int(tree.ancestors[j, t])] += rec.Psi[j, t] @ tree.data[j].p
+        out[int(tree.ancestors[j, t])] += rec.Psi[j, t] @ tree.raw_arrays.p[j]
     return out
 
 
@@ -780,7 +782,7 @@ def test_commitment_ignores_data_outside_window():
     parents = [-1, 0, 0, 1, 1, 2, 2]
     stages = [0, 1, 1, 2, 2, 2, 2]
     probs = [1.0, 0.4, 0.6, 0.2, 0.2, 0.3, 0.3]
-    tree = build_tree_explicit(parents, stages, probs, datasets)
+    tree = build_tree_explicit(parents, stages, probs, stack(datasets))
     prev = random_pair(rng, tree)
     k, W = 1, 1
     inside = set(subtree_nodes(tree, k, W))
@@ -789,7 +791,7 @@ def test_commitment_ignores_data_outside_window():
     for n in (2, 5, 6):
         assert n not in inside
         mutated[n] = random_node_data(rng, nx, nu)
-    tree2 = build_tree_explicit(parents, stages, probs, mutated)
+    tree2 = build_tree_explicit(parents, stages, probs, stack(mutated))
     step2 = spc_step(tree2, k, prev, W)
     assert np.array_equal(step.x, step2.x)
     assert np.array_equal(step.u, step2.u)
@@ -805,7 +807,7 @@ def test_property_trace_dynamics_and_regret(seed, W):
     assert regret >= -1e-8
     trace = run_spc(tree, w_prev, W)
     for n in range(1, tree.node_count):
-        nd = tree.data[n]
+        nd = NodeRow(tree, n)
         par = int(tree.parent[n])
         forced = nd.A @ trace.x[par] + nd.B @ trace.u[par] + nd.d
         assert np.allclose(trace.x[n], forced, atol=1e-8)

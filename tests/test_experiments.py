@@ -31,7 +31,8 @@ from spc_lab.cli import _points_pass
 from spc_lab.controller import run_spc_windows
 from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
 
-from .helpers import depth_one_nonconvex_tree, nd_scalar, random_node_data
+from .helpers import depth_one_nonconvex_tree, nd_scalar, node_data, random_node_data, stack
+from .oracles import NodeRow
 
 
 def small_spec(**overrides):
@@ -82,11 +83,8 @@ def test_generator_is_deterministic():
     b = generate_certified_instance(small_spec())
     assert np.array_equal(a.tree.pi, b.tree.pi)
     assert np.array_equal(a.tree.parent, b.tree.parent)
-    for i in range(a.tree.node_count):
-        for fld in ("A", "B", "d", "Q", "R", "q", "r"):
-            assert np.array_equal(
-                getattr(a.tree.data[i], fld), getattr(b.tree.data[i], fld)
-            )
+    for x, y in zip(a.tree.raw_arrays, b.tree.raw_arrays):
+        assert np.array_equal(x, y)
     assert np.array_equal(a.w_prev[0], b.w_prev[0])
     assert a.constants == b.constants
 
@@ -94,13 +92,13 @@ def test_generator_is_deterministic():
 def test_generator_zero_noise_collapses_to_nominal():
     inst = generate_certified_instance(small_spec(noise_scale=0.0))
     tree = inst.tree
-    ref = tree.data[0]
+    ref = NodeRow(tree, 0)
     for i in range(tree.node_count):
-        nd = tree.data[i]
+        nd = NodeRow(tree, i)
         assert np.array_equal(nd.A, ref.A)
         assert np.array_equal(nd.B, ref.B)
         assert np.array_equal(nd.Q, ref.Q)
-        assert np.allclose(nd.p, 0.0, atol=0.0)
+        assert np.allclose(tree.raw_arrays.p[i], 0.0, atol=0.0)
     assert np.allclose(inst.w_prev[0], 0.0) and np.allclose(inst.w_prev[1], 0.0)
     # with identical stage data the policy matches deterministic MPC on
     # the equivalent single path
@@ -109,7 +107,7 @@ def test_generator_zero_noise_collapses_to_nominal():
         list(range(-1, T)),
         list(range(T + 1)),
         [1.0] * (T + 1),
-        [ref] * (T + 1),
+        stack([ref] * (T + 1)),
     )
     w0 = (np.ones(tree.nx), np.zeros(tree.nu))
     trace_tree = run_spc(tree, w0, 2)
@@ -129,7 +127,7 @@ def test_generator_certificates_and_bounds(noisy_instance):
     assert check_detectability(inst.tree, det).passed
     L = stab.L
     for i in range(inst.tree.node_count):
-        nd = inst.tree.data[i]
+        nd = NodeRow(inst.tree, i)
         for M in (nd.A, nd.B, nd.Q, nd.R):
             assert np.linalg.norm(M, 2) <= L + 1e-9
         for v in (nd.q, nd.r, nd.d):
@@ -198,7 +196,7 @@ def test_generator_nodes_reproduce_in_isolation(noise_scale):
     tree = generate_certified_instance(spec).tree
     for i in (0, 1, 6, 17, 30):
         for field, want in _recipe_node(spec, i).items():
-            assert np.array_equal(getattr(tree.data[i], field), want), (i, field)
+            assert np.array_equal(getattr(NodeRow(tree, i), field), want), (i, field)
 
 
 class _Stream:
@@ -307,7 +305,7 @@ def test_stage_moments_match_manual_sum():
     nd_a = nd_scalar(q=0.3, r=0.4, d=0.0)
     nd_b = nd_scalar(q=0.0, r=0.0, d=1.0)
     tree = build_tree_explicit(
-        [-1, 0, 0], [0, 1, 1], [1.0, 0.25, 0.75], [nd_a, nd_a, nd_b]
+        [-1, 0, 0], [0, 1, 1], [1.0, 0.25, 0.75], stack([nd_a, nd_a, nd_b])
     )
     moments = stage_perturbation_moments(tree)
     assert moments[0] == pytest.approx(0.5)
@@ -416,7 +414,7 @@ def test_shared_factor_names_the_failing_node_and_window():
 def test_open_loop_bound_zero_everything():
     nd = nd_scalar(A=0.5, B=1.0)
     tree = build_tree_explicit(
-        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], [nd, nd, nd]
+        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], stack([nd, nd, nd])
     )
     constants = compute_constants(1.0, 0.5, 1.0, tree=tree)
     report = open_loop_bound_check(
@@ -458,7 +456,7 @@ def test_open_loop_bound_certified(noisy_instance):
 
 def test_eisse_zero():
     nd = nd_scalar(A=0.5)
-    tree = build_tree_explicit([-1, 0], [0, 1], [1.0, 1.0], [nd, nd])
+    tree = build_tree_explicit([-1, 0], [0, 1], [1.0, 1.0], stack([nd, nd]))
     constants = compute_constants(1.0, 0.5, 1.0, tree=tree)
     report = eisse_check(tree, constants, (np.zeros(1), np.zeros(1)))
     assert report.passed
@@ -545,14 +543,12 @@ def test_lemma_suite_decoupled_products_vanish():
     nx, nu = 2, 1
     def still(seed):
         src = random_node_data(np.random.default_rng(seed), nx, nu)
-        return dataclasses.replace(
-            src, A=np.zeros((nx, nx)), B=np.zeros((nx, nu))
-        )
+        return node_data(**{**vars(src), "A": np.zeros((nx, nx)), "B": np.zeros((nx, nu))})
     tree = build_tree_explicit(
         [-1, 0, 0, 1, 1, 2, 2],
         [0, 1, 1, 2, 2, 2, 2],
         [1.0, 0.4, 0.6, 0.2, 0.2, 0.3, 0.3],
-        [still(s) for s in range(7)],
+        stack([still(s) for s in range(7)]),
     )
     constants = compute_constants(1.0, 0.5, 1.0, tree=tree)
     reports = lemma_suite(tree, constants, 1)

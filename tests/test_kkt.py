@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
-    NodeData,
     NonconvexError,
     ScaledKKT,
     SingularKKTError,
@@ -40,13 +39,17 @@ from spc_lab.kkt import stage_costs
 from .helpers import (
     crossed_tree,
     nd_scalar,
+    node_data,
     random_node_data,
     random_tree,
+    stack,
+    stagewise,
     uneven_tree,
     uniform_outcome,
     unstable_chain,
 )
 from .oracles import (
+    NodeRow,
     apply_psi,
     dense_decay,
     dense_regularity,
@@ -62,7 +65,7 @@ def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
     rng = np.random.default_rng(seed)
 
     def nd():
-        return NodeData(
+        return node_data(
             A=np.zeros((nx, nx)),
             B=np.zeros((nx, nu)),
             d=rng.standard_normal(nx),
@@ -75,7 +78,7 @@ def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
     stages = [[(nd(), 1.0)]]
     for _ in range(T):
         stages.append([(nd(), 1.0 / branching)] * branching)
-    return build_tree_stagewise(stages)
+    return build_tree_stagewise(stagewise(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ def crossed_subtree():
         [-1, 0, 0, 2, 1, 4, 3],
         [0, 1, 1, 2, 2, 3, 3],
         [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        [nd_scalar(A=0.5, B=2.0)] * 7,
+        stack([nd_scalar(A=0.5, B=2.0)] * 7),
     )
     return tree, (0, 1, 2, 4, 3, 5, 6)
 
@@ -192,7 +195,7 @@ def test_single_node_control_tracks_linear_cost():
 
 def test_deterministic_chain_closed_form():
     nd = nd_scalar()
-    tree = build_tree_explicit([-1, 0], [0, 1], [1.0, 1.0], [nd, nd])
+    tree = build_tree_explicit([-1, 0], [0, 1], [1.0, 1.0], stack([nd, nd]))
     sol = solve_extensive(tree, 0, 1, (np.array([1.0]), np.array([0.0])))
     assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.u[0] == pytest.approx(-0.5, abs=1e-12)
@@ -239,12 +242,12 @@ def test_solution_satisfies_dynamics():
     rng = np.random.default_rng(43)
     w_prev = (rng.standard_normal(2), rng.standard_normal(1))
     sol = solve_extensive(tree, 0, tree.horizon, w_prev)
-    nd0 = tree.data[0]
+    nd0 = NodeRow(tree, 0)
     assert_allclose(
         sol.x[0], nd0.A @ w_prev[0] + nd0.B @ w_prev[1] + nd0.d, atol=1e-8
     )
     for n in range(1, tree.node_count):
-        nd, par = tree.data[n], int(tree.parent[n])
+        nd, par = NodeRow(tree, n), int(tree.parent[n])
         assert_allclose(
             sol.x[n], nd.A @ sol.x[par] + nd.B @ sol.u[par] + nd.d, atol=1e-8
         )
@@ -297,10 +300,10 @@ def test_repeated_solves_bit_identical():
 def test_singular_system_reports_pivot(solve):
     # R = 0 leaves the control block, and here-and-now's shared stage
     # control, without curvature
-    nd = NodeData(
+    nd = node_data(
         A=[[0.0]], B=[[0.0]], d=[0.0], Q=[[1.0]], R=[[0.0]], q=[0.0], r=[0.0]
     )
-    tree = build_tree_stagewise([[(nd, 1.0)]])
+    tree = build_tree_stagewise(stagewise([[(nd, 1.0)]]))
     with pytest.raises(SingularKKTError) as err:
         solve(tree, (np.zeros(1), np.zeros(1)))
     assert err.value.pivot < 1e-12
@@ -351,7 +354,7 @@ def interleaved_tree(rng):
         [-1, 0, 0, 1, 2, 1, 2, 1, 2],
         [0, 1, 1, 2, 2, 2, 2, 2, 2],
         [1.0, 0.4, 0.6] + [0.1, 0.3, 0.1, 0.2, 0.2, 0.1],
-        [random_node_data(rng, 2, 1) for _ in range(9)],
+        stack([random_node_data(rng, 2, 1) for _ in range(9)]),
     )
 
 
@@ -500,7 +503,7 @@ def test_map_linearity_reproduces_direct_solve(seed):
     tree = random_tree(seed=seed, T=2, branching=2, nx=2, nu=1)
     smap = solution_map(tree, 0, 2)
     sol = solve_extensive(tree, 0, 2, (np.zeros(2), np.zeros(1)))
-    p_blocks = {n: tree.data[n].p for n in smap.nodes}
+    p_blocks = {n: tree.raw_arrays.p[n] for n in smap.nodes}
     w = apply_psi(smap.Omega, smap.nodes, smap.nw, p_blocks)
     for i, n in enumerate(sol.nodes):
         assert_allclose(w[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
@@ -524,7 +527,7 @@ def test_interior_subtree_map_matches_interior_solve():
     k = tree.stage_nodes(1)[1]
     smap = solution_map(tree, k, 2)
     sol = solve_extensive(tree, k, 2, (np.zeros(2), np.zeros(1)))
-    p_blocks = {n: tree.data[n].p for n in smap.nodes}
+    p_blocks = {n: tree.raw_arrays.p[n] for n in smap.nodes}
     w = apply_psi(smap.Omega, smap.nodes, smap.nw, p_blocks)
     for i, n in enumerate(sol.nodes):
         assert_allclose(w[n], np.r_[sol.x[i], sol.u[i]], atol=1e-8)
@@ -717,7 +720,7 @@ def nonconvex_tree(T=3):
         return nd_scalar(A=1.0, B=1.0, d=d, Q=-5.0, R=1.0, q=q)
 
     branches = [(nd(0.1, 0.1), 0.5), (nd(-0.1, -0.1), 0.5)]
-    return build_tree_stagewise([[(nd(0.0, 0.1), 1.0)]] + [branches] * T)
+    return build_tree_stagewise(stagewise([[(nd(0.0, 0.1), 1.0)]] + [branches] * T))
 
 
 @pytest.mark.parametrize(

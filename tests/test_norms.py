@@ -23,7 +23,7 @@ from spc_lab import (
 )
 from spc_lab.norms import stage_moments
 
-from .helpers import crossed_tree, nd_scalar, random_tree, uneven_tree, uniform_outcome
+from .helpers import crossed_tree, nd_scalar, random_tree, stack, uneven_tree, uniform_outcome
 from .oracles import (
     dense_pi_norm,
     naive_pi_norm,
@@ -39,7 +39,7 @@ def singleton_tree():
 def two_leaf_tree(p1=0.4, p2=0.6):
     nd = nd_scalar()
     return build_tree_explicit(
-        [-1, 0, 0], [0, 1, 1], [1.0, p1, p2], [nd] * 3
+        [-1, 0, 0], [0, 1, 1], [1.0, p1, p2], stack([nd] * 3)
     )
 
 

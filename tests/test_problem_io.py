@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from spc_lab import (
     InitialCondition,
     InstanceSpec,
-    NodeData,
+    NodeArrays,
     ScenarioTree,
     TreeError,
     generate_certified_instance,
@@ -29,10 +29,11 @@ from spc_lab import (
     save_problem,
     write_trace_csv,
 )
-from spc_lab import problem_io, tree as tree_module
+from spc_lab import problem_io
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, random_tree, uneven_tree
+from .helpers import crossed_tree, node_data, random_tree, stack, uneven_tree
+from .oracles import NodeRow
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
@@ -67,7 +68,7 @@ def problems(draw):
     shapes = {"A": (nx, nx), "B": (nx, nu), "d": (nx,), "Q": (nx, nx)}
     shapes.update(R=(nu, nu), q=(nx,), r=(nu,))
     # the writers take any ScenarioTree; validation is not their job
-    data = [NodeData(**{f: matrix(draw, shapes[f]) for f in FIELDS}) for _ in range(n)]
+    data = NodeArrays(*(matrix(draw, (n, *shapes[f])) for f in FIELDS))
     tree = ScenarioTree(parents, stages, matrix(draw, (n,)), data)
     initial = InitialCondition(matrix(draw, (nx,)), matrix(draw, (nu,)))
     keys = ("L", "alpha", "gamma")
@@ -86,7 +87,8 @@ def test_save_problem_matches_stdlib_encoder(tmp_path_factory, problem):
             "parents": tree.parent.tolist(),
             "stages": tree.stage.tolist(),
             "probs": tree.pi.tolist(),
-            "nodes": [{f: getattr(nd, f).tolist() for f in FIELDS} for nd in tree.data],
+            "nodes": [{f: getattr(NodeRow(tree, n), f).tolist() for f in FIELDS}
+                      for n in range(tree.node_count)],
         },
         "initial": {
             "x_prev": initial.x_prev.tolist(),
@@ -103,12 +105,12 @@ def test_save_problem_matches_stdlib_encoder(tmp_path_factory, problem):
 def test_save_problem_streams_more_than_one_batch(tmp_path):
     # 600 nodes: the records are written in three runs
     n = 600
-    nd = NodeData(
+    nd = node_data(
         A=[[1.0, -0.0], [5e-324, 2.0]], B=[[1e300], [0.0]], d=[0.5, -1e-300],
         Q=[[1.0, 0.0], [0.0, 3.0]], R=[[2.0]], q=[0.1, 0.2], r=[0.3],
     )
     tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
-                        [1.0] + [1.0 / (n - 1)] * (n - 1), [nd] * n)
+                        [1.0] + [1.0 / (n - 1)] * (n - 1), NodeArrays(**stack([nd] * n)))
     initial = InitialCondition([0.0, 1.0], [2.0])
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, initial)
@@ -119,9 +121,9 @@ def test_save_problem_streams_more_than_one_batch(tmp_path):
 
 def test_trace_rows_match_csv_writer_across_batches(tmp_path):
     n = 600
-    nd = NodeData(A=[[1.0]], B=[[1.0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
+    nd = node_data(A=[[1.0]], B=[[1.0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
     tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
-                        [1.0] + [1.0 / (n - 1)] * (n - 1), [nd] * n)
+                        [1.0] + [1.0 / (n - 1)] * (n - 1), NodeArrays(**stack([nd] * n)))
     rng = np.random.default_rng(3)
     x = rng.standard_normal((n, 1))
     u = np.array([[EDGE_FLOATS[k % len(EDGE_FLOATS)]] for k in range(n)])
@@ -331,11 +333,11 @@ def test_flat_stacking_equals_per_node_path(tmp_path, make):
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
     nodes = json.loads(path.read_text())["explicit"]["nodes"]
-    flat = problem_io._explicit_nodes(nodes)
+    flat = problem_io._node_records(nodes, "node {}".format)
     rows = [problem_io._node_data(o, f"node {i}") for i, o in enumerate(nodes)]
     loaded = load_problem(str(path))[0].raw_arrays
     for f in FIELDS:
-        want = np.array([getattr(nd, f) for nd in rows])
+        want = np.array([nd[f] for nd in rows])
         for got in (flat[f], getattr(loaded, f), getattr(tree.raw_arrays, f)):
             assert got.dtype == want.dtype and got.shape == want.shape, f
             assert got.tobytes() == want.tobytes(), f
@@ -345,19 +347,19 @@ def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
     tree = _generated(6)
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
-    made, post_init = [], tree_module.NodeData.__post_init__
+    stacks, read = [], problem_io._node_records
 
-    def counted(self):
-        made.append(1)
-        post_init(self)
+    def kept(*args, **kwargs):
+        stacks.append(read(*args, **kwargs))
+        return stacks[-1]
 
-    monkeypatch.setattr(tree_module.NodeData, "__post_init__", counted)
+    monkeypatch.setattr(problem_io, "_node_records", kept)
     loaded, _, _ = load_problem(str(path))
     queries = (loaded.nx, loaded.nu, loaded.leaves(), loaded.stage_nodes(3),
                loaded.children[0], loaded.arrays, loaded.ancestors)
-    assert made == [] and "data" not in vars(loaded)
     assert queries[:3] == (2, 1, list(range(63, 127)))
     assert queries[3] == list(range(7, 15)) and queries[4] == (1, 2)
-    # the rows made on first use are views of the one stack
-    raw = loaded.raw_arrays
-    assert all(np.shares_memory(nd.Q, raw.Q) for nd in loaded.data) and made == []
+    # the tree keeps the loader's arrays as its one copy of the node data
+    (stack,) = stacks
+    for f in FIELDS:
+        assert np.shares_memory(getattr(loaded.raw_arrays, f), stack[f]), f

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     GainCertificate,
-    NodeData,
     TreeError,
     build_tree_stagewise,
     check_detectability,
@@ -24,8 +23,10 @@ from spc_lab import (
 from .helpers import (
     crossed_tree,
     nd_scalar,
+    node_data,
     random_node_data,
     random_tree,
+    stagewise,
     uneven_tree,
     uniform_outcome,
 )
@@ -41,7 +42,7 @@ def dec_to_float(d):
 
 def uniform_binary_tree(nd, T):
     stages = [[(nd, 1.0)]] + [[(nd, 0.5), (nd, 0.5)]] * T
-    return build_tree_stagewise(stages)
+    return build_tree_stagewise(stagewise(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_constants_moment_bound_from_tree():
     for t in range(tree.horizon + 1):
         per_stage.append(
             math.fsum(
-                tree.pi[j] * float(tree.data[j].p @ tree.data[j].p)
+                tree.pi[j] * float(tree.raw_arrays.p[j] @ tree.raw_arrays.p[j])
                 for j in tree.stage_nodes(t)
             )
         )
@@ -189,7 +190,7 @@ def test_stability_refuses_non_finite_or_nonpositive_L(L):
 def test_stability_path_products_are_order_correct():
     # non-commuting pair whose two multiplication orders land on opposite
     # sides of the depth-2 bound, so a reversed product flips the verdict
-    nd = NodeData(
+    nd = node_data(
         A=np.zeros((2, 2)),
         B=np.zeros((2, 1)),
         d=np.zeros(2),
@@ -198,7 +199,7 @@ def test_stability_path_products_are_order_correct():
         q=np.zeros(2),
         r=np.zeros(1),
     )
-    tree = build_tree_stagewise([[(nd, 1.0)], [(nd, 1.0)], [(nd, 1.0)]])
+    tree = build_tree_stagewise(stagewise([[(nd, 1.0)], [(nd, 1.0)], [(nd, 1.0)]]))
     L, alpha = 2.0, 0.5
     M1 = np.array([[0.0, 1.0], [0.0, 0.0]])  # stage 1, norm 1 = L*alpha
     M2 = np.array([[0.0, 0.0], [0.4, 0.6]])  # stage 2, norm < 1
@@ -320,10 +321,10 @@ def test_detectability_decoupled_pass():
 
 
 def test_detectability_rejects_indefinite_cost():
-    bad = NodeData(
+    bad = node_data(
         A=[[0.5]], B=[[0.0]], d=[0.0], Q=[[-0.1]], R=[[1.0]], q=[0.0], r=[0.0]
     )
-    tree = build_tree_stagewise([[(bad, 1.0)], [(bad, 1.0)]])
+    tree = build_tree_stagewise(stagewise([[(bad, 1.0)], [(bad, 1.0)]]))
     cert = GainCertificate(
         K={n: np.zeros((1, 1)) for n in range(2)},
         L=1.0,
@@ -369,7 +370,7 @@ def test_misshaped_gain_names_node_and_shapes(check, shape):
 def test_detectability_indefinite_cost_reports_first_node():
     good = nd_scalar(A=0.5, B=0.0, Q=1.0)
     stages = [[(good, 1.0)], [(nd_scalar(Q=-0.1), 0.5), (nd_scalar(Q=-0.5), 0.5)]]
-    tree = build_tree_stagewise(stages)
+    tree = build_tree_stagewise(stagewise(stages))
     cert = _detectability_cert(tree, {1: np.zeros((1, 1)), 2: np.zeros((1, 1))})
     with pytest.raises(TreeError, match=r"^Q not PSD: smallest eigenvalue -0\.1$"):
         check_detectability(tree, cert)
@@ -379,7 +380,7 @@ def test_detectability_uses_parent_observation_map():
     # root Q = 4 so C_root = 2; node 1 closes A - K*C = 1 - 0.25*2 = 0.5
     root = nd_scalar(A=1.0, B=0.0, Q=4.0)
     child = nd_scalar(A=1.0, B=0.0, Q=4.0)
-    tree = build_tree_stagewise([[(root, 1.0)], [(child, 1.0)]])
+    tree = build_tree_stagewise(stagewise([[(root, 1.0)], [(child, 1.0)]]))
     cert = GainCertificate(
         K={1: np.array([[0.25]])}, L=1.0, alpha=0.5, role="detectability"
     )

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     InitialCondition,
-    NodeData,
+    NodeArrays,
     ScenarioTree,
     TreeError,
     build_tree_explicit,
@@ -20,28 +20,33 @@ from spc_lab import (
     validate_tree,
 )
 
-from .helpers import crossed_tree, nd_scalar, random_node_data, random_tree, uniform_outcome
-from spc_lab.tree import spectral_norms
+from .helpers import (
+    FIELDS, crossed_tree, nd_scalar, node_data, random_tree, stack, stagewise, uniform_outcome,
+)
+from spc_lab.tree import spectral_norms, symmetry_defects
 
 from .oracles import leaf_products, svd_spectral_norms, validate_tree_reference
 
 
 # ---------------------------------------------------------------------------
-# NodeData / InitialCondition
+# node data / InitialCondition
 
 
 def test_node_data_arrays_are_read_only():
-    nd = nd_scalar()
+    raw = random_tree(seed=0).raw_arrays
     with pytest.raises(ValueError):
-        nd.A[0, 0] = 2.0
+        raw.A[0, 0, 0] = 2.0
 
 
 def test_node_data_copies_its_input_read_only():
-    A = np.array([[2.0]])
-    nd = NodeData(A=A, B=[[0]], d=[0.0], Q=[[1.0]], R=[[1.0]], q=[0.0], r=[0.0])
-    A[0, 0] = 7.0
-    assert nd.A[0, 0] == 2.0 and not nd.A.flags.writeable
-    assert nd.B.dtype == np.float64
+    # the stagewise builder tiles its outcome stacks into new node arrays
+    fields = stack([nd_scalar(A=2.0)])
+    fields["B"] = np.zeros((1, 1, 1), dtype=int)
+    tree = build_tree_stagewise([(fields, [1.0]), (fields, [1.0])])
+    fields["A"][0, 0, 0] = 7.0
+    A = tree.raw_arrays.A
+    assert A[:, 0, 0].tolist() == [2.0, 2.0] and not A.flags.writeable
+    assert tree.raw_arrays.B.dtype == np.float64
 
 
 def test_stacked_builder_rows_are_frozen_views_of_one_stack():
@@ -55,9 +60,9 @@ def test_stacked_builder_rows_are_frozen_views_of_one_stack():
     for f, given in stack.items():
         # taken over from the caller without a copy, then shared by every row
         assert getattr(raw, f) is given and not given.flags.writeable
-        for i, nd in enumerate(tree.data):
-            assert np.shares_memory(getattr(nd, f), getattr(raw, f))
-            assert not getattr(nd, f).flags.writeable
+        for i in range(tree.node_count):
+            assert np.shares_memory(getattr(raw, f)[i], given)
+            assert not getattr(raw, f)[i].flags.writeable
     assert np.array_equal(tree.arrays.Q, 0.5 * (raw.Q + raw.Q.transpose(0, 2, 1)))
     with pytest.raises(TreeError, match="A/B dimension mismatch"):
         one = {f: a[:1] for f, a in stack.items()}
@@ -68,7 +73,7 @@ def test_stacked_builder_rows_are_frozen_views_of_one_stack():
 
 
 def test_node_data_stacked_perturbation_order():
-    nd = NodeData(
+    nd = node_data(
         A=np.zeros((2, 2)),
         B=np.zeros((2, 1)),
         d=[5.0, 6.0],
@@ -77,37 +82,39 @@ def test_node_data_stacked_perturbation_order():
         q=[1.0, 2.0],
         r=[3.0],
     )
-    assert_allclose(nd.p, [1.0, 2.0, 3.0, 5.0, 6.0])
+    tree = build_tree_explicit([-1], [0], [1.0], stack([nd]))
+    assert_allclose(tree.raw_arrays.p, [[1.0, 2.0, 3.0, 5.0, 6.0]])
 
 
 def test_node_data_rejects_shape_mismatch():
-    with pytest.raises(TreeError):
-        NodeData(
-            A=np.zeros((2, 2)),
-            B=np.zeros((3, 1)),
-            d=np.zeros(2),
-            Q=np.eye(2),
-            R=np.eye(1),
-            q=np.zeros(2),
-            r=np.zeros(1),
-        )
-
-
-def test_symmetry_defect_zero_for_symmetric():
-    assert nd_scalar().symmetry_defect() == 0.0
-
-
-def test_symmetry_defect_flags_asymmetric():
-    nd = NodeData(
+    nd = node_data(
         A=np.zeros((2, 2)),
-        B=np.zeros((2, 1)),
+        B=np.zeros((3, 1)),
         d=np.zeros(2),
-        Q=[[1.0, 0.5], [0.0, 1.0]],
+        Q=np.eye(2),
         R=np.eye(1),
         q=np.zeros(2),
         r=np.zeros(1),
     )
-    assert nd.symmetry_defect() > 1e-3
+    with pytest.raises(TreeError, match="^A/B dimension mismatch$"):
+        build_tree_explicit([-1], [0], [1.0], stack([nd]))
+    with pytest.raises(TreeError, match="^A/B dimension mismatch$"):
+        build_tree_stagewise(stagewise([[(nd, 1.0)]]))
+    wide = node_data(**{**vars(nd), "B": np.zeros((2, 1))})
+    with pytest.raises(TreeError, match="^outcome data dims differ between stages$"):
+        build_tree_stagewise(stagewise([[(nd_scalar(), 1.0)], [(wide, 1.0)]]))
+    with pytest.raises(TreeError, match="mismatched lengths"):
+        build_tree_stagewise([(stack([nd_scalar()] * 2), [1.0])])
+
+
+def test_symmetry_defect_zero_for_symmetric():
+    nd = nd_scalar()
+    assert symmetry_defects(nd.Q[None], nd.R[None]).tolist() == [0.0]
+
+
+def test_symmetry_defect_flags_asymmetric():
+    Q = np.array([[[1.0, 0.5], [0.0, 1.0]]])
+    assert symmetry_defects(Q, np.eye(1)[None])[0] > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,7 @@ def test_stagewise_rejects_empty_input():
 
 def test_explicit_chain_of_length_two():
     nd = nd_scalar()
-    tree = build_tree_explicit([-1, 0, 1], [0, 1, 2], [1.0, 1.0, 1.0], [nd] * 3)
+    tree = build_tree_explicit([-1, 0, 1], [0, 1, 2], [1.0, 1.0, 1.0], stack([nd] * 3))
     assert tree.horizon == 2
     assert tree.leaves() == [2]
     assert validate_tree(tree).ok
@@ -239,7 +246,7 @@ def test_explicit_rejects_children_sum_mismatch():
     nd = nd_scalar()
     with pytest.raises(TreeError, match="children sum"):
         build_tree_explicit(
-            [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.6], [nd] * 3
+            [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.6], stack([nd] * 3)
         )
 
 
@@ -251,7 +258,7 @@ def test_explicit_asymmetric_padded_tree_is_valid():
         parents=[-1, 0, 0, 1, 1, 2],
         stage_labels=[0, 1, 1, 2, 2, 2],
         probabilities=[1.0, 0.5, 0.5, 0.3, 0.2, 0.5],
-        node_data=[nd] * 6,
+        node_data=stack([nd] * 6),
     )
     assert validate_tree(tree).ok
     assert sorted(tree.leaves()) == [3, 4, 5]
@@ -260,7 +267,7 @@ def test_explicit_asymmetric_padded_tree_is_valid():
 def test_explicit_rejects_mismatched_array_lengths():
     nd = nd_scalar()
     with pytest.raises(TreeError, match="length"):
-        build_tree_explicit([-1, 0], [0, 1, 2], [1.0, 1.0], [nd, nd])
+        build_tree_explicit([-1, 0], [0, 1, 2], [1.0, 1.0], stack([nd, nd]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +285,7 @@ def test_conditional_prob_direct_ratio():
         parents=[-1, 0, 0, 1, 1, 2],
         stage_labels=[0, 1, 1, 2, 2, 2],
         probabilities=[1.0, 0.4, 0.6, 0.12, 0.28, 0.6],
-        node_data=[nd] * 6,
+        node_data=stack([nd] * 6),
     )
     assert conditional_prob(tree, 3, 1) == pytest.approx(0.3)
 
@@ -333,7 +340,7 @@ def test_subtree_rejects_bad_node():
 
 def test_validate_flags_root_probability():
     nd = nd_scalar()
-    tree = ScenarioTree([-1, 0, 0], [0, 1, 1], [0.9, 0.45, 0.45], [nd] * 3)
+    tree = ScenarioTree([-1, 0, 0], [0, 1, 1], [0.9, 0.45, 0.45], NodeArrays(**stack([nd] * 3)))
     report = validate_tree(tree)
     assert not report.ok
     assert any("root probability" in v for v in report.violations)
@@ -345,14 +352,14 @@ def test_validate_flags_leaf_at_wrong_stage():
         [-1, 0, 0, 1, 1],
         [0, 1, 1, 2, 2],
         [1.0, 0.5, 0.5, 0.25, 0.25],
-        [nd] * 5,
+        NodeArrays(**stack([nd] * 5)),
     )
     report = validate_tree(tree)
     assert any("leaf at wrong stage" in v for v in report.violations)
 
 
 def test_validate_flags_asymmetric_cost():
-    bad = NodeData(
+    bad = node_data(
         A=np.zeros((2, 2)),
         B=np.zeros((2, 1)),
         d=np.zeros(2),
@@ -361,12 +368,12 @@ def test_validate_flags_asymmetric_cost():
         q=np.zeros(2),
         r=np.zeros(1),
     )
-    tree = ScenarioTree([-1], [0], [1.0], [bad])
+    tree = ScenarioTree([-1], [0], [1.0], NodeArrays(**stack([bad])))
     assert any("symmetric" in v for v in validate_tree(tree).violations)
 
 
 def test_validate_reports_dims_and_asymmetry_per_node_in_order():
-    good = NodeData(
+    good = node_data(
         A=np.zeros((2, 2)),
         B=np.zeros((2, 1)),
         d=np.zeros(2),
@@ -375,13 +382,14 @@ def test_validate_reports_dims_and_asymmetry_per_node_in_order():
         q=np.zeros(2),
         r=np.zeros(1),
     )
-    skew = NodeData(**{**vars(good), "R": [[1.0]], "Q": [[1.0, 0.3], [0.0, 1.0]]})
+    skew = node_data(**{**vars(good), "Q": [[1.0, 0.3], [0.0, 1.0]]})
+    skew_r = node_data(**{**vars(good), "R": [[1.0]], "Q": [[1.0, 0.0], [1e-3, 1.0]]})
     tree = ScenarioTree(
-        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], [good, skew, nd_scalar()]
+        [-1, 0, 0], [0, 1, 1], [1.0, 0.5, 0.5], NodeArrays(**stack([good, skew, skew_r]))
     )
     assert validate_tree(tree).violations == [
         "node 1: Q or R not symmetric within 1e-12",
-        "node 2: data dims (1, 1) != (2, 1)",
+        "node 2: Q or R not symmetric within 1e-12",
     ]
 
 
@@ -391,9 +399,9 @@ def test_validate_accepts_random_product_trees():
 
 
 def corrupt(tree, rng, kind):
-    """Parallel lists of ``tree`` with one kind of fault at random nodes."""
+    """Parallel arrays of ``tree`` with one kind of fault at random nodes."""
     parent, stage = tree.parent.tolist(), tree.stage.tolist()
-    pi, data = tree.pi.tolist(), list(tree.data)
+    pi, data = tree.pi.tolist(), {f: np.array(a) for f, a in zip(FIELDS, tree.raw_arrays)}
     n = len(parent)
     hit = rng.choice(n, size=min(n, rng.integers(1, 4)), replace=False).tolist()
     for i in hit:
@@ -410,23 +418,18 @@ def corrupt(tree, rng, kind):
         elif kind == "leaf":
             # dropping the last nodes leaves their parents as early leaves
             cut = max(1, n - len(hit))
-            del parent[cut:], stage[cut:], pi[cut:], data[cut:]
+            del parent[cut:], stage[cut:], pi[cut:]
+            data = {f: a[:cut] for f, a in data.items()}
             break
         elif kind in ("Q", "R"):
-            M = np.array(getattr(data[i], kind))
-            M[0, -1] += rng.choice([1e-3, 1e-13])
-            data[i] = NodeData(**{**vars(data[i]), kind: M})
+            data[kind][i, 0, -1] += rng.choice([1e-3, 1e-13])
         elif kind == "nan":
-            field = str(rng.choice(["A", "B", "d", "Q", "R", "q", "r"]))
-            M = np.array(getattr(data[i], field))
-            M.flat[0] = rng.choice([np.nan, np.inf, -np.inf])
-            data[i] = NodeData(**{**vars(data[i]), field: M})
-        elif kind == "dims":
-            data[i] = random_node_data(rng, 3, 1)
-    return parent, stage, pi, data
+            field = str(rng.choice(FIELDS))
+            data[field][i].flat[0] = rng.choice([np.nan, np.inf, -np.inf])
+    return parent, stage, pi, NodeArrays(**data)
 
 
-KINDS = ("parent", "stage", "order", "prob", "leaf", "Q", "R", "nan", "dims")
+KINDS = ("parent", "stage", "order", "prob", "leaf", "Q", "R", "nan")
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,7 +468,7 @@ def test_ancestry_runs_root_to_node():
 )
 def test_ancestor_table_matches_parent_walk(parents, stages):
     probs = np.ones(len(parents))
-    tree = ScenarioTree(parents, stages, probs, [nd_scalar()] * len(parents))
+    tree = ScenarioTree(parents, stages, probs, NodeArrays(**stack([nd_scalar()] * len(parents))))
     for j in range(tree.node_count):
         path = [j]
         while parents[path[-1]] >= 0:
