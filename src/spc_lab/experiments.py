@@ -280,17 +280,12 @@ def generate_certified_instance(spec):
     u_prev = spec.noise_scale * rng_init.uniform(0.5, 1.0) * _unit(rng_init, nu)
     w_prev = (x_prev, u_prev)
 
-    stab = GainCertificate(
-        K={n: K_nom for n in range(tree.node_count) if stages[n] < T},
-        L=L,
-        alpha=alpha_cert,
-        role="stabilizability",
-    )
-    det = GainCertificate(
-        K={n: K_obs for n in range(tree.node_count) if stages[n] >= 1},
-        L=L,
-        alpha=alpha_cert,
-        role="detectability",
+    stab, det = (
+        GainCertificate(ids, np.broadcast_to(K, (ids.size,) + K.shape), L, alpha_cert, role)
+        for ids, K, role in (
+            (np.flatnonzero(tree.stage < T), K_nom, "stabilizability"),
+            (np.flatnonzero(tree.stage >= 1), K_obs, "detectability"),
+        )
     )
     for name, check in (
         ("stabilizability", check_stabilizability(tree, stab)),

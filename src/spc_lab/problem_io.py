@@ -18,8 +18,7 @@ import gc
 import json
 import math
 import re
-from itertools import chain, count, groupby
-from json.encoder import encode_basestring_ascii
+from itertools import chain, count
 
 import numpy as np
 
@@ -208,6 +207,13 @@ def load_problem(path):
         raise TreeError("dims must contain nx and nu")
     nx, nu = (_number(dims[k], f"dims {k}", kind=int) for k in ("nx", "nu"))
     horizon = _number(doc["horizon"], "horizon", kind=int)
+
+    def check_depth(depth):
+        if depth != horizon:
+            raise TreeError(
+                f"declared horizon {doc['horizon']} does not match tree depth {depth}"
+            )
+
     if "stagewise" in doc:
         stages = [json_array(outcomes, f"stage {t}") for t, outcomes
                   in enumerate(json_array(doc["stagewise"], "stagewise block"))]
@@ -215,6 +221,8 @@ def load_problem(path):
         names = [f"stage {t} outcome {i}" for t, k in enumerate(sizes) for i in range(k)]
         stack = _node_records(list(chain(*stages)), names.__getitem__, prob=True)
         split = {k: np.split(arr, np.cumsum(sizes)[:-1]) for k, arr in stack.items()}
+        if sizes:  # before the product tree is built
+            check_depth(len(sizes) - 1)
         tree = build_tree_stagewise([
             ({f: split[f][t] for f in _FIELDS}, split["prob"][t]) for t in range(len(sizes))
         ])
@@ -237,11 +245,7 @@ def load_problem(path):
             f"declared dims ({dims['nx']}, {dims['nu']}) do not match node "
             f"data ({tree.nx}, {tree.nu})"
         )
-    if tree.horizon != horizon:
-        raise TreeError(
-            f"declared horizon {doc['horizon']} does not match tree depth "
-            f"{tree.horizon}"
-        )
+    check_depth(tree.horizon)
     init = json_object(doc["initial"], "initial block")
     if "x_prev" not in init or "u_prev" not in init:
         raise TreeError("initial block must contain x_prev and u_prev")
@@ -327,8 +331,9 @@ def save_problem(path, tree, initial, assumption=None):
 @_gc_paused
 def load_certificate(path):
     """Read a certificate file.  ``L`` and ``alpha`` must be finite JSON
-    numbers, every gain key a node id and every gain finite; a fault is a
-    :class:`TreeError` that names the field or the node."""
+    numbers, every gain key a node id and every gain finite, of the first
+    gain's shape; a fault is a :class:`TreeError` that names the field or
+    the node."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -342,62 +347,63 @@ def load_certificate(path):
             raise TreeError(f"certificate file missing '{key}'")
     L, alpha = (_number(doc[k], f"certificate {k}", finite=True) for k in ("L", "alpha"))
     block = json_object(doc["K"], "certificate 'K' block")
-    K = _gain_rows(block)
-    if K is None:  # walk the block in file order to name its first fault
-        K = {}
+    rows = _gain_rows(block)
+    if rows is None:  # walk the block in file order to name its first fault
+        gains = []
         for node, mat in block.items():
-            if not re.fullmatch("0|[1-9][0-9]*", node):
+            if not re.fullmatch("0|[1-9][0-9]*", node) or int(node) >= 2**63:
                 raise TreeError(f"certificate gain key {json.dumps(node)} is not a node id")
-            K[int(node)] = _matrix(mat, f"K[{node}]")
-            if not np.isfinite(K[int(node)]).all():
+            gains.append(_matrix(mat, f"K[{node}]"))
+            if not np.isfinite(gains[-1]).all():
                 raise TreeError(f"gain for node {node} has non-finite entries")
-    return GainCertificate(K=K, L=L, alpha=alpha, role=doc.get("role", "stabilizability"))
+            if gains[-1].shape != gains[0].shape:
+                raise TreeError(
+                    f"gain for node {node} has shape {gains[-1].shape}, "
+                    f"expected {gains[0].shape}"
+                )
+        rows = np.array(list(map(int, block))), np.array(gains)
+    return GainCertificate(*rows, L, alpha, doc.get("role", "stabilizability"))
 
 
 def _gain_rows(block):
-    """The gains of a K block keyed by node id, as rows of one array made
-    by :func:`_stacked`; None when a key is not a node id (digits without a
-    leading zero) or the gains do not stack into finite numbers."""
+    """The node ids and gains of a K block, the gains stacked by
+    :func:`_stacked`; None when a key is not a 64-bit node id (digits
+    without a leading zero) or the gains do not stack into finite numbers."""
     keys = list(block)
     try:
-        ids = list(map(int, keys))
+        ids = np.array(list(map(int, keys)), dtype=np.int64)
         gains = _stacked(list(block.values()))
-    except ValueError:
+    except (OverflowError, ValueError):
         return None
-    if list(map(str, ids)) != keys or min(ids, default=0) < 0:
+    if list(map(str, ids.tolist())) != keys or (ids < 0).any():
         return None
     if not np.isfinite(gains).all():
         return None
-    return dict(zip(ids, gains))
+    return ids, gains
 
 
-def _gains(K):
-    """``"node": gain`` members of a K object, keys sorted as strings,
-    ``_BATCH`` at a time.  Each run of one shape has one template, filled
-    once per distinct gain of the run; gains are told apart by their bits,
-    since ``0.0 == -0.0`` but the two render differently."""
-    keys = sorted(K, key=str)
-    names = list(map(encode_basestring_ascii, map(str, keys)))
-    mats = [np.asarray(K[k], dtype=float) for k in keys]
-    lo, members = 0, []
-    for shape, run in groupby(m.shape for m in mats):
-        hi = lo + len(list(run))
-        rows = np.reshape(mats[lo:hi], (hi - lo, math.prod(shape)))
-        _, first, which = np.unique(
-            rows.view(np.int64), axis=0, return_index=True, return_inverse=True
-        )
-        member = _template(np.full(shape, None).tolist(), 2)
-        values, w = _numbers(rows[first]), rows.shape[1]
-        text = [member % tuple(values[i * w : (i + 1) * w]) for i in range(len(first))]
-        members += [f"{name}: {text[i]}" for name, i in zip(names[lo:hi], which)]
-        lo = hi
+def _gains(cert):
+    """``"node": gain`` members of a certificate's K object, keys sorted as
+    strings, ``_BATCH`` at a time.  One template is filled once per
+    distinct gain; gains are told apart by their bits, since
+    ``0.0 == -0.0`` but the two render differently."""
+    names = list(map(str, cert.nodes.tolist()))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rows = cert.K[order].reshape(len(order), math.prod(cert.K.shape[1:]))
+    _, first, which = np.unique(
+        rows.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    member = _template(np.full(cert.K.shape[1:], None).tolist(), 2)
+    values, w = _numbers(rows[first]), rows.shape[1]
+    text = [member % tuple(values[i * w : (i + 1) * w]) for i in range(first.size)]
+    members = [f'"{names[k]}": {text[i]}' for k, i in zip(order, which.tolist())]
     for lo in range(0, len(members), _BATCH):
         yield ",\n    ".join(members[lo : lo + _BATCH])
 
 
 def save_certificate(path, cert):
     doc = {"role": cert.role, "L": float(cert.L), "alpha": float(cert.alpha), "K": None}
-    _write_doc(path, doc, [(1, "{}", _gains(cert.K))])
+    _write_doc(path, doc, [(1, "{}", _gains(cert))])
 
 
 def _fmt(x):

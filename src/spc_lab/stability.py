@@ -88,12 +88,24 @@ class PerturbationCheck:
 
 @dataclass(frozen=True)
 class GainCertificate:
-    """Per-node gains keyed by node index, with the claimed (L, alpha)."""
+    """Gains stacked over node ids, with the claimed (L, alpha): ``K[i]``
+    is the gain of node ``nodes[i]``.  ``nodes`` is a 1-D integer array
+    and ``K`` a read-only float array of shape ``(len(nodes), rows, cols)``,
+    so all gains of a certificate share one shape."""
 
-    K: dict
+    nodes: np.ndarray
+    K: np.ndarray
     L: float
     alpha: float
     role: str = "stabilizability"
+
+    def __post_init__(self):
+        nodes, K = np.asarray(self.nodes, dtype=np.int64), np.asarray(self.K, dtype=float).view()
+        if nodes.ndim != 1 or len(K) != nodes.size:
+            raise ValueError(f"{nodes.size} node ids for {len(K)} gains")
+        K.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "K", K)
 
 
 def _inv(x):
@@ -245,31 +257,28 @@ def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
 def check_stability_tree(tree, Phi, L, alpha):
     """Exhaustive ancestor-descendant path-product stability check.
 
-    ``Phi`` maps every node of stage >= 1 to its transition matrix, as a
-    dict or as an array stacked over all nodes (stage-0 rows unused).
-    For each strict ancestor-descendant pair (i, j) the product of
-    matrices along the path (excluding i's stage, including j's) must
-    satisfy ``||prod|| <= L * alpha**(t(j)-t(i))`` within relative 1e-9.  Exact
-    enumeration, one stacked product and norm per depth step over every
-    descendant; the worst pair is the first maximum in (j, depth) order.  A
-    product that overflows has a non-finite norm and fails with ratio inf.
+    ``Phi`` holds every node's transition matrix, stacked over all nodes
+    (row 0, the root's, unused).  For each strict ancestor-descendant pair
+    (i, j) the product of matrices along the path (excluding i's stage,
+    including j's) must satisfy ``||prod|| <= L * alpha**(t(j)-t(i))``
+    within relative 1e-9.  Exact enumeration, one stacked product and norm
+    per depth step over every descendant; the worst pair is the first
+    maximum in (j, depth) order.  A product that overflows has a
+    non-finite norm and fails with ratio inf.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < L < math.inf:
         raise ValueError(f"L must be positive and finite, got {L}")
+    stacked = np.asarray(Phi, dtype=float)
+    if len(stacked) != tree.node_count:
+        raise TreeError(
+            f"missing transition matrices: {len(stacked)} rows for {tree.node_count} nodes"
+        )
     js = np.flatnonzero(tree.stage >= 1)
-    if isinstance(Phi, np.ndarray):
-        M = np.asarray(Phi[js], dtype=float)
-    else:
-        for j in js:
-            if j not in Phi:
-                raise TreeError(f"missing transition matrix for node {j}")
-        M = np.array([np.asarray(Phi[j], dtype=float) for j in js])
     if not js.size:
         return StabilityResult(True, None, 0.0)
-    stacked = np.zeros((tree.node_count,) + M.shape[1:])
-    stacked[js] = M
+    M = stacked[js]
     # ratio[a, dt - 1]: the path from js[a] up dt stages, where it exists
     ratio, anc = np.empty((js.size, tree.horizon)), np.maximum(tree.parent[js], 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,39 +300,30 @@ def _stacked_gains(cert, stages, shape, tree):
     rows elsewhere), or the message of the first gain above ``cert.L``.
 
     Faults are taken in node order: an oversized gain before the first
-    missing or misshaped one fails the check, the latter raise.  The gains
-    are stacked at once; only a stack that fails is walked node by node, up
-    to its first fault.
+    missing or misshaped one fails the check, the latter raise.  Ids that
+    are not tree nodes are ignored.
     """
-    nodes = np.flatnonzero(np.isin(tree.stage, stages)).tolist()
-    fault = None
-    try:
-        gains = np.array(list(map(cert.K.__getitem__, nodes)), dtype=float)
-    except (KeyError, TypeError, ValueError):
-        gains = None
-    if gains is None or gains.shape != (len(nodes),) + shape:
-        gains = []
-        for n in nodes:
-            if n not in cert.K:
-                fault = f"missing gain for node {n}"
-                break
-            K = np.asarray(cert.K[n], dtype=float)
-            if K.shape != shape:
-                fault = f"gain for node {n} has shape {K.shape}, expected {shape}"
-                break
-            gains.append(K)
-        gains = np.reshape(gains, (len(gains),) + shape)
-    G, done = np.zeros((tree.node_count,) + shape), nodes[: len(gains)]
-    G[done] = gains
-    norm = spectral_norms(gains)
+    nodes = np.flatnonzero(np.isin(tree.stage, stages))
+    known = (cert.nodes >= 0) & (cert.nodes < tree.node_count)
+    row = np.full(tree.node_count, -1)
+    row[cert.nodes[known]] = np.flatnonzero(known)
+    row = row[nodes]
+    missing = np.flatnonzero(row < 0)
+    k = missing[0] if missing.size else nodes.size
+    gains = cert.K[row[:k]]
+    if k and gains.shape[1:] != shape:
+        raise TreeError(f"gain for node {nodes[0]} has shape {gains.shape[1:]}, expected {shape}")
+    norm = spectral_norms(gains.reshape((k,) + shape))
     over = np.flatnonzero(norm > cert.L + GAIN_TOL)
     if over.size:
         return None, (
-            f"gain bound violated: node {done[over[0]]} has ||K|| = "
+            f"gain bound violated: node {nodes[over[0]]} has ||K|| = "
             f"{norm[over[0]]:.6g} > L = {cert.L:.6g}"
         )
-    if fault is not None:
-        raise TreeError(fault)
+    if missing.size:
+        raise TreeError(f"missing gain for node {nodes[k]}")
+    G = np.zeros((tree.node_count,) + shape)
+    G[nodes] = gains
     return G, None
 
 
@@ -337,20 +337,18 @@ def _path_verdict(tree, Phi, L, alpha):
     return CertificateCheck(result.passed, msg, result)
 
 
-def check_stabilizability(tree, cert, L=None, alpha=None):
+def check_stabilizability(tree, cert):
     """Verify a stabilizability certificate by exhaustive path products.
 
     Gains live on stages 0..T-1; node i's closed transition is
     ``A_i - B_i K_{a(i)}``.  Fails (without raising) when a gain exceeds
     the claimed L or when some path product violates the decay.
     """
-    L = cert.L if L is None else L
-    alpha = cert.alpha if alpha is None else alpha
     K, msg = _stacked_gains(cert, range(0, tree.horizon), (tree.nu, tree.nx), tree)
     if msg is not None:
         return CertificateCheck(False, msg, None)
     ar = tree.arrays
-    return _path_verdict(tree, ar.A - ar.B @ K[tree.parent], L, alpha)
+    return _path_verdict(tree, ar.A - ar.B @ K[tree.parent], cert.L, cert.alpha)
 
 
 def psd_sqrt(M, name="Q", tol=PSD_TOL):
@@ -371,31 +369,29 @@ def psd_sqrt(M, name="Q", tol=PSD_TOL):
     return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
-def check_detectability(tree, cert, L=None, alpha=None):
+def check_detectability(tree, cert):
     """Verify a detectability certificate by exhaustive path products.
 
     Gains live on stages 1..T; node i's closed transition is
     ``A_i - K_i C_{a(i)}`` with C the principal square root of the
     parent's Q.
     """
-    L = cert.L if L is None else L
-    alpha = cert.alpha if alpha is None else alpha
     K, msg = _stacked_gains(cert, range(1, tree.horizon + 1), (tree.nx,) * 2, tree)
     if msg is not None:
         return CertificateCheck(False, msg, None)
     C = psd_sqrt(tree.arrays.Q)
-    return _path_verdict(tree, tree.arrays.A - K @ C[tree.parent], L, alpha)
+    return _path_verdict(tree, tree.arrays.A - K @ C[tree.parent], cert.L, cert.alpha)
 
 
 def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
     """Margin soundness check: nominal decay plus bounded deviations.
 
     Preconditions: the single nominal matrix is (L, alpha)-stable over
-    powers 0..T, and every per-node deviation has norm at most
-    ``perturbation_margin(L, alpha)``.  When they hold, the per-node
-    transitions ``Phi_nominal + deviation`` must pass the tree stability
-    check at the weakened rate (L, sqrt(alpha)); a precondition failure
-    is reported distinctly from a stability failure.
+    powers 0..T, and every per-node deviation (stacked over all nodes, row
+    0 unused) has norm at most ``perturbation_margin(L, alpha)``.  When
+    they hold, the per-node transitions ``Phi_nominal + deviation`` must
+    pass the tree stability check at the weakened rate (L, sqrt(alpha)); a
+    precondition failure is reported distinctly from a stability failure.
     """
     Phi_nominal = np.asarray(Phi_nominal, dtype=float)
     powers = [np.eye(Phi_nominal.shape[0])]
@@ -414,9 +410,8 @@ def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
             None,
         )
     delta = perturbation_margin(L, alpha)
-    dev = [np.asarray(deviations[n], dtype=float) for n in range(1, tree.node_count)]
-    dev = np.array(dev) if dev else np.zeros((0,) + Phi_nominal.shape)
-    norm = spectral_norms(dev)
+    dev = np.asarray(deviations, dtype=float)
+    norm = spectral_norms(dev[1:])
     over = np.flatnonzero(norm > delta * (1.0 + STAB_TOL))
     if over.size:
         return PerturbationCheck(
@@ -425,8 +420,7 @@ def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
             f"margin {delta:.6g}",
             None,
         )
-    Phi = np.concatenate([Phi_nominal[None], Phi_nominal + dev])
-    result = check_stability_tree(tree, Phi, L, math.sqrt(alpha))
+    result = check_stability_tree(tree, Phi_nominal + dev, L, math.sqrt(alpha))
     status = "pass" if result.passed else "fail"
     msg = "" if result.passed else (
         f"perturbed path product at {result.worst_pair} exceeds the "

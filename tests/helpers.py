@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spc_lab import build_tree_explicit, build_tree_stagewise
+from spc_lab import GainCertificate, build_tree_explicit, build_tree_stagewise
 
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
 
@@ -18,6 +18,23 @@ def node_data(A, B, d, Q, R, q, r):
 def stack(rows):
     """The fields of ``rows`` stacked over the rows, as the builders take them."""
     return {f: np.array([getattr(nd, f) for nd in rows], dtype=float) for f in FIELDS}
+
+
+def node_stack(tree, rows):
+    """The ``{node: matrix}`` mapping ``rows`` stacked over all nodes of
+    ``tree``, zero matrices at the nodes it leaves out."""
+    shape = np.shape(next(iter(rows.values())))
+    out = np.zeros((tree.node_count,) + shape)
+    for n, mat in rows.items():
+        out[n] = mat
+    return out
+
+
+def gain_certificate(K, L=1.0, alpha=0.5, role="stabilizability"):
+    """A certificate stacking the gains of the ``{node: gain}`` mapping ``K``
+    in ascending node order."""
+    nodes = sorted(K)
+    return GainCertificate(nodes, np.array([K[n] for n in nodes], dtype=float), L, alpha, role)
 
 
 def stagewise(per_stage):

@@ -245,7 +245,7 @@ def test_c09_perturbation_margin(instance_pool):
             rng = np.random.default_rng(4000 + trial)
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             nominal = alpha * Q
-            deviations = {}
+            deviations = np.zeros((tree.node_count, n, n))
             for node in range(1, tree.node_count):
                 raw = rng.standard_normal((n, n))
                 scale = rng.uniform(0.0, 1.0) * delta
@@ -260,10 +260,7 @@ def test_c09_perturbation_margin(instance_pool):
         rng = np.random.default_rng(1)
         u = np.zeros(n)
         u[0] = 1.0
-        bad = {
-            node: 4.0 * delta * np.outer(u, u)
-            for node in range(1, tree.node_count)
-        }
+        bad = np.broadcast_to(4.0 * delta * np.outer(u, u), (tree.node_count, n, n))
         out = verify_perturbed_stability(alpha * np.eye(n), tree, bad, L, alpha)
         assert out.status == "precondition_violated"
         assert "margin" in out.message

@@ -383,19 +383,15 @@ class TestCertificateFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         cert = GainCertificate(
-            K={0: rng.standard_normal((1, 2)), 1: rng.standard_normal((1, 2))},
-            L=1.25,
-            alpha=0.5,
-            role="detectability",
+            [0, 1], rng.standard_normal((2, 1, 2)), L=1.25, alpha=0.5, role="detectability"
         )
         path = tmp_path / "c.json"
         save_certificate(str(path), cert)
         back = load_certificate(str(path))
         assert back.role == "detectability"
         assert back.L == 1.25 and back.alpha == 0.5
-        assert set(back.K) == {0, 1}
-        for n in (0, 1):
-            assert np.array_equal(back.K[n], cert.K[n])
+        assert back.nodes.tolist() == [0, 1]
+        assert np.array_equal(back.K, cert.K)
 
     def test_missing_claim_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -961,6 +957,18 @@ class TestCertify:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: gain for node 3 has shape (1, 3), expected (1, 2)\n"
+        )
+
+    def test_mixed_shape_certificate_exit_2(self, generated, tmp_path, capsys):
+        # all gains of a certificate share one shape: an odd gain at a leaf,
+        # which the stabilizability check never reads, is refused at load
+        rc = self._certify(
+            generated, tmp_path, "stabilizability",
+            lambda K: K.update({"30": [[0.1, 0.2, 0.3]]}),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: gain for node 30 has shape (1, 3), expected (1, 2)\n"
         )
 
     @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from spc_lab import (
 from spc_lab import problem_io
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, node_data, random_tree, stack, uneven_tree
+from .helpers import crossed_tree, gain_certificate, node_data, random_tree, stack, uneven_tree
 from .oracles import NodeRow
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
@@ -141,12 +141,12 @@ def test_trace_rows_match_csv_writer_across_batches(tmp_path):
 
 @st.composite
 def certificates(draw):
-    nodes = draw(st.sets(st.integers(0, 40), max_size=14))
-    # gains of differing shapes, empty rows included, each get a template
-    shapes = st.tuples(st.integers(0, 2), st.integers(0, 3))
-    K = {n: matrix(draw, draw(shapes)) for n in nodes}
+    nodes = draw(st.lists(st.integers(0, 40), unique=True, max_size=14))
+    # one gain shape per certificate, empty rows included
+    shape = draw(st.tuples(st.integers(0, 2), st.integers(0, 3)))
+    K = matrix(draw, (len(nodes),) + shape)
     L, alpha, role = draw(numbers), draw(numbers), draw(st.text())
-    return GainCertificate(K=K, L=L, alpha=alpha, role=role)
+    return GainCertificate(nodes, K, L=L, alpha=alpha, role=role)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +156,7 @@ def test_save_certificate_matches_stdlib_encoder(tmp_path_factory, cert):
         "role": cert.role,
         "L": cert.L,
         "alpha": cert.alpha,
-        "K": {str(n): mat.tolist() for n, mat in cert.K.items()},
+        "K": {str(n): mat.tolist() for n, mat in zip(cert.nodes.tolist(), cert.K)},
     }
     path = tmp_path_factory.mktemp("c") / "cert.json"
     save_certificate(str(path), cert)
@@ -165,21 +165,21 @@ def test_save_certificate_matches_stdlib_encoder(tmp_path_factory, cert):
 
 def test_certificate_keys_sort_as_strings_and_empty_k(tmp_path):
     path = tmp_path / "cert.json"
-    K = {n: np.array([[float(n), -0.0]]) for n in (2, 10, 1, 33)}
-    save_certificate(str(path), GainCertificate(K=K, L=1.0, alpha=0.5))
+    K = np.array([[[float(n), -0.0]] for n in (2, 10, 1, 33)])
+    save_certificate(str(path), GainCertificate([2, 10, 1, 33], K, L=1.0, alpha=0.5))
     assert list(json.loads(path.read_text())["K"]) == ["1", "10", "2", "33"]
-    save_certificate(str(path), GainCertificate(K={}, L=1.0, alpha=0.5))
+    save_certificate(str(path), gain_certificate({}))
     assert path.read_text() == stdlib_text(
         {"K": {}, "L": 1.0, "alpha": 0.5, "role": "stabilizability"}
     )
 
 
 def test_certificate_renders_each_distinct_gain_once(tmp_path, monkeypatch):
-    # keys "10".."39" hold three interleaved (1, 2) gains, two of them a
-    # 0.0 / -0.0 pair; keys "400".."699" alternate two (2, 1) gains, a
-    # run that crosses batch boundaries
+    # keys "10".."39" interleave three gains, two of them a 0.0 / -0.0
+    # pair; keys "400".."699", which cross batch boundaries, alternate two
+    # more
     first_run = [[[1.0, 0.0]], [[1.0, -0.0]], [[0.5, 2.0]]]
-    second_run = [[[0.0], [3.0]], [[-0.0], [3.0]]]
+    second_run = [[[0.0, 3.0]], [[-0.0, 3.0]]]
     K = {n: np.array(first_run[n % 3]) for n in range(10, 40)}
     K.update({n: np.array(second_run[n % 2]) for n in range(400, 700)})
     rendered, numbers = [], problem_io._numbers
@@ -190,7 +190,7 @@ def test_certificate_renders_each_distinct_gain_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(problem_io, "_numbers", counted)
     path = tmp_path / "cert.json"
-    save_certificate(str(path), GainCertificate(K=K, L=1.0, alpha=0.5))
+    save_certificate(str(path), gain_certificate(K))
     doc = {"K": {str(n): mat.tolist() for n, mat in K.items()}, "L": 1.0, "alpha": 0.5,
            "role": "stabilizability"}
     assert path.read_text() == stdlib_text(doc)
@@ -211,8 +211,9 @@ def test_generated_certificates_round_trip_byte_for_byte(tmp_path):
         first, second = tmp_path / f"{role}.json", tmp_path / f"{role}-again.json"
         save_certificate(str(first), cert)
         loaded = load_certificate(str(first))
-        assert sorted(loaded.K) == sorted(cert.K)
-        assert all(np.array_equal(loaded.K[n], cert.K[n]) for n in cert.K)
+        order = np.argsort(loaded.nodes)
+        assert np.array_equal(loaded.nodes[order], cert.nodes)
+        assert np.array_equal(loaded.K[order], cert.K)
         save_certificate(str(second), loaded)
         assert second.read_bytes() == first.read_bytes()
         assert first.read_text() == stdlib_text(json.loads(first.read_text()))
@@ -256,6 +257,8 @@ def _key(at, key):
         (_key(1900, " 1900"), 'certificate gain key " 1900" is not a node id'),
         (_key(1900, "1_900"), 'certificate gain key "1_900" is not a node id'),
         (_key(1900, "１"), 'certificate gain key "\\uff11" is not a node id'),
+        # node ids are 64-bit integers
+        (_key(1900, str(2**63)), f'certificate gain key "{2**63}" is not a node id'),
         # the first fault in file order decides, whatever its kind
         (lambda items: (_set(2000, float("nan"))(items), _key(1950, "x")(items)),
          'certificate gain key "x" is not a node id'),
@@ -269,12 +272,36 @@ def test_deep_certificate_fault_is_named(tmp_path, edit, message):
     assert str(err.value).startswith(message)
 
 
-def test_deep_misshaped_gains_load_one_by_one(tmp_path):
-    # shapes are the check's business: a ragged K loads, gain by gain
-    cert = load_certificate(deep_certificate(
-        tmp_path / "cert.json", lambda items: items[1900].__setitem__(1, [[0.5]])))
-    assert cert.K[1900].shape == (1, 1) and cert.K[1899].shape == (2, 2)
-    assert len(cert.K) == 2047
+def _shape(at, gain):
+    def edit(items):
+        items[at][1] = gain
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_shape(1900, [[0.5]]), "gain for node 1900 has shape (1, 1), expected (2, 2)"),
+        # the first gain in file order sets the shape
+        (_shape(0, [[0.5]]), "gain for node 1 has shape (2, 2), expected (1, 1)"),
+        (_shape(1900, [0.5, 0.5]), "gain for node 1900 has shape (2,), expected (2, 2)"),
+        # a misshaped gain is a fault in file order like any other
+        (lambda items: (_shape(1900, [[0.5]])(items), _key(1950, "x")(items)),
+         "gain for node 1900 has shape (1, 1), expected (2, 2)"),
+        (lambda items: (_shape(1950, [[0.5]])(items), _key(1900, "x")(items)),
+         'certificate gain key "x" is not a node id'),
+    ],
+)
+def test_deep_misshaped_gain_is_refused_at_load(tmp_path, edit, message):
+    # all gains of a certificate share one shape
+    with pytest.raises(TreeError) as err:
+        load_certificate(deep_certificate(tmp_path / "cert.json", edit))
+    assert str(err.value) == message
+
+
+def test_largest_node_id_loads(tmp_path):
+    cert = load_certificate(deep_certificate(tmp_path / "cert.json", _key(1900, str(2**63 - 1))))
+    assert cert.nodes[1900] == 2**63 - 1 and cert.K.shape == (2047, 2, 2)
 
 
 def test_loaders_hold_off_garbage_collection(tmp_path):
@@ -363,3 +390,22 @@ def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
     (stack,) = stacks
     for f in FIELDS:
         assert np.shares_memory(getattr(loaded.raw_arrays, f), stack[f]), f
+
+
+def test_stagewise_horizon_is_checked_before_the_build(tmp_path, monkeypatch):
+    # 17 two-outcome stages make a 131071-node product tree; the declared
+    # horizon is compared with the stage count before any of it is built
+    outcome = {"A": [[1.0]], "B": [[1.0]], "d": [0.0], "Q": [[1.0]], "R": [[1.0]],
+               "q": [0.0], "r": [0.0]}
+    doc = {"dims": {"nx": 1, "nu": 1}, "horizon": 1,
+           "initial": {"x_prev": [0.0], "u_prev": [0.0]},
+           "stagewise": [[{**outcome, "prob": 1.0}]] + [[{**outcome, "prob": 0.5}] * 2] * 16}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("the product tree was built")
+
+    monkeypatch.setattr(problem_io, "build_tree_stagewise", refuse)
+    with pytest.raises(TreeError, match="^declared horizon 1 does not match tree depth 16$"):
+        load_problem(str(path))

@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spc_lab import (
-    GainCertificate,
     TreeError,
     build_tree_stagewise,
     check_detectability,
@@ -22,8 +21,10 @@ from spc_lab import (
 
 from .helpers import (
     crossed_tree,
+    gain_certificate,
     nd_scalar,
     node_data,
+    node_stack,
     random_node_data,
     random_tree,
     stagewise,
@@ -158,7 +159,7 @@ def test_constants_moment_bound_from_tree():
 
 def test_stability_scalar_half_exact():
     tree = uniform_binary_tree(nd_scalar(), 3)
-    Phi = {n: np.array([[0.5]]) for n in range(1, tree.node_count)}
+    Phi = node_stack(tree, {n: np.array([[0.5]]) for n in range(1, tree.node_count)})
     result = check_stability_tree(tree, Phi, 1.0, 0.5)
     assert result.passed
     assert result.worst_ratio == pytest.approx(1.0, abs=1e-12)
@@ -166,23 +167,24 @@ def test_stability_scalar_half_exact():
 
 def test_stability_scalar_growth_fails():
     tree = uniform_binary_tree(nd_scalar(), 2)
-    Phi = {n: np.array([[1.1]]) for n in range(1, tree.node_count)}
+    Phi = node_stack(tree, {n: np.array([[1.1]]) for n in range(1, tree.node_count)})
     result = check_stability_tree(tree, Phi, 1.0, 0.5)
     assert not result.passed
     assert result.worst_ratio > 2.0
 
 
 def test_stability_requires_all_transition_matrices():
+    # one row short of the three nodes
     tree = uniform_binary_tree(nd_scalar(), 1)
     with pytest.raises(TreeError, match="missing"):
-        check_stability_tree(tree, {1: np.eye(1)}, 1.0, 0.5)
+        check_stability_tree(tree, np.zeros((2, 1, 1)), 1.0, 0.5)
 
 
 @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
 def test_stability_refuses_non_finite_or_nonpositive_L(L):
     # a NaN L would make every ratio NaN, and NaN ratios read as passes
     tree = uniform_binary_tree(nd_scalar(), 2)
-    Phi = {n: np.array([[5.0]]) for n in range(1, tree.node_count)}
+    Phi = node_stack(tree, {n: np.array([[5.0]]) for n in range(1, tree.node_count)})
     with pytest.raises(ValueError, match="L must be positive and finite"):
         check_stability_tree(tree, Phi, L, 0.5)
 
@@ -206,7 +208,7 @@ def test_stability_path_products_are_order_correct():
     # transition along the chain is M2 @ M1, norm 0.4 <= L*alpha^2 = 0.5;
     # the reversed product has norm > 0.7 and would fail
     assert np.linalg.norm(M2 @ M1, 2) < 0.5 < np.linalg.norm(M1 @ M2, 2)
-    result = check_stability_tree(tree, {1: M1, 2: M2}, L, alpha)
+    result = check_stability_tree(tree, node_stack(tree, {1: M1, 2: M2}), L, alpha)
     assert result.passed
 
 
@@ -218,10 +220,10 @@ def test_stability_worst_pair_matches_path_walk(build):
     rng = np.random.default_rng(41)
     tree = build(rng)
     n = tree.nx
-    Phi = {
+    Phi = node_stack(tree, {
         j: 0.6 * rng.standard_normal((n, n)) / math.sqrt(n)
         for j in range(1, tree.node_count)
-    }
+    })
     result = check_stability_tree(tree, Phi, 1.5, 0.7)
     ratio, pair = worst_path_product(tree, Phi, 1.5, 0.7)
     assert result.worst_pair == pair
@@ -232,7 +234,7 @@ def test_stability_worst_pair_matches_path_walk(build):
 def test_stability_ties_resolve_to_first_descendant_and_depth():
     # Phi = I/2 with L = 1, alpha = 1/2: every ratio is exactly 1.0
     tree = uneven_tree(np.random.default_rng(42))
-    Phi = {j: 0.5 * np.eye(tree.nx) for j in range(1, tree.node_count)}
+    Phi = node_stack(tree, {j: 0.5 * np.eye(tree.nx) for j in range(1, tree.node_count)})
     result = check_stability_tree(tree, Phi, 1.0, 0.5)
     walked = worst_path_product(tree, Phi, 1.0, 0.5)
     assert (result.worst_ratio, result.worst_pair) == walked
@@ -245,7 +247,7 @@ def test_stability_overflowing_path_product_fails_with_ratio_inf(n):
     # 2.5e299, a product that overflows to inf.  The SVD of an inf matrix is
     # NaN, which the path-walk oracle skips as the old check did
     tree = uniform_binary_tree(random_node_data(np.random.default_rng(43), n, 1), 2)
-    Phi = {j: 1e200 * np.eye(n) for j in range(1, tree.node_count)}
+    Phi = node_stack(tree, {j: 1e200 * np.eye(n) for j in range(1, tree.node_count)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = check_stability_tree(tree, Phi, 1e300, 0.5)
@@ -254,7 +256,7 @@ def test_stability_overflowing_path_product_fails_with_ratio_inf(n):
 
 def test_stability_single_stage_tree_passes_vacuously():
     tree = build_tree_stagewise(uniform_outcome(nd_scalar(), [[1.0]]))
-    assert check_stability_tree(tree, {}, 1.0, 0.5) == (True, None, 0.0)
+    assert check_stability_tree(tree, np.zeros((1, 1, 1)), 1.0, 0.5) == (True, None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +266,25 @@ def test_stability_single_stage_tree_passes_vacuously():
 def test_stabilizability_decoupled_pass():
     nd = nd_scalar(A=0.5, B=0.0)
     tree = uniform_binary_tree(nd, 2)
-    cert = GainCertificate(
-        K={n: np.zeros((1, 1)) for n in range(tree.node_count)},
-        L=1.0,
-        alpha=0.5,
-    )
+    cert = gain_certificate({n: np.zeros((1, 1)) for n in range(tree.node_count)})
     check = check_stabilizability(tree, cert)
     assert check.passed
     assert check.stability.worst_ratio <= 1.0 + 1e-9
 
 
+def test_certificate_ids_beyond_the_tree_are_ignored():
+    # gains at ids the tree does not have are not read, whatever they hold
+    tree = uniform_binary_tree(nd_scalar(A=0.5, B=0.0), 2)
+    K = {n: np.zeros((1, 1)) for n in range(tree.node_count)}
+    K.update({tree.node_count: np.array([[5.0]]), 10**12: np.array([[5.0]])})
+    for check in (check_stabilizability, check_detectability):
+        assert check(tree, gain_certificate(K)).passed
+
+
 def test_stabilizability_flags_oversized_gain():
     nd = nd_scalar(A=0.5, B=0.0)
     tree = uniform_binary_tree(nd, 1)
-    cert = GainCertificate(
-        K={n: np.array([[2.0]]) for n in range(tree.node_count)},
-        L=1.0,
-        alpha=0.5,
-    )
+    cert = gain_certificate({n: np.array([[2.0]]) for n in range(tree.node_count)})
     check = check_stabilizability(tree, cert)
     assert not check.passed
     assert "gain bound violated" in check.message
@@ -290,8 +293,8 @@ def test_stabilizability_flags_oversized_gain():
 def test_stabilizability_requires_gains_on_early_stages():
     nd = nd_scalar(A=0.5, B=0.0)
     tree = uniform_binary_tree(nd, 1)
-    cert = GainCertificate(K={}, L=1.0, alpha=0.5)
-    with pytest.raises(TreeError, match="missing gain"):
+    cert = gain_certificate({})
+    with pytest.raises(TreeError, match="^missing gain for node 0$"):
         check_stabilizability(tree, cert)
 
 
@@ -300,21 +303,18 @@ def test_stabilizability_uses_parent_gain():
     nd = nd_scalar(A=1.0, B=1.0)
     tree = uniform_binary_tree(nd, 2)
     K = {n: np.array([[0.5]]) for n in range(tree.node_count)}
-    check = check_stabilizability(tree, GainCertificate(K, 1.0, 0.5))
+    check = check_stabilizability(tree, gain_certificate(K))
     assert check.passed
     K_bad = {n: np.array([[0.0]]) for n in range(tree.node_count)}
-    check = check_stabilizability(tree, GainCertificate(K_bad, 1.0, 0.5))
+    check = check_stabilizability(tree, gain_certificate(K_bad))
     assert not check.passed
 
 
 def test_detectability_decoupled_pass():
     nd = nd_scalar(A=0.5, B=0.0, Q=1.0)
     tree = uniform_binary_tree(nd, 2)
-    cert = GainCertificate(
-        K={n: np.zeros((1, 1)) for n in range(tree.node_count)},
-        L=1.0,
-        alpha=0.5,
-        role="detectability",
+    cert = gain_certificate(
+        {n: np.zeros((1, 1)) for n in range(tree.node_count)}, role="detectability"
     )
     check = check_detectability(tree, cert)
     assert check.passed
@@ -325,18 +325,13 @@ def test_detectability_rejects_indefinite_cost():
         A=[[0.5]], B=[[0.0]], d=[0.0], Q=[[-0.1]], R=[[1.0]], q=[0.0], r=[0.0]
     )
     tree = build_tree_stagewise(stagewise([[(bad, 1.0)], [(bad, 1.0)]]))
-    cert = GainCertificate(
-        K={n: np.zeros((1, 1)) for n in range(2)},
-        L=1.0,
-        alpha=0.5,
-        role="detectability",
-    )
+    cert = gain_certificate({n: np.zeros((1, 1)) for n in range(2)}, role="detectability")
     with pytest.raises(TreeError, match="Q not PSD"):
         check_detectability(tree, cert)
 
 
 def _detectability_cert(tree, K):
-    return GainCertificate(K=K, L=1.0, alpha=0.5, role="detectability")
+    return gain_certificate(K, role="detectability")
 
 
 def test_detectability_first_fault_in_node_order_decides():
@@ -359,12 +354,15 @@ def test_detectability_first_fault_in_node_order_decides():
     "check, shape", [(check_stabilizability, (2, 3)), (check_detectability, (3, 3))]
 )
 def test_misshaped_gain_names_node_and_shapes(check, shape):
+    # all gains share one shape, so a misshaped certificate fails at the
+    # first node the check reads: node 0 for stabilizability, node 1 for
+    # detectability (the root has no detectability gain)
     tree = random_tree(seed=4, T=2, branching=2, nx=3, nu=2)
-    K = {n: np.zeros(shape) for n in range(tree.node_count)}
-    K[2] = np.array([[0.1, 0.2, 0.3]])
+    K = {n: np.array([[0.1, 0.2, 0.3]]) for n in range(tree.node_count)}
     with pytest.raises(TreeError) as err:
-        check(tree, GainCertificate(K=K, L=1.0, alpha=0.5))
-    assert str(err.value) == f"gain for node 2 has shape (1, 3), expected {shape}"
+        check(tree, gain_certificate(K))
+    first = 0 if check is check_stabilizability else 1
+    assert str(err.value) == f"gain for node {first} has shape (1, 3), expected {shape}"
 
 
 def test_detectability_indefinite_cost_reports_first_node():
@@ -381,9 +379,7 @@ def test_detectability_uses_parent_observation_map():
     root = nd_scalar(A=1.0, B=0.0, Q=4.0)
     child = nd_scalar(A=1.0, B=0.0, Q=4.0)
     tree = build_tree_stagewise(stagewise([[(root, 1.0)], [(child, 1.0)]]))
-    cert = GainCertificate(
-        K={1: np.array([[0.25]])}, L=1.0, alpha=0.5, role="detectability"
-    )
+    cert = gain_certificate({1: np.array([[0.25]])}, role="detectability")
     check = check_detectability(tree, cert)
     assert check.passed
     assert check.stability.worst_ratio == pytest.approx(1.0, abs=1e-12)
@@ -455,7 +451,7 @@ def orthogonal(rng, n):
 
 def test_perturbed_zero_deviation_passes():
     tree = uniform_binary_tree(nd_scalar(), 3)
-    dev = {n: np.zeros((2, 2)) for n in range(1, tree.node_count)}
+    dev = np.zeros((tree.node_count, 2, 2))
     out = verify_perturbed_stability(0.5 * np.eye(2), tree, dev, 1.0, 0.5)
     assert out.status == "pass"
 
@@ -463,7 +459,7 @@ def test_perturbed_zero_deviation_passes():
 def test_perturbed_oversized_deviation_is_precondition_error():
     tree = uniform_binary_tree(nd_scalar(), 2)
     delta = perturbation_margin(1.0, 0.5)
-    dev = {n: np.zeros((2, 2)) for n in range(1, tree.node_count)}
+    dev = np.zeros((tree.node_count, 2, 2))
     dev[1] = 1.5 * delta * np.eye(2)
     out = verify_perturbed_stability(0.5 * np.eye(2), tree, dev, 1.0, 0.5)
     assert out.status == "precondition_violated"
@@ -472,7 +468,7 @@ def test_perturbed_oversized_deviation_is_precondition_error():
 
 def test_perturbed_unstable_nominal_is_precondition_error():
     tree = uniform_binary_tree(nd_scalar(), 2)
-    dev = {n: np.zeros((2, 2)) for n in range(1, tree.node_count)}
+    dev = np.zeros((tree.node_count, 2, 2))
     out = verify_perturbed_stability(1.1 * np.eye(2), tree, dev, 1.0, 0.5)
     assert out.status == "precondition_violated"
     assert "nominal" in out.message
@@ -485,7 +481,7 @@ def test_perturbed_random_deviations_within_margin_pass(trial):
     tree = uniform_binary_tree(nd_scalar(), 3)
     Phi = alpha * orthogonal(rng, 3)
     delta = perturbation_margin(L, alpha)
-    dev = {}
+    dev = np.zeros((tree.node_count, 3, 3))
     for n in range(1, tree.node_count):
         raw = rng.standard_normal((3, 3))
         dev[n] = raw * (delta * rng.uniform(0.0, 1.0) / np.linalg.norm(raw, 2))
