@@ -36,7 +36,9 @@ from .experiments import (
     regret_sweep,
 )
 from .kkt import SolverError, check_uniform_regularity, measure_decay
-from .norms import BlockMatrix, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
+from .norms import (
+    BlockMatrix, Blocks, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
+)
 from .problem_io import (
     _number,
     constants_dict,
@@ -285,15 +287,10 @@ def _suite_norms(tree, seed):
                 + ",".join(f"{k}={v!r}" for k, v in extra.items())
             )
 
-    roots = [0, *tree.children[0][:1]]
-    for draw, k in enumerate(roots):
-        t = tree.horizon
-        nodes = tuple(
-            j for j in tree.stage_nodes(t) if tree.is_ancestor(k, j)
-        )
-        v = BlockVector(
-            tree, nodes, {n: rng.standard_normal(tree.nx) for n in nodes}
-        )
+    t = tree.horizon
+    for k in (0, *tree.children[0][:1]):
+        nodes = np.flatnonzero((tree.stage == t) & (tree.ancestors[:, tree.stage[k]] == k))
+        v = BlockVector(tree, nodes, rng.standard_normal((nodes.size, tree.nx)))
         lhs, rhs, gap = expectation_identity_check(tree, k, t, v)
         record(
             f"expectation_identity[k={k}]",
@@ -303,32 +300,22 @@ def _suite_norms(tree, seed):
             rhs=rhs,
         )
 
-    nodes = tuple(range(tree.node_count))
-    dim = tree.nx + tree.nu
-    v1 = BlockVector(tree, nodes, {n: rng.standard_normal(dim) for n in nodes})
-    v2 = BlockVector(tree, nodes, {n: rng.standard_normal(dim) for n in nodes})
+    nodes, dim = np.arange(tree.node_count), tree.nx + tree.nu
+    v1 = BlockVector(tree, nodes, rng.standard_normal((nodes.size, dim)))
+    v2 = BlockVector(tree, nodes, rng.standard_normal((nodes.size, dim)))
     n1, n2 = pi_norm_vec(v1), pi_norm_vec(v2)
-    scaled = BlockVector(tree, nodes, {n: 3.5 * v1.blocks[n] for n in nodes})
     record(
         "homogeneity",
-        abs(pi_norm_vec(scaled) - 3.5 * n1) <= 1e-12 * (1.0 + n1),
+        abs(pi_norm_vec(BlockVector(tree, nodes, 3.5 * v1.V)) - 3.5 * n1) <= 1e-12 * (1.0 + n1),
         norm=n1,
     )
-    summed = BlockVector(
-        tree, nodes, {n: v1.blocks[n] + v2.blocks[n] for n in nodes}
-    )
-    record(
-        "triangle_inequality",
-        pi_norm_vec(summed) <= n1 + n2 + 1e-12,
-        lhs=pi_norm_vec(summed),
-        rhs=n1 + n2,
-    )
+    summed = pi_norm_vec(BlockVector(tree, nodes, v1.V + v2.V))
+    record("triangle_inequality", summed <= n1 + n2 + 1e-12, lhs=summed, rhs=n1 + n2)
 
-    blocks = {(n, n): rng.standard_normal((dim, dim)) for n in nodes}
-    for n in nodes:
-        par = int(tree.parent[n])
-        if par >= 0:
-            blocks[(n, par)] = rng.standard_normal((dim, dim))
+    # a diagonal block per node, then each node's block to its parent
+    child = np.flatnonzero(tree.parent >= 0)
+    values = rng.standard_normal((nodes.size + child.size, dim, dim))
+    blocks = Blocks(np.r_[nodes, child], np.r_[nodes, tree.parent[child]], values)
     M = BlockMatrix(tree, nodes, nodes, blocks)
     mv, nM = M.apply(v1), pi_norm_mat(M)
     record(

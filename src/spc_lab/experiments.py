@@ -24,7 +24,7 @@ from .controller import (
     solve_optimal,
 )
 from .kkt import _mv, solve_extensive
-from .norms import stage_moments, stage_norm, stage_perturbation_moments
+from .norms import Blocks, stage_moments, stage_norm, stage_perturbation_moments
 from .stability import (
     GainCertificate,
     check_detectability,
@@ -247,19 +247,16 @@ def generate_certified_instance(spec):
     K_obs = (B_nom @ K_nom) / 0.3
     R = gamma * np.eye(nu)
 
-    parents, stages, probs = [-1], [0], [1.0]
-    frontier = [0]
+    # stage by stage: the m children of each stage-(t-1) node, in node order
+    parents, probs, start = [np.array([-1])], [np.array([1.0])], 0
     for t in range(1, T + 1):
-        nxt = []
-        for par in frontier:
-            raw = rng_prob.uniform(0.2, 1.0, size=m)
-            cond = raw / raw.sum()
-            for b in range(m):
-                parents.append(par)
-                stages.append(t)
-                probs.append(probs[par] * float(cond[b]))
-                nxt.append(len(parents) - 1)
-        frontier = nxt
+        width = probs[-1].size
+        raw = rng_prob.uniform(0.2, 1.0, size=(width, m))
+        parents.append(np.repeat(start + np.arange(width), m))
+        probs.append((probs[-1][:, None] * (raw / raw.sum(1, keepdims=True))).ravel())
+        start += width
+    stages = np.repeat(np.arange(T + 1), [p.size for p in probs])
+    parents, probs = np.concatenate(parents), np.concatenate(probs)
 
     dev_c_cap = min(delta / (2.0 * L), 0.29)
     N = len(parents)
@@ -325,7 +322,7 @@ def _drivers(tree, constants, w_prev):
     norm."""
     D = getattr(constants, "D", math.nan)
     if not math.isfinite(D):
-        D = max(stage_perturbation_moments(tree).values())
+        D = float(stage_perturbation_moments(tree).max())
     return D, pair_norm(w_prev)
 
 
@@ -467,7 +464,7 @@ def closed_loop_bound_check(tree, constants, w_prev, W):
     c = constants
     applicable = W >= c.W_bar_ceil
     wbar = pair_norm(w_prev)
-    moments = list(stage_perturbation_moments(tree).values())
+    moments = stage_perturbation_moments(tree).tolist()
     trace = run_spc(tree, w_prev, W)
     measured = stage_moments(
         tree.pi / tree.pi[0], np.hstack([trace.x, trace.u]), tree.stage, tree.horizon
@@ -519,7 +516,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
             at = levels[t]
             P[at] = rec_inf.S[at] @ P[parent[at]]
             bound = _mul(2.0 * c.c1 * c.L / c.rho, c.rho ** (t - t2))
-            norm = stage_norm(pi, P[at], at, anc[at, t2])
+            norm = stage_norm(pi, Blocks(at, anc[at, t2], P[at]))
             points.append(BoundPoint((t, t2), norm, bound))
     reports.append(_report("closed_loop_product_decay", points, c, {"W": T}))
 
@@ -528,12 +525,12 @@ def lemma_suite(tree, constants, W, w_prev=None):
     for t in range(T + 1):
         for tp in range(t, T + 1):
             cols = levels[tp]
-            norm = stage_norm(pi, psi_gap[cols, t], anc[cols, t], cols)
+            norm = stage_norm(pi, Blocks(anc[cols, t], cols, psi_gap[cols, t]))
             bound = _mul(2.0 * c.c1**2 * c.L, c.rho ** (2 * W - tp + t))
             points.append(BoundPoint(("psi", t, tp), norm, bound))
     for t in range(1, T + 1):
         at = levels[t]
-        norm = stage_norm(pi, rec_inf.S[at] - rec_W.S[at], at, parent[at])
+        norm = stage_norm(pi, Blocks(at, parent[at], rec_inf.S[at] - rec_W.S[at]))
         bound = _mul(4.0 * c.c1**2 * c.L**2, c.rho ** (2 * W))
         points.append(BoundPoint(("S", t), norm, bound))
     reports.append(_report("truncation_gap", points, c, {"W": int(W)}))

@@ -198,7 +198,6 @@ class ScaledKKT:
         nx, nu = tree.nx, tree.nu
         self.nx, self.nu = nx, nu
         self.zdim = 2 * nx + nu
-        self.offsets = {n: i * self.zdim for i, n in enumerate(self.nodes)}
         self.scales = np.sqrt(tree.pi[list(self.nodes)] / tree.pi[k])
         self.dim = self.zdim * len(self.nodes)
         self._lu = None
@@ -560,20 +559,18 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     being ``pi_j / pi_i`` times block (j, i) transposed: one forest solve
     with unit perturbations at the row coordinates serves every row.
     ``rows="w"`` restricts to the state-control rows of each requested
-    node.  Returns ``{(i, j): block}`` for i in ``row_nodes`` over all
-    subtree nodes j.
+    node.  Returns the blocks as one array ``(len(row_nodes), m, nrow,
+    2nx+nu)``: block (a, b) has row node ``row_nodes[a]`` and column node
+    the subtree's b-th node in ascending order.
     """
     forest = _window(tree, k, W)
     nodes, zd = forest[0].tolist(), 2 * tree.nx + tree.nu
     nrow = tree.nx + tree.nu if rows == "w" else zd
     at = np.repeat([nodes.index(i) for i in row_nodes], nrow)
     Z = _unit_response(RiccatiFactor(tree, *forest), at * zd + np.arange(at.size) % nrow)
-    Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow)
-    return {
-        (i, j): (tree.pi[j] / tree.pi[i]) * Z[b, :, a].T
-        for a, i in enumerate(row_nodes)
-        for b, j in enumerate(nodes)
-    }
+    Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow).transpose(2, 0, 3, 1)
+    weight = tree.pi[nodes] / tree.pi[list(row_nodes)][:, None]
+    return weight[:, :, None, None] * Z
 
 
 def _lanczos_lockstep(gram, sizes):

@@ -2,23 +2,27 @@
 
 The weighted vector norm ``sqrt(sum_i pi_i ||v_i||^2)`` and its induced
 operator norm are the measuring sticks for every decay and performance
-bound in this package.  :func:`stage_moments`, the one moment kernel,
-evaluates the vector norm per stage on rows stacked over nodes.  The
-induced norm is the spectral norm after rescaling block (i, j) by
-``sqrt(pi_i / pi_j)``.  Three kernels evaluate it: :func:`pi_norm_mat`
-assembles a general :class:`BlockMatrix` sparse and takes its norm by
-Lanczos (the norms suite); :func:`stage_norm` is exact, with no
-iteration, for the closed-loop stage matrices, which hold one block per
-row or column (the lemma suite); and :func:`_block_norm` takes the
-largest eigenvalue of the Gram matrix, on the smaller side, of blocks
-that are dense already (solution-map decay rows and :func:`sigma_pi`),
-the kernel :func:`stage_norm` applies per group.
+bound in this package.  Block vectors and block matrices are stacks over
+node ids: a :class:`BlockVector` holds one row per node, a
+:class:`BlockMatrix` one :class:`Blocks` stack in block coordinate
+format.  :func:`stage_moments`, the one moment kernel, evaluates the
+vector norm per stage on rows stacked over nodes.  The induced norm is
+the spectral norm after rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.
+Three kernels evaluate it: :func:`pi_norm_mat` assembles a general
+:class:`BlockMatrix` sparse and takes its norm by Lanczos (the norms
+suite); :func:`stage_norm` is exact, with no iteration, for the
+closed-loop stage matrices, which hold one block per row or column (the
+lemma suite); and :func:`_block_norm` takes the largest eigenvalue of the
+Gram matrix, on the smaller side, of blocks that are dense already
+(solution-map decay rows and :func:`sigma_pi`), the kernel
+:func:`stage_norm` applies per group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,158 +31,143 @@ import scipy.sparse.linalg as spla
 from .tree import ScenarioTree, TreeError
 
 
+class Blocks(NamedTuple):
+    """Blocks in coordinate format, like scipy's COO ``(row, col, data)``:
+    block m is the matrix ``values[m]`` at row node ``rows[m]`` and column
+    node ``cols[m]``.  Missing pairs are zero; repeated pairs add up."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def _node_ids(tree, nodes):
+    """Read-only int array of node ids, each checked to lie in ``tree``."""
+    ids = np.array(nodes, dtype=int).reshape(-1)
+    bad = ids[(ids < 0) | (ids >= tree.node_count)]
+    if bad.size:
+        raise TreeError(f"node {bad[0]} not in tree")
+    ids.setflags(write=False)
+    return ids
+
+
 @dataclass(frozen=True)
 class BlockVector:
-    """Vector with one fixed-size block per node of a tree node set."""
+    """Vector with one block per node of a node set: row m of the
+    read-only ``(len(nodes), dim)`` stack ``V`` is node ``nodes[m]``'s."""
 
     tree: ScenarioTree
-    nodes: tuple
-    blocks: dict
+    nodes: np.ndarray
+    V: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        blocks = {}
-        dim = None
-        for n in self.nodes:
-            if not 0 <= n < self.tree.node_count:
-                raise TreeError(f"node {n} not in tree")
-            b = np.array(self.blocks[n], dtype=float).ravel()
-            if dim is None:
-                dim = b.shape[0]
-            elif b.shape[0] != dim:
-                raise TreeError("block dimensions differ across nodes")
-            b.setflags(write=False)
-            blocks[n] = b
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_dim", dim if dim is not None else 0)
+        nodes, V = _node_ids(self.tree, self.nodes), np.array(self.V, dtype=float)
+        if V.ndim != 2 or len(V) != nodes.size:
+            raise TreeError(f"{nodes.size} nodes but blocks of shape {V.shape}")
+        V.setflags(write=False)
+        self.__dict__.update(nodes=nodes, V=V)
 
     @property
     def dim(self):
-        return self._dim
-
-    def stacked(self):
-        """Concatenation of blocks in node-set order."""
-        if not self.nodes:
-            return np.zeros(0)
-        return np.concatenate([self.blocks[n] for n in self.nodes])
+        return self.V.shape[1]
 
 
 @dataclass(frozen=True)
 class BlockMatrix:
-    """Sparse-by-blocks matrix between two tree node sets.
-
-    ``blocks`` maps ``(row_node, col_node)`` to a dense block; missing
-    pairs are zero.  All stored blocks share one shape.
-    """
+    """Sparse-by-blocks matrix between two node sets: one read-only
+    :class:`Blocks` stack whose blocks share the shape ``shape_block``."""
 
     tree: ScenarioTree
-    row_nodes: tuple
-    col_nodes: tuple
-    blocks: dict
+    row_nodes: np.ndarray
+    col_nodes: np.ndarray
+    blocks: Blocks
     shape_block: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "row_nodes", tuple(self.row_nodes))
-        object.__setattr__(self, "col_nodes", tuple(self.col_nodes))
-        rows, cols = set(self.row_nodes), set(self.col_nodes)
-        blocks = {}
-        shape = None
-        for (i, j), blk in self.blocks.items():
-            if i not in rows or j not in cols:
-                raise TreeError(f"block ({i}, {j}) outside declared node sets")
-            b = np.atleast_2d(np.array(blk, dtype=float))
-            if shape is None:
-                shape = b.shape
-            elif b.shape != shape:
-                raise TreeError("stored blocks have differing shapes")
-            b.setflags(write=False)
-            blocks[(i, j)] = b
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "shape_block", shape if shape else (0, 0))
+        row_nodes, col_nodes = (_node_ids(self.tree, n) for n in (self.row_nodes, self.col_nodes))
+        rows, cols = (np.array(a, dtype=int).reshape(-1) for a in self.blocks[:2])
+        values = np.array(self.blocks[2], dtype=float)
+        if values.ndim != 3 or not rows.size == cols.size == len(values):
+            raise TreeError("blocks need one row node, column node and matrix each")
+        out = np.flatnonzero(~np.isin(rows, row_nodes) | ~np.isin(cols, col_nodes))
+        if out.size:
+            raise TreeError(f"block ({rows[out[0]]}, {cols[out[0]]}) outside declared node sets")
+        for a in (rows, cols, values):
+            a.setflags(write=False)
+        self.__dict__.update(row_nodes=row_nodes, col_nodes=col_nodes,
+                             blocks=Blocks(rows, cols, values), shape_block=values.shape[1:])
 
     @classmethod
     def identity(cls, tree, nodes, dim):
-        return cls(
-            tree, tuple(nodes), tuple(nodes), {(n, n): np.eye(dim) for n in nodes}
-        )
+        eye = np.broadcast_to(np.eye(dim), (len(nodes), dim, dim))
+        return cls(tree, nodes, nodes, Blocks(nodes, nodes, eye))
 
     def transpose(self):
-        return BlockMatrix(
-            self.tree,
-            self.col_nodes,
-            self.row_nodes,
-            {(j, i): blk.T for (i, j), blk in self.blocks.items()},
-        )
+        rows, cols, values = self.blocks
+        flipped = Blocks(cols, rows, values.transpose(0, 2, 1))
+        return BlockMatrix(self.tree, self.col_nodes, self.row_nodes, flipped)
 
     def scaled(self, alpha):
-        return BlockMatrix(
-            self.tree,
-            self.row_nodes,
-            self.col_nodes,
-            {key: alpha * blk for key, blk in self.blocks.items()},
-        )
+        rows, cols, values = self.blocks
+        return BlockMatrix(self.tree, self.row_nodes, self.col_nodes,
+                           Blocks(rows, cols, alpha * values))
 
     def add(self, other):
-        if self.row_nodes != other.row_nodes or self.col_nodes != other.col_nodes:
+        """Sum: the two block stacks, one after the other."""
+        if not (np.array_equal(self.row_nodes, other.row_nodes)
+                and np.array_equal(self.col_nodes, other.col_nodes)):
             raise TreeError("block matrix node sets differ")
-        out = dict(self.blocks)
-        for key, blk in other.blocks.items():
-            out[key] = out[key] + blk if key in out else blk
-        return BlockMatrix(self.tree, self.row_nodes, self.col_nodes, out)
+        both = Blocks(*(np.concatenate(pair) for pair in zip(self.blocks, other.blocks)))
+        return BlockMatrix(self.tree, self.row_nodes, self.col_nodes, both)
 
     def sub(self, other):
         return self.add(other.scaled(-1.0))
 
     def matmul(self, other):
-        """Block product; column nodes must equal the factor's row nodes."""
-        if self.col_nodes != other.row_nodes:
+        """Block product; column nodes must equal the factor's row nodes.
+        Every left block meets every right block on its inner node."""
+        if not np.array_equal(self.col_nodes, other.row_nodes):
             raise TreeError("inner node sets differ in block product")
-        by_row = {}
-        for (i, m), blk in self.blocks.items():
-            by_row.setdefault(i, []).append((m, blk))
-        out = {}
-        cols_of = {}
-        for (m, j), blk in other.blocks.items():
-            cols_of.setdefault(m, []).append((j, blk))
-        for i, left_entries in by_row.items():
-            for m, lblk in left_entries:
-                for j, rblk in cols_of.get(m, ()):
-                    key = (i, j)
-                    prod = lblk @ rblk
-                    out[key] = out[key] + prod if key in out else prod
-        return BlockMatrix(self.tree, self.row_nodes, other.col_nodes, out)
+        (r1, c1, v1), (r2, c2, v2) = self.blocks, other.blocks
+        order = np.argsort(r2, kind="stable")
+        lo = np.searchsorted(r2, c1, sorter=order)
+        n = np.searchsorted(r2, c1, side="right", sorter=order) - lo
+        left = np.repeat(np.arange(c1.size), n)
+        right = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(left.size)]
+        product = Blocks(r1[left], c2[right], v1[left] @ v2[right])
+        return BlockMatrix(self.tree, self.row_nodes, other.col_nodes, product)
+
+    def _slots(self):
+        """Positions of each block's row and column node in the node sets."""
+        pos = np.full((2, self.tree.node_count), -1)
+        pos[0, self.row_nodes] = np.arange(self.row_nodes.size)
+        pos[1, self.col_nodes] = np.arange(self.col_nodes.size)
+        return pos[0, self.blocks.rows], pos[1, self.blocks.cols]
 
     def apply(self, v):
         """Matrix-vector action; returns a BlockVector on the row nodes."""
-        if tuple(v.nodes) != self.col_nodes:
+        if not np.array_equal(v.nodes, self.col_nodes):
             raise TreeError("vector node set differs from matrix columns")
-        nr = self.shape_block[0] if self.blocks else v.dim
-        out = {n: np.zeros(nr) for n in self.row_nodes}
-        for (i, j), blk in self.blocks.items():
-            out[i] = out[i] + blk @ v.blocks[j]
+        a, b = self._slots()
+        out = np.zeros((self.row_nodes.size, self.shape_block[0]))
+        np.add.at(out, a, (self.blocks.values @ v.V[b, :, None])[:, :, 0])
         return BlockVector(self.tree, self.row_nodes, out)
 
-    def sparse(self, scaling=None):
-        """Assembled sparse (CSR) matrix; ``scaling(i, j)`` multiplies each
-        block."""
-        nr, nc = self.shape_block
-        rpos = {n: a for a, n in enumerate(self.row_nodes)}
-        cpos = {n: b for b, n in enumerate(self.col_nodes)}
-        a = np.array([rpos[i] for i, _ in self.blocks], dtype=int)
-        b = np.array([cpos[j] for _, j in self.blocks], dtype=int)
-        f = [1.0 if scaling is None else scaling(*key) for key in self.blocks]
-        blocks = np.reshape(f, (-1, 1, 1)) * np.reshape(
-            list(self.blocks.values()), (len(a), nr, nc)
-        )
-        m, r, c = np.nonzero(blocks)
+    def sparse(self, factors=None):
+        """Assembled sparse (CSR) matrix; ``factors[m]`` multiplies block m."""
+        (nr, nc), (a, b) = self.shape_block, self._slots()
+        values = self.blocks.values
+        if factors is not None:
+            values = np.reshape(factors, (-1, 1, 1)) * values
+        m, r, c = np.nonzero(values)
         return sp.csr_matrix(
-            (blocks[m, r, c], (a[m] * nr + r, b[m] * nc + c)),
-            shape=(nr * len(rpos), nc * len(cpos)),
+            (values[m, r, c], (a[m] * nr + r, b[m] * nc + c)),
+            shape=(nr * self.row_nodes.size, nc * self.col_nodes.size),
         )
 
-    def dense(self, scaling=None):
-        """Assembled dense matrix; ``scaling(i, j)`` multiplies each block."""
-        return self.sparse(scaling).toarray()
+    def dense(self, factors=None):
+        """Assembled dense matrix; ``factors[m]`` multiplies block m."""
+        return self.sparse(factors).toarray()
 
 
 def stage_moments(weight, V, stage, T):
@@ -193,18 +182,13 @@ def stage_moments(weight, V, stage, T):
 
 def pi_norm_vec(v):
     """Probability-weighted norm sqrt(sum_i pi_i ||v_i||^2)."""
-    V = v.stacked().reshape(len(v.nodes), v.dim)
-    return float(stage_moments(v.tree.pi[list(v.nodes)], V, np.zeros(len(V)), 0)[0])
+    return float(stage_moments(v.tree.pi[v.nodes], v.V, np.zeros(len(v.V)), 0)[0])
 
 
 def stage_perturbation_moments(tree):
-    """Per-stage {E[||p_t||^2]}^{1/2} by exact weighted enumeration.
-
-    Returns ``{t: weighted norm of the stage-t perturbation blocks}`` with
-    the unshifted perturbations p = (q, r, d).
-    """
-    m = stage_moments(tree.pi, tree.arrays.p, tree.stage, tree.horizon)
-    return dict(enumerate(m.tolist()))
+    """Per-stage {E[||p_t||^2]}^{1/2}, t = 0..T, of the unshifted
+    perturbations p = (q, r, d), by exact weighted enumeration."""
+    return stage_moments(tree.pi, tree.arrays.p, tree.stage, tree.horizon)
 
 
 def _block_norm(M4, f):
@@ -250,28 +234,27 @@ def pi_norm_mat(M):
     rescaled matrix stays sparse; its squared norm is the largest
     eigenvalue of its Gram operator on the smaller side.
     """
-    pi = M.tree.pi
-    S = M.sparse(lambda i, j: math.sqrt(pi[i] / pi[j]))
+    pi, (rows, cols, _) = M.tree.pi, M.blocks
+    S = M.sparse(np.sqrt(pi[rows] / pi[cols]))
     op = spla.aslinearoperator(S if S.shape[0] >= S.shape[1] else S.T)
     return math.sqrt(_lanczos(op.T @ op, which="LA"))
 
 
-def stage_norm(pi, blocks, rows, cols):
+def stage_norm(pi, blocks):
     """:func:`pi_norm_mat` of a matrix with one block per row or per column.
 
-    Block m is ``blocks[m]`` at row node ``rows[m]`` and column node
-    ``cols[m]``.  With one block per row, ``M'M`` (rescaled) is block
-    diagonal over the columns:
+    ``blocks`` is a :class:`Blocks` stack.  With one block per row,
+    ``M'M`` (rescaled) is block diagonal over the columns:
     ``||M||^2 = max_c lambda_max(sum_{i: c(i) = c} (pi_i / pi_c) M_ic' M_ic)``.
     With one block per column, ``M M'`` is block diagonal over the rows,
     with the same weights.  Groups are formed from the node indices, so
     neither set needs to be sorted or contiguous.
     """
-    rows, cols = np.asarray(rows), np.asarray(cols)
+    rows, cols, values = (np.asarray(a) for a in blocks)
     if np.unique(rows).size == rows.size:
-        group, gram = cols, blocks.transpose(0, 2, 1) @ blocks
+        group, gram = cols, values.transpose(0, 2, 1) @ values
     elif np.unique(cols).size == cols.size:
-        group, gram = rows, blocks @ blocks.transpose(0, 2, 1)
+        group, gram = rows, values @ values.transpose(0, 2, 1)
     else:
         raise TreeError("stage matrix has neither one block per row nor per column")
     keys, slot = np.unique(group, return_inverse=True)
@@ -286,7 +269,7 @@ def sigma_pi(M):
     Rescales each block by ``(pi_row * pi_col)^{-1/2}`` before taking the
     spectral norm; symmetric in transposition.
     """
-    pi_r, pi_c = M.tree.pi[list(M.row_nodes)], M.tree.pi[list(M.col_nodes)]
+    pi_r, pi_c = M.tree.pi[M.row_nodes], M.tree.pi[M.col_nodes]
     M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, M.shape_block[1])
     return _block_norm(M4, 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))
 
@@ -302,19 +285,13 @@ def expectation_identity_check(tree, k, t, v):
     """
     if t < tree.stage[k]:
         raise TreeError(f"stage {t} precedes node {k}'s stage {tree.stage[k]}")
-    expected = [
-        j
-        for j in tree.stage_nodes(t)
-        if tree.is_ancestor(k, j)
-    ]
-    if set(v.nodes) != set(expected):
+    expected = np.flatnonzero((tree.stage == t) & (tree.ancestors[:, tree.stage[k]] == k))
+    if not np.array_equal(np.unique(v.nodes), expected):
         raise TreeError(
             f"vector nodes do not match stage-{t} slice of subtree at {k}"
         )
     lhs = pi_norm_vec(v)
-    cond = [
-        (tree.pi[j] / tree.pi[k]) * float(v.blocks[j] @ v.blocks[j])
-        for j in v.nodes
-    ]
+    # v @ v row by row: the stacked matmul runs the dot of v @ v per row
+    cond = (tree.pi[v.nodes] / tree.pi[k]) * (v.V[:, None] @ v.V[:, :, None])[:, 0, 0]
     rhs = math.sqrt(tree.pi[k]) * math.sqrt(math.fsum(cond))
     return lhs, rhs, abs(lhs - rhs)

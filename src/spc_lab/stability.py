@@ -224,7 +224,7 @@ def compute_constants(L, alpha, gamma, tree=None, w_prev=None):
 
     D = math.nan
     if tree is not None:
-        D = max(stage_perturbation_moments(tree).values())
+        D = float(stage_perturbation_moments(tree).max())
     w_bar_norm = math.nan if w_prev is None else pair_norm(w_prev)
 
     return ConstantsBundle(

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from spc_lab import GainCertificate, build_tree_explicit, build_tree_stagewise
+from spc_lab import Blocks, GainCertificate, build_tree_explicit, build_tree_stagewise
 
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
 
@@ -28,6 +28,14 @@ def node_stack(tree, rows):
     for n, mat in rows.items():
         out[n] = mat
     return out
+
+
+def blocks_of(literal):
+    """The ``{(i, j): block}`` literal as one :class:`Blocks` stack in the
+    literal's order; an empty literal holds no blocks, of shape (0, 0)."""
+    rows, cols = (np.array([key[a] for key in literal], dtype=int) for a in (0, 1))
+    values = np.array(list(literal.values()), dtype=float)
+    return Blocks(rows, cols, values if literal else np.zeros((0, 0, 0)))
 
 
 def gain_certificate(K, L=1.0, alpha=0.5, role="stabilizability"):
@@ -109,13 +117,6 @@ def unstable_chain(T):
     """Scalar chain with open-loop dynamics A = 2: maps that simulate the
     states forward grow like 2^T."""
     return chain_tree(T, nd_scalar(A=2.0, B=1.0, d=0.3, Q=1.0, R=1.0, q=0.5, r=-0.2))
-
-
-def random_block_vector(rng, tree, dims):
-    """One random block per node; ``dims`` maps node -> block size or int."""
-    if isinstance(dims, int):
-        return [rng.standard_normal(dims) for _ in range(tree.node_count)]
-    return [rng.standard_normal(dims[n]) for n in range(tree.node_count)]
 
 
 def crossed_tree(rng):

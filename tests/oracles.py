@@ -435,19 +435,22 @@ def here_and_now_dense(tree, w_prev):
 def dense_pi_norm(pi, row_nodes, col_nodes, blocks):
     """Probability-weighted operator norm of a block matrix, by one dense SVD.
 
-    ``blocks`` maps (row node, column node) to a dense block; missing pairs
-    are zero.  Block (i, j) is rescaled by sqrt(pi_i / pi_j) and placed in
-    a dense matrix whose largest singular value is returned.
+    ``blocks`` is a ``(rows, cols, values)`` triple: block m is the dense
+    matrix ``values[m]`` at row node ``rows[m]`` and column node
+    ``cols[m]``; missing pairs are zero and repeated pairs add up.  Block
+    (i, j) is rescaled by sqrt(pi_i / pi_j) and added into a dense matrix
+    whose largest singular value is returned.
     """
-    if not blocks:
+    rows, cols, values = blocks
+    if len(values) == 0:
         return 0.0
-    nr, nc = np.atleast_2d(next(iter(blocks.values()))).shape
-    rpos = {n: a for a, n in enumerate(row_nodes)}
-    cpos = {n: b for b, n in enumerate(col_nodes)}
+    nr, nc = np.shape(values[0])
+    rpos = {int(n): a for a, n in enumerate(row_nodes)}
+    cpos = {int(n): b for b, n in enumerate(col_nodes)}
     dense = np.zeros((nr * len(row_nodes), nc * len(col_nodes)))
-    for (i, j), blk in blocks.items():
-        a, b = rpos[i] * nr, cpos[j] * nc
-        dense[a : a + nr, b : b + nc] = math.sqrt(pi[i] / pi[j]) * np.asarray(blk)
+    for i, j, blk in zip(rows, cols, values):
+        a, b = rpos[int(i)] * nr, cpos[int(j)] * nc
+        dense[a : a + nr, b : b + nc] += math.sqrt(pi[i] / pi[j]) * np.asarray(blk)
     return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 

@@ -43,7 +43,7 @@ from spc_lab import (
 )
 
 from .conftest import pool_spec, record_criterion
-from .helpers import random_tree
+from .helpers import blocks_of, random_tree
 from .oracles import naive_pi_norm
 
 
@@ -141,25 +141,13 @@ def test_c05_uniform_regularity(instance_pool):
 
 def _dense_scaled_norm(tree, M):
     """Independent route: assemble the weighted dense matrix by hand."""
-    rdim = {i: M.blocks[(i, next(j for (_i, j) in M.blocks if _i == i))].shape[0]
-            for i in M.row_nodes}
-    cdim = {}
-    for (i, j), blk in M.blocks.items():
-        cdim[j] = blk.shape[1]
-    roff, total_r = {}, 0
-    for i in M.row_nodes:
-        roff[i] = total_r
-        total_r += rdim[i]
-    coff, total_c = {}, 0
-    for j in M.col_nodes:
-        coff[j] = total_c
-        total_c += cdim.get(j, 0)
-    dense = np.zeros((total_r, total_c))
-    for (i, j), blk in M.blocks.items():
+    nr, nc = M.shape_block
+    roff = {int(i): a * nr for a, i in enumerate(M.row_nodes)}
+    coff = {int(j): b * nc for b, j in enumerate(M.col_nodes)}
+    dense = np.zeros((nr * len(M.row_nodes), nc * len(M.col_nodes)))
+    for i, j, blk in zip(*M.blocks):
         s = math.sqrt(tree.pi[i] / tree.pi[j])
-        dense[roff[i] : roff[i] + blk.shape[0], coff[j] : coff[j] + blk.shape[1]] = (
-            s * blk
-        )
+        dense[roff[i] : roff[i] + nr, coff[j] : coff[j] + nc] += s * blk
     return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
 
 
@@ -177,20 +165,14 @@ def test_c06_norm_identities():
             dim = tree.nx + tree.nu
 
             # (a) the weighted vector norm against an enumerated oracle
-            v = BlockVector(
-                tree, nodes, {n: rng.standard_normal(dim) for n in nodes}
-            )
+            v = BlockVector(tree, nodes, rng.standard_normal((len(nodes), dim)))
             val = pi_norm_vec(v)
-            oracle = naive_pi_norm(
-                [tree.pi[n] for n in nodes], [v.blocks[n] for n in nodes]
-            )
+            oracle = naive_pi_norm([tree.pi[n] for n in nodes], list(v.V))
             assert abs(val - oracle) <= 1e-10 * (1.0 + val)
 
             # expectation identity on the leaf slice
             leaves = tuple(tree.stage_nodes(tree.horizon))
-            vl = BlockVector(
-                tree, leaves, {n: rng.standard_normal(tree.nx) for n in leaves}
-            )
+            vl = BlockVector(tree, leaves, rng.standard_normal((len(leaves), tree.nx)))
             lhs, rhs, gap = expectation_identity_check(
                 tree, 0, tree.horizon, vl
             )
@@ -200,7 +182,7 @@ def test_c06_norm_identities():
             blocks = {(n, n): rng.standard_normal((dim, dim)) for n in nodes}
             for n in nodes[1:]:
                 blocks[(n, int(tree.parent[n]))] = rng.standard_normal((dim, dim))
-            M = BlockMatrix(tree, nodes, nodes, blocks)
+            M = BlockMatrix(tree, nodes, nodes, blocks_of(blocks))
             nM = pi_norm_mat(M)
             assert abs(nM - _dense_scaled_norm(tree, M)) <= 1e-10 * (1.0 + nM)
 
@@ -209,7 +191,7 @@ def test_c06_norm_identities():
 
             # (d) submultiplicative across composition
             blocks2 = {(n, n): rng.standard_normal((dim, dim)) for n in nodes}
-            N = BlockMatrix(tree, nodes, nodes, blocks2)
+            N = BlockMatrix(tree, nodes, nodes, blocks_of(blocks2))
             assert pi_norm_mat(M.matmul(N)) <= nM * pi_norm_mat(N) + 1e-10
 
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
+    Blocks,
     InstanceSpec,
     SingularKKTError,
     SolverError,
@@ -614,16 +615,10 @@ def test_stage_norm_matches_dense_on_lemma_matrices(build):
     T, anc, parent = tree.horizon, tree.ancestors, tree.parent
     rec_inf, rec_W = recursion_matrices(tree, T), recursion_matrices(tree, 1)
 
-    def check(blocks, rows, cols, t_row, t_col):
-        dense = pi_norm_mat(
-            BlockMatrix(
-                tree,
-                tree.stage_nodes(t_row),
-                tree.stage_nodes(t_col),
-                {(int(i), int(j)): b for b, i, j in zip(blocks, rows, cols)},
-            )
-        )
-        exact = stage_norm(tree.pi, blocks, rows, cols)
+    def check(blocks, t_row, t_col):
+        rows, cols = tree.stage_nodes(t_row), tree.stage_nodes(t_col)
+        dense = pi_norm_mat(BlockMatrix(tree, rows, cols, blocks))
+        exact = stage_norm(tree.pi, blocks)
         assert exact == pytest.approx(dense, rel=1e-12, abs=0)
 
     for t2 in range(T):
@@ -631,15 +626,15 @@ def test_stage_norm_matches_dense_on_lemma_matrices(build):
         for t in range(t2 + 1, T + 1):
             at = np.asarray(tree.stage_nodes(t))
             P.update({i: rec_inf.S[i] @ P[int(parent[i])] for i in at})
-            check(np.array([P[i] for i in at]), at, anc[at, t2], t, t2)
+            check(Blocks(at, anc[at, t2], np.array([P[i] for i in at])), t, t2)
     for t in range(T + 1):
         for tp in range(t, T + 1):
             cols = np.asarray(tree.stage_nodes(tp))
             gap = rec_inf.Psi[cols, t] - rec_W.Psi[cols, t]
-            check(gap, anc[cols, t], cols, t, tp)
+            check(Blocks(anc[cols, t], cols, gap), t, tp)
     for t in range(1, T + 1):
         at = np.asarray(tree.stage_nodes(t))
-        check(rec_inf.S[at] - rec_W.S[at], at, parent[at], t, t - 1)
+        check(Blocks(at, parent[at], rec_inf.S[at] - rec_W.S[at]), t, t - 1)
 
 
 def stage_apply(rec, t, v):

@@ -311,7 +311,8 @@ def test_stage_moments_match_manual_sum():
     assert moments[0] == pytest.approx(0.5)
     assert moments[1] == pytest.approx(math.sqrt(0.25 * 0.25 + 0.75 * 1.0))
     constants = compute_constants(1.0, 0.5, 1.0, tree=tree)
-    assert constants.D == pytest.approx(max(moments.values()))
+    assert moments.shape == (2,)
+    assert constants.D == pytest.approx(moments.max())
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from spc_lab import kkt
 from spc_lab.kkt import stage_costs
 
 from .helpers import (
+    blocks_of,
     crossed_tree,
     nd_scalar,
     node_data,
@@ -101,7 +102,7 @@ def test_child_coupling_carries_branch_probability_root():
     H = system.H.toarray()
     # child node 1 occupies block 1; its constraint row couples to the
     # root's x and u with factor sqrt(1/2)
-    yrow = system.offsets[1] + 2
+    yrow = 1 * system.zdim + 2
     s = math.sqrt(0.5)
     assert H[yrow, 0] == pytest.approx(-2.0 * s)
     assert H[yrow, 1] == pytest.approx(-3.0 * s)
@@ -155,12 +156,9 @@ def test_assembly_sparsity_couples_only_parent_child():
         system = ScaledKKT(tree, nodes, nodes[0])
         H = system.H.toarray()
         zd = system.zdim
-        for i in nodes:
-            for j in nodes:
-                blk = H[
-                    system.offsets[i] : system.offsets[i] + zd,
-                    system.offsets[j] : system.offsets[j] + zd,
-                ]
+        for a, i in enumerate(nodes):
+            for b, j in enumerate(nodes):
+                blk = H[a * zd : (a + 1) * zd, b * zd : (b + 1) * zd]
                 related = (
                     i == j or tree.parent[i] == j or tree.parent[j] == i
                 )
@@ -536,10 +534,10 @@ def test_interior_subtree_map_matches_interior_solve():
 def test_row_extraction_matches_full_map():
     tree = random_tree(seed=55, T=2, branching=2, nx=2, nu=1)
     smap = solution_map(tree, 0, 2)
-    rows = solution_map_rows(tree, 0, 2, (0, 1), rows="w")
-    pos = {n: a for a, n in enumerate(smap.nodes)}
-    for (i, j), blk in rows.items():
-        assert_allclose(blk, smap.Psi[pos[i], :, pos[j]], atol=1e-10)
+    rows = solution_map_rows(tree, 0, 2, (1, 0), rows="w")
+    assert smap.nodes == tuple(range(tree.node_count))
+    assert rows.shape == (2, tree.node_count, smap.nw, 2 * tree.nx + tree.nu)
+    assert_allclose(rows, smap.Psi[[1, 0]].transpose(0, 2, 1, 3), atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -630,7 +628,7 @@ def test_decay_rows_match_hand_built_stage_blocks():
             ci = [n for n in nodes if tree.stage[n] == r.tprime]
             for measured, M in [(r.psi_norm, smap.Psi), (r.omega_norm, smap.Omega)]:
                 blocks = {(i, j): M[pos[i], :, pos[j]] for i in ri for j in ci}
-                expected = pi_norm_mat(BlockMatrix(tree, ri, ci, blocks))
+                expected = pi_norm_mat(BlockMatrix(tree, ri, ci, blocks_of(blocks)))
                 assert measured == pytest.approx(expected, rel=1e-12)
 
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
+    Blocks,
     BlockVector,
     TreeError,
     build_tree_explicit,
@@ -23,7 +24,15 @@ from spc_lab import (
 )
 from spc_lab.norms import stage_moments
 
-from .helpers import crossed_tree, nd_scalar, random_tree, stack, uneven_tree, uniform_outcome
+from .helpers import (
+    blocks_of,
+    crossed_tree,
+    nd_scalar,
+    random_tree,
+    stack,
+    uneven_tree,
+    uniform_outcome,
+)
 from .oracles import (
     dense_pi_norm,
     naive_pi_norm,
@@ -51,7 +60,7 @@ def random_block_matrix(rng, tree, row_nodes, col_nodes, shape, density=0.7):
                 blocks[(i, j)] = rng.standard_normal(shape)
     if not blocks:
         blocks[(row_nodes[0], col_nodes[0])] = rng.standard_normal(shape)
-    return BlockMatrix(tree, row_nodes, col_nodes, blocks)
+    return BlockMatrix(tree, row_nodes, col_nodes, blocks_of(blocks))
 
 
 def diag_parent_matrix(rng, tree, dim):
@@ -61,7 +70,7 @@ def diag_parent_matrix(rng, tree, dim):
     blocks = {(n, n): rng.standard_normal((dim, dim)) for n in nodes}
     for n in nodes[1:]:
         blocks[(n, int(tree.parent[n]))] = rng.standard_normal((dim, dim))
-    return BlockMatrix(tree, nodes, nodes, blocks)
+    return BlockMatrix(tree, nodes, nodes, blocks_of(blocks))
 
 
 def oracle_norm(M):
@@ -74,13 +83,13 @@ def oracle_norm(M):
 
 def test_vec_norm_singleton_is_euclidean():
     tree = singleton_tree()
-    v = BlockVector(tree, (0,), {0: [3.0, 4.0]})
+    v = BlockVector(tree, (0,), [[3.0, 4.0]])
     assert pi_norm_vec(v) == pytest.approx(5.0, abs=1e-15)
 
 
 def test_vec_norm_two_leaves_direct():
     tree = two_leaf_tree()
-    v = BlockVector(tree, (1, 2), {1: [2.0], 2: [1.0]})
+    v = BlockVector(tree, (1, 2), [[2.0], [1.0]])
     assert pi_norm_vec(v) == pytest.approx(math.sqrt(2.2), abs=1e-15)
 
 
@@ -90,12 +99,8 @@ def test_vec_norm_matches_naive_summation(seed, dim):
     tree = random_tree(seed=seed, T=3, branching=2)
     rng = np.random.default_rng(seed + 1)
     nodes = tuple(range(tree.node_count))
-    v = BlockVector(
-        tree, nodes, {n: rng.standard_normal(dim) for n in nodes}
-    )
-    oracle = naive_pi_norm(
-        [tree.pi[n] for n in nodes], [v.blocks[n] for n in nodes]
-    )
+    v = BlockVector(tree, nodes, rng.standard_normal((len(nodes), dim)))
+    oracle = naive_pi_norm([tree.pi[n] for n in nodes], list(v.V))
     assert pi_norm_vec(v) == pytest.approx(oracle, rel=1e-13)
 
 
@@ -105,20 +110,24 @@ def test_vec_norm_homogeneous_and_triangle(seed, alpha):
     tree = random_tree(seed=seed, T=2, branching=2)
     rng = np.random.default_rng(seed)
     nodes = tuple(range(tree.node_count))
-    a = {n: rng.standard_normal(3) for n in nodes}
-    b = {n: rng.standard_normal(3) for n in nodes}
+    a = rng.standard_normal((len(nodes), 3))
+    b = rng.standard_normal((len(nodes), 3))
     va = BlockVector(tree, nodes, a)
     vb = BlockVector(tree, nodes, b)
-    vab = BlockVector(tree, nodes, {n: a[n] + b[n] for n in nodes})
-    vsa = BlockVector(tree, nodes, {n: alpha * a[n] for n in nodes})
+    vab = BlockVector(tree, nodes, a + b)
+    vsa = BlockVector(tree, nodes, alpha * a)
     assert pi_norm_vec(vsa) == pytest.approx(abs(alpha) * pi_norm_vec(va), abs=1e-12)
     assert pi_norm_vec(vab) <= pi_norm_vec(va) + pi_norm_vec(vb) + 1e-12
 
 
-def test_vec_norm_rejects_ragged_blocks():
+def test_block_vector_refuses_misshaped_stack_and_foreign_node():
     tree = two_leaf_tree()
-    with pytest.raises(TreeError):
-        BlockVector(tree, (1, 2), {1: [1.0], 2: [1.0, 2.0]})
+    for V in ([[1.0]], [[1.0], [2.0], [3.0]], [1.0, 2.0]):
+        with pytest.raises(TreeError, match="nodes but blocks of shape"):
+            BlockVector(tree, (1, 2), V)
+    for nodes in [(1, 3), (-1, 2)]:
+        with pytest.raises(TreeError, match="not in tree"):
+            BlockVector(tree, nodes, [[1.0], [2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +145,7 @@ def test_mat_norm_identity_is_one():
 def test_mat_norm_singleton_is_spectral_norm():
     tree = singleton_tree()
     blk = np.array([[3.0, 0.0], [4.0, 0.0]])
-    M = BlockMatrix(tree, (0,), (0,), {(0, 0): blk})
+    M = BlockMatrix(tree, (0,), (0,), blocks_of({(0, 0): blk}))
     assert pi_norm_mat(M) == pytest.approx(np.linalg.norm(blk, 2), abs=1e-12)
 
 
@@ -149,9 +158,8 @@ def test_mat_norm_dominates_random_directions_and_is_attained():
     norm = pi_norm_mat(M)
 
     def act(blocks):
-        v = BlockVector(tree, cols, dict(zip(cols, blocks)))
-        out = M.apply(v)
-        return [tree.pi[n] for n in rows], [out.blocks[n] for n in rows]
+        out = M.apply(BlockVector(tree, cols, blocks))
+        return [tree.pi[n] for n in rows], list(out.V)
 
     best = sampled_operator_norm(
         act, [2] * len(cols), [tree.pi[n] for n in cols], rng, trials=1000
@@ -159,14 +167,9 @@ def test_mat_norm_dominates_random_directions_and_is_attained():
     assert best <= norm + 1e-10
     # the scaled right-singular vector attains the norm
     pis = tree.pi
-    dense = M.dense(lambda i, j: math.sqrt(pis[i] / pis[j]))
+    dense = M.dense(np.sqrt(pis[M.blocks.rows] / pis[M.blocks.cols]))
     _, _, vt = np.linalg.svd(dense)
-    top = vt[0]
-    blocks = {
-        n: top[i * 2 : (i + 1) * 2] / math.sqrt(pis[n])
-        for i, n in enumerate(cols)
-    }
-    v = BlockVector(tree, cols, blocks)
+    v = BlockVector(tree, cols, vt[0].reshape(len(cols), 2) / np.sqrt(pis[list(cols)])[:, None])
     ratio = pi_norm_vec(M.apply(v)) / pi_norm_vec(v)
     assert ratio == pytest.approx(norm, rel=1e-10)
 
@@ -190,7 +193,7 @@ def test_mat_norm_submultiplicative(seed):
 def test_sigma_singleton_is_spectral_norm():
     tree = singleton_tree()
     blk = np.array([[1.0, 2.0], [0.0, 1.0]])
-    M = BlockMatrix(tree, (0,), (0,), {(0, 0): blk})
+    M = BlockMatrix(tree, (0,), (0,), blocks_of({(0, 0): blk}))
     assert sigma_pi(M) == pytest.approx(np.linalg.norm(blk, 2), abs=1e-12)
 
 
@@ -198,7 +201,7 @@ def test_sigma_probability_scaled_diagonal_cancels():
     tree = random_tree(seed=13, T=2, branching=2)
     nodes = tuple(range(tree.node_count))
     M = BlockMatrix(
-        tree, nodes, nodes, {(n, n): tree.pi[n] * np.eye(2) for n in nodes}
+        tree, nodes, nodes, blocks_of({(n, n): tree.pi[n] * np.eye(2) for n in nodes})
     )
     assert sigma_pi(M) == pytest.approx(1.0, abs=1e-12)
 
@@ -243,7 +246,7 @@ def test_expectation_identity_at_root_is_definitional():
     tree = random_tree(seed=14, T=3, branching=2)
     rng = np.random.default_rng(14)
     nodes = tuple(tree.stage_nodes(2))
-    v = BlockVector(tree, nodes, {n: rng.standard_normal(3) for n in nodes})
+    v = BlockVector(tree, nodes, rng.standard_normal((len(nodes), 3)))
     lhs, rhs, gap = expectation_identity_check(tree, 0, 2, v)
     assert gap <= 1e-10 * (1 + lhs)
 
@@ -251,7 +254,7 @@ def test_expectation_identity_at_root_is_definitional():
 def test_expectation_identity_zero_vector():
     tree = random_tree(seed=15, T=2, branching=2)
     nodes = tuple(tree.stage_nodes(2))
-    v = BlockVector(tree, nodes, {n: np.zeros(2) for n in nodes})
+    v = BlockVector(tree, nodes, np.zeros((len(nodes), 2)))
     lhs, rhs, gap = expectation_identity_check(tree, 0, 2, v)
     assert lhs == 0.0 and rhs == 0.0 and gap == 0.0
 
@@ -267,7 +270,7 @@ def test_expectation_identity_interior_nodes(seed, t):
     nodes = tuple(
         j for j in tree.stage_nodes(t) if tree.is_ancestor(k, j)
     )
-    v = BlockVector(tree, nodes, {n: rng.standard_normal(2) for n in nodes})
+    v = BlockVector(tree, nodes, rng.standard_normal((len(nodes), 2)))
     lhs, rhs, gap = expectation_identity_check(tree, k, t, v)
     assert gap <= 1e-10 * (1 + lhs)
 
@@ -275,7 +278,7 @@ def test_expectation_identity_interior_nodes(seed, t):
 def test_expectation_identity_rejects_wrong_node_set():
     tree = random_tree(seed=16, T=2, branching=2)
     nodes = tuple(tree.stage_nodes(1))
-    v = BlockVector(tree, nodes, {n: np.ones(2) for n in nodes})
+    v = BlockVector(tree, nodes, np.ones((len(nodes), 2)))
     with pytest.raises(TreeError):
         expectation_identity_check(tree, 0, 2, v)
 
@@ -299,8 +302,8 @@ def test_block_apply_matches_dense():
     s1 = tuple(tree.stage_nodes(1))
     s2 = tuple(tree.stage_nodes(2))
     M = random_block_matrix(rng, tree, s2, s1, (2, 3), density=1.0)
-    v = BlockVector(tree, s1, {n: rng.standard_normal(3) for n in s1})
-    assert_allclose(M.apply(v).stacked(), M.dense() @ v.stacked(), atol=1e-13)
+    v = BlockVector(tree, s1, rng.standard_normal((len(s1), 3)))
+    assert_allclose(M.apply(v).V.ravel(), M.dense() @ v.V.ravel(), atol=1e-13)
 
 
 def test_block_add_sub_roundtrip():
@@ -315,14 +318,33 @@ def test_block_add_sub_roundtrip():
 def test_block_matrix_rejects_block_outside_node_sets():
     tree = random_tree(seed=20, T=1, branching=2)
     with pytest.raises(TreeError):
-        BlockMatrix(tree, (1,), (1,), {(1, 2): np.eye(2)})
+        BlockMatrix(tree, (1,), (1,), blocks_of({(1, 2): np.eye(2)}))
 
 
 def test_stage_norm_rejects_general_block_pattern():
     tree = two_leaf_tree()
     blocks = np.ones((3, 2, 2))
     with pytest.raises(TreeError, match="one block per row"):
-        stage_norm(tree.pi, blocks, [1, 1, 2], [1, 2, 2])
+        stage_norm(tree.pi, Blocks([1, 1, 2], [1, 2, 2], blocks))
+
+
+def test_repeated_pairs_add_up():
+    # twenty blocks over five nodes: several (i, j) pairs repeat, and each
+    # acts as the sum of its blocks
+    tree = random_tree(seed=88, T=2, branching=2)
+    rng = np.random.default_rng(88)
+    n = tree.node_count
+    rows, cols = rng.integers(0, n, size=20), rng.integers(0, n, size=20)
+    assert len(set(zip(rows, cols))) < 20
+    values = rng.standard_normal((20, 2, 3))
+    M = BlockMatrix(tree, range(n), range(n), Blocks(rows, cols, values))
+    expected = np.zeros((2 * n, 3 * n))
+    for i, j, blk in zip(rows, cols, values):
+        expected[2 * i : 2 * i + 2, 3 * j : 3 * j + 3] += blk
+    assert_allclose(M.dense(), expected, rtol=0, atol=1e-14)
+    v = BlockVector(tree, range(n), rng.standard_normal((n, 3)))
+    assert_allclose(M.apply(v).V.ravel(), expected @ v.V.ravel(), rtol=0, atol=1e-13)
+    assert pi_norm_mat(M) == pytest.approx(oracle_norm(M), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +379,9 @@ def test_pi_norm_mat_matches_dense_oracle(build):
 def test_pi_norm_mat_of_zero_and_one_sided_matrices():
     tree = random_tree(seed=84, T=2, branching=2)
     nodes = tuple(range(tree.node_count))
-    zero = {(n, n): np.zeros((2, 2)) for n in nodes}
+    zero = blocks_of({(n, n): np.zeros((2, 2)) for n in nodes})
     assert pi_norm_mat(BlockMatrix(tree, nodes, nodes, zero)) == 0.0
-    assert pi_norm_mat(BlockMatrix(tree, nodes, nodes, {})) == 0.0
+    assert pi_norm_mat(BlockMatrix(tree, nodes, nodes, blocks_of({}))) == 0.0
     # smaller side 1: one scalar row, one scalar column, a single entry
     rng = np.random.default_rng(84)
     for rows, cols, shape in [
