@@ -527,13 +527,16 @@ def solve_extensive(tree, k, W, w_prev):
     return PolicySolution(tree, k, tuple(node.tolist()), x, u, y, objective)
 
 
-def _unit_response(factor, c):
-    """Responses z = (x, u, y), (m, 2nx + nu, c.size), of the forest of
-    ``factor`` to unit perturbations of its flat coordinates ``c``."""
-    zd = 2 * factor.tree.nx + factor.tree.nu
+def _unit_response(factor, c, out):
+    """Write into ``out`` (r, 2nx + nu, c.size) the responses z = (x, u, y)
+    of the last r positions of the forest of ``factor`` to unit
+    perturbations of its flat coordinates ``c``."""
+    nx, nz = factor.tree.nx, factor.tree.nx + factor.tree.nu
+    zd = nz + nx
     p = np.zeros((len(factor.node), zd, c.size))
     p[c // zd, c % zd, np.arange(c.size)] = 1.0
-    return np.concatenate(factor.solve(p), axis=1)
+    first, (x, u, y) = len(p) - len(out), factor.solve(p)
+    out[:, :nx], out[:, nx:nz], out[:, nz:] = x[first:], u[first:], y[first:]
 
 
 def solution_map(tree, k, W):
@@ -547,7 +550,7 @@ def solution_map(tree, k, W):
     Omega = np.empty((m, zd, m, zd))
     cols = Omega.reshape(m, zd, m * zd)
     for c in np.array_split(np.arange(m * zd), min(8, m * zd)):
-        cols[:, :, c[0] : c[-1] + 1] = _unit_response(factor, c)
+        _unit_response(factor, c, cols[:, :, c[0] : c[-1] + 1])
     Omega.flags.writeable = False
     return SolutionMap(tree, k, tuple(factor.node.tolist()), Omega, tree.nx + tree.nu)
 
@@ -567,7 +570,8 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     nodes, zd = forest[0].tolist(), 2 * tree.nx + tree.nu
     nrow = tree.nx + tree.nu if rows == "w" else zd
     at = np.repeat([nodes.index(i) for i in row_nodes], nrow)
-    Z = _unit_response(RiccatiFactor(tree, *forest), at * zd + np.arange(at.size) % nrow)
+    Z = np.empty((len(nodes), zd, at.size))
+    _unit_response(RiccatiFactor(tree, *forest), at * zd + np.arange(at.size) % nrow, Z)
     Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow).transpose(2, 0, 3, 1)
     weight = tree.pi[nodes] / tree.pi[list(row_nodes)][:, None]
     return weight[:, :, None, None] * Z
@@ -614,11 +618,15 @@ def measure_decay(tree, k, W):
     Psi's (t', t) from its (q, r) columns.  Stage sizes never decrease
     (leaves sit at the last stage), and a pair is small when stage t' has
     at most ``DENSE_PAIR_CUT`` coordinates: the stage's unit columns are
-    solved ``UNIT_CHUNK`` per forest solve, kept on the rows of stages
-    >= t', reduced exactly (:func:`~spc_lab.norms._block_norm`) and freed.
-    Large pairs run :func:`_lanczos_lockstep` on their Gram operators.
-    Norm ``(i, ki, j, kj)`` takes the first ki rows of every block of
-    stage i over the first kj columns of every block of stage j.
+    solved ``UNIT_CHUNK`` per forest solve straight into one block on the
+    rows of stages >= t', whose rows of stage t are then weighted in place,
+    so every norm of the pair is reduced exactly from views of that one
+    weighted block (:func:`~spc_lab.norms._block_norm`), and the block is
+    freed.  The weighted diagonal block (t, t) is symmetric, so its Omega
+    norm is its largest absolute eigenvalue, with no Gram.  Large pairs
+    run :func:`_lanczos_lockstep` on their Gram operators.  Norm
+    ``(i, ki, j, kj)`` takes the first ki rows of every block of stage i
+    over the first kj columns of every block of stage j.
     """
     forest = _window(tree, k, W)
     m, zd, nw = len(forest[0]), 2 * tree.nx + tree.nu, tree.nx + tree.nu
@@ -630,19 +638,25 @@ def measure_decay(tree, k, W):
             for ki, kj in [(zd, zd), (nw, zd), (zd, nw)][: 2 + (i > j)]]
 
     # each small stage's unit columns, UNIT_CHUNK per solve, straight into
-    # its block on the rows of stages >= j
+    # its block on the rows of stages >= j; each stage's rows weighted in
+    # place, then every norm of the pair taken from views of them
     factor, norm = RiccatiFactor(tree, *forest), {}
     for j in np.flatnonzero(small):
         lo, hi = cut[j] * zd, cut[j + 1] * zd
         block = np.empty((m - cut[j], zd, hi - lo))
         for a in range(lo, hi, UNIT_CHUNK):
             b = min(a + UNIT_CHUNK, hi)
-            block[:, :, a - lo : b - lo] = _unit_response(factor, np.arange(a, b))[cut[j] :]
-        for i, ki, _, kj in (key for key in keys if key[2] == j):
+            _unit_response(factor, np.arange(a, b), block[:, :, a - lo : b - lo])
+        for i in range(j, len(stages)):
             M4 = block[cut[i] - cut[j] : cut[i + 1] - cut[j]].reshape(-1, zd, size[j], zd)
-            f = np.sqrt(pi[span[i], None] / pi[None, span[j]])
-            norm[i, ki, j, kj] = _block_norm(M4[:, :ki, :, :kj], f)
-        del block
+            M4 *= np.sqrt(pi[span[i], None] / pi[None, span[j]])[:, None, :, None]
+            for _, ki, _, kj in (key for key in keys if key[::2] == (i, j)):
+                if i == j and ki == kj:  # symmetric: no Gram
+                    w = np.linalg.eigvalsh(M4.reshape(hi - lo, hi - lo))
+                    norm[i, ki, j, kj] = float(max(abs(w[0]), abs(w[-1])))
+                else:
+                    norm[i, ki, j, kj] = _block_norm(M4[:, :ki, :, :kj])
+        del block, M4
     large = [key for key in keys if not small[key[2]]]
 
     def gram(live, vectors):  # perturb stage j, read i, perturb i, read j

@@ -13,9 +13,12 @@ Three kernels evaluate it: :func:`pi_norm_mat` assembles a general
 suite); :func:`stage_norm` is exact, with no iteration, for the
 closed-loop stage matrices, which hold one block per row or column (the
 lemma suite); and :func:`_block_norm` takes the largest eigenvalue of the
-Gram matrix, on the smaller side, of blocks that are dense already
-(solution-map decay rows and :func:`sigma_pi`), the kernel
-:func:`stage_norm` applies per group.
+Gram matrix, on the smaller side, of blocks that are dense already and
+weighted by the caller (:func:`sigma_pi` and the solution-map decay rows,
+which scale their stage blocks in place), the kernel :func:`stage_norm`
+applies per group.  A weighted diagonal stage block of a solution map is
+symmetric, the map being self-adjoint in the weights, so the decay rows
+take its norm as its largest absolute eigenvalue, with no Gram.
 """
 
 from __future__ import annotations
@@ -191,14 +194,15 @@ def stage_perturbation_moments(tree):
     return stage_moments(tree.pi, tree.arrays.p, tree.stage, tree.horizon)
 
 
-def _block_norm(M4, f):
-    """Spectral norm of the block array ``M4[a, :, b, :]`` with block
-    ``(a, b)`` scaled by ``f[a, b]``: the root of the largest eigenvalue
-    of the Gram matrix on the smaller side."""
+def _block_norm(M4):
+    """Spectral norm of the block array ``M4[a, :, b, :]``, its blocks
+    already weighted by the caller: the root of the largest eigenvalue of
+    the Gram matrix on the smaller side.  A contiguous view is reduced as
+    it stands; a strided one is copied, contiguous, by the reshape."""
     if M4.size == 0:
         return 0.0
     a, r, b, c = M4.shape
-    M = (M4 * f[:, None, :, None]).reshape(a * r, b * c)
+    M = M4.reshape(a * r, b * c)
     gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
@@ -271,7 +275,8 @@ def sigma_pi(M):
     """
     pi_r, pi_c = M.tree.pi[M.row_nodes], M.tree.pi[M.col_nodes]
     M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, M.shape_block[1])
-    return _block_norm(M4, 1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))
+    M4 *= (1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))[:, None, :, None]
+    return _block_norm(M4)
 
 
 def expectation_identity_check(tree, k, t, v):

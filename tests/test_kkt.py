@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from spc_lab import (
     BlockMatrix,
+    InstanceSpec,
     NonconvexError,
     ScaledKKT,
     SingularKKTError,
@@ -21,6 +22,7 @@ from spc_lab import (
     build_tree_explicit,
     build_tree_stagewise,
     check_uniform_regularity,
+    generate_certified_instance,
     hypothetical_state,
     measure_decay,
     pi_norm_mat,
@@ -638,6 +640,7 @@ DECAY_TREES = [
     (lambda rng: random_tree(57, T=4, branching=2, nx=2, nu=1), 0, None),
     (lambda rng: random_tree(58, T=4, branching=2, nx=3, nu=1), 2, 2),
     (lambda rng: decoupled_tree(T=3, branching=2, nx=2, nu=1), 0, None),
+    (lambda rng: unstable_chain(24), 0, None),
 ]
 
 
@@ -649,7 +652,7 @@ DECAY_TREES = [
 @pytest.mark.parametrize(
     "build, root, W",
     DECAY_TREES,
-    ids=["crossed", "uneven", "random-nu1", "interior", "decoupled"],
+    ids=["crossed", "uneven", "random-nu1", "interior", "decoupled", "unstable-chain-T24"],
 )
 def test_decay_rows_match_dense_oracle(build, root, W, cut, chunk, monkeypatch):
     # cut 0 sends every pair to Lanczos; cut 10 keeps the one-node stages
@@ -671,13 +674,43 @@ def test_decay_rows_match_dense_oracle(build, root, W, cut, chunk, monkeypatch):
 
 @pytest.mark.parametrize("build", [crossed_tree, uneven_tree], ids=["crossed", "uneven"])
 def test_weighted_map_norms_are_symmetric_in_the_stage_pair(build):
-    # the weighted map is self-adjoint: ||Omega~[t, t']|| = ||Omega~[t', t]||
+    # the weighted map is self-adjoint: ||Omega~[t, t']|| = ||Omega~[t', t]||,
+    # and each diagonal stage block Omega~[t, t] is symmetric, which lets
+    # measure_decay take its norm as its largest absolute eigenvalue
     tree = build(np.random.default_rng(89))
     nodes = tuple(subtree_nodes(tree, 0, tree.horizon))
-    rows = dense_decay(tree, nodes, dense_solution_map(tree, 0, nodes), tree.nx + tree.nu)
+    Omega = dense_solution_map(tree, 0, nodes)
+    rows = dense_decay(tree, nodes, Omega, tree.nx + tree.nu)
     omega = {(t, tp): om for t, tp, _, om in rows}
     for (t, tp), om in omega.items():
         assert om == pytest.approx(omega[tp, t], rel=1e-12)
+    pi, stage = tree.pi[list(nodes)], tree.stage[list(nodes)]
+    for t in np.unique(stage):
+        a = np.flatnonzero(stage == t)
+        f = np.sqrt(pi[a, None] / pi[None, a])
+        n = a.size * Omega.shape[1]
+        B = (Omega[a][:, :, a] * f[:, None, :, None]).reshape(n, n)
+        assert_allclose(B, B.T, rtol=0, atol=1e-13 * omega[t, t])
+
+
+def test_decay_working_set_below_two_and_a_half_stage_blocks(monkeypatch):
+    # seed 5, T = 6 (the CLI defaults): stage 6 has 64 nodes, so its block
+    # of unit responses is 384 x 384 (1.18 MB), the largest; each pair is
+    # weighted in place and reduced from views of it.  Chunks of 8 unit
+    # columns keep the fill below the reductions
+    spec = InstanceSpec(n_x=2, n_u=2, T=6, branching=2, L=1.0, alpha=0.04,
+                        gamma=1.0, noise_scale=0.1, seed=5)
+    tree = generate_certified_instance(spec).tree
+    monkeypatch.setattr(kkt, "UNIT_CHUNK", 8)
+    zd, size = 2 * tree.nx + tree.nu, np.bincount(tree.stage)
+    block = max(8 * zd**2 * size[t] * size[t:].sum() for t in range(size.size))
+    tracemalloc.start()
+    try:
+        measure_decay(tree, 0, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == 8 * 384**2 and peak < 2.5 * block
 
 
 # ---------------------------------------------------------------------------
