@@ -14,7 +14,13 @@ row = node.
 
 The maps' stage-decay rows (:func:`measure_decay`) form no map: small
 stage pairs come from unit-perturbation solves one stage at a time, large
-ones from Lanczos on their Gram operators, every pair in lockstep.
+ones from Lanczos on their Gram operators, every pair in lockstep.  In a
+window's last stage a control enters only its own stage cost, so its unit
+response is the inverse of its step matrix and nothing else: those
+coordinates are neither solved nor reduced.  Only the last stage's own
+row, (T, T) over the full horizon, depends on them, so only that row can
+differ, by rounding, from the norm of its full block: it folds them in
+from the eigenvalues the factor already holds.
 
 Where the assembled matrix itself is needed (uniform regularity, and
 the here-and-now baseline, whose shared stage controls couple every node
@@ -530,13 +536,16 @@ def solve_extensive(tree, k, W, w_prev):
 def _unit_response(factor, c, out):
     """Write into ``out`` (r, 2nx + nu, c.size) the responses z = (x, u, y)
     of the last r positions of the forest of ``factor`` to unit
-    perturbations of its flat coordinates ``c``."""
+    perturbations of its flat coordinates ``c``; an ``out`` of (r, 2nx,
+    c.size) takes (x, y) alone."""
     nx, nz = factor.tree.nx, factor.tree.nx + factor.tree.nu
     zd = nz + nx
     p = np.zeros((len(factor.node), zd, c.size))
     p[c // zd, c % zd, np.arange(c.size)] = 1.0
     first, (x, u, y) = len(p) - len(out), factor.solve(p)
-    out[:, :nx], out[:, nx:nz], out[:, nz:] = x[first:], u[first:], y[first:]
+    out[:, :nx], out[:, -nx:] = x[first:], y[first:]
+    if out.shape[1] == zd:
+        out[:, nx:nz] = u[first:]
 
 
 def solution_map(tree, k, W):
@@ -627,6 +636,19 @@ def measure_decay(tree, k, W):
     run :func:`_lanczos_lockstep` on their Gram operators.  Norm
     ``(i, ki, j, kj)`` takes the first ki rows of every block of stage i
     over the first kj columns of every block of stage j.
+
+    In the window's last stage L a control enters only its own stage cost:
+    a unit ``r`` of node l there moves only l's u, by ``G_l^-1`` (its step
+    matrix, the symmetric part of ``R_l``), and l's u answers nothing else.
+    So the weighted (L, L) block is block-diagonal, the (x, y) x (q, d)
+    part plus one ``G_l^-1`` per node: stage L's ``r`` is never perturbed
+    nor its u read there (its dense block holds (x, y) rows over (q, d)
+    columns, its Gram operators perturb (q, d) and read (x, y) for Omega,
+    x for Psi), and both (L, L) norms are ``max(norm of that part,
+    max_l 1 / lam_min(G_l))``, with lam the eigenvalues the factor holds
+    for its last layer.  Pairs (L, t' < L) read stage L's u rows, exact
+    zeros, as they stand, so only the (L, L) row can differ, by rounding,
+    from the norm of its full block.
     """
     forest = _window(tree, k, W)
     m, zd, nw = len(forest[0]), 2 * tree.nx + tree.nu, tree.nx + tree.nu
@@ -634,44 +656,56 @@ def measure_decay(tree, k, W):
     cut, pi = np.append(starts, m), tree.pi[forest[0]]
     size, span = np.diff(cut), [slice(*c) for c in zip(cut, cut[1:])]
     small, sq = size * zd <= DENSE_PAIR_CUT, np.sqrt(pi)[:, None]
+    L, xy = len(stages) - 1, np.r_[: tree.nx, nw:zd]
     keys = [(i, ki, j, kj) for i in range(len(stages)) for j in range(i + 1)
             for ki, kj in [(zd, zd), (nw, zd), (zd, nw)][: 2 + (i > j)]]
+
+    def coords(i, ki, j, kj):  # a key's row and column coordinates per node
+        if i == j == L:  # the (x, y) rows, x first, over the (q, d) columns
+            return xy[: ki - tree.nu], xy
+        return np.arange(ki), np.arange(kj)
 
     # each small stage's unit columns, UNIT_CHUNK per solve, straight into
     # its block on the rows of stages >= j; each stage's rows weighted in
     # place, then every norm of the pair taken from views of them
     factor, norm = RiccatiFactor(tree, *forest), {}
     for j in np.flatnonzero(small):
-        lo, hi = cut[j] * zd, cut[j + 1] * zd
-        block = np.empty((m - cut[j], zd, hi - lo))
-        for a in range(lo, hi, UNIT_CHUNK):
-            b = min(a + UNIT_CHUNK, hi)
-            _unit_response(factor, np.arange(a, b), block[:, :, a - lo : b - lo])
+        own = xy if j == L else np.arange(zd)  # stage L perturbs (q, d) alone
+        c, n = (np.arange(cut[j], cut[j + 1])[:, None] * zd + own).ravel(), own.size
+        block = np.empty((m - cut[j], n, c.size))
+        for a in range(0, c.size, UNIT_CHUNK):
+            _unit_response(factor, c[a : a + UNIT_CHUNK], block[:, :, a : a + UNIT_CHUNK])
         for i in range(j, len(stages)):
-            M4 = block[cut[i] - cut[j] : cut[i + 1] - cut[j]].reshape(-1, zd, size[j], zd)
+            M4 = block[cut[i] - cut[j] : cut[i + 1] - cut[j]].reshape(-1, n, size[j], n)
             M4 *= np.sqrt(pi[span[i], None] / pi[None, span[j]])[:, None, :, None]
-            for _, ki, _, kj in (key for key in keys if key[::2] == (i, j)):
-                if i == j and ki == kj:  # symmetric: no Gram
-                    w = np.linalg.eigvalsh(M4.reshape(hi - lo, hi - lo))
-                    norm[i, ki, j, kj] = float(max(abs(w[0]), abs(w[-1])))
+            for key in (key for key in keys if key[::2] == (i, j)):
+                if i == j and key[1] == key[3]:  # symmetric: no Gram
+                    w = np.linalg.eigvalsh(M4.reshape(c.size, c.size))
+                    norm[key] = float(max(abs(w[0]), abs(w[-1])))
                 else:
-                    norm[i, ki, j, kj] = _block_norm(M4[:, :ki, :, :kj])
+                    rows, cols = coords(*key)
+                    norm[key] = _block_norm(M4[:, : rows.size, :, : cols.size])
         del block, M4
     large = [key for key in keys if not small[key[2]]]
+    ops = [(i, j, *coords(i, ki, j, kj)) for i, ki, j, kj in large]
 
     def gram(live, vectors):  # perturb stage j, read i, perturb i, read j
-        p = np.zeros((m, zd, len(live)))
-        for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
-            p[span[j], :kj, r] = vectors[r].reshape(-1, kj) / sq[span[j]]
+        p, now = np.zeros((m, zd, len(live))), [ops[g] for g in live]
+        for r, (i, j, rows, cols) in enumerate(now):
+            p[span[j], cols, r] = vectors[r].reshape(-1, cols.size) / sq[span[j]]
         Z, p[:] = np.concatenate(factor.solve(p), axis=1), 0.0
-        for r, (i, ki, j, kj) in enumerate(large[g] for g in live):
-            p[span[i], :ki, r] = Z[span[i], :ki, r]
+        for r, (i, j, rows, cols) in enumerate(now):
+            p[span[i], rows, r] = Z[span[i], rows, r]
         Z = np.concatenate(factor.solve(p), axis=1)
-        return [(sq[span[j]] * Z[span[j], :kj, r]).ravel()
-                for r, (i, ki, j, kj) in enumerate(large[g] for g in live)]
+        return [(sq[span[j]] * Z[span[j], cols, r]).ravel()
+                for r, (i, j, rows, cols) in enumerate(now)]
 
-    lam = _lanczos_lockstep(gram, [size[j] * kj for _, _, j, kj in large])
+    lam = _lanczos_lockstep(gram, [size[j] * cols.size for _, j, _, cols in ops])
     norm.update((key, math.sqrt(max(v, 0.0))) for key, v in zip(large, lam))
+    # fold in stage L's G^-1 blocks
+    inv = float(1.0 / factor.steps[0][1][:, 0].min())
+    for ki in (zd, nw):
+        norm[L, ki, L, zd] = max(norm[L, ki, L, zd], inv)
     return [
         DecayRow(t, tp, norm[i, nw, j, zd] if i >= j else norm[j, zd, i, nw],
                  norm[max(i, j), zd, min(i, j), zd])

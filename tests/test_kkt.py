@@ -44,6 +44,7 @@ from .helpers import (
     nd_scalar,
     node_data,
     random_node_data,
+    random_stages,
     random_tree,
     stack,
     stagewise,
@@ -54,6 +55,7 @@ from .helpers import (
 from .oracles import (
     NodeRow,
     apply_psi,
+    block_norm,
     dense_decay,
     dense_regularity,
     dense_solution_map,
@@ -634,6 +636,66 @@ def test_decay_rows_match_hand_built_stage_blocks():
                 assert measured == pytest.approx(expected, rel=1e-12)
 
 
+def cheap_last_controls_tree(rng=None):
+    """Random binary depth-3 tree whose last-stage controls cost R = 0.05 I:
+    their inverse step matrices, of norm 20, outweigh the rest of the
+    (3, 3) stage block (generated instances have R = I)."""
+    stages = random_stages(59, T=3, branching=2, nx=2, nu=2)
+    stages[-1] = [(SimpleNamespace(**{**vars(nd), "R": 0.05 * np.eye(2)}), p)
+                  for nd, p in stages[-1]]
+    return build_tree_stagewise(stagewise(stages))
+
+
+@pytest.mark.parametrize(
+    "build, root, W",
+    [
+        (crossed_tree, 0, None),
+        (uneven_tree, 0, None),
+        (lambda rng: unstable_chain(24), 0, None),
+        (lambda rng: random_tree(58, T=4, branching=2, nx=3, nu=1), 2, 2),
+    ],
+    ids=["crossed", "uneven", "unstable-chain-T24", "interior"],
+)
+def test_last_stage_controls_answer_only_their_own_cost(build, root, W):
+    # in a window's last stage a control enters only its own stage cost,
+    # even where the node has children in the tree (the interior window):
+    # its u rows and r columns vanish outside its own (u, r) block, which
+    # is the inverse of its symmetric R; measure_decay folds these blocks in
+    # without solving for them
+    tree = build(np.random.default_rng(90))
+    W = tree.horizon - int(tree.stage[root]) if W is None else W
+    nodes = tuple(subtree_nodes(tree, root, W))
+    Omega = dense_solution_map(tree, root, nodes)
+    nx, nw, last = tree.nx, tree.nx + tree.nu, tree.stage[list(nodes)].max()
+    scale = np.abs(Omega).max()
+    for a in np.flatnonzero(tree.stage[list(nodes)] == last):
+        u_rows, r_cols = Omega[a, nx:nw].copy(), Omega[:, :, a, nx:nw].copy()
+        inverse = np.linalg.inv(tree.arrays.R[nodes[a]])
+        assert_allclose(u_rows[:, a, nx:nw], inverse, rtol=1e-12, atol=0)
+        assert_allclose(r_cols[a, nx:nw], inverse, rtol=1e-12, atol=0)
+        u_rows[:, a, nx:nw], r_cols[a, nx:nw] = 0.0, 0.0
+        assert np.abs(u_rows).max() <= 1e-14 * scale
+        assert np.abs(r_cols).max() <= 1e-14 * scale
+
+
+def test_cheap_last_controls_decide_the_last_stage_row():
+    # the (3, 3) norms are max(norm of the (x, y) x (q, d) part, max ||R^-1||);
+    # here the second term decides both
+    tree = cheap_last_controls_tree()
+    nodes = tuple(subtree_nodes(tree, 0, 3))
+    Omega = dense_solution_map(tree, 0, nodes)
+    a = np.flatnonzero(tree.stage[list(nodes)] == 3)
+    xy = np.r_[: tree.nx, tree.nx + tree.nu : 2 * tree.nx + tree.nu]
+    pi = tree.pi[list(nodes)][a]
+    part = block_norm(Omega[np.ix_(a, xy, a, xy)], np.sqrt(pi[:, None] / pi[None, :]))
+    fold = max(np.linalg.norm(np.linalg.inv(tree.arrays.R[nodes[i]]), 2) for i in a)
+    assert part < 0.5 * fold and fold == pytest.approx(20.0, rel=1e-14)
+    last = measure_decay(tree, 0, 3)[-1]
+    assert (last.t, last.tprime) == (3, 3)
+    assert last.psi_norm == pytest.approx(fold, rel=1e-14)
+    assert last.omega_norm == pytest.approx(fold, rel=1e-14)
+
+
 DECAY_TREES = [
     (crossed_tree, 0, None),
     (uneven_tree, 0, None),
@@ -641,6 +703,7 @@ DECAY_TREES = [
     (lambda rng: random_tree(58, T=4, branching=2, nx=3, nu=1), 2, 2),
     (lambda rng: decoupled_tree(T=3, branching=2, nx=2, nu=1), 0, None),
     (lambda rng: unstable_chain(24), 0, None),
+    (cheap_last_controls_tree, 0, None),
 ]
 
 
@@ -652,7 +715,8 @@ DECAY_TREES = [
 @pytest.mark.parametrize(
     "build, root, W",
     DECAY_TREES,
-    ids=["crossed", "uneven", "random-nu1", "interior", "decoupled", "unstable-chain-T24"],
+    ids=["crossed", "uneven", "random-nu1", "interior", "decoupled", "unstable-chain-T24",
+         "cheap-last-controls"],
 )
 def test_decay_rows_match_dense_oracle(build, root, W, cut, chunk, monkeypatch):
     # cut 0 sends every pair to Lanczos; cut 10 keeps the one-node stages
@@ -693,11 +757,12 @@ def test_weighted_map_norms_are_symmetric_in_the_stage_pair(build):
         assert_allclose(B, B.T, rtol=0, atol=1e-13 * omega[t, t])
 
 
-def test_decay_working_set_below_two_and_a_half_stage_blocks(monkeypatch):
-    # seed 5, T = 6 (the CLI defaults): stage 6 has 64 nodes, so its block
-    # of unit responses is 384 x 384 (1.18 MB), the largest; each pair is
-    # weighted in place and reduced from views of it.  Chunks of 8 unit
-    # columns keep the fill below the reductions
+def test_decay_working_set_below_one_point_eight_stage_blocks(monkeypatch):
+    # seed 5, T = 6 (the CLI defaults): stage 6 has 64 nodes, so its full
+    # block of unit responses would be 384 x 384 (1.18 MB), the largest; its
+    # u rows and r columns decouple, so it is solved as 256 x 256, and each
+    # pair is weighted in place and reduced from views of its block.  Chunks
+    # of 8 unit columns keep the fill below the reductions
     spec = InstanceSpec(n_x=2, n_u=2, T=6, branching=2, L=1.0, alpha=0.04,
                         gamma=1.0, noise_scale=0.1, seed=5)
     tree = generate_certified_instance(spec).tree
@@ -710,7 +775,7 @@ def test_decay_working_set_below_two_and_a_half_stage_blocks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block == 8 * 384**2 and peak < 2.5 * block
+    assert block == 8 * 384**2 and peak < 1.8 * block
 
 
 # ---------------------------------------------------------------------------
