@@ -40,6 +40,7 @@ from .norms import (
     BlockMatrix, Blocks, BlockVector, expectation_identity_check, pi_norm_mat, pi_norm_vec
 )
 from .problem_io import (
+    SIDECAR,
     _number,
     constants_dict,
     json_object,
@@ -581,7 +582,7 @@ def cmd_generate(args):
             "spec": {k: getattr(spec, k) for k in DEFAULT_SPEC},
         },
     )
-    names = ["problem.json"] + [
+    names = ["problem.json", "problem.json" + SIDECAR] + [
         f"{role}.json" for role in sorted(inst.certificates)
     ] + ["constants.json", "run.json"]
     print("wrote " + " ".join(names))
@@ -681,7 +682,7 @@ def build_parser():
 
     p = sub.add_parser(
         "generate",
-        help="generate a certified instance; writes problem + certificates",
+        help="generate a certified instance; writes problem, its array sidecar and certificates",
     )
     common(p, needs_input=False)
     p.add_argument(

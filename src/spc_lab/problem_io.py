@@ -8,6 +8,18 @@ Writer contract: a problem or certificate file holds exactly the bytes
 of ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a newline.  Node
 records (and gains) fill a text template made once per shape with
 numbers from the C encoder, and are streamed ``_BATCH`` at a time.
+
+Beside a problem file, and only after the file is complete,
+:func:`save_problem` writes its sidecar ``<problem>.json.arrays``: a tag,
+the SHA-256 of the problem file's bytes as its key, the SHA-256 of its
+own payload, then the payload, consecutive ``np.save`` records of the
+arrays the loader builds the tree from.  The sidecar is derived: the JSON
+stays the canonical file, and deleting the sidecar only makes the next
+load parse the JSON.  A load takes the arrays only when the key matches
+the bytes it read and the payload reads back whole, without unpickling
+anything; a file edited after it was written therefore loads from its
+JSON.  Only :func:`save_problem` writes a sidecar; no read-only command
+creates, rewrites or deletes one.
 """
 
 from __future__ import annotations
@@ -15,8 +27,11 @@ from __future__ import annotations
 import csv
 import functools
 import gc
+import hashlib
+import io
 import json
 import math
+import os
 import re
 from itertools import chain, count
 
@@ -192,60 +207,33 @@ def load_problem(path):
 
     Returns (tree, initial, assumption) where ``assumption`` is the
     optional dict of claimed constants {L, alpha, gamma} or None.
+
+    The file's bytes are read once.  When a sidecar lies beside the file
+    (see :func:`save_problem`) and reads back whole with the SHA-256 of
+    exactly these bytes as its key, the tree is built from its arrays;
+    otherwise the JSON is parsed.  Both end in the same checks of the
+    tree against the declared dims and horizon, of the initial pair and
+    of the assumption.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TreeError(f"problem file is not valid JSON: {exc}") from exc
-    json_object(doc, "problem file")
-    for key in ("dims", "horizon", "initial"):
-        if key not in doc:
-            raise TreeError(f"problem file missing '{key}'")
-    dims = json_object(doc["dims"], "dims block")
-    if "nx" not in dims or "nu" not in dims:
-        raise TreeError("dims must contain nx and nu")
-    nx, nu = (_number(dims[k], f"dims {k}", kind=int) for k in ("nx", "nu"))
-    horizon = _number(doc["horizon"], "horizon", kind=int)
-
-    def check_depth(depth):
-        if depth != horizon:
-            raise TreeError(
-                f"declared horizon {doc['horizon']} does not match tree depth {depth}"
-            )
-
-    if "stagewise" in doc:
-        stages = [json_array(outcomes, f"stage {t}") for t, outcomes
-                  in enumerate(json_array(doc["stagewise"], "stagewise block"))]
-        sizes = [len(outcomes) for outcomes in stages]
-        names = [f"stage {t} outcome {i}" for t, k in enumerate(sizes) for i in range(k)]
-        stack = _node_records(list(chain(*stages)), names.__getitem__, prob=True)
-        split = {k: np.split(arr, np.cumsum(sizes)[:-1]) for k, arr in stack.items()}
-        if sizes:  # before the product tree is built
-            check_depth(len(sizes) - 1)
-        tree = build_tree_stagewise([
-            ({f: split[f][t] for f in _FIELDS}, split["prob"][t]) for t in range(len(sizes))
-        ])
-    elif "explicit" in doc:
-        ex = json_object(doc["explicit"], "explicit block")
-        for key in ("parents", "stages", "probs", "nodes"):
-            if key not in ex:
-                raise TreeError(f"explicit block missing '{key}'")
-            json_array(ex[key], f"explicit '{key}'")
-        tree = build_tree_explicit(
-            _column(ex["parents"], "parent", int),
-            _column(ex["stages"], "stage", int),
-            _column(ex["probs"], "probability", float),
-            _node_records(ex["nodes"], "node {}".format),
-        )
+    with open(path, "rb") as fh:
+        data = fh.read()
+    saved = _read_sidecar(os.fspath(path) + SIDECAR, data)
+    if saved is None:
+        text, data = data.decode(), None  # no bytes held while the text is parsed
+        doc, (nx, nu, horizon) = _problem_head(text)
+        del text  # nor the text while the tree is built
+        tree = _problem_tree(doc, horizon)
     else:
-        raise TreeError("problem file needs a 'stagewise' or 'explicit' block")
+        (nx, nu, horizon), parents, stages, probs, x_prev, u_prev, assumed, *fields = saved
+        tree = build_tree_explicit(parents, stages, probs, dict(zip(_FIELDS, fields)))
+        doc = {"initial": {"x_prev": x_prev.tolist(), "u_prev": u_prev.tolist()}}
+        if assumed.size:
+            doc["assumption"] = dict(zip(_ASSUMED, assumed.tolist()))
     if (tree.nx, tree.nu) != (nx, nu):
         raise TreeError(
-            f"declared dims ({dims['nx']}, {dims['nu']}) do not match node "
-            f"data ({tree.nx}, {tree.nu})"
+            f"declared dims ({nx}, {nu}) do not match node data ({tree.nx}, {tree.nu})"
         )
-    check_depth(tree.horizon)
+    _check_depth(tree.horizon, horizon)
     init = json_object(doc["initial"], "initial block")
     if "x_prev" not in init or "u_prev" not in init:
         raise TreeError("initial block must contain x_prev and u_prev")
@@ -258,12 +246,123 @@ def load_problem(path):
     assumption = None
     if "assumption" in doc:
         blk = json_object(doc["assumption"], "assumption block")
-        keys = ("L", "alpha", "gamma")
-        for key in keys:
+        for key in _ASSUMED:
             if key not in blk:
                 raise TreeError(f"assumption block missing '{key}'")
-        assumption = {k: _number(blk[k], f"assumption {k}", finite=True) for k in keys}
+        assumption = {k: _number(blk[k], f"assumption {k}", finite=True) for k in _ASSUMED}
     return tree, initial, assumption
+
+
+_ASSUMED = ("L", "alpha", "gamma")
+
+
+def _check_depth(depth, horizon):
+    if depth != horizon:
+        raise TreeError(f"declared horizon {horizon} does not match tree depth {depth}")
+
+
+def _problem_head(text):
+    """The problem file's parsed document and its declared (nx, nu,
+    horizon); a TreeError when the text is not a JSON object holding
+    them."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TreeError(f"problem file is not valid JSON: {exc}") from exc
+    json_object(doc, "problem file")
+    for key in ("dims", "horizon", "initial"):
+        if key not in doc:
+            raise TreeError(f"problem file missing '{key}'")
+    dims = json_object(doc["dims"], "dims block")
+    if "nx" not in dims or "nu" not in dims:
+        raise TreeError("dims must contain nx and nu")
+    nx, nu = (_number(dims[k], f"dims {k}", kind=int) for k in ("nx", "nu"))
+    return doc, (nx, nu, _number(doc["horizon"], "horizon", kind=int))
+
+
+def _problem_tree(doc, horizon):
+    """The tree of a parsed problem document's stagewise or explicit block."""
+    if "stagewise" in doc:
+        stages = [json_array(outcomes, f"stage {t}") for t, outcomes
+                  in enumerate(json_array(doc["stagewise"], "stagewise block"))]
+        sizes = [len(outcomes) for outcomes in stages]
+        names = [f"stage {t} outcome {i}" for t, k in enumerate(sizes) for i in range(k)]
+        stack = _node_records(list(chain(*stages)), names.__getitem__, prob=True)
+        split = {k: np.split(arr, np.cumsum(sizes)[:-1]) for k, arr in stack.items()}
+        if sizes:  # before the product tree is built
+            _check_depth(len(sizes) - 1, horizon)
+        return build_tree_stagewise([
+            ({f: split[f][t] for f in _FIELDS}, split["prob"][t]) for t in range(len(sizes))
+        ])
+    if "explicit" in doc:
+        ex = json_object(doc["explicit"], "explicit block")
+        for key in ("parents", "stages", "probs", "nodes"):
+            if key not in ex:
+                raise TreeError(f"explicit block missing '{key}'")
+            json_array(ex[key], f"explicit '{key}'")
+        return build_tree_explicit(
+            _column(ex["parents"], "parent", int),
+            _column(ex["stages"], "stage", int),
+            _column(ex["probs"], "probability", float),
+            _node_records(ex["nodes"], "node {}".format),
+        )
+    raise TreeError("problem file needs a 'stagewise' or 'explicit' block")
+
+
+SIDECAR = ".arrays"  # a problem file's sidecar is its path plus this suffix
+_SIDECAR_TAG = b"spc-lab problem arrays 1\n"
+_DIGEST = 32  # bytes of a SHA-256 digest
+# the sidecar's records in order and their dtypes: the declared (nx, nu,
+# horizon), the explicit block's parents, stages and probabilities, the
+# initial pair, the assumption (L, alpha, gamma; empty when the file has
+# none) and the seven node fields
+_RECORDS = (np.int64,) * 3 + (np.float64,) * (4 + len(_FIELDS))
+
+
+def _read_sidecar(path, data):
+    """The records of the sidecar at ``path`` when it carries the tag and
+    the SHA-256 of the problem file's bytes ``data`` as its key, its
+    payload matches its own digest and holds exactly the records of
+    :data:`_RECORDS`, none of them pickled; None otherwise."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    head = len(_SIDECAR_TAG)
+    start = head + 2 * _DIGEST
+    key, digest = blob[head : head + _DIGEST], blob[head + _DIGEST : start]
+    if (blob[:head] != _SIDECAR_TAG or key != hashlib.sha256(data).digest()
+            or digest != hashlib.sha256(memoryview(blob)[start:]).digest()):
+        return None
+    payload = io.BytesIO(blob)
+    payload.seek(start)
+    try:
+        records = [np.lib.format.read_array(payload, allow_pickle=False) for _ in _RECORDS]
+    except ValueError:
+        return None
+    if payload.read(1) or any(a.dtype != kind for a, kind in zip(records, _RECORDS)):
+        return None
+    return records
+
+
+def _write_sidecar(path, tree, initial, assumption):
+    """Write the sidecar of the problem file at ``path``, keyed by the
+    SHA-256 of the file's bytes on disk."""
+    key = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            key.update(chunk)
+    assumed = [] if assumption is None else [float(assumption[k]) for k in _ASSUMED]
+    values = [(tree.nx, tree.nu, tree.horizon), tree.parent, tree.stage, tree.pi,
+              initial.x_prev, initial.u_prev, assumed, *tree.raw_arrays]
+    records = io.BytesIO()
+    for value, kind in zip(values, _RECORDS):
+        np.save(records, np.ascontiguousarray(value, dtype=kind), allow_pickle=False)
+    payload = records.getbuffer()
+    with open(path + SIDECAR, "wb") as fh:
+        fh.write(_SIDECAR_TAG + key.digest() + hashlib.sha256(payload).digest())
+        fh.write(payload)
 
 
 _BATCH = 256  # node records (or trace rows) rendered and written at a time
@@ -309,7 +408,9 @@ def _write_doc(path, doc, holes):
 
 
 def save_problem(path, tree, initial, assumption=None):
-    """Write a problem file in explicit form (one record per node)."""
+    """Write a problem file in explicit form (one record per node), then
+    its sidecar ``path + SIDECAR``: the arrays :func:`load_problem` builds
+    the tree from, keyed by the SHA-256 of the file as written."""
     raw, n = tree.raw_arrays, tree.node_count
     doc = {
         "dims": {"nx": tree.nx, "nu": tree.nu},
@@ -319,13 +420,14 @@ def save_problem(path, tree, initial, assumption=None):
                     "u_prev": initial.u_prev.tolist()},
     }
     if assumption is not None:
-        doc["assumption"] = {k: float(assumption[k]) for k in ("L", "alpha", "gamma")}
+        doc["assumption"] = {k: float(assumption[k]) for k in _ASSUMED}
     skeleton = {f: np.full(getattr(raw, f).shape[1:], None).tolist() for f in _FIELDS}
     record = _template(skeleton, 3)
     flat = np.concatenate([getattr(raw, f).reshape(n, -1) for f in sorted(_FIELDS)], 1)
     scalars = [("%s", a[:, None]) for a in (tree.parent, tree.pi, tree.stage)]
     holes = [(2, "[]", _records(m, rows, 2)) for m, rows in [(record, flat)] + scalars]
     _write_doc(path, doc, holes)
+    _write_sidecar(os.fspath(path), tree, initial, assumption)
 
 
 @_gc_paused

@@ -5,8 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from spc_lab import Blocks, GainCertificate, build_tree_explicit, build_tree_stagewise
+from spc_lab.problem_io import SIDECAR
 
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
+
+
+def sidecar_of(path):
+    """The array sidecar that ``save_problem`` writes beside ``path``."""
+    return path.with_name(path.name + SIDECAR)
 
 
 def node_data(A, B, d, Q, R, q, r):

@@ -33,7 +33,7 @@ from spc_lab.stability import GainCertificate
 
 from .helpers import (
     FIELDS, crossed_tree, depth_one_nonconvex_tree, node_data, random_stages, random_tree,
-    stagewise, unstable_chain,
+    sidecar_of, stagewise, unstable_chain,
 )
 from .oracles import NodeRow, dense_unscaled_solve, here_and_now_dense
 
@@ -1071,12 +1071,24 @@ class TestGenerate:
     def test_writes_expected_files(self, generated):
         for name in (
             "problem.json",
+            "problem.json.arrays",
             "stabilizability.json",
             "detectability.json",
             "constants.json",
             "run.json",
         ):
             assert (generated / name).exists()
+
+    def test_wrote_line_names_the_sidecar(self, tmp_path, capsys):
+        assert main(["generate", "--seed", "5", "--out", str(tmp_path / "g")]) == 0
+        assert capsys.readouterr().out == (
+            "wrote problem.json problem.json.arrays detectability.json "
+            "stabilizability.json constants.json run.json\n"
+        )
+        assert sorted(os.listdir(tmp_path / "g")) == sorted(
+            ["problem.json", "problem.json.arrays", "detectability.json",
+             "stabilizability.json", "constants.json", "run.json"]
+        )
 
     def test_deterministic_bytes(self, generated, tmp_path):
         spec = {
@@ -1096,7 +1108,8 @@ class TestGenerate:
             ["generate", "--input", str(spec_path), "--out", str(tmp_path / "g")]
         )
         assert rc == 0
-        for name in ("problem.json", "stabilizability.json", "constants.json"):
+        for name in ("problem.json", "problem.json.arrays", "stabilizability.json",
+                     "constants.json"):
             assert (tmp_path / "g" / name).read_bytes() == (
                 generated / name
             ).read_bytes()
@@ -1153,6 +1166,83 @@ class TestGenerate:
             )
             assert rc == 2
             assert message in capsys.readouterr().err
+
+
+class TestSidecar:
+    """The array sidecar that ``generate`` writes beside problem.json."""
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        (tmp_path / "spec.json").write_text(json.dumps({"T": 2}))
+        assert main(["generate", "--input", str(tmp_path / "spec.json"), "--seed", "5",
+                     "--out", str(tmp_path / "in")]) == 0
+        return tmp_path / "in"
+
+    @staticmethod
+    def snapshot(directory):
+        return {e.name: (e.is_dir(), e.stat().st_mtime_ns,
+                         None if e.is_dir() else open(e.path, "rb").read())
+                for e in os.scandir(directory)}
+
+    @pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+    def test_read_only_commands_leave_the_input_directory_alone(
+            self, small, tmp_path, capsys, with_sidecar):
+        if not with_sidecar:
+            sidecar_of(small / "problem.json").unlink()
+        p, out = str(small / "problem.json"), tmp_path / "out"
+        certs = ["--cert", str(small / "stabilizability.json"),
+                 "--cert", str(small / "detectability.json")]
+        runs = {
+            "build-tree": ["build-tree", "--input", p],
+            **{f"solve-{policy}": ["solve", "--policy", policy, "--input", p]
+               for policy in ("optimal", "hn", "an")},
+            "spc": ["spc", "--input", p, "--W", "1"],
+            "regret-sweep": ["regret-sweep", "--input", p],
+            "certify": ["certify", "--input", p, *certs],
+            "constants": ["constants", "--input", p],
+            "verify-bounds": ["verify-bounds", "--suite", "all", "--input", p, *certs],
+            "verify-norms": ["verify-norms", "--input", p],
+        }
+        before = self.snapshot(small)
+        assert ("problem.json.arrays" in before) == with_sidecar
+        for label, argv in runs.items():
+            outdir = [] if label == "certify" else ["--out", str(out / label)]
+            assert main(argv + outdir) == 0, label
+            assert self.snapshot(small) == before, label
+        capsys.readouterr()
+
+    def test_overflow_written_over_the_file_exits_2_as_parsed(self, small, tmp_path, capsys):
+        # the CI overflow edit, written over the generated file: its sidecar
+        # no longer matches, and the parse path refuses the integer
+        problem = small / "problem.json"
+        doc = json.loads(problem.read_text())
+        doc["explicit"]["nodes"][3]["A"][0][1] = 10**400
+        problem.write_text(json.dumps(doc))
+        plain = tmp_path / "plain" / "problem.json"
+        plain.parent.mkdir()
+        plain.write_bytes(problem.read_bytes())
+        errs = []
+        for path in (problem, plain):
+            assert main(["build-tree", "--input", str(path), "--out", str(tmp_path / "bt")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith("error: ") and "Traceback" not in errs[0]
+        assert "is not a 64-bit number" in errs[0]
+
+    def test_doubled_q_entry_changes_j(self, small, tmp_path, capsys):
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for name in ("problem.json", "problem.json.arrays"):
+            (copy / name).write_bytes((small / name).read_bytes())
+        problem = small / "problem.json"
+        doc = json.loads(problem.read_text())
+        doc["explicit"]["nodes"][1]["Q"][0][0] *= 2
+        problem.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        J = []
+        for path in (problem, copy / "problem.json"):
+            assert main(["solve", "--policy", "optimal", "--input", str(path),
+                         "--out", str(tmp_path / f"solve-{len(J)}")]) == 0
+            J.append(re.search(r"\bJ=(\S+)", capsys.readouterr().out).group(1))
+        assert J[0] != J[1]
 
 
 class TestBuildTree:

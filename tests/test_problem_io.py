@@ -8,6 +8,7 @@ comparison does not depend on how the writers render their text.
 
 import csv
 import gc
+import hashlib
 import io
 import json
 
@@ -32,7 +33,9 @@ from spc_lab import (
 from spc_lab import problem_io
 from spc_lab.stability import GainCertificate
 
-from .helpers import crossed_tree, gain_certificate, node_data, random_tree, stack, uneven_tree
+from .helpers import (
+    crossed_tree, gain_certificate, node_data, random_tree, sidecar_of, stack, uneven_tree,
+)
 from .oracles import NodeRow
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1]
@@ -322,7 +325,9 @@ def test_loaders_hold_off_garbage_collection(tmp_path):
     gc.collect()
     gc.callbacks.append(record)
     try:
-        load_problem(str(problem))
+        load_problem(str(problem))  # from the sidecar
+        sidecar_of(problem).unlink()
+        load_problem(str(problem))  # from the parsed document
         load_certificate(str(cert))
     finally:
         gc.callbacks.remove(record)
@@ -359,6 +364,7 @@ def test_flat_stacking_equals_per_node_path(tmp_path, make):
     tree = make()
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    sidecar_of(path).unlink()  # load_problem parses the records below
     nodes = json.loads(path.read_text())["explicit"]["nodes"]
     flat = problem_io._node_records(nodes, "node {}".format)
     rows = [problem_io._node_data(o, f"node {i}") for i, o in enumerate(nodes)]
@@ -371,9 +377,11 @@ def test_flat_stacking_equals_per_node_path(tmp_path, make):
 
 
 def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
+    # the parse path: with no sidecar, the records are stacked from the JSON
     tree = _generated(6)
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    sidecar_of(path).unlink()
     stacks, read = [], problem_io._node_records
 
     def kept(*args, **kwargs):
@@ -390,6 +398,27 @@ def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
     (stack,) = stacks
     for f in FIELDS:
         assert np.shares_memory(getattr(loaded.raw_arrays, f), stack[f]), f
+
+
+def test_tree_from_the_sidecar_keeps_its_arrays(tmp_path, monkeypatch):
+    tree = _generated(6)
+    path = tmp_path / "problem.json"
+    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    records, read = [], problem_io._read_sidecar
+
+    def kept(*args):
+        records.append(read(*args))
+        return records[-1]
+
+    monkeypatch.setattr(problem_io, "_read_sidecar", kept)
+    monkeypatch.setattr(problem_io, "_node_records", None)  # never parsed
+    loaded, _, _ = load_problem(str(path))
+    # the tree keeps the sidecar's arrays as its one copy of the node data
+    (record,) = records
+    fields = record[-len(FIELDS):]
+    for f, arr in zip(FIELDS, fields):
+        assert np.shares_memory(getattr(loaded.raw_arrays, f), arr), f
+        assert getattr(loaded.raw_arrays, f).tobytes() == getattr(tree.raw_arrays, f).tobytes()
 
 
 def test_stagewise_horizon_is_checked_before_the_build(tmp_path, monkeypatch):
@@ -409,3 +438,172 @@ def test_stagewise_horizon_is_checked_before_the_build(tmp_path, monkeypatch):
     monkeypatch.setattr(problem_io, "build_tree_stagewise", refuse)
     with pytest.raises(TreeError, match="^declared horizon 1 does not match tree depth 16$"):
         load_problem(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the array sidecar beside a saved problem file
+
+
+@pytest.fixture
+def sidecar_used(monkeypatch):
+    """One entry per problem load: whether its arrays came from the sidecar."""
+    used, read = [], problem_io._read_sidecar
+
+    def spy(*args):
+        records = read(*args)
+        used.append(records is not None)
+        return records
+
+    monkeypatch.setattr(problem_io, "_read_sidecar", spy)
+    return used
+
+
+def parsed(path, tmp_path):
+    """What the parse path loads from the bytes at ``path``: a copy of them
+    with no sidecar beside it."""
+    plain = tmp_path / "parsed" / path.name
+    plain.parent.mkdir(exist_ok=True)
+    plain.write_bytes(path.read_bytes())
+    return load_problem(str(plain))
+
+
+def assert_same_problem(got, want):
+    """Every array of two loads equal bit for bit, of one dtype and shape,
+    and the same assumption to the bit."""
+    (tree, initial, assumption), (tree2, initial2, assumption2) = got, want
+    pairs = [*zip(tree.raw_arrays, tree2.raw_arrays), *zip(tree.arrays, tree2.arrays),
+             (tree.parent, tree2.parent), (tree.stage, tree2.stage), (tree.pi, tree2.pi),
+             (initial.x_prev, initial2.x_prev), (initial.u_prev, initial2.u_prev)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    bits = [None if a is None else {k: float.hex(v) for k, v in a.items()}
+            for a in (assumption, assumption2)]
+    assert bits[0] == bits[1]
+
+
+def _stagewise_resaved(path):
+    """A stagewise file loaded by the parse path and re-saved by save_problem."""
+    rng = np.random.default_rng(4)
+
+    def outcome(prob):
+        return {"prob": prob, "A": rng.standard_normal((2, 2)).tolist(),
+                "B": rng.standard_normal((2, 1)).tolist(), "d": [-0.0, 5e-324],
+                "Q": [[1.0, 0.1], [0.1, 2.0]], "R": [[1.5]], "q": rng.standard_normal(2).tolist(),
+                "r": [0.1]}
+
+    doc = {"dims": {"nx": 2, "nu": 1}, "horizon": 3,
+           "stagewise": [[outcome(1.0)]] + [[outcome(0.3), outcome(0.7)]] * 3,
+           "initial": {"x_prev": [0.3, -0.2], "u_prev": [0.1]},
+           "assumption": {"L": 1, "alpha": 0.04, "gamma": 1.0}}
+    source = path.with_name("stagewise.json")
+    source.write_text(json.dumps(doc))
+    save_problem(str(path), *load_problem(str(source)))
+
+
+def _generated_3x2(T):
+    spec = InstanceSpec(n_x=3, n_u=2, T=T, branching=3, L=1.0, alpha=0.04,
+                        gamma=1.0, noise_scale=0.1, seed=5)
+    inst = generate_certified_instance(spec)
+    c = inst.constants
+    return inst.tree, InitialCondition(*inst.w_prev), {"L": c.L, "alpha": c.alpha, "gamma": c.gamma}
+
+
+@pytest.mark.parametrize(
+    "write",
+    [*(lambda p, T=T: save_problem(str(p), *_generated_3x2(T)) for T in (1, 2, 4)),
+     _stagewise_resaved,
+     lambda p: save_problem(str(p), tree := crossed_tree(np.random.default_rng(1)),
+                            InitialCondition(np.full(tree.nx, -0.0), np.full(tree.nu, 5e-324)))],
+    ids=["generated-T1", "generated-T2", "generated-T4", "stagewise-resaved", "no-assumption"],
+)
+def test_sidecar_load_equals_parse_load(tmp_path, sidecar_used, write):
+    path = tmp_path / "problem.json"
+    write(path)
+    sidecar_used.clear()  # the stagewise source was parsed
+    got = load_problem(str(path))
+    assert sidecar_used == [True]
+    want = parsed(path, tmp_path)
+    assert sidecar_used == [True, False]
+    assert_same_problem(got, want)
+    if "assumption" not in json.loads(path.read_text()):
+        assert got[2] is None
+
+
+_read_sidecar = problem_io._read_sidecar  # as it is, not as a test spies on it
+
+
+UNPICKLED = []
+
+
+def _unpickle():
+    UNPICKLED.append("unpickled")
+
+
+class _Unpickled:
+    """An object whose unpickling is recorded in ``UNPICKLED``."""
+
+    def __reduce__(self):
+        return _unpickle, ()
+
+
+def _rewrite_records(sidecar, problem, change):
+    """Rewrite ``sidecar`` with its records passed through ``change``, under
+    a valid tag, key and payload digest."""
+    records = _read_sidecar(str(sidecar), problem.read_bytes())
+    payload = io.BytesIO()
+    for arr in change(records):
+        np.save(payload, arr, allow_pickle=True)
+    payload = payload.getvalue()
+    key = hashlib.sha256(problem.read_bytes()).digest()
+    sidecar.write_bytes(problem_io._SIDECAR_TAG + key + hashlib.sha256(payload).digest() + payload)
+
+
+def _flip(sidecar, at):
+    blob = bytearray(sidecar.read_bytes())
+    blob[at] ^= 1
+    sidecar.write_bytes(bytes(blob))
+
+
+def _edit_q(problem):
+    doc = json.loads(problem.read_text())
+    doc["explicit"]["nodes"][1]["Q"][0][0] *= 2
+    problem.write_text(stdlib_text(doc))
+
+
+FALLBACKS = {
+    "problem-edited-in-place": lambda problem, sidecar, other: _edit_q(problem),
+    "missing": lambda problem, sidecar, other: sidecar.unlink(),
+    "truncated": lambda problem, sidecar, other: sidecar.write_bytes(
+        sidecar.read_bytes()[:-9]),
+    "wrong-tag": lambda problem, sidecar, other: _flip(sidecar, 0),
+    "keyed-to-another-file": lambda problem, sidecar, other: sidecar.write_bytes(
+        sidecar_of(other).read_bytes()),
+    "a-directory": lambda problem, sidecar, other: (sidecar.unlink(), sidecar.mkdir()),
+    "flipped-payload-byte": lambda problem, sidecar, other: _flip(sidecar, -3),
+    "flipped-key-byte": lambda problem, sidecar, other: _flip(
+        sidecar, len(problem_io._SIDECAR_TAG)),
+    "pickled-object-array": lambda problem, sidecar, other: _rewrite_records(
+        sidecar, problem,
+        lambda recs: [*recs[:1], np.array([_Unpickled()] * 4, dtype=object), *recs[2:]]),
+    "record-of-another-dtype": lambda problem, sidecar, other: _rewrite_records(
+        sidecar, problem, lambda recs: [*recs[:1], recs[1].astype(float), *recs[2:]]),
+    "trailing-record": lambda problem, sidecar, other: _rewrite_records(
+        sidecar, problem, lambda recs: [*recs, recs[0]]),
+}
+
+
+@pytest.mark.parametrize("edit", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_sidecar_fallbacks_load_what_the_parse_gives(tmp_path, sidecar_used, edit):
+    tree, initial, assumption = _generated_3x2(1)
+    problem, other = tmp_path / "problem.json", tmp_path / "other" / "problem.json"
+    other.parent.mkdir()
+    save_problem(str(problem), tree, initial, assumption)
+    save_problem(str(other), _generated(2), InitialCondition.zero(2, 1))
+    before = load_problem(str(problem))
+    UNPICKLED.clear()
+    edit(problem, sidecar_of(problem), other)
+    got = load_problem(str(problem))
+    assert sidecar_used == [True, False] and UNPICKLED == []
+    assert_same_problem(got, parsed(problem, tmp_path))
+    edited = got[0].raw_arrays.Q[1, 0, 0] != before[0].raw_arrays.Q[1, 0, 0]
+    assert edited == (edit is FALLBACKS["problem-edited-in-place"])
