@@ -282,19 +282,6 @@ class RecursionMatrices:
         np.add.at(out, anc[anc >= 0], terms[anc >= 0])
         return out
 
-    def iterate(self, w_prev_init):
-        """Drive the one-step recursion from the root; returns the
-        committed pairs stacked as ``(N, nx + nu)`` (equal to the
-        receding-horizon run's)."""
-        tree = self.tree
-        w = self.window_drive()
-        w_prev = np.concatenate(committed_pair(w_prev_init, tree))
-        for t in range(tree.horizon + 1):
-            at = np.asarray(tree.stage_nodes(t))
-            prev = w[tree.parent[at]] if t else w_prev[None]
-            w[at] += _mv(self.S[at], prev)
-        return w
-
 
 def recursion_matrices(tree, W):
     """Build the one-step closed-loop transfer matrices for window W.
@@ -348,25 +335,3 @@ def hypothetical_state(tree, trace):
     x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
     u = _mv(factor.K, x) + factor.sweep(arr.p[:, :, None])[0][..., 0]
     return np.concatenate([x, u], axis=1)
-
-
-def check_time_consistency(tree, k, j, w_prev=None):
-    """Restriction-versus-resolve gap of full-horizon plans.
-
-    Solves the remaining horizon from k (zero committed pair unless one
-    is given), then re-solves from the strict descendant j starting at
-    the first plan's commitment at j's parent.  Returns the largest
-    entrywise difference between the two plans over j's subtree.
-    """
-    if j == k or not tree.is_ancestor(k, j):
-        raise TreeError(f"node {j} is not a strict descendant of node {k}")
-    if w_prev is None:
-        w_prev = (np.zeros(tree.nx), np.zeros(tree.nu))
-    full = solve_extensive(tree, k, tree.horizon - int(tree.stage[k]), w_prev)
-    par = np.searchsorted(full.nodes, tree.parent[j])
-    resolved = solve_extensive(
-        tree, j, tree.horizon - int(tree.stage[j]), (full.x[par], full.u[par])
-    )
-    at = np.searchsorted(full.nodes, resolved.nodes)
-    gap = np.abs(np.hstack([full.x[at] - resolved.x, full.u[at] - resolved.u]))
-    return float(np.max(gap, initial=0.0))

@@ -14,9 +14,8 @@ suite); :func:`stage_norm` is exact, with no iteration, for the
 closed-loop stage matrices, which hold one block per row or column (the
 lemma suite); and :func:`_block_norm` takes the largest eigenvalue of the
 Gram matrix, on the smaller side, of blocks that are dense already and
-weighted by the caller (:func:`sigma_pi` and the solution-map decay rows,
-which scale their stage blocks in place), the kernel :func:`stage_norm`
-applies per group.  A weighted diagonal stage block of a solution map is
+weighted by the caller (the solution-map decay rows, which scale their
+stage blocks in place), the kernel :func:`stage_norm` applies per group.  A weighted diagonal stage block of a solution map is
 symmetric, the map being self-adjoint in the weights, so the decay rows
 take its norm as its largest absolute eigenvalue, with no Gram.
 """
@@ -100,46 +99,6 @@ class BlockMatrix:
         self.__dict__.update(row_nodes=row_nodes, col_nodes=col_nodes,
                              blocks=Blocks(rows, cols, values), shape_block=values.shape[1:])
 
-    @classmethod
-    def identity(cls, tree, nodes, dim):
-        eye = np.broadcast_to(np.eye(dim), (len(nodes), dim, dim))
-        return cls(tree, nodes, nodes, Blocks(nodes, nodes, eye))
-
-    def transpose(self):
-        rows, cols, values = self.blocks
-        flipped = Blocks(cols, rows, values.transpose(0, 2, 1))
-        return BlockMatrix(self.tree, self.col_nodes, self.row_nodes, flipped)
-
-    def scaled(self, alpha):
-        rows, cols, values = self.blocks
-        return BlockMatrix(self.tree, self.row_nodes, self.col_nodes,
-                           Blocks(rows, cols, alpha * values))
-
-    def add(self, other):
-        """Sum: the two block stacks, one after the other."""
-        if not (np.array_equal(self.row_nodes, other.row_nodes)
-                and np.array_equal(self.col_nodes, other.col_nodes)):
-            raise TreeError("block matrix node sets differ")
-        both = Blocks(*(np.concatenate(pair) for pair in zip(self.blocks, other.blocks)))
-        return BlockMatrix(self.tree, self.row_nodes, self.col_nodes, both)
-
-    def sub(self, other):
-        return self.add(other.scaled(-1.0))
-
-    def matmul(self, other):
-        """Block product; column nodes must equal the factor's row nodes.
-        Every left block meets every right block on its inner node."""
-        if not np.array_equal(self.col_nodes, other.row_nodes):
-            raise TreeError("inner node sets differ in block product")
-        (r1, c1, v1), (r2, c2, v2) = self.blocks, other.blocks
-        order = np.argsort(r2, kind="stable")
-        lo = np.searchsorted(r2, c1, sorter=order)
-        n = np.searchsorted(r2, c1, side="right", sorter=order) - lo
-        left = np.repeat(np.arange(c1.size), n)
-        right = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(left.size)]
-        product = Blocks(r1[left], c2[right], v1[left] @ v2[right])
-        return BlockMatrix(self.tree, self.row_nodes, other.col_nodes, product)
-
     def _slots(self):
         """Positions of each block's row and column node in the node sets."""
         pos = np.full((2, self.tree.node_count), -1)
@@ -167,10 +126,6 @@ class BlockMatrix:
             (values[m, r, c], (a[m] * nr + r, b[m] * nc + c)),
             shape=(nr * self.row_nodes.size, nc * self.col_nodes.size),
         )
-
-    def dense(self, factors=None):
-        """Assembled dense matrix; ``factors[m]`` multiplies block m."""
-        return self.sparse(factors).toarray()
 
 
 def stage_moments(weight, V, stage, T):
@@ -265,18 +220,6 @@ def stage_norm(pi, blocks):
     G = np.zeros((keys.size,) + gram.shape[1:])
     np.add.at(G, slot, (pi[rows] / pi[cols])[:, None, None] * gram)
     return math.sqrt(max(float(np.linalg.eigvalsh(G)[:, -1].max()), 0.0))
-
-
-def sigma_pi(M):
-    """Largest singular value of the probability-desensitized form.
-
-    Rescales each block by ``(pi_row * pi_col)^{-1/2}`` before taking the
-    spectral norm; symmetric in transposition.
-    """
-    pi_r, pi_c = M.tree.pi[M.row_nodes], M.tree.pi[M.col_nodes]
-    M4 = M.dense().reshape(pi_r.size, M.shape_block[0], pi_c.size, M.shape_block[1])
-    M4 *= (1.0 / np.sqrt(pi_r[:, None] * pi_c[None, :]))[:, None, :, None]
-    return _block_norm(M4)
 
 
 def expectation_identity_check(tree, k, t, v):

@@ -80,13 +80,6 @@ class CertificateCheck:
 
 
 @dataclass(frozen=True)
-class PerturbationCheck:
-    status: str  # "pass", "fail", or "precondition_violated"
-    message: str
-    stability: Optional[StabilityResult]
-
-
-@dataclass(frozen=True)
 class GainCertificate:
     """Gains stacked over node ids, with the claimed (L, alpha): ``K[i]``
     is the gain of node ``nodes[i]``.  ``nodes`` is a 1-D integer array
@@ -381,49 +374,3 @@ def check_detectability(tree, cert):
         return CertificateCheck(False, msg, None)
     C = psd_sqrt(tree.arrays.Q)
     return _path_verdict(tree, tree.arrays.A - K @ C[tree.parent], cert.L, cert.alpha)
-
-
-def verify_perturbed_stability(Phi_nominal, tree, deviations, L, alpha):
-    """Margin soundness check: nominal decay plus bounded deviations.
-
-    Preconditions: the single nominal matrix is (L, alpha)-stable over
-    powers 0..T, and every per-node deviation (stacked over all nodes, row
-    0 unused) has norm at most ``perturbation_margin(L, alpha)``.  When
-    they hold, the per-node transitions ``Phi_nominal + deviation`` must
-    pass the tree stability check at the weakened rate (L, sqrt(alpha)); a
-    precondition failure is reported distinctly from a stability failure.
-    """
-    Phi_nominal = np.asarray(Phi_nominal, dtype=float)
-    powers = [np.eye(Phi_nominal.shape[0])]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(tree.horizon):
-            powers.append(powers[-1] @ Phi_nominal)
-    bound = L * alpha ** np.arange(tree.horizon + 1)
-    norm = spectral_norms(np.array(powers))
-    over = np.flatnonzero(~(norm <= bound * (1.0 + STAB_TOL)))
-    if over.size:
-        t = over[0]
-        return PerturbationCheck(
-            "precondition_violated",
-            f"nominal matrix is not (L, alpha)-stable: ||Phi^{t}|| = "
-            f"{norm[t]:.6g} > {bound[t]:.6g}",
-            None,
-        )
-    delta = perturbation_margin(L, alpha)
-    dev = np.asarray(deviations, dtype=float)
-    norm = spectral_norms(dev[1:])
-    over = np.flatnonzero(norm > delta * (1.0 + STAB_TOL))
-    if over.size:
-        return PerturbationCheck(
-            "precondition_violated",
-            f"deviation at node {over[0] + 1} has norm {norm[over[0]]:.6g} > "
-            f"margin {delta:.6g}",
-            None,
-        )
-    result = check_stability_tree(tree, Phi_nominal + dev, L, math.sqrt(alpha))
-    status = "pass" if result.passed else "fail"
-    msg = "" if result.passed else (
-        f"perturbed path product at {result.worst_pair} exceeds the "
-        f"(L, sqrt(alpha)) bound by factor {result.worst_ratio:.6g}"
-    )
-    return PerturbationCheck(status, msg, result)

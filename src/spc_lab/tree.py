@@ -255,23 +255,6 @@ class ScenarioTree:
         inner[parent[(parent >= 0) & (parent < n)]] = True
         return np.flatnonzero(~inner).tolist()
 
-    def ancestry(self, j):
-        """Path from the root to j, inclusive."""
-        return self.ancestors[j, : self.stage[j] + 1].tolist()
-
-    def is_ancestor(self, k, j):
-        """True when k lies on the root path of j (every node is its own ancestor)."""
-        return bool(self.ancestors[j, self.stage[k]] == k)
-
-    def descendants(self, k):
-        """All strict descendants of k, breadth-first."""
-        out, frontier = [], [k]
-        while frontier:
-            nxt = [c for f in frontier for c in self.children[f]]
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
 
 @dataclass
 class ValidationReport:
@@ -431,13 +414,6 @@ def build_tree_explicit(parents, stage_labels, probabilities, node_data):
         raise TreeError("empty tree")
     _check_dims(*(arr.shape[1:] for arr in node_data))
     return _checked(ScenarioTree(parents, stage_labels, probabilities, node_data))
-
-
-def conditional_prob(tree, j, k):
-    """Probability of reaching j conditioned on having reached ancestor k."""
-    if not tree.is_ancestor(k, j):
-        raise TreeError(f"node {k} is not an ancestor of node {j}")
-    return float(tree.pi[j] / tree.pi[k])
 
 
 def subtree_nodes(tree, k, W):

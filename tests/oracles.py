@@ -340,15 +340,6 @@ def decimal_constants(L, alpha, gamma, digits=60):
     }
 
 
-def conditional_second_moment(tree, k, nodes_at_stage, values):
-    """sqrt(E[||v||^2 | reached k]) by explicit enumeration with pi_{j|k}."""
-    terms = [
-        (tree.pi[j] / tree.pi[k]) * float(np.asarray(values[j]) @ np.asarray(values[j]))
-        for j in nodes_at_stage
-    ]
-    return math.sqrt(math.fsum(terms))
-
-
 def riccati_chain(tree, w_prev):
     """Deterministic finite-horizon LQ solve of a single-path tree.
 

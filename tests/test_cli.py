@@ -645,7 +645,7 @@ def oracle_trace(tree, initial, argv):
         # parent's commitment (the initial pair at the root)
         par = int(tree.parent[k])
         prev = w_prev if par < 0 else np.split(rows[par], [tree.nx])
-        window = [j for j in range(N) if tree.is_ancestor(k, j)
+        window = [j for j in range(N) if tree.ancestors[j, tree.stage[k]] == k
                   and tree.stage[j] <= tree.stage[k] + W]
         x, u, _, _ = dense_unscaled_solve(tree, k, tuple(window), prev)
         rows.append(np.r_[x[k], u[k]])

@@ -12,12 +12,12 @@ from numpy.testing import assert_allclose
 from spc_lab import (
     BlockMatrix,
     Blocks,
+    ClosedLoopTrace,
     InstanceSpec,
     SingularKKTError,
     SolverError,
     TreeError,
     build_tree_explicit,
-    check_time_consistency,
     dynamic_regret,
     generate_certified_instance,
     hypothetical_state,
@@ -62,6 +62,11 @@ def zero_pair(tree):
 
 def random_pair(rng, tree):
     return rng.standard_normal(tree.nx), rng.standard_normal(tree.nu)
+
+
+def committed(trace):
+    """Committed pairs of a trace stacked as ``(N, nx + nu)``."""
+    return np.hstack([trace.x, trace.u])
 
 
 def zero_data_tree(T=3, branching=2):
@@ -468,7 +473,7 @@ def test_anticipative_paths_match_dense_oracle():
     w_prev = random_pair(rng, tree)
     an = solve_anticipative(tree, w_prev)
     for leaf, val in zip(tree.leaves(), an.path_values):
-        path = tree.ancestry(leaf)
+        path = tree.ancestors[leaf, : tree.stage[leaf] + 1].tolist()
         chain = build_tree_explicit(
             list(range(-1, len(path) - 1)),
             list(range(len(path))),
@@ -585,9 +590,8 @@ def test_recursion_zero_dynamics_gives_zero_S():
         assert np.allclose(rec.S[n], 0.0, atol=1e-12)
     w_prev = random_pair(rng, tree)
     trace = run_spc(tree, w_prev, 1)
-    iterated = rec.iterate(w_prev)
-    for n in range(tree.node_count):
-        assert np.allclose(iterated[n], trace.w(n), atol=1e-8)
+    # with S = 0 every commitment is its own window's term
+    assert_allclose(rec.window_drive(), committed(trace), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("W", [0, 1, 3])
@@ -597,9 +601,12 @@ def test_recursion_iterate_matches_run_spc(W):
     w_prev = random_pair(rng, tree)
     rec = recursion_matrices(tree, W)
     trace = run_spc(tree, w_prev, W)
-    iterated = rec.iterate(w_prev)
-    for n in range(tree.node_count):
-        assert np.allclose(iterated[n], trace.w(n), atol=1e-8)
+    # one step from each node's parent commitment (the initial pair at the
+    # root) gives the node's; iterated from the root, it gives the run
+    w = committed(trace)
+    prev = np.where((tree.parent >= 0)[:, None], w[tree.parent], np.concatenate(w_prev))
+    one_step = rec.window_drive() + np.einsum("nij,nj->ni", rec.S, prev)
+    assert_allclose(one_step, w, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -738,32 +745,28 @@ def test_hypothetical_zero_data():
         assert np.allclose(hyp[n], 0.0, atol=1e-12)
 
 
+def time_consistency_gap(tree, w_prev):
+    """Largest entry of the full-horizon plan minus its re-solve at every
+    node from the plan's own commitment at the node's parent."""
+    star = solve_optimal(tree, w_prev)
+    plan = ClosedLoopTrace(tree, tree.horizon, star.x, star.u, star.objective, w_prev)
+    return float(np.max(np.abs(hypothetical_state(tree, plan) - committed(plan))))
+
+
 def test_time_consistency_singleton():
     tree = random_tree(89, T=4, branching=1)
-    assert check_time_consistency(tree, 0, 2) <= 1e-8
+    assert time_consistency_gap(tree, zero_pair(tree)) <= 1e-8
 
 
 def test_time_consistency_random_binary():
     rng = np.random.default_rng(97)
     tree = random_tree(97, T=3, branching=2)
-    w_prev = random_pair(rng, tree)
-    assert check_time_consistency(tree, 0, 1, w_prev) <= 1e-8
-    assert check_time_consistency(tree, 0, 2, w_prev) <= 1e-8
-    deep = tree.stage_nodes(3)[0]
-    assert check_time_consistency(tree, 1, deep) <= 1e-8
+    assert time_consistency_gap(tree, random_pair(rng, tree)) <= 1e-8
 
 
 def test_time_consistency_zero_data():
     tree = zero_data_tree(T=2)
-    assert check_time_consistency(tree, 0, 1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_time_consistency_rejects_non_descendant():
-    tree = random_tree(101, T=2, branching=2)
-    with pytest.raises(Exception, match="descendant"):
-        check_time_consistency(tree, 1, 2)
-    with pytest.raises(Exception, match="descendant"):
-        check_time_consistency(tree, 1, 1)
+    assert time_consistency_gap(tree, zero_pair(tree)) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from spc_lab import (
     compute_constants,
     perturbation_margin,
     psd_sqrt,
-    verify_perturbed_stability,
 )
 
 from .helpers import (
@@ -440,7 +439,8 @@ def test_margin_rejects_bad_alpha():
 
 
 # ---------------------------------------------------------------------------
-# verify_perturbed_stability
+# perturbation margin: a nominal (L, alpha)-stable matrix plus per-node
+# deviations within the margin passes the tree check at (L, sqrt(alpha))
 
 
 def orthogonal(rng, n):
@@ -452,26 +452,8 @@ def orthogonal(rng, n):
 def test_perturbed_zero_deviation_passes():
     tree = uniform_binary_tree(nd_scalar(), 3)
     dev = np.zeros((tree.node_count, 2, 2))
-    out = verify_perturbed_stability(0.5 * np.eye(2), tree, dev, 1.0, 0.5)
-    assert out.status == "pass"
-
-
-def test_perturbed_oversized_deviation_is_precondition_error():
-    tree = uniform_binary_tree(nd_scalar(), 2)
-    delta = perturbation_margin(1.0, 0.5)
-    dev = np.zeros((tree.node_count, 2, 2))
-    dev[1] = 1.5 * delta * np.eye(2)
-    out = verify_perturbed_stability(0.5 * np.eye(2), tree, dev, 1.0, 0.5)
-    assert out.status == "precondition_violated"
-    assert "margin" in out.message
-
-
-def test_perturbed_unstable_nominal_is_precondition_error():
-    tree = uniform_binary_tree(nd_scalar(), 2)
-    dev = np.zeros((tree.node_count, 2, 2))
-    out = verify_perturbed_stability(1.1 * np.eye(2), tree, dev, 1.0, 0.5)
-    assert out.status == "precondition_violated"
-    assert "nominal" in out.message
+    out = check_stability_tree(tree, 0.5 * np.eye(2) + dev, 1.0, math.sqrt(0.5))
+    assert out.passed
 
 
 @pytest.mark.parametrize("trial", range(10))
@@ -485,5 +467,5 @@ def test_perturbed_random_deviations_within_margin_pass(trial):
     for n in range(1, tree.node_count):
         raw = rng.standard_normal((3, 3))
         dev[n] = raw * (delta * rng.uniform(0.0, 1.0) / np.linalg.norm(raw, 2))
-    out = verify_perturbed_stability(Phi, tree, dev, L, alpha)
-    assert out.status == "pass"
+    out = check_stability_tree(tree, Phi + dev, L, math.sqrt(alpha))
+    assert out.passed

@@ -15,7 +15,6 @@ from spc_lab import (
     TreeError,
     build_tree_explicit,
     build_tree_stagewise,
-    conditional_prob,
     subtree_nodes,
     validate_tree,
 )
@@ -271,37 +270,7 @@ def test_explicit_rejects_mismatched_array_lengths():
 
 
 # ---------------------------------------------------------------------------
-# conditional_prob / subtree_nodes
-
-
-def test_conditional_prob_self_is_one():
-    tree = random_tree(seed=0)
-    assert conditional_prob(tree, 3, 3) == 1.0
-
-
-def test_conditional_prob_direct_ratio():
-    nd = nd_scalar()
-    tree = build_tree_explicit(
-        parents=[-1, 0, 0, 1, 1, 2],
-        stage_labels=[0, 1, 1, 2, 2, 2],
-        probabilities=[1.0, 0.4, 0.6, 0.12, 0.28, 0.6],
-        node_data=stack([nd] * 6),
-    )
-    assert conditional_prob(tree, 3, 1) == pytest.approx(0.3)
-
-
-def test_conditional_prob_of_leaves_matches_enumeration():
-    splits = [[1.0], [0.2, 0.8], [0.5, 0.25, 0.25]]
-    tree = build_tree_stagewise(uniform_outcome(nd_scalar(), splits))
-    expected = sorted(leaf_products(splits))
-    got = sorted(conditional_prob(tree, j, 0) for j in tree.leaves())
-    assert_allclose(got, expected, atol=1e-15)
-
-
-def test_conditional_prob_requires_ancestry():
-    tree = random_tree(seed=1, T=2)
-    with pytest.raises(TreeError, match="ancestor"):
-        conditional_prob(tree, 1, 2)
+# subtree_nodes
 
 
 def test_subtree_window_zero_is_node_itself():
@@ -452,7 +421,7 @@ def test_validate_matches_loop_reference_on_corrupted_trees(seed, kinds):
 def test_ancestry_runs_root_to_node():
     tree = random_tree(seed=6, T=3, branching=2)
     leaf = tree.leaves()[-1]
-    path = tree.ancestry(leaf)
+    path = tree.ancestors[leaf, : tree.stage[leaf] + 1].tolist()
     assert path[0] == 0 and path[-1] == leaf
     for a, b in zip(path, path[1:]):
         assert tree.parent[b] == a
@@ -475,16 +444,12 @@ def test_ancestor_table_matches_parent_walk(parents, stages):
             path.append(parents[path[-1]])
         expected = path[::-1] + [-1] * (tree.horizon + 1 - len(path))
         assert tree.ancestors[j].tolist() == expected
-        assert tree.ancestry(j) == path[::-1]
-        assert [tree.is_ancestor(k, j) for k in range(tree.node_count)] == [
-            k in path for k in range(tree.node_count)
-        ]
 
 
 def test_descendants_disjoint_across_siblings():
     tree = random_tree(seed=7, T=3, branching=2)
-    d1 = set(tree.descendants(1))
-    d2 = set(tree.descendants(2))
+    d1 = set(subtree_nodes(tree, 1, tree.horizon)) - {1}
+    d2 = set(subtree_nodes(tree, 2, tree.horizon)) - {2}
     assert not d1 & d2
     assert d1 | d2 | {0, 1, 2} == set(range(tree.node_count))
 
@@ -505,7 +470,7 @@ def test_leaf_probabilities_telescope(seed, T, branching):
         leaf_sum = math.fsum(
             tree.pi[l]
             for l in tree.leaves()
-            if tree.is_ancestor(j, l)
+            if tree.ancestors[l, tree.stage[j]] == j
         )
         assert abs(leaf_sum - tree.pi[j]) <= 1e-10
 
@@ -515,18 +480,6 @@ def test_leaf_probabilities_telescope(seed, T, branching):
 def test_subtree_of_root_with_full_window_is_everything(seed, T):
     tree = random_tree(seed=seed, T=T)
     assert subtree_nodes(tree, 0, tree.horizon) == list(range(tree.node_count))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_conditional_prob_multiplicative_along_paths(seed):
-    tree = random_tree(seed=seed, T=3, branching=2)
-    leaf = tree.leaves()[seed % len(tree.leaves())]
-    path = tree.ancestry(leaf)
-    k, m, j = path[0], path[1], path[-1]
-    lhs = conditional_prob(tree, j, k)
-    rhs = conditional_prob(tree, j, m) * conditional_prob(tree, m, k)
-    assert abs(lhs - rhs) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -539,7 +492,7 @@ def test_subtree_cardinality_matches_stage_counts(seed, W):
     expected = sum(
         1
         for j in range(tree.node_count)
-        if tree.is_ancestor(k, j) and t0 <= tree.stage[j] <= t0 + W
+        if tree.ancestors[j, t0] == k and t0 <= tree.stage[j] <= t0 + W
     )
     assert len(nodes) == expected
     assert nodes == sorted(nodes)
