@@ -41,6 +41,7 @@ from .norms import (
 )
 from .problem_io import (
     SIDECAR,
+    _fmt,
     _number,
     constants_dict,
     json_object,
@@ -56,7 +57,7 @@ from .problem_io import (
     write_trace_csv,
 )
 from .stability import check_detectability, check_stabilizability, compute_constants
-from .tree import InitialCondition, TreeError, subtree_nodes
+from .tree import InitialCondition, TreeError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -138,10 +139,6 @@ def _constants_from(tree, initial, assumption):
         tree=tree,
         w_prev=initial,
     )
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _check_dynamics(tree, x, u, initial, tol):
@@ -329,8 +326,7 @@ def _suite_norms(tree, seed):
 
 
 def _suite_regularity(tree, constants):
-    subtree = subtree_nodes(tree, 0, tree.horizon)
-    rep = check_uniform_regularity(tree, subtree, constants=constants)
+    rep = check_uniform_regularity(tree, 0, tree.horizon, constants=constants)
     entries = {
         "H_norm": rep.H_norm,
         "L_H": rep.L_H,
@@ -429,11 +425,10 @@ def _suite_theorems(tree, constants, W, initial, tol, out):
         for p in bad:
             failures.append(_fail_line(rep.name, p))
 
-    c1, rho = constants.c1, constants.rho
     decay_tol = 1e-9 if tol is None else tol
     decay_ok = True
     for row in rows:
-        bound = math.inf if not math.isfinite(c1) else c1 * rho ** abs(row.t - row.tprime)
+        bound = constants.map_decay(abs(row.t - row.tprime))
         if row.psi_norm > bound * (1.0 + decay_tol) or row.omega_norm > bound * (
             1.0 + decay_tol
         ):

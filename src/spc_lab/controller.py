@@ -148,7 +148,7 @@ def run_spc_windows(tree, w_prev_init, windows):
     del factor  # before the stacked rollout, which sets the peak memory
     shift = N * np.arange(n_w)[:, None]
     pred = np.where(tree.parent >= 0, tree.parent + shift, -1).ravel()
-    levels = [(np.asarray(tree.stage_nodes(t)) + shift).ravel() for t in range(T + 1)]
+    levels = [(tree.stage_nodes(t) + shift).ravel() for t in range(T + 1)]
     d = forest_rhs(tree, every, tree.parent, (x_init, u_init))[:, tree.nx + tree.nu :]
     x, u = rollout(tree, np.tile(every, n_w), pred, K, k, np.tile(d, (n_w, 1, 1)), levels)
     x, u = _frozen((x.reshape(n_w, N, -1), u.reshape(n_w, N, -1)))
@@ -205,7 +205,7 @@ def solve_here_and_now(tree, w_prev):
     one full-horizon :class:`RiccatiFactor` refuses a nonconvex problem.
     """
     RiccatiFactor(tree, *_window(tree, 0, tree.horizon))
-    system = ScaledKKT(tree, range(tree.node_count), 0)
+    system = ScaledKKT(tree, 0, tree.horizon)
     nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
     # states and multipliers keep their column; node controls move to
     # their stage's shared control, and the emptied columns are dropped
@@ -233,7 +233,7 @@ def solve_anticipative(tree, w_prev):
     solves the forest of all paths (branch weights 1).  The objective is
     the probability-weighted sum of path optima.
     """
-    leaves = np.asarray(tree.leaves())
+    leaves = tree.leaves()
     L, T = len(leaves), tree.horizon
     # position t * L + l holds stage t of the path to leaves[l]
     paths = tree.ancestors[leaves].T

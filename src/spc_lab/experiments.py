@@ -421,7 +421,7 @@ def open_loop_bound_check(tree, constants, tau_nodes, W, w_prev):
         tau = int(tree.stage[k])
         sol = solve_extensive(tree, k, W, w_prev)
         t_hi = min(tau + W, tree.horizon)
-        node = np.asarray(sol.nodes)
+        node = sol.nodes
         cond, stage = tree.pi[node] / tree.pi[k], tree.stage[node]
         p, w = tree.arrays.p[node], np.hstack([sol.x, sol.u])
         moments, measured = (stage_moments(cond, V, stage, t_hi) for V in (p, w))
@@ -502,7 +502,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
     D, wbar = _drivers(tree, c, w_prev)
     rec_inf = recursion_matrices(tree, T)
     rec_W = rec_inf if int(W) == T else recursion_matrices(tree, W)
-    levels = [np.asarray(tree.stage_nodes(t)) for t in range(T + 1)]
+    levels = [tree.stage_nodes(t) for t in range(T + 1)]
     anc, parent, pi = tree.ancestors, tree.parent, tree.pi
     reports = []
 

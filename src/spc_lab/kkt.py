@@ -28,8 +28,9 @@ of a stage), :class:`ScaledKKT` builds the probability-scaled system,
 whose variables are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the
 scaled KKT matrix is uniformly well conditioned, while the raw weighted
 system is not.  The per-node variable layout is ``(x, u, y)``, one block
-per node of the given node set; the scaled KKT matrix couples a node to
-itself and to its parent only, and is exactly symmetric by construction.
+per node of the window in ascending order; the scaled KKT matrix couples
+a node to itself and to its parent only, and is exactly symmetric by
+construction.
 Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
 eigenvalues off that matrix H, its constraint rows F and its cost block
 G, by Lanczos on sparse operators with one sparse LU, of F F': the cost
@@ -76,11 +77,11 @@ class NonconvexError(SolverError):
 class PolicySolution:
     """Primal-dual solution of one subtree problem, in original variables:
     read-only ``(m, nx)``, ``(m, nu)`` and ``(m, nx)`` arrays whose rows
-    follow ``nodes``, the ascending subtree nodes."""
+    follow ``nodes``, the read-only array of ascending subtree nodes."""
 
     tree: object
     k: int
-    nodes: tuple
+    nodes: np.ndarray
     x: np.ndarray
     u: np.ndarray
     y: np.ndarray
@@ -96,13 +97,14 @@ class SolutionMap:
     ``Psi`` keeps its first ``nw`` rows, the state-control pair
     w = (x, u).  Both act on the original (unscaled) perturbations and
     return original variables, for the subtree problem with zero
-    committed state-control pair.  Nodes are in ascending order, which is
-    breadth-first, so each stage is a contiguous range of block positions.
+    committed state-control pair.  ``nodes`` is the read-only array of
+    ascending subtree nodes, which is breadth-first, so each stage is a
+    contiguous range of block positions.
     """
 
     tree: object
     k: int
-    nodes: tuple
+    nodes: np.ndarray
     Omega: np.ndarray
     nw: int
 
@@ -186,35 +188,34 @@ def solve_kkt(H, lu, rhs):
 
 
 class ScaledKKT:
-    """Assembled scaled KKT system for one subtree problem.
+    """Assembled scaled KKT system of the depth-W subtree problem at k.
 
     Holds the sparse symmetric matrix ``H``, the per-node scale factors
     ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached
     sparse LU factorization with the library's deterministic default
-    column permutation.  Node blocks follow ``nodes`` as given, which
-    must start at k and hold every node's parent but need not ascend.
+    column permutation.  Node blocks follow ``nodes``, the window's
+    read-only array of ascending nodes.
     """
 
-    def __init__(self, tree, nodes, k):
-        if k not in nodes or nodes[0] != k:
-            raise TreeError("subtree node set must start at its root k")
+    def __init__(self, tree, k, W):
         self.tree = tree
         self.k = int(k)
-        self.nodes = tuple(nodes)
+        self.nodes, parent, weight, _ = _window(tree, k, W)
         nx, nu = tree.nx, tree.nu
         self.nx, self.nu = nx, nu
         self.zdim = 2 * nx + nu
-        self.scales = np.sqrt(tree.pi[list(self.nodes)] / tree.pi[k])
+        self.scales = np.sqrt(tree.pi[self.nodes] / tree.pi[k])
         self.dim = self.zdim * len(self.nodes)
         self._lu = None
-        self.H = self._assemble()
+        self.H = self._assemble(parent[1:], np.sqrt(weight[1:]))
 
-    def _assemble(self):
+    def _assemble(self, pos, ratio):
         """One diagonal block per node and one parent coupling block per
-        child (plus its transpose), emitted in a single sparse build."""
+        child (plus its transpose), emitted in a single sparse build: child
+        position i + 1 couples to parent position ``pos[i]``, weighted by
+        the branch probability ``ratio[i] = sqrt(pi_i / pi_parent)``."""
         tree, nx, nu, zd = self.tree, self.nx, self.nu, self.zdim
-        nodes = np.asarray(self.nodes)
-        arr = tree.arrays
+        nodes, arr = self.nodes, tree.arrays
         m = len(nodes)
         # node blocks first, then each child's coupling to its parent and
         # the transpose of that coupling
@@ -224,18 +225,7 @@ class ScaledKKT:
         diag[:, nx : nx + nu, nx : nx + nu] = arr.R[nodes]
         diag[:, :nx, nx + nu :] = np.eye(nx)
         diag[:, nx + nu :, :nx] = np.eye(nx)
-        # node i's dynamics row couples to its parent's (x, u), weighted
-        # by the branch probability sqrt(pi_i / pi_parent)
-        parents = tree.parent[nodes[1:]]
-        # a given node set need not ascend, so search through the sorting
-        # permutation
-        order = np.argsort(nodes)
-        pos = order[
-            np.minimum(np.searchsorted(nodes, parents, sorter=order), m - 1)
-        ]
-        if not np.array_equal(nodes[pos], parents):
-            raise TreeError("subtree node set must hold every node's parent")
-        ratio = np.sqrt(tree.pi[nodes[1:]] / tree.pi[parents])
+        # node i's dynamics row couples to its parent's (x, u)
         AB = np.concatenate([arr.A[nodes[1:]], arr.B[nodes[1:]]], axis=2)
         couple[:, nx + nu :, : nx + nu] = -(ratio[:, None, None] * AB)
         blocks[2 * m - 1 :] = couple.transpose(0, 2, 1)
@@ -261,7 +251,7 @@ class ScaledKKT:
         """Stacked scaled perturbation with the committed pair folded into
         the root constraint."""
         x_prev, u_prev = committed_pair(w_prev, self.tree)
-        p = self.tree.arrays.p[list(self.nodes)]
+        p = self.tree.arrays.p[self.nodes]
         raw, k = self.tree.raw_arrays, self.k
         p[0, self.nx + self.nu :] = raw.d[k] + raw.A[k] @ x_prev + raw.B[k] @ u_prev
         return (self.scales[:, None] * p).ravel()
@@ -509,7 +499,7 @@ def solve_forest(tree, node, parent, weight, layers, p):
 def _window(tree, k, W):
     """The depth-W subtree at k as a one-tree forest: ascending nodes,
     parent positions, branch weights and depth layers."""
-    node = np.asarray(subtree_nodes(tree, k, W))
+    node = subtree_nodes(tree, k, W)
     parent = np.searchsorted(node, tree.parent[node])
     parent[0] = -1
     weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
@@ -530,7 +520,7 @@ def solve_extensive(tree, k, W, w_prev):
     p = forest_rhs(tree, node, forest[1], w_prev)
     x, u, y = _frozen([v[..., 0] for v in solve_forest(tree, *forest, p)])
     objective = math.fsum(tree.pi[node] / tree.pi[k] * stage_costs(tree, node, x, u))
-    return PolicySolution(tree, k, tuple(node.tolist()), x, u, y, objective)
+    return PolicySolution(tree, k, node, x, u, y, objective)
 
 
 def _unit_response(factor, c, out):
@@ -561,7 +551,7 @@ def solution_map(tree, k, W):
     for c in np.array_split(np.arange(m * zd), min(8, m * zd)):
         _unit_response(factor, c, cols[:, :, c[0] : c[-1] + 1])
     Omega.flags.writeable = False
-    return SolutionMap(tree, k, tuple(factor.node.tolist()), Omega, tree.nx + tree.nu)
+    return SolutionMap(tree, k, factor.node, Omega, tree.nx + tree.nu)
 
 
 def solution_map_rows(tree, k, W, row_nodes, rows="w"):
@@ -576,13 +566,16 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     the subtree's b-th node in ascending order.
     """
     forest = _window(tree, k, W)
-    nodes, zd = forest[0].tolist(), 2 * tree.nx + tree.nu
+    node, m, zd = forest[0], len(forest[0]), 2 * tree.nx + tree.nu
     nrow = tree.nx + tree.nu if rows == "w" else zd
-    at = np.repeat([nodes.index(i) for i in row_nodes], nrow)
-    Z = np.empty((len(nodes), zd, at.size))
+    pos = np.searchsorted(node, row_nodes)
+    if not np.array_equal(node[np.minimum(pos, m - 1)], row_nodes):
+        raise TreeError(f"row nodes {row_nodes} not all in the window at node {k}")
+    at = np.repeat(pos, nrow)
+    Z = np.empty((m, zd, at.size))
     _unit_response(RiccatiFactor(tree, *forest), at * zd + np.arange(at.size) % nrow, Z)
-    Z = Z.reshape(len(nodes), zd, len(row_nodes), nrow).transpose(2, 0, 3, 1)
-    weight = tree.pi[nodes] / tree.pi[list(row_nodes)][:, None]
+    Z = Z.reshape(m, zd, len(pos), nrow).transpose(2, 0, 3, 1)
+    weight = tree.pi[node] / tree.pi[node[pos]][:, None]
     return weight[:, :, None, None] * Z
 
 
@@ -713,8 +706,9 @@ def measure_decay(tree, k, W):
     ]
 
 
-def check_uniform_regularity(tree, subtree, constants=None):
-    """Measure the three uniform-regularity quantities on one subtree.
+def check_uniform_regularity(tree, k, W, constants=None):
+    """Measure the three uniform-regularity quantities of the depth-W
+    subtree problem at k.
 
     The claimed bounds come from ``constants`` (any object exposing
     ``L_H``, ``gamma_F``, ``gamma_G``).  F is the multiplier rows of the
@@ -738,8 +732,7 @@ def check_uniform_regularity(tree, subtree, constants=None):
       one nearest zero that shift-invert at 0 would find.  P is
       conditioned by F F', not by the open-loop dynamics.
     """
-    nodes = tuple(subtree)
-    system = ScaledKKT(tree, nodes, nodes[0])
+    system = ScaledKKT(tree, k, W)
     # each node block of H is laid out (x, u, y); w marks G's part (x, u)
     w = np.arange(system.dim) % system.zdim < system.nx + system.nu
     H_norm = abs(_lanczos(system.H, which="LM"))

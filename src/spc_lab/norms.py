@@ -14,8 +14,9 @@ suite); :func:`stage_norm` is exact, with no iteration, for the
 closed-loop stage matrices, which hold one block per row or column (the
 lemma suite); and :func:`_block_norm` takes the largest eigenvalue of the
 Gram matrix, on the smaller side, of blocks that are dense already and
-weighted by the caller (the solution-map decay rows, which scale their
-stage blocks in place), the kernel :func:`stage_norm` applies per group.  A weighted diagonal stage block of a solution map is
+weighted by the caller.  :func:`stage_norm` applies that kernel per
+group, and so do the solution-map decay rows, which scale their stage
+blocks in place.  A weighted diagonal stage block of a solution map is
 symmetric, the map being self-adjoint in the weights, so the decay rows
 take its norm as its largest absolute eigenvalue, with no Gram.
 """

@@ -578,12 +578,11 @@ def write_regret_csv(path, report):
 
 def write_decay_csv(path, rows, constants):
     """Stage-pair solution-map norms with the decay envelope column."""
-    c1, rho = constants.c1, constants.rho
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "tprime", "psi_norm", "omega_norm", "bound"])
         for row in rows:
-            bound = 0.0 if c1 == 0.0 else c1 * rho ** abs(row.t - row.tprime)
+            bound = constants.map_decay(abs(row.t - row.tprime))
             writer.writerow(
                 [
                     row.t,

@@ -65,6 +65,11 @@ class ConstantsBundle:
     D: float
     w_bar_norm: float
 
+    def map_decay(self, gap):
+        """Solution-map decay envelope ``c1 * rho**gap`` between stages
+        ``gap`` apart; c1 lies in (0, inf] and rho in (0, 1]."""
+        return self.c1 * self.rho ** gap
+
 
 class StabilityResult(NamedTuple):
     passed: bool

@@ -226,9 +226,9 @@ class ScenarioTree:
 
     @cached_property
     def _by_stage(self):
-        """Nodes of each stage 0..horizon, ascending; stages outside that
-        range are dropped."""
-        order = np.argsort(self.stage, kind="stable")
+        """Nodes of each stage 0..horizon, ascending, as read-only arrays;
+        stages outside that range are dropped."""
+        (order,) = _frozen((np.argsort(self.stage, kind="stable"),))
         cuts = np.searchsorted(self.stage[order], np.arange(self.horizon + 2))
         return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
@@ -245,15 +245,15 @@ class ScenarioTree:
         return anc
 
     def stage_nodes(self, t):
-        """Nodes at stage t, in index (breadth-first) order."""
-        return self._by_stage[t].tolist()
+        """Nodes at stage t, in index (breadth-first) order, read-only."""
+        return self._by_stage[t]
 
     def leaves(self):
-        """Nodes without children, ascending."""
+        """Nodes without children, ascending, read-only."""
         n, parent = self.node_count, self.parent[1:]
         inner = np.zeros(n, dtype=bool)
         inner[parent[(parent >= 0) & (parent < n)]] = True
-        return np.flatnonzero(~inner).tolist()
+        return _frozen((np.flatnonzero(~inner),))[0]
 
 
 @dataclass
@@ -417,7 +417,7 @@ def build_tree_explicit(parents, stage_labels, probabilities, node_data):
 
 
 def subtree_nodes(tree, k, W):
-    """Nodes of the depth-W subtree rooted at k, in ascending node order.
+    """Nodes of the depth-W subtree rooted at k, ascending, read-only.
 
     The window is capped at the final stage, so the effective depth is
     ``min(W, horizon - stage(k))``.  Node ids are stage-major, so the
@@ -431,4 +431,4 @@ def subtree_nodes(tree, k, W):
         raise TreeError("window W must be >= 0")
     s = int(tree.stage[k])
     end = np.searchsorted(tree.stage, s + W, side="right")
-    return (k + np.flatnonzero(tree.ancestors[k:end, s] == k)).tolist()
+    return _frozen((k + np.flatnonzero(tree.ancestors[k:end, s] == k),))[0]

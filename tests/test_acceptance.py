@@ -39,7 +39,6 @@ from spc_lab import (
     solve_anticipative,
     solve_here_and_now,
     solve_optimal,
-    subtree_nodes,
 )
 
 from .conftest import pool_spec, record_criterion
@@ -127,9 +126,7 @@ def test_c05_uniform_regularity(instance_pool):
         for inst in instance_pool:
             tree = inst.tree
             rep = check_uniform_regularity(
-                tree,
-                subtree_nodes(tree, 0, tree.horizon),
-                constants=inst.constants,
+                tree, 0, tree.horizon, constants=inst.constants
             )
             L = inst.constants.L
             assert rep.H_norm <= 2.0 * L + 1.0 + 1e-9
@@ -210,7 +207,7 @@ def test_c07_sandwich_inequality(instance_pool):
 
 
 def test_c08_time_consistency(instance_pool):
-    with criterion(8, "time consistency at root children"):
+    with criterion(8, "time consistency at every node"):
         # the full-horizon plan, re-solved at every node from the plan's own
         # commitment at the node's parent, must reproduce itself
         for inst in instance_pool[:10]:
@@ -300,15 +297,14 @@ def test_c12_kkt_residual_and_determinism(instance_pool):
     with criterion(12, "KKT residual and bit-identical reruns"):
         for inst in instance_pool[:10]:
             tree = inst.tree
-            nodes = subtree_nodes(tree, 0, tree.horizon)
-            system = ScaledKKT(tree, nodes, 0)
+            system = ScaledKKT(tree, 0, tree.horizon)
             system.factor()
             rhs = system.scaled_rhs(inst.w_prev)
             zt = system.solve(rhs)
             residual = float(np.linalg.norm(system.H @ zt - rhs))
             assert residual <= 1e-8 * (1.0 + float(np.linalg.norm(rhs)))
 
-            again = ScaledKKT(tree, nodes, 0)
+            again = ScaledKKT(tree, 0, tree.horizon)
             again.factor()
             zt2 = again.solve(again.scaled_rhs(inst.w_prev))
             assert np.array_equal(zt, zt2)

@@ -631,16 +631,16 @@ def test_stage_norm_matches_dense_on_lemma_matrices(build):
     for t2 in range(T):
         P = {i: np.eye(tree.nx + tree.nu) for i in tree.stage_nodes(t2)}
         for t in range(t2 + 1, T + 1):
-            at = np.asarray(tree.stage_nodes(t))
+            at = tree.stage_nodes(t)
             P.update({i: rec_inf.S[i] @ P[int(parent[i])] for i in at})
             check(Blocks(at, anc[at, t2], np.array([P[i] for i in at])), t, t2)
     for t in range(T + 1):
         for tp in range(t, T + 1):
-            cols = np.asarray(tree.stage_nodes(tp))
+            cols = tree.stage_nodes(tp)
             gap = rec_inf.Psi[cols, t] - rec_W.Psi[cols, t]
             check(Blocks(anc[cols, t], cols, gap), t, tp)
     for t in range(1, T + 1):
-        at = np.asarray(tree.stage_nodes(t))
+        at = tree.stage_nodes(t)
         check(Blocks(at, parent[at], rec_inf.S[at] - rec_W.S[at]), t, t - 1)
 
 

@@ -23,7 +23,6 @@ from spc_lab import (
     regret_sweep,
     run_spc,
     stage_perturbation_moments,
-    subtree_nodes,
 )
 
 from spc_lab import experiments
@@ -136,9 +135,8 @@ def test_generator_certificates_and_bounds(noisy_instance):
 
 def test_generator_instance_is_uniformly_regular(noisy_instance):
     inst = noisy_instance
-    nodes = subtree_nodes(inst.tree, 0, inst.tree.horizon)
     report = check_uniform_regularity(
-        inst.tree, nodes, constants=inst.constants
+        inst.tree, 0, inst.tree.horizon, constants=inst.constants
     )
     assert report.all_pass
 

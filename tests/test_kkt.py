@@ -93,7 +93,7 @@ def decoupled_tree(T=2, branching=2, nx=1, nu=1, seed=0):
 def test_single_node_kkt_matrix():
     nd = nd_scalar(A=0.0, B=0.0)
     tree = build_tree_stagewise(uniform_outcome(nd, [[1.0]]))
-    system = ScaledKKT(tree, (0,), 0)
+    system = ScaledKKT(tree, 0, 0)
     assert_allclose(
         system.H.toarray(), [[1, 0, 1], [0, 1, 0], [1, 0, 0]], atol=0
     )
@@ -102,7 +102,7 @@ def test_single_node_kkt_matrix():
 def test_child_coupling_carries_branch_probability_root():
     nd = nd_scalar(A=2.0, B=3.0)
     tree = build_tree_stagewise(uniform_outcome(nd, [[1.0], [0.5, 0.5]]))
-    system = ScaledKKT(tree, (0, 1, 2), 0)
+    system = ScaledKKT(tree, 0, 1)
     H = system.H.toarray()
     # child node 1 occupies block 1; its constraint row couples to the
     # root's x and u with factor sqrt(1/2)
@@ -112,62 +112,59 @@ def test_child_coupling_carries_branch_probability_root():
     assert H[yrow, 1] == pytest.approx(-3.0 * s)
 
 
-def interior_subtree(seed):
-    """Depth-2 subtree rooted at a stage-1 node of a depth-4 tree with
-    nx != nu: the only kind that maps parents to inner block positions."""
-    tree = random_tree(seed=seed, T=4, branching=2, nx=3, nu=1)
-    return tree, tuple(subtree_nodes(tree, 2, 2))
+def interior_window(seed):
+    """Depth-2 window at a stage-1 node of a depth-4 tree with nx != nu:
+    the only kind that maps parents to inner block positions."""
+    return random_tree(seed=seed, T=4, branching=2, nx=3, nu=1), 2, 2
 
 
-def crossed_subtree():
-    """Explicit tree whose children are listed crosswise (node 1's child is
-    node 4, node 2's child is node 3), with its nodes in the breadth-first
-    order that follows the children, which does not ascend."""
-    tree = build_tree_explicit(
-        [-1, 0, 0, 2, 1, 4, 3],
-        [0, 1, 1, 2, 2, 3, 3],
-        [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
-        stack([nd_scalar(A=0.5, B=2.0)] * 7),
-    )
-    return tree, (0, 1, 2, 4, 3, 5, 6)
+def crossed_window():
+    """The whole of a tree whose children are listed crosswise (node 1's
+    child is node 4, node 2's child is node 3)."""
+    return crossed_tree(np.random.default_rng(27)), 0, 3
 
 
-def test_node_set_without_parent_rejected():
-    tree = random_tree(seed=25, T=2, branching=2)
-    for nodes in [(1, 0), (0, 3), (1, 3, 5)]:
-        with pytest.raises(TreeError):
-            ScaledKKT(tree, nodes, nodes[0])
+def assembly_windows(seed):
+    full = random_tree(seed=seed, T=3, branching=2, nx=2, nu=2)
+    return [(full, 0, full.horizon), interior_window(seed + 2), crossed_window()]
 
 
 def test_assembled_matrix_exactly_symmetric():
-    full = random_tree(seed=21, T=3, branching=2, nx=2, nu=2)
-    for tree, nodes in [
-        (full, tuple(range(full.node_count))),
-        interior_subtree(seed=23),
-        crossed_subtree(),
-    ]:
-        system = ScaledKKT(tree, nodes, nodes[0])
+    for tree, k, W in assembly_windows(21):
+        system = ScaledKKT(tree, k, W)
         assert (system.H - system.H.T).nnz == 0
 
 
 def test_assembly_sparsity_couples_only_parent_child():
-    full = random_tree(seed=22, T=2, branching=2)
-    for tree, nodes in [
-        (full, tuple(range(full.node_count))),
-        interior_subtree(seed=24),
-        crossed_subtree(),
-    ]:
-        system = ScaledKKT(tree, nodes, nodes[0])
+    for tree, k, W in assembly_windows(22):
+        system = ScaledKKT(tree, k, W)
+        assert np.array_equal(system.nodes, subtree_nodes(tree, k, W))
         H = system.H.toarray()
         zd = system.zdim
-        for a, i in enumerate(nodes):
-            for b, j in enumerate(nodes):
+        for a, i in enumerate(system.nodes):
+            for b, j in enumerate(system.nodes):
                 blk = H[a * zd : (a + 1) * zd, b * zd : (b + 1) * zd]
                 related = (
                     i == j or tree.parent[i] == j or tree.parent[j] == i
                 )
                 if not related:
                     assert np.all(blk == 0.0)
+
+
+def test_window_coupling_carries_branch_probability():
+    # each child's dynamics row block over its parent's (x, u) columns is
+    # -sqrt(pi_i / pi_parent) [A_i, B_i], wherever the parent sits
+    for tree, k, W in assembly_windows(28):
+        system = ScaledKKT(tree, k, W)
+        H, zd, nx, nw = system.H.toarray(), system.zdim, tree.nx, tree.nx + tree.nu
+        pos = {int(n): a for a, n in enumerate(system.nodes)}
+        assert_allclose(system.scales, np.sqrt(tree.pi[system.nodes] / tree.pi[k]), rtol=1e-15)
+        for i in system.nodes[1:].tolist():
+            a, b = pos[i], pos[int(tree.parent[i])]
+            coupling = H[a * zd + nw : (a + 1) * zd, b * zd : b * zd + nw]
+            nd = NodeRow(tree, i)
+            expected = -math.sqrt(tree.pi[i] / tree.pi[tree.parent[i]]) * np.hstack([nd.A, nd.B])
+            assert_allclose(coupling, expected, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +224,10 @@ def test_interior_subtree_solve_matches_oracle(seed):
     rng = np.random.default_rng(seed)
     k = tree.stage_nodes(1)[seed % 2]
     W = 1
-    nodes = tuple(subtree_nodes(tree, k, W))
+    nodes = subtree_nodes(tree, k, W).tolist()
     w_prev = (rng.standard_normal(2), rng.standard_normal(2))
     sol = solve_extensive(tree, k, W, w_prev)
-    assert sol.nodes == nodes
+    assert sol.nodes.tolist() == nodes
     ox, ou, oy, oobj = dense_unscaled_solve(tree, k, nodes, w_prev)
     for i, n in enumerate(nodes):
         assert_allclose(sol.x[i], ox[n], atol=1e-8)
@@ -261,7 +258,8 @@ def test_plan_satisfies_assembled_kkt_residual(k, W):
     rng = np.random.default_rng(46)
     w_prev = (rng.standard_normal(3), rng.standard_normal(2))
     sol = solve_extensive(tree, k, W, w_prev)
-    system = ScaledKKT(tree, sol.nodes, k)
+    system = ScaledKKT(tree, k, W)
+    assert np.array_equal(system.nodes, sol.nodes)
     z = np.hstack([sol.x, sol.u, sol.y]).ravel()
     zt = np.repeat(system.scales, system.zdim) * z
     rhs = system.scaled_rhs(w_prev)
@@ -273,13 +271,32 @@ def test_results_are_read_only_arrays_in_node_order():
     tree = random_tree(seed=47, T=3, branching=2, nx=2, nu=1)
     w_prev = (np.ones(2), np.ones(1))
     sol = solve_extensive(tree, 2, 2, w_prev)
-    assert sol.nodes == tuple(subtree_nodes(tree, 2, 2))
-    system = ScaledKKT(tree, sol.nodes, 2)
+    assert np.array_equal(sol.nodes, subtree_nodes(tree, 2, 2))
+    system = ScaledKKT(tree, 2, 2)
     unscaled = system.unscale(system.solve(system.scaled_rhs(w_prev)))
     for a, b, dim in zip((sol.x, sol.u, sol.y), unscaled, (2, 1, 2)):
         assert a.shape == b.shape == (len(sol.nodes), dim)
         assert not a.flags.writeable and not b.flags.writeable
         assert_allclose(a, b, rtol=0, atol=1e-8)
+
+
+def test_node_sets_are_read_only_int64_arrays():
+    tree = random_tree(seed=48, T=3, branching=2)
+    w_prev = (np.zeros(tree.nx), np.zeros(tree.nu))
+    node_sets = {
+        "subtree_nodes": subtree_nodes(tree, 2, 2),
+        "stage_nodes": tree.stage_nodes(2),
+        "leaves": tree.leaves(),
+        "PolicySolution": solve_extensive(tree, 2, 2, w_prev).nodes,
+        "SolutionMap": solution_map(tree, 2, 2).nodes,
+        "ScaledKKT": ScaledKKT(tree, 2, 2).nodes,
+    }
+    for name, nodes in node_sets.items():
+        assert isinstance(nodes, np.ndarray) and nodes.dtype == np.int64, name
+        assert nodes.ndim == 1 and not nodes.flags.writeable, name
+    assert node_sets["subtree_nodes"].tolist() == [2, 5, 6, 11, 12, 13, 14]
+    assert node_sets["stage_nodes"].tolist() == [3, 4, 5, 6]
+    assert node_sets["leaves"].tolist() == list(range(7, 15))
 
 
 def test_repeated_solves_bit_identical():
@@ -539,9 +556,13 @@ def test_row_extraction_matches_full_map():
     tree = random_tree(seed=55, T=2, branching=2, nx=2, nu=1)
     smap = solution_map(tree, 0, 2)
     rows = solution_map_rows(tree, 0, 2, (1, 0), rows="w")
-    assert smap.nodes == tuple(range(tree.node_count))
+    assert np.array_equal(smap.nodes, np.arange(tree.node_count))
     assert rows.shape == (2, tree.node_count, smap.nw, 2 * tree.nx + tree.nu)
     assert_allclose(rows, smap.Psi[[1, 0]].transpose(0, 2, 1, 3), atol=1e-10)
+    # node 2 is outside the window at node 1, and 7 past every node
+    for outside in [(1, 2), (7,)]:
+        with pytest.raises(TreeError, match="not all in the window"):
+            solution_map_rows(tree, 1, 2, outside)
 
 
 @pytest.mark.parametrize(
@@ -557,10 +578,10 @@ def test_row_extraction_matches_full_map():
 def test_solution_map_matches_dense_oracle_for_every_window(build, root):
     tree = build(np.random.default_rng(80))
     for W in range(tree.horizon - int(tree.stage[root]) + 1):
-        nodes = tuple(subtree_nodes(tree, root, W))
+        nodes = subtree_nodes(tree, root, W).tolist()
         smap = solution_map(tree, root, W)
         expected = dense_solution_map(tree, root, nodes)
-        assert smap.nodes == nodes
+        assert smap.nodes.tolist() == nodes
         scale = np.abs(expected).max()
         assert_allclose(smap.Omega, expected, rtol=0, atol=1e-10 * scale)
 
@@ -617,13 +638,12 @@ def test_decay_table_covers_all_stage_pairs():
 
 
 def test_decay_rows_match_hand_built_stage_blocks():
-    for tree, nodes in [interior_subtree(seed=26), crossed_subtree()]:
-        W = int(tree.stage[nodes[-1]] - tree.stage[nodes[0]])
-        smap = solution_map(tree, nodes[0], W)
-        assert smap.nodes == tuple(sorted(nodes))
-        pos = {n: a for a, n in enumerate(smap.nodes)}
+    for tree, k, W in [interior_window(seed=26), crossed_window()]:
+        smap = solution_map(tree, k, W)
+        nodes = smap.nodes.tolist()
+        pos = {n: a for a, n in enumerate(nodes)}
         stages = sorted({int(tree.stage[n]) for n in nodes})
-        rows = measure_decay(tree, nodes[0], W)
+        rows = measure_decay(tree, k, W)
         assert [(r.t, r.tprime) for r in rows] == [
             (t, tp) for t in stages for tp in stages
         ]
@@ -786,7 +806,7 @@ def test_regularity_single_decoupled_node():
     nd = nd_scalar(A=0.0, B=0.0)
     tree = build_tree_stagewise(uniform_outcome(nd, [[1.0]]))
     consts = SimpleNamespace(L_H=3.0, gamma_F=0.5, gamma_G=0.5)
-    report = check_uniform_regularity(tree, (0,), constants=consts)
+    report = check_uniform_regularity(tree, 0, 0, constants=consts)
     assert report.FFt_min_eig == pytest.approx(1.0, abs=1e-12)
     assert report.ReH_min_eig == pytest.approx(1.0, abs=1e-12)
     assert report.H_norm == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
@@ -796,7 +816,7 @@ def test_regularity_single_decoupled_node():
 
 def test_regularity_measures_are_bound_free_without_constants():
     tree = random_tree(seed=57, T=2, branching=2)
-    report = check_uniform_regularity(tree, tuple(range(tree.node_count)))
+    report = check_uniform_regularity(tree, 0, tree.horizon)
     assert report.FFt_min_eig > 0.0
     assert not report.rank_deficient
     # claimed bounds default to vacuous values
@@ -805,7 +825,7 @@ def test_regularity_measures_are_bound_free_without_constants():
 
 def test_regularity_null_space_hessian_positive_for_pd_costs():
     tree = random_tree(seed=58, T=2, branching=2, nx=2, nu=1)
-    report = check_uniform_regularity(tree, tuple(range(tree.node_count)))
+    report = check_uniform_regularity(tree, 0, tree.horizon)
     assert report.ReH_min_eig > 0.0
 
 
@@ -840,9 +860,9 @@ def test_regularity_matches_dense_oracle(build, root):
     # on the A = 2 chain a null-space basis that simulates the states
     # forward grows like 2^T; the projector onto null(F) does not
     tree = build(np.random.default_rng(90))
-    nodes = tuple(subtree_nodes(tree, root, tree.horizon - int(tree.stage[root])))
-    report = check_uniform_regularity(tree, nodes)
-    H_norm, FFt_min, ReH_min = dense_regularity(tree, nodes)
+    W = tree.horizon - int(tree.stage[root])
+    report = check_uniform_regularity(tree, root, W)
+    H_norm, FFt_min, ReH_min = dense_regularity(tree, subtree_nodes(tree, root, W).tolist())
     assert report.H_norm == pytest.approx(H_norm, rel=1e-10)
     assert report.FFt_min_eig == pytest.approx(FFt_min, rel=1e-10)
     assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
@@ -854,10 +874,9 @@ def test_regularity_finds_smallest_not_nearest_zero_on_nonconvex_tree():
     # whose reduced Hessian has eigenvalues near -4.008 and -0.413; the
     # smallest, not the one nearest zero, is the regularity measure
     tree = nonconvex_tree(T=3)
-    nodes = tuple(range(tree.node_count))
-    ReH_min = dense_regularity(tree, nodes)[2]
+    ReH_min = dense_regularity(tree, tuple(range(tree.node_count)))[2]
     assert ReH_min == pytest.approx(-4.0080869578432985, rel=1e-12)
-    report = check_uniform_regularity(tree, nodes)
+    report = check_uniform_regularity(tree, 0, tree.horizon)
     assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
     assert not report.ReH_pass
 
@@ -877,10 +896,9 @@ def test_regularity_factors_F_Ft_once_and_no_kkt_system(monkeypatch):
     monkeypatch.setattr(kkt, "factor_kkt", refuse)
     monkeypatch.setattr(kkt, "solve_kkt", refuse)
     tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
-    nodes = tuple(range(tree.node_count))
-    check_uniform_regularity(tree, nodes)
+    check_uniform_regularity(tree, 0, tree.horizon)
     assert len(factored) == 1
-    H = ScaledKKT(tree, nodes, 0).H.toarray()
+    H = ScaledKKT(tree, 0, tree.horizon).H.toarray()
     w = np.arange(H.shape[0]) % 6 < 4  # (x, u) of each (x, u, y) block
     F = H[~w][:, w]
     assert_allclose(factored[0], F @ F.T, rtol=0, atol=1e-14)
@@ -889,7 +907,7 @@ def test_regularity_factors_F_Ft_once_and_no_kkt_system(monkeypatch):
 def test_regularity_reruns_bit_identical():
     def fresh():
         tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
-        return check_uniform_regularity(tree, tuple(range(tree.node_count)))
+        return check_uniform_regularity(tree, 0, tree.horizon)
 
     assert fresh() == fresh()
 
@@ -898,11 +916,10 @@ def test_regularity_peak_memory_below_half_a_dense_kkt():
     # the T = 6 KKT matrix is 762 x 762; its dense float64 form alone would
     # take 4.6 MB
     tree = random_tree(seed=96, T=6, branching=2, nx=2, nu=2)
-    nodes = tuple(range(tree.node_count))
     n = (2 * tree.nx + tree.nu) * tree.node_count
     tracemalloc.start()
     try:
-        check_uniform_regularity(tree, nodes)
+        check_uniform_regularity(tree, 0, tree.horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
