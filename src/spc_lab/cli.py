@@ -57,7 +57,7 @@ from .problem_io import (
     write_trace_csv,
 )
 from .stability import check_detectability, check_stabilizability, compute_constants
-from .tree import InitialCondition, TreeError
+from .tree import TreeError, predecessor_pairs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -145,9 +145,7 @@ def _check_dynamics(tree, x, u, initial, tol):
     """Worst per-node dynamics residual of an exported trace, states ``x``
     (N, nx) and controls ``u`` (N, nu) whose row is the node, over all
     nodes at once; the first worst node is reported, a NaN as worst."""
-    root = tree.parent < 0
-    xp = np.where(root[:, None], initial.x_prev, x[tree.parent])
-    up = np.where(root[:, None], initial.u_prev, u[tree.parent])
+    xp, up = predecessor_pairs(tree, x, u, initial)
     ar = tree.arrays
     pred = (ar.A @ xp[:, :, None] + ar.B @ up[:, :, None])[:, :, 0] + ar.d
     res = np.max(np.abs(x - pred), axis=1)
@@ -502,10 +500,6 @@ def cmd_verify_bounds(args):
     return _cmd_verify(args, (args.suite,))
 
 
-def cmd_verify_norms(args):
-    return _cmd_verify(args, ("norms",))
-
-
 def cmd_certify(args):
     tree, _, _ = load_problem(args.input)
     passed, failures, entries = _run_certificates(tree, args.cert)
@@ -562,7 +556,7 @@ def cmd_generate(args):
     save_problem(
         os.path.join(out, "problem.json"),
         inst.tree,
-        InitialCondition(*inst.w_prev),
+        inst.w_prev,
         assumption={"L": c.L, "alpha": c.alpha, "gamma": c.gamma},
     )
     for role, cert in sorted(inst.certificates.items()):
@@ -598,11 +592,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, seed=None):
+        """--input and --out, and --seed with help ``seed`` when given."""
         if needs_input:
             p.add_argument("--input", required=True, help="problem file (JSON)")
         p.add_argument("--out", default=None, help="output directory (default .)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help=seed)
 
     p = sub.add_parser("build-tree", help="validate a problem file, print a summary")
     common(p)
@@ -630,14 +626,14 @@ def build_parser():
     p = sub.add_parser(
         "regret-sweep", help="regret over windows; writes regret.csv + run.json"
     )
-    common(p)
+    common(p, seed="seed recorded in run.json")
     p.add_argument("--W", default=None, help="windows: 'a..b', 'a,b,c', or one value")
 
     p = sub.add_parser(
         "verify-bounds",
         help="run verification suites; writes verify_report.json (+ csv files)",
     )
-    common(p)
+    common(p, seed="seed of the norms suite's random vectors (default 0)")
     p.add_argument(
         "--suite",
         choices=SUITES + ("all",),
@@ -658,13 +654,8 @@ def build_parser():
         help="override the relative slack used to judge bound points",
     )
 
-    p = sub.add_parser("verify-norms", help="weighted-norm identity checks only")
-    common(p)
-    p.add_argument("--W", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--tol-bound", type=_tolerance, default=None, help=argparse.SUPPRESS)
-
     p = sub.add_parser("certify", help="check gain certificates against a problem")
-    common(p)
+    p.add_argument("--input", required=True, help="problem file (JSON)")
     p.add_argument(
         "--cert",
         action="append",
@@ -679,7 +670,7 @@ def build_parser():
         "generate",
         help="generate a certified instance; writes problem, its array sidecar and certificates",
     )
-    common(p, needs_input=False)
+    common(p, needs_input=False, seed="seed override (replaces the spec's seed)")
     p.add_argument(
         "--input",
         default=None,
@@ -696,7 +687,6 @@ HANDLERS = {
     "spc": cmd_spc,
     "regret-sweep": cmd_regret_sweep,
     "verify-bounds": cmd_verify_bounds,
-    "verify-norms": cmd_verify_norms,
     "certify": cmd_certify,
     "constants": cmd_constants,
     "generate": cmd_generate,

@@ -34,7 +34,7 @@ from .kkt import (
     solve_kkt,
     stage_costs,
 )
-from .tree import TreeError, _frozen, committed_pair
+from .tree import TreeError, _frozen, committed_pair, predecessor_pairs
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def solve_here_and_now(tree, w_prev):
     from T = 22.  The feasible set is a subspace of the full problem's, so
     one full-horizon :class:`RiccatiFactor` refuses a nonconvex problem.
     """
-    RiccatiFactor(tree, *_window(tree, 0, tree.horizon))
     system = ScaledKKT(tree, 0, tree.horizon)
+    RiccatiFactor(tree, *system.window)
     nx, nu, zd, T = tree.nx, tree.nu, system.zdim, tree.horizon
     # states and multipliers keep their column; node controls move to
     # their stage's shared control, and the emptied columns are dropped
@@ -326,12 +326,9 @@ def hypothetical_state(tree, trace):
     one Riccati pass over the whole tree gives every node's feedback, and
     one step from the parent's pair applies it.
     """
-    arr, parent = tree.arrays, tree.parent
+    arr = tree.arrays
     factor = RiccatiFactor(tree, *_window(tree, 0, tree.horizon))
-    x_init, u_init = trace.w_prev_init
-    root = (parent < 0)[:, None]
-    xp = np.where(root, x_init, trace.x[parent])
-    up = np.where(root, u_init, trace.u[parent])
+    xp, up = predecessor_pairs(tree, trace.x, trace.u, trace.w_prev_init)
     x = _mv(arr.A, xp) + _mv(arr.B, up) + arr.d
     u = _mv(factor.K, x) + factor.sweep(arr.p[:, :, None])[0][..., 0]
     return np.concatenate([x, u], axis=1)

@@ -36,7 +36,7 @@ from .stability import (
 from .tree import (
     TreeError,
     build_tree_explicit,
-    committed_pair,
+    predecessor_pairs,
     spectral_norms,
 )
 
@@ -557,8 +557,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
     # stage's window term, and the root's transfer, carried forward
     # through the stage products.
     drive = rec_W.window_drive()
-    w_init = np.concatenate(committed_pair(w_prev))
-    prev = np.where((parent >= 0)[:, None], w[parent], w_init)
+    prev = np.hstack(predecessor_pairs(tree, trace.x, trace.u, w_prev))
     one_step = drive + _mv(rec_W.S, prev)
     drive[0] = one_step[0]
     expansion = np.zeros_like(w)

@@ -194,13 +194,15 @@ class ScaledKKT:
     ``sqrt(pi_{i|k})`` (array ``scales``, in node order), and a cached
     sparse LU factorization with the library's deterministic default
     column permutation.  Node blocks follow ``nodes``, the window's
-    read-only array of ascending nodes.
+    read-only array of ascending nodes; ``window`` keeps the whole
+    :func:`_window` forest it was assembled from.
     """
 
     def __init__(self, tree, k, W):
         self.tree = tree
         self.k = int(k)
-        self.nodes, parent, weight, _ = _window(tree, k, W)
+        self.window = _window(tree, k, W)
+        self.nodes, parent, weight, _ = self.window
         nx, nu = tree.nx, tree.nu
         self.nx, self.nu = nx, nu
         self.zdim = 2 * nx + nu
@@ -510,8 +512,8 @@ def _window(tree, k, W):
 def solve_extensive(tree, k, W, w_prev):
     """Solve the depth-W subtree problem rooted at k.
 
-    ``w_prev`` is the state-control pair committed at the stage before
-    ``k`` (a pair of arrays or an InitialCondition-like object).  Returns
+    ``w_prev`` is the ``(x, u)`` pair committed at the stage before ``k``
+    (see :func:`committed_pair`).  Returns
     a :class:`PolicySolution` in original variables whose objective is
     the conditional expected cost over the subtree.
     """

@@ -13,13 +13,13 @@ Beside a problem file, and only after the file is complete,
 :func:`save_problem` writes its sidecar ``<problem>.json.arrays``: a tag,
 the SHA-256 of the problem file's bytes as its key, the SHA-256 of its
 own payload, then the payload, consecutive ``np.save`` records of the
-arrays the loader builds the tree from.  The sidecar is derived: the JSON
-stays the canonical file, and deleting the sidecar only makes the next
-load parse the JSON.  A load takes the arrays only when the key matches
-the bytes it read and the payload reads back whole, without unpickling
-anything; a file edited after it was written therefore loads from its
-JSON.  Only :func:`save_problem` writes a sidecar; no read-only command
-creates, rewrites or deletes one.
+arrays the loader builds the tree and the committed pair from.  The
+sidecar is derived: the JSON stays the canonical file, and deleting the
+sidecar only makes the next load parse the JSON.  A load takes the arrays
+only when the key matches the file's bytes and the payload reads back
+whole, without unpickling anything; a file edited after it was written
+therefore loads from its JSON.  Only :func:`save_problem` writes a
+sidecar; no read-only command creates, rewrites or deletes one.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ import numpy as np
 
 from .stability import GainCertificate
 from .tree import (
-    InitialCondition,
     NodeArrays,
     TreeError,
     _check_dims,
     build_tree_explicit,
     build_tree_stagewise,
+    committed_pair,
 )
 
 _FIELDS = NodeArrays._fields
@@ -205,43 +205,38 @@ def _gc_paused(load):
 def load_problem(path):
     """Read a problem file.
 
-    Returns (tree, initial, assumption) where ``assumption`` is the
+    Returns (tree, initial, assumption) where ``initial`` is the committed
+    pair ``(x, u)`` of read-only float64 arrays and ``assumption`` the
     optional dict of claimed constants {L, alpha, gamma} or None.
 
-    The file's bytes are read once.  When a sidecar lies beside the file
-    (see :func:`save_problem`) and reads back whole with the SHA-256 of
-    exactly these bytes as its key, the tree is built from its arrays;
-    otherwise the JSON is parsed.  Both end in the same checks of the
-    tree against the declared dims and horizon, of the initial pair and
-    of the assumption.
+    When a sidecar lies beside the file (see :func:`save_problem`) and
+    reads back whole with the SHA-256 of the file's bytes as its key, the
+    tree and the pair are built from its arrays; the file is then only
+    hashed, a chunk at a time.  Otherwise the file's bytes are read and
+    the JSON is parsed.  Both end in the same checks of the tree against
+    the declared dims and horizon, of the initial pair and of the
+    assumption.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    saved = _read_sidecar(os.fspath(path) + SIDECAR, data)
+        saved = _read_sidecar(os.fspath(path) + SIDECAR, fh)
+        if saved is None:
+            fh.seek(0)
+            text = fh.read().decode()
     if saved is None:
-        text, data = data.decode(), None  # no bytes held while the text is parsed
         doc, (nx, nu, horizon) = _problem_head(text)
-        del text  # nor the text while the tree is built
+        del text  # no text held while the tree is built
         tree = _problem_tree(doc, horizon)
     else:
-        (nx, nu, horizon), parents, stages, probs, x_prev, u_prev, assumed, *fields = saved
+        (nx, nu, horizon), parents, stages, probs, x, u, assumed, *fields = saved
         tree = build_tree_explicit(parents, stages, probs, dict(zip(_FIELDS, fields)))
-        doc = {"initial": {"x_prev": x_prev.tolist(), "u_prev": u_prev.tolist()}}
-        if assumed.size:
-            doc["assumption"] = dict(zip(_ASSUMED, assumed.tolist()))
+        doc = {"assumption": dict(zip(_ASSUMED, assumed.tolist()))} if assumed.size else {}
     if (tree.nx, tree.nu) != (nx, nu):
         raise TreeError(
             f"declared dims ({nx}, {nu}) do not match node data ({tree.nx}, {tree.nu})"
         )
     _check_depth(tree.horizon, horizon)
-    init = json_object(doc["initial"], "initial block")
-    if "x_prev" not in init or "u_prev" not in init:
-        raise TreeError("initial block must contain x_prev and u_prev")
-    initial = InitialCondition(
-        _matrix(init["x_prev"], "x_prev"), _matrix(init["u_prev"], "u_prev")
-    )
-    initial.check(tree)
-    if not np.isfinite(initial.w).all():
+    initial = committed_pair(_initial_pair(doc["initial"]) if saved is None else (x, u), tree)
+    if not all(np.isfinite(a).all() for a in initial):
         raise TreeError("initial block: x_prev and u_prev must be finite")
     assumption = None
     if "assumption" in doc:
@@ -251,6 +246,14 @@ def load_problem(path):
                 raise TreeError(f"assumption block missing '{key}'")
         assumption = {k: _number(blk[k], f"assumption {k}", finite=True) for k in _ASSUMED}
     return tree, initial, assumption
+
+
+def _initial_pair(block):
+    """The parsed initial block's ``(x_prev, u_prev)`` as float arrays."""
+    init = json_object(block, "initial block")
+    if "x_prev" not in init or "u_prev" not in init:
+        raise TreeError("initial block must contain x_prev and u_prev")
+    return _matrix(init["x_prev"], "x_prev"), _matrix(init["u_prev"], "u_prev")
 
 
 _ASSUMED = ("L", "alpha", "gamma")
@@ -319,11 +322,22 @@ _DIGEST = 32  # bytes of a SHA-256 digest
 _RECORDS = (np.int64,) * 3 + (np.float64,) * (4 + len(_FIELDS))
 
 
-def _read_sidecar(path, data):
+def _digest(fh):
+    """SHA-256 of the rest of the binary file ``fh``, read 256 kB at a time
+    into one reused buffer, which a load's peak memory holds."""
+    key, buf = hashlib.sha256(), bytearray(1 << 18)
+    view = memoryview(buf)
+    while size := fh.readinto(buf):
+        key.update(view[:size])
+    return key.digest()
+
+
+def _read_sidecar(path, problem):
     """The records of the sidecar at ``path`` when it carries the tag and
-    the SHA-256 of the problem file's bytes ``data`` as its key, its
+    the SHA-256 of the open problem file ``problem`` as its key, its
     payload matches its own digest and holds exactly the records of
-    :data:`_RECORDS`, none of them pickled; None otherwise."""
+    :data:`_RECORDS`, none of them pickled; None otherwise.  The problem
+    file is hashed only once the sidecar's tag has matched."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -332,7 +346,7 @@ def _read_sidecar(path, data):
     head = len(_SIDECAR_TAG)
     start = head + 2 * _DIGEST
     key, digest = blob[head : head + _DIGEST], blob[head + _DIGEST : start]
-    if (blob[:head] != _SIDECAR_TAG or key != hashlib.sha256(data).digest()
+    if (blob[:head] != _SIDECAR_TAG or key != _digest(problem)
             or digest != hashlib.sha256(memoryview(blob)[start:]).digest()):
         return None
     payload = io.BytesIO(blob)
@@ -348,20 +362,19 @@ def _read_sidecar(path, data):
 
 def _write_sidecar(path, tree, initial, assumption):
     """Write the sidecar of the problem file at ``path``, keyed by the
-    SHA-256 of the file's bytes on disk."""
-    key = hashlib.sha256()
+    SHA-256 of the file's bytes on disk; ``initial`` is the committed pair
+    ``(x, u)``."""
     with open(path, "rb") as fh:
-        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
-            key.update(chunk)
+        key = _digest(fh)
     assumed = [] if assumption is None else [float(assumption[k]) for k in _ASSUMED]
     values = [(tree.nx, tree.nu, tree.horizon), tree.parent, tree.stage, tree.pi,
-              initial.x_prev, initial.u_prev, assumed, *tree.raw_arrays]
+              *initial, assumed, *tree.raw_arrays]
     records = io.BytesIO()
     for value, kind in zip(values, _RECORDS):
         np.save(records, np.ascontiguousarray(value, dtype=kind), allow_pickle=False)
     payload = records.getbuffer()
     with open(path + SIDECAR, "wb") as fh:
-        fh.write(_SIDECAR_TAG + key.digest() + hashlib.sha256(payload).digest())
+        fh.write(_SIDECAR_TAG + key + hashlib.sha256(payload).digest())
         fh.write(payload)
 
 
@@ -408,16 +421,17 @@ def _write_doc(path, doc, holes):
 
 
 def save_problem(path, tree, initial, assumption=None):
-    """Write a problem file in explicit form (one record per node), then
-    its sidecar ``path + SIDECAR``: the arrays :func:`load_problem` builds
-    the tree from, keyed by the SHA-256 of the file as written."""
+    """Write a problem file in explicit form (one record per node), with
+    the committed pair ``initial = (x, u)`` as its initial block, then its
+    sidecar ``path + SIDECAR``: the arrays :func:`load_problem` builds the
+    tree and the pair from, keyed by the SHA-256 of the file as written."""
     raw, n = tree.raw_arrays, tree.node_count
+    initial = committed_pair(initial)
     doc = {
         "dims": {"nx": tree.nx, "nu": tree.nu},
         "horizon": tree.horizon,
         "explicit": dict.fromkeys(("nodes", "parents", "probs", "stages")),
-        "initial": {"x_prev": initial.x_prev.tolist(),
-                    "u_prev": initial.u_prev.tolist()},
+        "initial": {"x_prev": initial[0].tolist(), "u_prev": initial[1].tolist()},
     }
     if assumption is not None:
         doc["assumption"] = {k: float(assumption[k]) for k in _ASSUMED}

@@ -127,46 +127,26 @@ def _frozen(arrays):
     return arrays
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """State-control pair committed before the root stage."""
-
-    x_prev: np.ndarray
-    u_prev: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_prev", "u_prev"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def zero(cls, nx, nu):
-        return cls(np.zeros(nx), np.zeros(nu))
-
-    @property
-    def w(self):
-        return np.concatenate([self.x_prev, self.u_prev])
-
-    def check(self, tree):
-        committed_pair(self, tree)
-
-
 def committed_pair(w_prev, tree=None):
-    """The committed state-control pair ``(x, u)`` as float arrays.
-
-    ``w_prev`` is an :class:`InitialCondition`-like object or an ``(x, u)``
-    pair.  Given a tree, the pair's dims must match it.
-    """
-    if hasattr(w_prev, "x_prev"):
-        w_prev = (w_prev.x_prev, w_prev.u_prev)
-    x, u = (np.asarray(a, dtype=float) for a in w_prev)
+    """The committed state-control pair ``(x, u)`` as read-only float64
+    copies of the array-likes ``w_prev`` holds, so that the caller's arrays
+    stay its own.  Given a tree, the pair's dims must match it."""
+    x, u = _frozen([np.array(a, dtype=float) for a in w_prev])
     if tree is not None and (x.shape != (tree.nx,) or u.shape != (tree.nu,)):
         raise TreeError(
             f"committed pair dims ({x.shape}, {u.shape}) do not match tree "
             f"({tree.nx}, {tree.nu})"
         )
     return x, u
+
+
+def predecessor_pairs(tree, x, u, w_prev):
+    """Each node's predecessor pair, stacked as ``(N, nx)`` and ``(N, nu)``:
+    its parent's rows of ``x`` and ``u``, or the committed pair ``w_prev``
+    at the root."""
+    x_init, u_init = committed_pair(w_prev, tree)
+    root = (tree.parent < 0)[:, None]
+    return np.where(root, x_init, x[tree.parent]), np.where(root, u_init, u[tree.parent])
 
 
 class ScenarioTree:

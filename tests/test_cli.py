@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from spc_lab import (
-    InitialCondition,
     SolverError,
     TreeError,
     build_tree_stagewise,
@@ -27,7 +26,7 @@ from spc_lab import (
     solve_anticipative,
     solve_here_and_now,
 )
-from spc_lab import cli
+from spc_lab import cli, problem_io
 from spc_lab.cli import main
 from spc_lab.stability import GainCertificate
 
@@ -45,9 +44,7 @@ def write_problem(path, tree, initial, assumption=None):
 
 def rng_initial(tree, seed):
     rng = np.random.default_rng(seed)
-    return InitialCondition(
-        0.3 * rng.standard_normal(tree.nx), 0.3 * rng.standard_normal(tree.nu)
-    )
+    return 0.3 * rng.standard_normal(tree.nx), 0.3 * rng.standard_normal(tree.nu)
 
 
 def zero_data_tree(T=2, branching=2, nx=2, nu=1):
@@ -133,8 +130,8 @@ class TestProblemFile:
         assert np.array_equal(tree2.pi, tree.pi)
         for a, b in zip(tree2.raw_arrays, tree.raw_arrays):
             assert np.array_equal(a, b)
-        assert np.array_equal(initial2.x_prev, initial.x_prev)
-        assert np.array_equal(initial2.u_prev, initial.u_prev)
+        for a, b in zip(initial2, initial):
+            assert np.array_equal(a, b)
         assert assumption == {"L": 1.5, "alpha": 0.3, "gamma": 0.5}
 
     def test_stagewise_form(self, tmp_path):
@@ -324,6 +321,39 @@ class TestProblemFile:
         assert main(["build-tree", "--input", str(bad)]) == 2
         assert "x_prev and u_prev must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((np.array([np.inf, 0.0]), np.zeros(1)),
+          "initial block: x_prev and u_prev must be finite"),
+         ((np.zeros(2), np.array([np.nan])),
+          "initial block: x_prev and u_prev must be finite"),
+         ((np.zeros(3), np.zeros(1)),
+          "committed pair dims ((3,), (1,)) do not match tree (2, 1)"),
+         ((np.zeros((2, 1)), np.zeros(1)),
+          "committed pair dims ((2, 1), (1,)) do not match tree (2, 1)")],
+        ids=["inf-x", "nan-u", "long-x", "matrix-x"],
+    )
+    def test_bad_saved_pair_exits_2_alike_from_both_load_paths(
+            self, tmp_path, capsys, monkeypatch, pair, message):
+        tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
+        path = write_problem(tmp_path / "p.json", tree, pair)
+        plain = tmp_path / "plain" / "p.json"
+        plain.parent.mkdir()
+        plain.write_bytes(open(path, "rb").read())
+        used, read = [], problem_io._read_sidecar
+
+        def spy(*args):
+            used.append(read(*args))
+            return used[-1]
+
+        monkeypatch.setattr(problem_io, "_read_sidecar", spy)
+        errs = []
+        for p in (path, str(plain)):
+            assert main(["build-tree", "--input", p]) == 2
+            errs.append(capsys.readouterr().err)
+        assert [u is not None for u in used] == [True, False]
+        assert errs == [f"error: {message}\n"] * 2
+
     @pytest.mark.parametrize("value, text", [(None, "null"), (True, "true")])
     def test_non_number_stagewise_probability_exit_2(self, tmp_path, capsys, value, text):
         outcome = {"A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]}
@@ -417,7 +447,7 @@ class TestSolve:
         x = np.empty((tree.node_count, tree.nx))
         for n in range(tree.node_count):
             nd, p = NodeRow(tree, n), int(tree.parent[n])
-            xp, up = (initial.x_prev, initial.u_prev) if p < 0 else (x[p], u[p])
+            xp, up = initial if p < 0 else (x[p], u[p])
             x[n] = nd.A @ xp + nd.B @ up + nd.d
         cli._check_dynamics(tree, x, u, initial, 1e-12)
         x[9] = x[9] + [1e-4, 0.0]  # leaves: no child sees the change
@@ -431,7 +461,7 @@ class TestSolve:
     def test_zero_data_objective_is_zero(self, tmp_path, capsys):
         tree = zero_data_tree()
         path = write_problem(
-            tmp_path / "p.json", tree, InitialCondition.zero(tree.nx, tree.nu)
+            tmp_path / "p.json", tree, (np.zeros(tree.nx), np.zeros(tree.nu))
         )
         rc = main(["solve", "--input", path, "--out", str(tmp_path)])
         out = capsys.readouterr().out
@@ -463,7 +493,7 @@ class TestSolve:
         assert rc == 0
         summary = read_summary(tmp_path / "trace.csv")
         _, _, _, obj = dense_unscaled_solve(
-            tree, 0, tuple(range(7)), (initial.x_prev, initial.u_prev)
+            tree, 0, tuple(range(7)), initial
         )
         assert summary["J"] == pytest.approx(obj, abs=1e-8)
 
@@ -598,7 +628,7 @@ def write_random_stagewise_problem(path):
         "horizon": len(stages) - 1,
         "stagewise": [[{"prob": p, **{f: getattr(nd, f).tolist() for f in FIELDS}}
                        for nd, p in outcomes] for outcomes in stages],
-        "initial": {"x_prev": initial.x_prev.tolist(), "u_prev": initial.u_prev.tolist()},
+        "initial": {"x_prev": initial[0].tolist(), "u_prev": initial[1].tolist()},
     }
     path.write_text(json.dumps(doc))
     return str(path)
@@ -632,7 +662,7 @@ def test_stagewise_and_explicit_files_agree(tmp_path, capsys, write):
 def oracle_trace(tree, initial, argv):
     """The (x, u) rows ``trace.csv`` should hold, node by node, from the
     dense oracles."""
-    w_prev, N = (initial.x_prev, initial.u_prev), tree.node_count
+    w_prev, N = initial, tree.node_count
     if "hn" in argv:
         v, x, _ = here_and_now_dense(tree, w_prev)
         return [np.r_[x[n], v[int(tree.stage[n])]] for n in range(N)]
@@ -735,7 +765,7 @@ class TestRegretSweep:
     def test_nonconvex_window_refused_exit_3(self, tmp_path, capsys):
         # window 0 runs; the depth-1 subproblem at node 6 is nonconvex
         tree = depth_one_nonconvex_tree()
-        initial = InitialCondition(np.array([0.3]), np.array([0.1]))
+        initial = (np.array([0.3]), np.array([0.1]))
         path = write_problem(
             tmp_path / "p.json", tree, initial, {"L": 5.0, "alpha": 0.5, "gamma": 1.0}
         )
@@ -762,7 +792,8 @@ class TestVerify:
         for T in (2, 0):
             tree = random_tree(seed=12, T=T, branching=3, nx=2, nu=2)
             path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 2))
-            rc = main(["verify-norms", "--input", path, "--out", str(tmp_path)])
+            rc = main(["verify-bounds", "--suite", "norms", "--input", path,
+                       "--out", str(tmp_path)])
             assert rc == 0
             assert "all checks passed: norms" in capsys.readouterr().out
             report = json.loads(open(tmp_path / "verify_report.json").read())
@@ -872,7 +903,7 @@ class TestVerify:
         # A = 2 over 61 stages: G = I on a convex problem, so the reduced
         # Hessian's smallest eigenvalue is 1, however unstable the dynamics
         tree = unstable_chain(60)
-        initial = InitialCondition(np.array([1.0]), np.array([0.0]))
+        initial = (np.array([1.0]), np.array([0.0]))
         path = write_problem(tmp_path / "p.json", tree, initial)
         rc = main(
             ["verify-bounds", "--input", path, "--suite", "regularity",
@@ -1051,7 +1082,7 @@ class TestConstantsCmd:
             assumption["alpha"],
             assumption["gamma"],
             tree=tree,
-            w_prev=(initial.x_prev, initial.u_prev),
+            w_prev=initial,
         )
         assert written["gamma_F"] == c.gamma_F
         assert written["gamma_G"] == c.gamma_G
@@ -1201,7 +1232,7 @@ class TestSidecar:
             "certify": ["certify", "--input", p, *certs],
             "constants": ["constants", "--input", p],
             "verify-bounds": ["verify-bounds", "--suite", "all", "--input", p, *certs],
-            "verify-norms": ["verify-norms", "--input", p],
+            "verify-bounds-norms": ["verify-bounds", "--suite", "norms", "--input", p],
         }
         before = self.snapshot(small)
         assert ("problem.json.arrays" in before) == with_sidecar
@@ -1295,9 +1326,9 @@ class TestFilesystemErrors:
         ["solve", "--tol-kkt"],
         ["spc", "--tol-kkt"],
         ["verify-bounds", "--suite", "lemmas", "--tol-bound"],
-        ["verify-norms", "--tol-bound"],
+        ["verify-bounds", "--suite", "norms", "--tol-bound"],
     ],
-    ids=["solve", "spc", "verify-bounds", "verify-norms"],
+    ids=["solve", "spc", "verify-bounds", "verify-bounds-norms"],
 )
 def test_bad_tolerance_exit_2(generated, tmp_path, capsys, argv, value):
     # refused by argparse before any work is done
@@ -1312,4 +1343,25 @@ def test_bad_tolerance_exit_2(generated, tmp_path, capsys, argv, value):
 def test_zero_and_exponent_tolerances_parse():
     parse = cli.build_parser().parse_args
     assert parse(["solve", "--input", "p", "--tol-kkt", "0"]).tol_kkt == 0.0
-    assert parse(["verify-norms", "--input", "p", "--tol-bound", "1e-300"]).tol_bound == 1e-300
+    assert parse(["verify-bounds", "--suite", "norms", "--input", "p", "--tol-bound",
+                  "1e-300"]).tol_bound == 1e-300
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [(["build-tree", "--seed", "1"], "unrecognized arguments: --seed 1"),
+     (["solve", "--seed", "1"], "unrecognized arguments: --seed 1"),
+     (["spc", "--seed", "1"], "unrecognized arguments: --seed 1"),
+     (["certify", "--cert", "c.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+     (["constants", "--seed", "1"], "unrecognized arguments: --seed 1"),
+     (["certify", "--cert", "c.json", "--out", "o"], "unrecognized arguments: --out o"),
+     (["verify-norms"], "invalid choice: 'verify-norms'")],
+    ids=["build-tree-seed", "solve-seed", "spc-seed", "certify-seed", "constants-seed",
+         "certify-out", "verify-norms"],
+)
+def test_flags_no_handler_reads_exit_2(tmp_path, capsys, argv, refusal):
+    # refused by argparse before the problem file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(tmp_path / "missing.json")])
+    assert exc.value.code == 2
+    assert refusal in capsys.readouterr().err

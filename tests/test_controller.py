@@ -461,6 +461,44 @@ def test_baselines_are_read_only_arrays():
         assert not a.flags.writeable
 
 
+def test_run_keeps_its_own_committed_pair():
+    # the caller's arrays stay the caller's: editing them after the run
+    # changes neither the trace's pair nor the re-solves started from it
+    rng = np.random.default_rng(46)
+    tree = random_tree(46, T=3, branching=2, nx=2, nu=2)
+    x0, u0 = random_pair(rng, tree)
+    trace = run_spc(tree, (x0, u0), 1)
+    pair = [a.copy() for a in trace.w_prev_init]
+    before = hypothetical_state(tree, trace)
+    x0 += 1.0
+    u0[:] = np.nan
+    assert all(not a.flags.writeable for a in trace.w_prev_init)
+    assert [a.tobytes() for a in trace.w_prev_init] == [a.tobytes() for a in pair]
+    assert hypothetical_state(tree, trace).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array], ids=["lists", "tuples", "arrays"])
+def test_solve_entries_take_any_pair_form(form):
+    # every solve entry reads a committed pair given as lists, tuples or
+    # arrays to the same bits, and hands back read-only arrays
+    rng = np.random.default_rng(48)
+    tree = random_tree(48, T=3, branching=2, nx=2, nu=1)
+    pair = random_pair(rng, tree)
+    given = tuple(form(a.tolist()) for a in pair)
+    entries = {
+        "optimal": lambda w: (solve_optimal(tree, w).x, solve_optimal(tree, w).u),
+        "spc_step": lambda w: spc_step(tree, 0, w, 2)[:2],
+        "run_spc": lambda w: (lambda t: (t.x, t.u, *t.w_prev_init))(run_spc(tree, w, 1)),
+        "here_and_now": lambda w: (lambda s: (s.x, s.v))(solve_here_and_now(tree, w)),
+        "anticipative": lambda w: (solve_anticipative(tree, w).path_values,),
+    }
+    for name, entry in entries.items():
+        got, want = entry(given), entry(pair)
+        for a, b in zip(got, want):
+            assert not a.flags.writeable and a.dtype == np.float64, name
+            assert a.tobytes() == b.tobytes(), name
+
+
 def test_anticipative_zero_data():
     tree = zero_data_tree(T=2)
     an = solve_anticipative(tree, zero_pair(tree))

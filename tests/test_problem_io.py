@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc_lab import (
-    InitialCondition,
     InstanceSpec,
     NodeArrays,
     ScenarioTree,
@@ -73,7 +72,7 @@ def problems(draw):
     # the writers take any ScenarioTree; validation is not their job
     data = NodeArrays(*(matrix(draw, (n, *shapes[f])) for f in FIELDS))
     tree = ScenarioTree(parents, stages, matrix(draw, (n,)), data)
-    initial = InitialCondition(matrix(draw, (nx,)), matrix(draw, (nu,)))
+    initial = (matrix(draw, (nx,)), matrix(draw, (nu,)))
     keys = ("L", "alpha", "gamma")
     assumption = draw(st.none() | st.fixed_dictionaries({k: numbers for k in keys}))
     return tree, initial, assumption
@@ -93,10 +92,7 @@ def test_save_problem_matches_stdlib_encoder(tmp_path_factory, problem):
             "nodes": [{f: getattr(NodeRow(tree, n), f).tolist() for f in FIELDS}
                       for n in range(tree.node_count)],
         },
-        "initial": {
-            "x_prev": initial.x_prev.tolist(),
-            "u_prev": initial.u_prev.tolist(),
-        },
+        "initial": {"x_prev": initial[0].tolist(), "u_prev": initial[1].tolist()},
     }
     if assumption is not None:
         doc["assumption"] = assumption
@@ -114,7 +110,7 @@ def test_save_problem_streams_more_than_one_batch(tmp_path):
     )
     tree = ScenarioTree([-1] + [0] * (n - 1), [0] + [1] * (n - 1),
                         [1.0] + [1.0 / (n - 1)] * (n - 1), NodeArrays(**stack([nd] * n)))
-    initial = InitialCondition([0.0, 1.0], [2.0])
+    initial = ([0.0, 1.0], [2.0])
     path = tmp_path / "problem.json"
     save_problem(str(path), tree, initial)
     doc = json.loads(path.read_text())
@@ -314,7 +310,7 @@ def test_loaders_hold_off_garbage_collection(tmp_path):
                         gamma=1.0, noise_scale=0.1, seed=5)
     inst = generate_certified_instance(spec)
     problem, cert = tmp_path / "problem.json", tmp_path / "cert.json"
-    save_problem(str(problem), inst.tree, InitialCondition(*inst.w_prev))
+    save_problem(str(problem), inst.tree, inst.w_prev)
     save_certificate(str(cert), inst.certificates["detectability"])
     started = []
 
@@ -348,6 +344,10 @@ def test_loaders_hold_off_garbage_collection(tmp_path):
 # node data stacked from file to solver
 
 
+def zero_pair(tree):
+    return np.zeros(tree.nx), np.zeros(tree.nu)
+
+
 def _generated(T):
     spec = InstanceSpec(n_x=2, n_u=1, T=T, branching=2, L=1.0, alpha=0.04,
                         gamma=1.0, noise_scale=0.1, seed=5)
@@ -363,7 +363,7 @@ def _generated(T):
 def test_flat_stacking_equals_per_node_path(tmp_path, make):
     tree = make()
     path = tmp_path / "problem.json"
-    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    save_problem(str(path), tree, zero_pair(tree))
     sidecar_of(path).unlink()  # load_problem parses the records below
     nodes = json.loads(path.read_text())["explicit"]["nodes"]
     flat = problem_io._node_records(nodes, "node {}".format)
@@ -380,7 +380,7 @@ def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
     # the parse path: with no sidecar, the records are stacked from the JSON
     tree = _generated(6)
     path = tmp_path / "problem.json"
-    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    save_problem(str(path), tree, zero_pair(tree))
     sidecar_of(path).unlink()
     stacks, read = [], problem_io._node_records
 
@@ -403,7 +403,7 @@ def test_tree_from_a_stack_makes_no_node_data(tmp_path, monkeypatch):
 def test_tree_from_the_sidecar_keeps_its_arrays(tmp_path, monkeypatch):
     tree = _generated(6)
     path = tmp_path / "problem.json"
-    save_problem(str(path), tree, InitialCondition.zero(tree.nx, tree.nu))
+    save_problem(str(path), tree, zero_pair(tree))
     records, read = [], problem_io._read_sidecar
 
     def kept(*args):
@@ -473,9 +473,11 @@ def assert_same_problem(got, want):
     (tree, initial, assumption), (tree2, initial2, assumption2) = got, want
     pairs = [*zip(tree.raw_arrays, tree2.raw_arrays), *zip(tree.arrays, tree2.arrays),
              (tree.parent, tree2.parent), (tree.stage, tree2.stage), (tree.pi, tree2.pi),
-             (initial.x_prev, initial2.x_prev), (initial.u_prev, initial2.u_prev)]
+             *zip(initial, initial2)]
     for a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a in (*initial, *initial2):
+        assert a.dtype == np.float64 and not a.flags.writeable
     bits = [None if a is None else {k: float.hex(v) for k, v in a.items()}
             for a in (assumption, assumption2)]
     assert bits[0] == bits[1]
@@ -505,7 +507,7 @@ def _generated_3x2(T):
                         gamma=1.0, noise_scale=0.1, seed=5)
     inst = generate_certified_instance(spec)
     c = inst.constants
-    return inst.tree, InitialCondition(*inst.w_prev), {"L": c.L, "alpha": c.alpha, "gamma": c.gamma}
+    return inst.tree, inst.w_prev, {"L": c.L, "alpha": c.alpha, "gamma": c.gamma}
 
 
 @pytest.mark.parametrize(
@@ -513,7 +515,7 @@ def _generated_3x2(T):
     [*(lambda p, T=T: save_problem(str(p), *_generated_3x2(T)) for T in (1, 2, 4)),
      _stagewise_resaved,
      lambda p: save_problem(str(p), tree := crossed_tree(np.random.default_rng(1)),
-                            InitialCondition(np.full(tree.nx, -0.0), np.full(tree.nu, 5e-324)))],
+                            (np.full(tree.nx, -0.0), np.full(tree.nu, 5e-324)))],
     ids=["generated-T1", "generated-T2", "generated-T4", "stagewise-resaved", "no-assumption"],
 )
 def test_sidecar_load_equals_parse_load(tmp_path, sidecar_used, write):
@@ -526,7 +528,11 @@ def test_sidecar_load_equals_parse_load(tmp_path, sidecar_used, write):
     assert sidecar_used == [True, False]
     assert_same_problem(got, want)
     if "assumption" not in json.loads(path.read_text()):
+        # the edge pair comes back to the bit from either path
         assert got[2] is None
+        x, u = got[1]
+        assert x.tobytes() == np.full(3, -0.0).tobytes()
+        assert u.tobytes() == np.full(2, 5e-324).tobytes()
 
 
 _read_sidecar = problem_io._read_sidecar  # as it is, not as a test spies on it
@@ -549,7 +555,8 @@ class _Unpickled:
 def _rewrite_records(sidecar, problem, change):
     """Rewrite ``sidecar`` with its records passed through ``change``, under
     a valid tag, key and payload digest."""
-    records = _read_sidecar(str(sidecar), problem.read_bytes())
+    with open(problem, "rb") as fh:
+        records = _read_sidecar(str(sidecar), fh)
     payload = io.BytesIO()
     for arr in change(records):
         np.save(payload, arr, allow_pickle=True)
@@ -598,7 +605,7 @@ def test_sidecar_fallbacks_load_what_the_parse_gives(tmp_path, sidecar_used, edi
     problem, other = tmp_path / "problem.json", tmp_path / "other" / "problem.json"
     other.parent.mkdir()
     save_problem(str(problem), tree, initial, assumption)
-    save_problem(str(other), _generated(2), InitialCondition.zero(2, 1))
+    save_problem(str(other), _generated(2), (np.zeros(2), np.zeros(1)))
     before = load_problem(str(problem))
     UNPICKLED.clear()
     edit(problem, sidecar_of(problem), other)

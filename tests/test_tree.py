@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spc_lab import (
-    InitialCondition,
     NodeArrays,
     ScenarioTree,
     TreeError,
@@ -22,13 +21,13 @@ from spc_lab import (
 from .helpers import (
     FIELDS, crossed_tree, nd_scalar, node_data, random_tree, stack, stagewise, uniform_outcome,
 )
-from spc_lab.tree import spectral_norms, symmetry_defects
+from spc_lab.tree import committed_pair, spectral_norms, symmetry_defects
 
 from .oracles import leaf_products, svd_spectral_norms, validate_tree_reference
 
 
 # ---------------------------------------------------------------------------
-# node data / InitialCondition
+# node data / committed pair
 
 
 def test_node_data_arrays_are_read_only():
@@ -167,14 +166,23 @@ def test_spectral_norms_non_finite_entries_and_input_untouched():
 
 def test_initial_condition_dims_checked_against_tree():
     tree = build_tree_stagewise(uniform_outcome(nd_scalar(), [[1.0]]))
-    InitialCondition.zero(1, 1).check(tree)
-    with pytest.raises(TreeError):
-        InitialCondition.zero(2, 1).check(tree)
+    committed_pair(([0.0], [0.0]), tree)
+    with pytest.raises(TreeError, match=r"committed pair dims \(\(2,\), \(1,\)\)"):
+        committed_pair(([0.0, 0.0], [0.0]), tree)
+    with pytest.raises(TreeError, match="committed pair dims"):
+        committed_pair((np.zeros((1, 1)), [0.0]), tree)
 
 
 def test_initial_condition_stacked_pair():
-    ic = InitialCondition([1.0, 2.0], [3.0])
-    assert_allclose(ic.w, [1.0, 2.0, 3.0])
+    # any (x, u) pair of array-likes becomes read-only float64 copies
+    x = np.array([1, 2])
+    for pair in (([1.0, 2.0], [3.0]), ((1, 2), (3,)), (x, np.array([3.0]))):
+        got = committed_pair(pair)
+        assert all(a.dtype == np.float64 and not a.flags.writeable for a in got)
+        assert_allclose(np.concatenate(got), [1.0, 2.0, 3.0])
+    got = committed_pair((x, [3.0]))
+    x[0] = 7
+    assert got[0].tolist() == [1.0, 2.0] and x.flags.writeable
 
 
 # ---------------------------------------------------------------------------
