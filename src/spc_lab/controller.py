@@ -5,8 +5,10 @@ that node's state-control pair, and hands the commitment to the node's
 children as their initial condition.  A full-horizon solve, a
 here-and-now baseline (stagewise controls, no recourse), and an
 anticipative baseline (per-scenario clairvoyant plans) bracket the
-policy's performance; closed-loop recursion matrices express the
-commitments as a linear system driven by the perturbations.
+policy's performance.  The closed-loop recursion expresses each
+commitment as its window's perturbation term plus a one-step transfer of
+its parent's commitment; its matrices are built one ancestor stage at a
+time, from the windows of that stage's nodes solved as one forest.
 """
 
 from __future__ import annotations
@@ -253,67 +255,27 @@ def solve_anticipative(tree, w_prev):
 # closed-loop recursion machinery
 
 
-@dataclass(frozen=True)
-class RecursionMatrices:
-    """Linear closed-loop description of the policy, as stacked arrays.
+def recursion_matrices(tree, W, t):
+    """Stage t's row blocks of the closed-loop recursion for window W.
 
-    ``Lambda[i]`` injects the parent's committed pair into node i's
-    perturbation (zero rows for q and r, dynamics rows for d).  ``S[i]``
-    is the first-row solution-map block times Lambda, the one-step
-    transfer from the parent's commitment to node i's; ``S[0]`` transfers
-    from the pre-root committed pair.  ``Psi[j, t]`` is the solution-map
-    row block of j's stage-t ancestor (``tree.ancestors[j, t]``) over
-    ``p_j``: every column node has one ancestor per stage, and the block
-    is zero where j lies outside that ancestor's window or t > stage(j).
+    The windows of stage t's nodes are one forest (:func:`_window`).  One
+    solve with unit (q, r) perturbations at every root gives the responses
+    ``Z_j(k)``; the map is self-adjoint in the probability weights, so root
+    k's row block over ``p_j`` is ``Psi[j] = (pi_j / pi_k) Z_j(k)'``, where
+    k is j's stage-t ancestor.  Returns the read-only ``Psi`` of shape
+    ``(M, nx + nu, 2nx + nu)`` whose row is node ``j - first``, for the
+    forest's M ascending nodes from stage t's first node.  Its first rows
+    are the roots' own blocks: times the injection ``[0; A_k B_k]`` of the
+    parent's committed pair, they give the one-step transfer ``S_k``.
     """
-
-    tree: object
-    W: int
-    Lambda: np.ndarray
-    S: np.ndarray
-    Psi: np.ndarray
-
-    def window_drive(self):
-        """Per-node perturbation term ``sum_j Psi_kj p_j`` over node k's
-        window, stacked as ``(N, nx + nu)``."""
-        anc = self.tree.ancestors
-        out = np.zeros(self.S.shape[:2])
-        terms = np.einsum("jtab,jb->jta", self.Psi, self.tree.arrays.p)
-        np.add.at(out, anc[anc >= 0], terms[anc >= 0])
-        return out
-
-
-def recursion_matrices(tree, W):
-    """Build the one-step closed-loop transfer matrices for window W.
-
-    Every node's window is one tree of a forest: position (j, t) is node j
-    in the window of its stage-t ancestor k.  One solve with unit (q, r)
-    perturbations at every root gives the responses ``Z_j(k)``; the map is
-    self-adjoint in the probability weights, so k's row block over p_j is
-    ``Psi[j, t] = (pi_j / pi_k) Z_j(k)'``.  The parent-to-node transfer is
-    the node's diagonal row block times the perturbation injection.
-    """
-    nx, nu, N, T = tree.nx, tree.nu, tree.node_count, tree.horizon
-    nw, zd, anc, stage = nx + nu, 2 * nx + nu, tree.ancestors, tree.stage
-    Lambda = np.zeros((N, zd, nw))
-    Lambda[:, nw:] = np.concatenate([tree.arrays.A, tree.arrays.B], axis=2)
-    # positions (j, t) for every j within W stages below its ancestor
-    j, t = np.nonzero((anc >= 0) & (stage[:, None] - np.arange(T + 1) <= W))
-    pos = np.full((N, T + 1), -1)
-    pos[j, t] = np.arange(j.size)
-    par = np.maximum(tree.parent[j], 0)
-    parent = np.where(stage[j] > t, pos[par, t], -1)
-    layers = depth_layers(np.minimum(W, T - t) - (stage[j] - t))
-    p = np.zeros((j.size, zd, nw))
-    p[np.flatnonzero(parent < 0)[:, None], np.arange(nw), np.arange(nw)] = 1.0
-    w = tree.pi[j] / tree.pi[par]
-    Z = np.concatenate(solve_forest(tree, j, parent, w, layers, p), axis=1)
-    Psi = np.zeros((N, T + 1, nw, zd))
-    Psi[j, t] = (tree.pi[j] / tree.pi[anc[j, t]])[:, None, None] * Z.transpose(0, 2, 1)
-    S = Psi[np.arange(N), stage] @ Lambda
-    for a in (Lambda, S, Psi):
-        a.setflags(write=False)
-    return RecursionMatrices(tree, int(W), Lambda, S, Psi)
+    roots = tree.stage_nodes(t)
+    forest = _window(tree, roots, W)
+    node, nw = forest[0], tree.nx + tree.nu
+    p = np.zeros((len(node), nw + tree.nx, nw))
+    p[np.arange(len(roots))[:, None], np.arange(nw), np.arange(nw)] = 1.0
+    Psi = np.concatenate(solve_forest(tree, *forest, p), axis=1).transpose(0, 2, 1).copy()
+    Psi *= (tree.pi[node] / tree.pi[tree.ancestors[node, t]])[:, None, None]
+    return _frozen((Psi,))[0]
 
 
 def hypothetical_state(tree, trace):

@@ -500,37 +500,52 @@ def lemma_suite(tree, constants, W, w_prev=None):
     if w_prev is None:
         w_prev = (np.zeros(tree.nx), np.zeros(tree.nu))
     D, wbar = _drivers(tree, c, w_prev)
-    rec_inf = recursion_matrices(tree, T)
-    rec_W = rec_inf if int(W) == T else recursion_matrices(tree, W)
     levels = [tree.stage_nodes(t) for t in range(T + 1)]
-    anc, parent, pi = tree.ancestors, tree.parent, tree.pi
+    anc, parent, pi, arr = tree.ancestors, tree.parent, tree.pi, tree.arrays
+    nw, AB = tree.nx + tree.nu, np.concatenate([arr.A, arr.B], axis=2)
+    # one ancestor stage t at a time, its full-horizon and depth-W Psi
+    # slabs (row j - levels[t][0]) give its nodes' transfers S (own block
+    # times the injection [0; A B] of the parent's pair) and window terms
+    # sum_j Psi_kj p_j, and the truncation-gap rows (t, t' >= t)
+    S_inf, S_W = np.empty((2, tree.node_count, nw, nw))
+    drive, psi_points = np.empty((tree.node_count, nw)), []
+    for t in range(T + 1):
+        at, first = levels[t], levels[t][0]
+        Psi_inf = recursion_matrices(tree, T, t)
+        Psi_W = Psi_inf if W >= T - t else recursion_matrices(tree, W, t)
+        S_inf[at], S_W[at] = (Psi[: at.size, :, nw:] @ AB[at] for Psi in (Psi_inf, Psi_W))
+        # each root's window terms, summed in ascending j
+        node = first + np.arange(len(Psi_W))
+        slot = (anc[node, t] - first)[:, None] * nw + np.arange(nw)
+        terms = np.einsum("jab,jb->ja", Psi_W, arr.p[node]).ravel()
+        drive[at] = np.bincount(slot.ravel(), terms, at.size * nw).reshape(-1, nw)
+        for tp in range(t, T + 1):
+            cols, rows = levels[tp], levels[tp] - first
+            gap = Psi_inf[rows] - Psi_W[rows] if tp <= t + W else Psi_inf[rows]
+            norm = stage_norm(pi, Blocks(anc[cols, t], cols, gap))
+            bound = _mul(2.0 * c.c1**2 * c.L, c.rho ** (2 * W - tp + t))
+            psi_points.append(BoundPoint(("psi", t, tp), norm, bound))
+        del Psi_inf, Psi_W, gap
     reports = []
 
     # P[i] = S_i S_parent(i) ... down to stage t2 + 1: row node i, column
     # node anc[i, t2]
     points = []
-    P = np.zeros(rec_inf.S.shape)
+    P = np.zeros(S_inf.shape)
     for t2 in range(T):
-        P[levels[t2]] = np.eye(tree.nx + tree.nu)
+        P[levels[t2]] = np.eye(nw)
         for t in range(t2 + 1, T + 1):
             at = levels[t]
-            P[at] = rec_inf.S[at] @ P[parent[at]]
+            P[at] = S_inf[at] @ P[parent[at]]
             bound = _mul(2.0 * c.c1 * c.L / c.rho, c.rho ** (t - t2))
             norm = stage_norm(pi, Blocks(at, anc[at, t2], P[at]))
             points.append(BoundPoint((t, t2), norm, bound))
     reports.append(_report("closed_loop_product_decay", points, c, {"W": T}))
 
-    points = []
-    psi_gap = rec_inf.Psi - rec_W.Psi
-    for t in range(T + 1):
-        for tp in range(t, T + 1):
-            cols = levels[tp]
-            norm = stage_norm(pi, Blocks(anc[cols, t], cols, psi_gap[cols, t]))
-            bound = _mul(2.0 * c.c1**2 * c.L, c.rho ** (2 * W - tp + t))
-            points.append(BoundPoint(("psi", t, tp), norm, bound))
+    points = psi_points
     for t in range(1, T + 1):
         at = levels[t]
-        norm = stage_norm(pi, Blocks(at, parent[at], rec_inf.S[at] - rec_W.S[at]))
+        norm = stage_norm(pi, Blocks(at, parent[at], S_inf[at] - S_W[at]))
         bound = _mul(4.0 * c.c1**2 * c.L**2, c.rho ** (2 * W))
         points.append(BoundPoint(("S", t), norm, bound))
     reports.append(_report("truncation_gap", points, c, {"W": int(W)}))
@@ -556,9 +571,8 @@ def lemma_suite(tree, constants, W, w_prev=None):
     # committed pair (the initial pair at the root).  Expansion: every
     # stage's window term, and the root's transfer, carried forward
     # through the stage products.
-    drive = rec_W.window_drive()
     prev = np.hstack(predecessor_pairs(tree, trace.x, trace.u, w_prev))
-    one_step = drive + _mv(rec_W.S, prev)
+    one_step = drive + _mv(S_W, prev)
     drive[0] = one_step[0]
     expansion = np.zeros_like(w)
     for t2 in range(T + 1):
@@ -566,7 +580,7 @@ def lemma_suite(tree, constants, W, w_prev=None):
         carried[levels[t2]] = drive[levels[t2]]
         for t in range(t2 + 1, T + 1):
             at = levels[t]
-            carried[at] = _mv(rec_W.S[at], carried[parent[at]])
+            carried[at] = _mv(S_W[at], carried[parent[at]])
         expansion += carried
     diff = stage_moments(pi, expansion - w, tree.stage, T)
     resid = stage_moments(pi, one_step - w, tree.stage, T)

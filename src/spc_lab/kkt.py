@@ -499,13 +499,22 @@ def solve_forest(tree, node, parent, weight, layers, p):
 
 
 def _window(tree, k, W):
-    """The depth-W subtree at k as a one-tree forest: ascending nodes,
-    parent positions, branch weights and depth layers."""
-    node = subtree_nodes(tree, k, W)
-    parent = np.searchsorted(node, tree.parent[node])
-    parent[0] = -1
-    weight = tree.pi[node] / tree.pi[node[np.maximum(parent, 0)]]
-    rel = tree.stage[node] - tree.stage[k]
+    """The depth-W windows at ``k`` as one forest: ascending nodes, parent
+    positions, branch weights and depth layers.  ``k`` is one node, as every
+    subproblem solve, map and assembled system takes it, or the ascending
+    array of every node of one stage t: node ids are breadth-first, so
+    their windows together are the contiguous id range of stages t to
+    ``t + min(W, T - t)``, cut from their parents at stage t.  The roots
+    lead, with weight 1."""
+    if np.ndim(k):
+        t = int(tree.stage[k[0]])
+        end = np.searchsorted(tree.stage, t + W, side="right")
+        (node,) = _frozen((np.arange(k[0], end),))
+    else:
+        t, node = int(tree.stage[k]), subtree_nodes(tree, k, W)
+    rel = tree.stage[node] - t
+    parent = np.where(rel > 0, np.searchsorted(node, tree.parent[node]), -1)
+    weight = tree.pi[node] / tree.pi[np.where(rel > 0, tree.parent[node], node)]
     return node, parent, weight, depth_layers(rel.max() - rel)
 
 

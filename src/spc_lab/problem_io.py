@@ -235,9 +235,7 @@ def load_problem(path):
             f"declared dims ({nx}, {nu}) do not match node data ({tree.nx}, {tree.nu})"
         )
     _check_depth(tree.horizon, horizon)
-    initial = committed_pair(_initial_pair(doc["initial"]) if saved is None else (x, u), tree)
-    if not all(np.isfinite(a).all() for a in initial):
-        raise TreeError("initial block: x_prev and u_prev must be finite")
+    initial = _checked_pair(_initial_pair(doc["initial"]) if saved is None else (x, u), tree)
     assumption = None
     if "assumption" in doc:
         blk = json_object(doc["assumption"], "assumption block")
@@ -246,6 +244,15 @@ def load_problem(path):
                 raise TreeError(f"assumption block missing '{key}'")
         assumption = {k: _number(blk[k], f"assumption {k}", finite=True) for k in _ASSUMED}
     return tree, initial, assumption
+
+
+def _checked_pair(pair, tree):
+    """The committed pair as a problem file holds it: dims of ``tree``,
+    finite entries; a :class:`TreeError` otherwise."""
+    initial = committed_pair(pair, tree)
+    if not all(np.isfinite(a).all() for a in initial):
+        raise TreeError("initial block: x_prev and u_prev must be finite")
+    return initial
 
 
 def _initial_pair(block):
@@ -424,9 +431,11 @@ def save_problem(path, tree, initial, assumption=None):
     """Write a problem file in explicit form (one record per node), with
     the committed pair ``initial = (x, u)`` as its initial block, then its
     sidecar ``path + SIDECAR``: the arrays :func:`load_problem` builds the
-    tree and the pair from, keyed by the SHA-256 of the file as written."""
+    tree and the pair from, keyed by the SHA-256 of the file as written.
+    A pair that :func:`load_problem` would refuse, misshaped or not finite,
+    raises its :class:`TreeError` before any file is opened."""
     raw, n = tree.raw_arrays, tree.node_count
-    initial = committed_pair(initial)
+    initial = _checked_pair(initial, tree)
     doc = {
         "dims": {"nx": tree.nx, "nu": tree.nu},
         "horizon": tree.horizon,

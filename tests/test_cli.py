@@ -321,7 +321,7 @@ class TestProblemFile:
         assert main(["build-tree", "--input", str(bad)]) == 2
         assert "x_prev and u_prev must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
+    BAD_PAIRS = pytest.mark.parametrize(
         "pair, message",
         [((np.array([np.inf, 0.0]), np.zeros(1)),
           "initial block: x_prev and u_prev must be finite"),
@@ -333,10 +333,19 @@ class TestProblemFile:
           "committed pair dims ((2, 1), (1,)) do not match tree (2, 1)")],
         ids=["inf-x", "nan-u", "long-x", "matrix-x"],
     )
+
+    @BAD_PAIRS
     def test_bad_saved_pair_exits_2_alike_from_both_load_paths(
             self, tmp_path, capsys, monkeypatch, pair, message):
+        # save_problem refuses such a pair, so the file and its sidecar are
+        # written here: the JSON by hand, the sidecar from the same pair
         tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
-        path = write_problem(tmp_path / "p.json", tree, pair)
+        path = write_problem(tmp_path / "p.json", tree, rng_initial(tree, 1))
+        doc = json.loads(open(path).read())
+        doc["initial"] = {"x_prev": pair[0].tolist(), "u_prev": pair[1].tolist()}
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        problem_io._write_sidecar(path, tree, pair, None)
         plain = tmp_path / "plain" / "p.json"
         plain.parent.mkdir()
         plain.write_bytes(open(path, "rb").read())
@@ -353,6 +362,13 @@ class TestProblemFile:
             errs.append(capsys.readouterr().err)
         assert [u is not None for u in used] == [True, False]
         assert errs == [f"error: {message}\n"] * 2
+
+    @BAD_PAIRS
+    def test_save_problem_refuses_bad_pair_and_writes_nothing(self, tmp_path, pair, message):
+        tree = random_tree(seed=2, T=2, branching=2, nx=2, nu=1)
+        with pytest.raises(TreeError, match=re.escape(message)):
+            save_problem(str(tmp_path / "p.json"), tree, pair)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("value, text", [(None, "null"), (True, "true")])
     def test_non_number_stagewise_probability_exit_2(self, tmp_path, capsys, value, text):

@@ -539,30 +539,67 @@ def test_sandwich_inequality():
 # recursion matrices
 
 
+class StageSlabs:
+    """Every stage's ``recursion_matrices(tree, W, t)`` slab, read per node:
+    row block ``psi(k, j)`` of k over ``p_j``, transfer ``S(k)`` and window
+    term ``drive(k)``."""
+
+    def __init__(self, tree, W):
+        self.tree = tree
+        self.slabs = [recursion_matrices(tree, W, t) for t in range(tree.horizon + 1)]
+
+    def psi(self, k, j):
+        """Zero where j lies outside k's window."""
+        tree, t = self.tree, int(self.tree.stage[k])
+        slab, row = self.slabs[t], j - int(tree.stage_nodes(t)[0])
+        if tree.ancestors[j, t] == k and row < len(slab):
+            return slab[row]
+        return np.zeros(slab.shape[1:])
+
+    def S(self, k):
+        return self.psi(k, k) @ injection(self.tree, k)
+
+    def drive(self, k):
+        """``sum_j Psi_kj p_j`` over k's window."""
+        tree, t = self.tree, int(self.tree.stage[k])
+        j = tree.stage_nodes(t)[0] + np.arange(len(self.slabs[t]))
+        mine = tree.ancestors[j, t] == k
+        return np.einsum("jab,jb->a", self.slabs[t][mine], tree.raw_arrays.p[j[mine]])
+
+
+def injection(tree, k):
+    """Lambda_k: the parent's committed pair (x, u) enters node k's
+    perturbation as its dynamics offset A_k x + B_k u, nothing else."""
+    nw = tree.nx + tree.nu
+    lam = np.zeros((nw + tree.nx, nw))
+    lam[nw:] = np.hstack([NodeRow(tree, k).A, NodeRow(tree, k).B])
+    return lam
+
+
 def test_recursion_lambda_layout():
+    # S_k = Psi_kk Lambda_k is what the parent's pair adds to k's
+    # commitment: k's window solved from that pair, less from zero
+    rng = np.random.default_rng(59)
     tree = random_tree(59, T=2, branching=2)
-    rec = recursion_matrices(tree, 1)
-    nx, nu = tree.nx, tree.nu
+    rec = StageSlabs(tree, 1)
     for n in range(tree.node_count):
-        lam = rec.Lambda[n]
-        assert lam.shape == (2 * nx + nu, nx + nu)
-        assert np.all(lam[: nx + nu, :] == 0.0)
-        assert np.array_equal(lam[nx + nu :, :nx], NodeRow(tree, n).A)
-        assert np.array_equal(lam[nx + nu :, nx:], NodeRow(tree, n).B)
+        w_prev = random_pair(rng, tree)
+        moved, still = spc_step(tree, n, w_prev, 1), spc_step(tree, n, zero_pair(tree), 1)
+        response = np.concatenate([moved.x - still.x, moved.u - still.u])
+        assert_allclose(rec.S(n) @ np.concatenate(w_prev), response, rtol=0, atol=1e-10)
 
 
 def test_recursion_s_consistent_with_solution_maps():
     tree = random_tree(61, T=3, branching=2)
     W = 2
-    rec = recursion_matrices(tree, W)
+    rec = StageSlabs(tree, W)
     for k in (0, 1, 4):
         smap = solution_map(tree, k, W)
         # the subtree root k sits at block position 0
         psi_kk = smap.Psi[0, :, 0]
-        assert np.allclose(rec.S[k], psi_kk @ rec.Lambda[k], atol=1e-10)
-        t = int(tree.stage[k])
+        assert np.allclose(rec.S(k), psi_kk @ injection(tree, k), atol=1e-10)
         for b, j in enumerate(subtree_nodes(tree, k, W)):
-            assert np.allclose(rec.Psi[j, t], smap.Psi[0, :, b], atol=1e-10)
+            assert np.allclose(rec.psi(k, j), smap.Psi[0, :, b], atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -575,19 +612,23 @@ def test_recursion_s_consistent_with_solution_maps():
     ids=["stagewise", "crossed", "uneven"],
 )
 def test_recursion_psi_matches_dense_oracle_for_every_window(build):
-    # Psi[j, t]: row block of j's stage-t ancestor k over p_j in k's window,
-    # read off the dense map of that window; zero outside it
+    # row j - first of stage t's slab: row block of j's stage-t ancestor k
+    # over p_j in k's window, read off the dense map of that window
     tree = build(np.random.default_rng(84))
-    nw, zd = tree.nx + tree.nu, 2 * tree.nx + tree.nu
-    for W in range(tree.horizon + 1):
-        expected = np.zeros((tree.node_count, tree.horizon + 1, nw, zd))
-        for k in range(tree.node_count):
-            nodes = tuple(subtree_nodes(tree, k, W))
-            omega = dense_solution_map(tree, k, nodes)
-            for b, j in enumerate(nodes):
-                expected[j, int(tree.stage[k])] = omega[0, :nw, b]
-        rec = recursion_matrices(tree, W)
-        assert_allclose(rec.Psi, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+    T, nw = tree.horizon, tree.nx + tree.nu
+    for W in range(T + 1):
+        for t in range(T + 1):
+            first = int(tree.stage_nodes(t)[0])
+            end = np.searchsorted(tree.stage, t + W, side="right")
+            expected = np.zeros((end - first, nw, nw + tree.nx))
+            for k in tree.stage_nodes(t):
+                nodes = tuple(subtree_nodes(tree, k, W))
+                omega = dense_solution_map(tree, k, nodes)
+                for b, j in enumerate(nodes):
+                    expected[j - first] = omega[0, :nw, b]
+            slab = recursion_matrices(tree, W, t)
+            assert not slab.flags.writeable and slab.shape == expected.shape
+            assert_allclose(slab, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("W", [2, 6])
@@ -596,7 +637,8 @@ def test_recursion_matrices_allocate_nothing_of_dense_kkt_size(W):
     dim = tree.node_count * (2 * tree.nx + tree.nu)
     tracemalloc.start()
     try:
-        recursion_matrices(tree, W)
+        for t in range(tree.horizon + 1):
+            recursion_matrices(tree, W, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,13 +665,14 @@ def test_recursion_zero_dynamics_gives_zero_S():
     tree = build_tree_explicit(
         parents, stages, probs, stack([still(s) for s in range(7)])
     )
-    rec = recursion_matrices(tree, 1)
+    rec = StageSlabs(tree, 1)
     for n in range(tree.node_count):
-        assert np.allclose(rec.S[n], 0.0, atol=1e-12)
+        assert np.allclose(rec.S(n), 0.0, atol=1e-12)
     w_prev = random_pair(rng, tree)
     trace = run_spc(tree, w_prev, 1)
     # with S = 0 every commitment is its own window's term
-    assert_allclose(rec.window_drive(), committed(trace), rtol=0, atol=1e-8)
+    drive = np.array([rec.drive(n) for n in range(tree.node_count)])
+    assert_allclose(drive, committed(trace), rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("W", [0, 1, 3])
@@ -637,13 +680,13 @@ def test_recursion_iterate_matches_run_spc(W):
     rng = np.random.default_rng(71)
     tree = random_tree(71, T=3, branching=2)
     w_prev = random_pair(rng, tree)
-    rec = recursion_matrices(tree, W)
+    rec = StageSlabs(tree, W)
     trace = run_spc(tree, w_prev, W)
     # one step from each node's parent commitment (the initial pair at the
     # root) gives the node's; iterated from the root, it gives the run
     w = committed(trace)
     prev = np.where((tree.parent >= 0)[:, None], w[tree.parent], np.concatenate(w_prev))
-    one_step = rec.window_drive() + np.einsum("nij,nj->ni", rec.S, prev)
+    one_step = [rec.drive(n) + rec.S(n) @ prev[n] for n in range(tree.node_count)]
     assert_allclose(one_step, w, rtol=0, atol=1e-8)
 
 
@@ -658,7 +701,7 @@ def test_stage_norm_matches_dense_on_lemma_matrices(build):
     # agree with the general pi_norm_mat of the assembled block matrix
     tree = build(np.random.default_rng(37))
     T, anc, parent = tree.horizon, tree.ancestors, tree.parent
-    rec_inf, rec_W = recursion_matrices(tree, T), recursion_matrices(tree, 1)
+    rec_inf, rec_W = StageSlabs(tree, T), StageSlabs(tree, 1)
 
     def check(blocks, t_row, t_col):
         rows, cols = tree.stage_nodes(t_row), tree.stage_nodes(t_col)
@@ -670,22 +713,23 @@ def test_stage_norm_matches_dense_on_lemma_matrices(build):
         P = {i: np.eye(tree.nx + tree.nu) for i in tree.stage_nodes(t2)}
         for t in range(t2 + 1, T + 1):
             at = tree.stage_nodes(t)
-            P.update({i: rec_inf.S[i] @ P[int(parent[i])] for i in at})
+            P.update({i: rec_inf.S(i) @ P[int(parent[i])] for i in at})
             check(Blocks(at, anc[at, t2], np.array([P[i] for i in at])), t, t2)
     for t in range(T + 1):
         for tp in range(t, T + 1):
             cols = tree.stage_nodes(tp)
-            gap = rec_inf.Psi[cols, t] - rec_W.Psi[cols, t]
-            check(Blocks(anc[cols, t], cols, gap), t, tp)
+            gap = [rec_inf.psi(anc[j, t], j) - rec_W.psi(anc[j, t], j) for j in cols]
+            check(Blocks(anc[cols, t], cols, np.array(gap)), t, tp)
     for t in range(1, T + 1):
         at = tree.stage_nodes(t)
-        check(Blocks(at, parent[at], rec_inf.S[at] - rec_W.S[at]), t, t - 1)
+        gap = [rec_inf.S(i) - rec_W.S(i) for i in at]
+        check(Blocks(at, parent[at], np.array(gap)), t, t - 1)
 
 
 def stage_apply(rec, t, v):
     """The stage-t transfer applied to stage-(t-1) blocks ``v``."""
     tree = rec.tree
-    return {i: rec.S[i] @ v[int(tree.parent[i])] for i in tree.stage_nodes(t)}
+    return {i: rec.S(i) @ v[int(tree.parent[i])] for i in tree.stage_nodes(t)}
 
 
 def psi_stage_apply(rec, t, tp):
@@ -693,7 +737,8 @@ def psi_stage_apply(rec, t, tp):
     tree = rec.tree
     out = {i: np.zeros(tree.nx + tree.nu) for i in tree.stage_nodes(t)}
     for j in tree.stage_nodes(tp):
-        out[int(tree.ancestors[j, t])] += rec.Psi[j, t] @ tree.raw_arrays.p[j]
+        k = int(tree.ancestors[j, t])
+        out[k] += rec.psi(k, j) @ tree.raw_arrays.p[j]
     return out
 
 
@@ -702,10 +747,10 @@ def test_recursion_stagewise_matches_run_spc():
     tree = random_tree(73, T=3, branching=2)
     W = 2
     w_prev = random_pair(rng, tree)
-    rec = recursion_matrices(tree, W)
+    rec = StageSlabs(tree, W)
     trace = run_spc(tree, w_prev, W)
 
-    current = {0: rec.S[0] @ np.concatenate(w_prev)}
+    current = {0: rec.S(0) @ np.concatenate(w_prev)}
     for tp in range(0, min(W, tree.horizon) + 1):
         current[0] = current[0] + psi_stage_apply(rec, 0, tp)[0]
     assert np.allclose(current[0], trace.w(0), atol=1e-8)
@@ -724,7 +769,7 @@ def test_recursion_expansion_matches_run_spc():
     tree = random_tree(79, T=3, branching=2)
     W = 1
     w_prev = random_pair(rng, tree)
-    rec = recursion_matrices(tree, W)
+    rec = StageSlabs(tree, W)
     trace = run_spc(tree, w_prev, W)
 
     def prod_apply(t_from, t_to, v):
@@ -734,7 +779,7 @@ def test_recursion_expansion_matches_run_spc():
 
     for t in range(tree.horizon + 1):
         total = {n: np.zeros(tree.nx + tree.nu) for n in tree.stage_nodes(t)}
-        seed = {0: rec.S[0] @ np.concatenate(w_prev)}
+        seed = {0: rec.S(0) @ np.concatenate(w_prev)}
         for n, blk in prod_apply(0, t, seed).items():
             total[n] = total[n] + blk
         for t2 in range(0, t + 1):

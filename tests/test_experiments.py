@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from spc_lab import (
 )
 
 from spc_lab import experiments
-from spc_lab.cli import _points_pass
+from spc_lab.cli import DEFAULT_SPEC, _points_pass
 from spc_lab.controller import run_spc_windows
 from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
 
@@ -555,6 +556,20 @@ def test_lemma_suite_decoupled_products_vanish():
     assert decay.passed
     for p in decay.points:
         assert p.measured == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lemma_suite_peak_memory_is_one_stage_of_windows():
+    # the recursion is solved one ancestor stage at a time; a table over
+    # every (node, ancestor stage) pair peaked at 25.9 MB here
+    spec = InstanceSpec(**{**DEFAULT_SPEC, "T": 10, "seed": 5})
+    inst = generate_certified_instance(spec)
+    tracemalloc.start()
+    try:
+        lemma_suite(inst.tree, inst.constants, 2, w_prev=inst.w_prev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.tree.node_count == 2047 and peak < 8e6
 
 
 def test_one_pass_rule_for_default_and_overridden_slack():

@@ -354,9 +354,8 @@ def path_forest(tree):
 
 
 def window_forest(tree, W):
-    """The closed-loop recursion's forest, one tree per node's depth-W
-    window: position (j, t) is node j in the window of its stage-t
-    ancestor, so siblings are not contiguous."""
+    """One tree per node's depth-W window: position (j, t) is node j in the
+    window of its stage-t ancestor, so siblings are not contiguous."""
     anc, stage, T = tree.ancestors, tree.stage, tree.horizon
     j, t = np.nonzero((anc >= 0) & (stage[:, None] - np.arange(T + 1) <= W))
     pos = np.full((tree.node_count, T + 1), -1)
@@ -365,6 +364,31 @@ def window_forest(tree, W):
     parent = np.where(stage[j] > t, pos[par, t], -1)
     layers = kkt.depth_layers(np.minimum(W, T - t) - (stage[j] - t))
     return j, parent, tree.pi[j] / tree.pi[par], layers
+
+
+@pytest.mark.parametrize("build", [crossed_tree, uneven_tree], ids=["crossed", "uneven"])
+def test_stage_windows_solved_together_match_each_window_alone_bit_for_bit(build):
+    # a stage's windows are one forest: the stage's id range up to the
+    # window's last stage, roots first with weight 1, parents cut at the
+    # stage; each window's rows of one solve are its own solve's bits
+    rng = np.random.default_rng(88)
+    tree = build(rng)
+    T, zd = tree.horizon, 2 * tree.nx + tree.nu
+    for W in range(T + 1):
+        for t in range(T + 1):
+            roots = tree.stage_nodes(t)
+            node, parent, weight, layers = forest = kkt._window(tree, roots, W)
+            end = np.searchsorted(tree.stage, t + W, side="right")
+            assert np.array_equal(node, np.arange(roots[0], end)) and not node.flags.writeable
+            assert np.array_equal(np.flatnonzero(parent < 0), np.arange(roots.size))
+            assert np.all(weight[: roots.size] == 1.0)
+            p = rng.standard_normal((node.size, zd, 3))
+            together = kkt.solve_forest(tree, *forest, p)
+            for k in roots:
+                alone = kkt._window(tree, k, W)
+                rows = np.searchsorted(node, alone[0])
+                for a, b in zip(together, kkt.solve_forest(tree, *alone, p[rows])):
+                    assert np.array_equal(a[rows], b)
 
 
 def interleaved_tree(rng):
@@ -489,7 +513,8 @@ def test_sibling_group_sums_match_add_at_bit_for_bit(build):
         (solve_here_and_now, "node 3, window 1"),
         (solve_anticipative, "node 3, window 1"),
         (lambda tree, w: run_spc(tree, w, 1), "node 0, window 1"),
-        (lambda tree, w: recursion_matrices(tree, 2), "node 1, window 1"),
+        (lambda tree, w: [recursion_matrices(tree, 2, t) for t in range(tree.horizon + 1)],
+         "node 1, window 1"),
     ],
     ids=["extensive", "here_and_now", "anticipative", "run_spc", "recursion"],
 )
@@ -609,7 +634,8 @@ def test_maps_and_recursion_use_no_sparse_lu_or_assembled_kkt(monkeypatch):
     tree = random_tree(seed=87, T=3, branching=2)
     solution_map(tree, 0, 3)
     solution_map_rows(tree, 1, 2, (1, 3), rows="z")
-    recursion_matrices(tree, 1)
+    for t in range(tree.horizon + 1):
+        recursion_matrices(tree, 1, t)
     measure_decay(tree, 0, 3)
 
 

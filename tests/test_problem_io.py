@@ -41,11 +41,13 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 2.0, -3.0, 0.1
 FIELDS = ("A", "B", "d", "Q", "R", "q", "r")
 
 numbers = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+finite_numbers = st.one_of(st.sampled_from(EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))
 
 
-def matrix(draw, shape):
+def matrix(draw, shape, elements=numbers):
     size = int(np.prod(shape))
-    values = draw(st.lists(numbers, min_size=size, max_size=size))
+    values = draw(st.lists(elements, min_size=size, max_size=size))
     return np.array(values).reshape(shape)
 
 
@@ -69,10 +71,11 @@ def problems(draw):
     n = len(parents)
     shapes = {"A": (nx, nx), "B": (nx, nu), "d": (nx,), "Q": (nx, nx)}
     shapes.update(R=(nu, nu), q=(nx,), r=(nu,))
-    # the writers take any ScenarioTree; validation is not their job
+    # the writers take any ScenarioTree; validating the tree is not their job,
+    # but save_problem refuses a committed pair that is not finite
     data = NodeArrays(*(matrix(draw, (n, *shapes[f])) for f in FIELDS))
     tree = ScenarioTree(parents, stages, matrix(draw, (n,)), data)
-    initial = (matrix(draw, (nx,)), matrix(draw, (nu,)))
+    initial = (matrix(draw, (nx,), finite_numbers), matrix(draw, (nu,), finite_numbers))
     keys = ("L", "alpha", "gamma")
     assumption = draw(st.none() | st.fixed_dictionaries({k: numbers for k in keys}))
     return tree, initial, assumption
