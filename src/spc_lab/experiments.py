@@ -136,24 +136,113 @@ class CertifiedInstance:
 
 
 def _node_rng(seed, i):
-    """The generator of node i's data."""
+    """The generator of node i's data: the reference that
+    :func:`_node_streams` reproduces, and the redraw path of
+    :func:`_node_draws`."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
+
+
+# numpy's SeedSequence hash (uint32 words, a pool of four) and PCG64's
+# multiplier; _node_streams checks its use of them against numpy on every call
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash(value, h, mult):
+    """One word through SeedSequence's hash under the running multiplier h,
+    and h's next value; ``value`` is a Python int or a uint32 array."""
+    value = value ^ h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _spawn_words(seed, nodes):
+    """``SeedSequence(seed, spawn_key=(0, i)).generate_state(4, np.uint64)``
+    for every node i of the uint32 array ``nodes``, shape (nodes.size, 4).
+    The seed's words and the spawn key's 0 are Python ints; only the last
+    word, i, is an array."""
+    seed = int(seed)
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy)) + [0, nodes]
+    h, pool = _INIT_A, []
+    for e in entropy[:4]:
+        word, h = _hash(e, h, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hash(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for e in entropy[4:]:
+        for dst in range(4):
+            word, h = _hash(e, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    h, out = _INIT_B, np.empty((nodes.size, 8), np.uint32)
+    for k in range(8):
+        out[:, k], h = _hash(pool[k % 4], h, _MULT_B)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _pcg64_state(words):
+    """PCG64's state after seeding from four words: (words[0], words[1]) is
+    the initial state and (words[2], words[3]) the stream, high word first,
+    and seeding steps the generator twice."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _node_streams(seed, N):
+    """Node i's generator for i = 0, ..., N - 1: one generator whose PCG64 is
+    set to each node's seeded state in turn, so its draws are those of
+    :func:`_node_rng`.  Raises RuntimeError before the first node if the
+    batch disagrees with numpy's own seeding of node 0 or node N - 1."""
+    ends = _spawn_words(seed, np.array([0, N - 1], dtype=np.uint32)).tolist()
+    for i, words in zip((0, N - 1), ends):
+        rng = _node_rng(seed, i)
+        if rng.bit_generator.state != _pcg64_state(words):
+            raise RuntimeError(
+                f"batched seeding of node {i} disagrees with numpy's "
+                "SeedSequence and PCG64; this numpy seeds differently"
+            )
+    bits = rng.bit_generator
+    # small blocks of nodes: a large buffer, once freed, raises glibc's mmap
+    # threshold, and with it the peak RSS of everything generate does later
+    for start in range(0, N, 256):
+        nodes = np.arange(start, min(start + 256, N), dtype=np.uint32)
+        for words in _spawn_words(seed, nodes).tolist():
+            bits.state = _pcg64_state(words)
+            yield rng
 
 
 def _node_draws(seed, N, nx, nu):
     """The per-node draws of :func:`generate_certified_instance`, stacked
     over nodes: six amplitudes per node and a dict of raw A, B, C and unit
-    q, r, d.  Node i makes one ``uniform`` and one ``standard_normal``
+    q, r, d.  Node i makes one ``random`` and one ``standard_normal``
     call, whose values are those of the separate calls in the documented
-    order; the unit vectors are scaled after the loop, and a node with a
-    zero-norm draw is drawn again call by call."""
+    order; the amplitudes (numpy's ``uniform(0.5, 1)`` is 0.5 + 0.5 u, and
+    0.5 u is exact) and the unit vectors are scaled after the loop, and a
+    node with a zero-norm draw is drawn again call by call."""
     shapes = {"A": (nx, nx), "B": (nx, nu), "C": (nx, nx), "q": (nx,), "r": (nu,), "d": (nx,)}
     sizes = [math.prod(s) for s in shapes.values()]
     amp, Z = np.empty((N, 6)), np.empty((N, sum(sizes)))
-    for i in range(N):
-        rng = _node_rng(seed, i)
-        amp[i] = rng.uniform(0.5, 1.0, size=6)
+    for i, rng in enumerate(_node_streams(seed, N)):
+        amp[i] = rng.random(6)
         Z[i] = rng.standard_normal(Z.shape[1])
+    amp *= 0.5
+    amp += 0.5
     raw = dict(zip(shapes, np.split(Z, np.cumsum(sizes[:-1]), axis=1)))
     # sqrt(v @ v) row by row: the stacked matmul runs the dot of v @ v per row
     norm = {f: np.sqrt((raw[f][:, None] @ raw[f][:, :, None])[:, 0, 0]) for f in "qrd"}
@@ -209,11 +298,16 @@ def generate_certified_instance(spec):
     draws, in order: six amplitudes ``uniform(0.5, 1, 6)``, standard
     normal raw matrices for A (nx, nx), B (nx, nu) and C (nx, nx), then
     unit vectors for q, r and d (a standard normal vector over its norm,
-    redrawn while that norm is 0).  Only the draws run node by node, one
-    ``uniform`` and one ``standard_normal`` call per node (see
-    :func:`_node_draws`); the unit scalings, the spectral scalings (raw C
-    symmetrized first), ``Q = C @ C`` and the data-bound check run on
-    arrays stacked over the nodes.
+    redrawn while that norm is 0).  These are numpy's own streams, seeded
+    in one checked batch: SeedSequence's hash runs vectorized over blocks
+    of nodes, one reused PCG64 is set to each node's seeded state in
+    turn, and nodes 0 and N - 1 are compared with numpy's SeedSequence
+    and PCG64 on every call (see
+    :func:`_node_streams`).  Only the draws run node by node, one
+    ``random`` and one ``standard_normal`` call per node (see
+    :func:`_node_draws`); the amplitude and unit scalings, the spectral
+    scalings (raw C symmetrized first), ``Q = C @ C`` and the data-bound
+    check run on arrays stacked over the nodes.
     """
     L, alpha, gamma = float(spec.L), float(spec.alpha), float(spec.gamma)
     alpha_cert = math.sqrt(alpha)

@@ -1113,6 +1113,13 @@ SEED_5_T6_SHA256 = {
     "detectability.json": "8db3414d375b5a4392e2641d829b41a2005577cdfc46e2d5c4eb4bf3abc05833",
 }
 
+# T=10, 2047 nodes: the instance that the bench's instance workload times
+SEED_5_T10_SHA256 = {
+    "problem.json": "5d2654fe6fcdcb9386439c80cf3a1abb649607f9442f55622bce6738ffc52d7a",
+    "stabilizability.json": "0df80f347153c14753bf0da8781de1338e3b5fd0b808dd53a47516db7a08c1c4",
+    "detectability.json": "bb655ac7c036cc6482a227c09f42e4d8dcf478704164b9aefbc4e7f53f3b9add",
+}
+
 
 class TestGenerate:
     def test_writes_expected_files(self, generated):
@@ -1161,19 +1168,26 @@ class TestGenerate:
                 generated / name
             ).read_bytes()
 
+    @staticmethod
+    def _digests(tmp_path, T, names):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"T": T}))
+        out = tmp_path / "g"
+        assert main(["generate", "--input", str(spec_path), "--seed", "5",
+                     "--out", str(out)]) == 0
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in names}
+
     def test_seed_5_bytes_are_pinned(self, tmp_path):
         # SHA-256 of `generate --seed 5` at T=6, recorded before the node
         # draws were batched, so that a change to the draws cannot drift
         # silently.  The unit vectors' norms run the BLAS dot, so these
         # bytes are those of x86-64 with numpy's bundled OpenBLAS
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"T": 6}))
-        out = tmp_path / "g"
-        assert main(["generate", "--input", str(spec_path), "--seed", "5",
-                     "--out", str(out)]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in SEED_5_T6_SHA256}
-        assert digests == SEED_5_T6_SHA256
+        assert self._digests(tmp_path, 6, SEED_5_T6_SHA256) == SEED_5_T6_SHA256
+
+    def test_seed_5_t10_bytes_are_pinned(self, tmp_path):
+        # the same at T=10, recorded before the node seeding was batched
+        assert self._digests(tmp_path, 10, SEED_5_T10_SHA256) == SEED_5_T10_SHA256
 
     def test_generated_problem_verifies(self, generated, tmp_path):
         rc = main(

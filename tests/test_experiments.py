@@ -27,7 +27,7 @@ from spc_lab import (
 )
 
 from spc_lab import experiments
-from spc_lab.cli import DEFAULT_SPEC, _points_pass
+from spc_lab.cli import DEFAULT_SPEC, _points_pass, main
 from spc_lab.controller import run_spc_windows
 from spc_lab.experiments import PASS_SLACK, BoundPoint, BoundReport
 
@@ -198,10 +198,40 @@ def test_generator_nodes_reproduce_in_isolation(noise_scale):
             assert np.array_equal(getattr(NodeRow(tree, i), field), want), (i, field)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**63 - 1])
+@pytest.mark.parametrize("N", [1, 2, 2047])
+def test_batched_seeding_matches_numpy_on_every_node(seed, N):
+    # seeds of one and two entropy words; node i's reference is numpy's own
+    # SeedSequence(seed, spawn_key=(0, i)) seeding a PCG64
+    words = experiments._spawn_words(seed, np.arange(N, dtype=np.uint32))
+    assert words.shape == (N, 4) and words.dtype == np.uint64
+    for i, rng in enumerate(experiments._node_streams(seed, N)):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
+        want = np.random.SeedSequence(seed, spawn_key=(0, i)).generate_state(4, np.uint64)
+        assert np.array_equal(words[i], want), i
+        assert rng.bit_generator.state == ref.bit_generator.state, i
+        assert np.array_equal(rng.random(6), ref.random(6)), i
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5)), i
+    assert i == N - 1
+
+
+def test_batched_seeding_guard_raises_before_any_file(monkeypatch, tmp_path):
+    # a hash constant that differs from numpy's stands in for a numpy whose
+    # seeding changed: the batch must refuse rather than write other bytes
+    monkeypatch.setattr(experiments, "_MULT_B", experiments._MULT_B ^ 2)
+    with pytest.raises(RuntimeError, match="disagrees with numpy"):
+        generate_certified_instance(small_spec())
+    out = tmp_path / "g"
+    with pytest.raises(RuntimeError, match="disagrees with numpy"):
+        main(["generate", "--seed", "5", "--out", str(out)])
+    assert not out.exists() or not any(out.iterdir())
+
+
 class _Stream:
-    """A stand-in for a node's generator: ``uniform`` and ``standard_normal``
-    hand out the next values of two fixed streams, in which the normal
-    stream of node i is zero over the positions listed in ``zeros[i]``."""
+    """A stand-in for a node's generator: ``random``, ``uniform`` and
+    ``standard_normal`` hand out the next values of two fixed streams, in
+    which the normal stream of node i is zero over the positions listed in
+    ``zeros[i]``."""
 
     def __init__(self, i, zeros):
         rng = np.random.default_rng(100 + i)
@@ -209,9 +239,12 @@ class _Stream:
         self.n[list(zeros.get(i, ()))] = 0.0
         self.at_u = self.at_n = 0
 
-    def uniform(self, low, high, size):
+    def random(self, size):
         self.at_u += size
-        return low + (high - low) * self.u[self.at_u - size : self.at_u]
+        return self.u[self.at_u - size : self.at_u]
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
 
     def standard_normal(self, shape):
         size = math.prod(np.atleast_1d(shape))
@@ -222,9 +255,12 @@ class _Stream:
 def test_batched_draws_redraw_zero_norms_as_the_sequential_calls(monkeypatch):
     # nx = 2, nu = 1: q sits at normal draws 10-11, r at 12, d at 13-14 of
     # the one batched call.  Node 1 has a zero q, node 2 a zero r twice in a
-    # row, node 4 a zero d; node 3 has a zero entry but no zero norm
+    # row, node 4 a zero d; node 3 has a zero entry but no zero norm.  The
+    # batch draws from the per-node streams, the redraws from _node_rng
     nx, nu, N = 2, 1, 6
     zeros = {1: (10, 11), 2: (12, 13), 3: (10,), 4: (13, 14)}
+    monkeypatch.setattr(experiments, "_node_streams",
+                        lambda seed, N: (_Stream(i, zeros) for i in range(N)))
     monkeypatch.setattr(experiments, "_node_rng", lambda seed, i: _Stream(i, zeros))
     amp, draws = experiments._node_draws(5, N, nx, nu)
     used = []
