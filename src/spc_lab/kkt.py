@@ -14,13 +14,14 @@ row = node.
 
 The maps' stage-decay rows (:func:`measure_decay`) form no map: small
 stage pairs come from unit-perturbation solves one stage at a time, large
-ones from Lanczos on their Gram operators, every pair in lockstep.  In a
-window's last stage a control enters only its own stage cost, so its unit
-response is the inverse of its step matrix and nothing else: those
-coordinates are neither solved nor reduced.  Only the last stage's own
-row, (T, T) over the full horizon, depends on them, so only that row can
-differ, by rounding, from the norm of its full block: it folds them in
-from the eigenvalues the factor already holds.
+ones from the Lanczos kernel of :mod:`spc_lab.norms` on their Gram
+operators, every pair in lockstep.  In a window's last stage a control
+enters only its own stage cost, so its unit response is the inverse of
+its step matrix and nothing else: those coordinates are neither solved
+nor reduced.  Only the last stage's own row, (T, T) over the full
+horizon, depends on them, so only that row can differ, by rounding, from
+the norm of its full block: it folds them in from the eigenvalues the
+factor already holds.
 
 Where the assembled matrix itself is needed (uniform regularity, and
 the here-and-now baseline, whose shared stage controls couple every node
@@ -33,9 +34,10 @@ a node to itself and to its parent only, and is exactly symmetric by
 construction.
 Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
 eigenvalues off that matrix H, its constraint rows F and its cost block
-G, by Lanczos on sparse operators with one sparse LU, of F F': the cost
-on the null space of F is a standard eigenproblem under the orthogonal
-projector onto that space, with no null-space basis and no KKT solve.
+G, by ARPACK (:func:`_lanczos`, the library's one ARPACK caller) on
+sparse operators with one sparse LU, of F F': the cost on the null space
+of F is a standard eigenproblem under the orthogonal projector onto that
+space, with no null-space basis and no KKT solve.
 """
 
 from __future__ import annotations
@@ -47,14 +49,13 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
-from .norms import _block_norm, _lanczos
+from .norms import _block_norm, _lanczos_lockstep
 from .tree import TreeError, _frozen, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
 PIVOT_TOL = 1e-12
-DENSE_PAIR_CUT, UNIT_CHUNK, KRYLOV_TOL = 768, 96, 1e-13  # see measure_decay
+DENSE_PAIR_CUT, UNIT_CHUNK = 768, 96  # see measure_decay
 
 
 class SolverError(RuntimeError):
@@ -590,38 +591,6 @@ def solution_map_rows(tree, k, W, row_nodes, rows="w"):
     return weight[:, :, None, None] * Z
 
 
-def _lanczos_lockstep(gram, sizes):
-    """Largest eigenvalues of PSD operators of orders ``sizes`` by Lanczos
-    in lockstep; ``gram(live, vectors)`` applies operator ``live[r]`` to
-    ``vectors[r]``.  Each starts from one fixed-seed random vector (reruns
-    are bit-identical), keeps a fully reorthogonalised basis, and stops
-    once its top Ritz residual ``beta_j |s_j|`` is at most ``KRYLOV_TOL``
-    times the Ritz value or its basis spans the space.  An operator whose
-    first product is exactly zero has eigenvalue 0.0."""
-    top, ab = np.zeros(len(sizes)), [([], []) for _ in sizes]
-    basis = [np.random.default_rng(0).standard_normal((1, n)) for n in sizes]
-    basis = [v / np.linalg.norm(v) for v in basis]
-    live = list(range(len(sizes)))
-    while live:
-        products, going = gram(live, [basis[g][len(ab[g][0])] for g in live]), []
-        for g, w in zip(live, products):
-            (alpha, beta), Q = ab[g], basis[g][: len(ab[g][0]) + 1]
-            alpha.append(Q[-1] @ w)
-            for _ in range(2):
-                w = w - Q.T @ (Q @ w)
-            b, j = float(np.linalg.norm(w)), len(alpha)
-            theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(j - 1, j - 1))
-            top[g] = theta[0]
-            if b * abs(s[-1, 0]) > KRYLOV_TOL * theta[0] and j < sizes[g]:
-                if j == len(basis[g]):  # double the basis storage
-                    basis[g] = np.resize(basis[g], (min(2 * j, sizes[g]), sizes[g]))
-                beta.append(b)
-                basis[g][j] = w / b
-                going.append(g)
-        live = going
-    return top
-
-
 def measure_decay(tree, k, W):
     """One :class:`DecayRow` per ordered stage pair (t, t') of the depth-W
     subtree problem at k, stage-major, with neither solution map formed:
@@ -715,6 +684,19 @@ def measure_decay(tree, k, W):
                  norm[max(i, j), zd, min(i, j), zd])
         for i, t in enumerate(stages.tolist()) for j, tp in enumerate(stages.tolist())
     ]
+
+
+def _lanczos(A, **kw):
+    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric operator
+    from a fixed-seed random start at ``tol=0``, so reruns are bit-identical;
+    0.0 for the zero operator, whose start ARPACK refuses, and the one entry
+    at order 1, where ARPACK needs ``k < n``."""
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
+    if not np.any(A @ v0):
+        return 0.0
+    if A.shape[0] == 1:
+        return float((A @ np.ones(1))[0])
+    return float(spla.eigsh(A, k=1, v0=v0, tol=0, return_eigenvectors=False, **kw)[0])
 
 
 def check_uniform_regularity(tree, k, W, constants=None):

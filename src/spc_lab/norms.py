@@ -8,17 +8,18 @@ node ids: a :class:`BlockVector` holds one row per node, a
 format.  :func:`stage_moments`, the one moment kernel, evaluates the
 vector norm per stage on rows stacked over nodes.  The induced norm is
 the spectral norm after rescaling block (i, j) by ``sqrt(pi_i / pi_j)``.
-Three kernels evaluate it: :func:`pi_norm_mat` assembles a general
-:class:`BlockMatrix` sparse and takes its norm by Lanczos (the norms
-suite); :func:`stage_norm` is exact, with no iteration, for the
+Three kernels evaluate it: :func:`pi_norm_mat` runs Lanczos on the Gram
+operator of a general :class:`BlockMatrix`, with no matrix formed (the
+norms suite); :func:`stage_norm` is exact, with no iteration, for the
 closed-loop stage matrices, which hold one block per row or column (the
 lemma suite); and :func:`_block_norm` takes the largest eigenvalue of the
 Gram matrix, on the smaller side, of blocks that are dense already and
-weighted by the caller.  :func:`stage_norm` applies that kernel per
-group, and so do the solution-map decay rows, which scale their stage
-blocks in place.  A weighted diagonal stage block of a solution map is
-symmetric, the map being self-adjoint in the weights, so the decay rows
-take its norm as its largest absolute eigenvalue, with no Gram.
+weighted by the caller, as the solution-map decay rows do with their
+stage blocks, weighted in place.  A weighted diagonal stage block of a
+solution map is symmetric, the map being self-adjoint in the weights, so
+the decay rows take its norm as its largest absolute eigenvalue, with no
+Gram.  One Lanczos kernel, :func:`_lanczos_lockstep`, serves
+:func:`pi_norm_mat` and the decay rows' large stage pairs.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .tree import ScenarioTree, TreeError
+
+KRYLOV_TOL = 1e-13  # relative Ritz residual where lockstep Lanczos stops
 
 
 class Blocks(NamedTuple):
@@ -45,13 +47,32 @@ class Blocks(NamedTuple):
 
 
 def _node_ids(tree, nodes):
-    """Read-only int array of node ids, each checked to lie in ``tree``."""
+    """Read-only int array of distinct node ids, checked to lie in ``tree``."""
     ids = np.array(nodes, dtype=int).reshape(-1)
     bad = ids[(ids < 0) | (ids >= tree.node_count)]
     if bad.size:
         raise TreeError(f"node {bad[0]} not in tree")
+    seen, count = np.unique(ids, return_counts=True)
+    if (count > 1).any():
+        raise TreeError(f"node {seen[count > 1][0]} repeated")
     ids.setflags(write=False)
     return ids
+
+
+def _block_action(W, a, b, n):
+    """The action ``x -> y``, ``y[s] = sum_{a_k = s} W_k x[b_k]`` over ``n``
+    row slots, of blocks ``W`` at row slots ``a`` and column slots ``b``,
+    sorted once by row slot so that each action is one sorted segment sum."""
+    order = np.argsort(a, kind="stable")
+    slots, starts = np.unique(a[order], return_index=True)
+    W, b = W[order], b[order]
+
+    def act(x):
+        y = np.zeros((n, W.shape[1]))
+        y[slots] = np.add.reduceat(np.einsum("kij,kj->ki", W, x[b]), starts)
+        return y
+
+    return act
 
 
 @dataclass(frozen=True)
@@ -69,10 +90,6 @@ class BlockVector:
             raise TreeError(f"{nodes.size} nodes but blocks of shape {V.shape}")
         V.setflags(write=False)
         self.__dict__.update(nodes=nodes, V=V)
-
-    @property
-    def dim(self):
-        return self.V.shape[1]
 
 
 @dataclass(frozen=True)
@@ -111,22 +128,8 @@ class BlockMatrix:
         """Matrix-vector action; returns a BlockVector on the row nodes."""
         if not np.array_equal(v.nodes, self.col_nodes):
             raise TreeError("vector node set differs from matrix columns")
-        a, b = self._slots()
-        out = np.zeros((self.row_nodes.size, self.shape_block[0]))
-        np.add.at(out, a, (self.blocks.values @ v.V[b, :, None])[:, :, 0])
-        return BlockVector(self.tree, self.row_nodes, out)
-
-    def sparse(self, factors=None):
-        """Assembled sparse (CSR) matrix; ``factors[m]`` multiplies block m."""
-        (nr, nc), (a, b) = self.shape_block, self._slots()
-        values = self.blocks.values
-        if factors is not None:
-            values = np.reshape(factors, (-1, 1, 1)) * values
-        m, r, c = np.nonzero(values)
-        return sp.csr_matrix(
-            (values[m, r, c], (a[m] * nr + r, b[m] * nc + c)),
-            shape=(nr * self.row_nodes.size, nc * self.col_nodes.size),
-        )
+        act = _block_action(self.blocks.values, *self._slots(), self.row_nodes.size)
+        return BlockVector(self.tree, self.row_nodes, act(v.V))
 
 
 def stage_moments(weight, V, stage, T):
@@ -163,41 +166,55 @@ def _block_norm(M4):
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def _lanczos(A, **kw):
-    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric
-    operator.
-
-    The start is a fixed-seed random vector (``np.ones`` can be orthogonal
-    to the wanted eigenvector) and ``tol=0`` iterates to working
-    precision, so reruns are bit-identical.  The zero operator, whose
-    start ARPACK refuses, has eigenvalue 0.0; ARPACK needs ``k < n``, so an
-    order-1 operator is read off its one entry.
-    """
-    n = A.shape[0]
-    v0 = np.random.default_rng(0).standard_normal(n)
-    Av = A @ v0
-    if not np.any(Av):
-        return 0.0
-    if n == 1:
-        return float((A @ np.ones(1))[0])
-    return float(
-        spla.eigsh(A, k=1, v0=v0, tol=0, return_eigenvectors=False, **kw)[0]
-    )
+def _lanczos_lockstep(gram, sizes):
+    """Largest eigenvalues of PSD operators of orders ``sizes`` by Lanczos
+    in lockstep; ``gram(live, vectors)`` applies operator ``live[r]`` to
+    ``vectors[r]``.  Each starts from one fixed-seed random vector (reruns
+    are bit-identical), keeps a fully reorthogonalised basis, and stops
+    once its top Ritz residual ``beta_j |s_j|`` is at most ``KRYLOV_TOL``
+    times the Ritz value or its basis spans the space.  An operator of
+    order 0, or whose first product is exactly zero, has eigenvalue 0.0."""
+    top, ab = np.zeros(len(sizes)), [([], []) for _ in sizes]
+    basis = [np.random.default_rng(0).standard_normal((1, n)) for n in sizes]
+    basis = [v / np.linalg.norm(v) for v in basis]
+    live = [g for g, n in enumerate(sizes) if n]
+    while live:
+        products, going = gram(live, [basis[g][len(ab[g][0])] for g in live]), []
+        for g, w in zip(live, products):
+            (alpha, beta), Q = ab[g], basis[g][: len(ab[g][0]) + 1]
+            alpha.append(Q[-1] @ w)
+            for _ in range(2):
+                w = w - Q.T @ (Q @ w)
+            b, j = float(np.linalg.norm(w)), len(alpha)
+            theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(j - 1, j - 1))
+            top[g] = theta[0]
+            if b * abs(s[-1, 0]) > KRYLOV_TOL * theta[0] and j < sizes[g]:
+                if j == len(basis[g]):  # double the basis storage
+                    basis[g] = np.resize(basis[g], (min(2 * j, sizes[g]), sizes[g]))
+                beta.append(b)
+                basis[g][j] = w / b
+                going.append(g)
+        live = going
+    return top
 
 
 def pi_norm_mat(M):
-    """Operator norm induced by :func:`pi_norm_vec`.
+    """Operator norm induced by :func:`pi_norm_vec`: the spectral norm after
+    rescaling each block by ``sqrt(pi_row / pi_col)``, however the two nodes
+    relate in the tree.  Its square is the largest eigenvalue of the Gram
+    operator on the smaller side, by :func:`_lanczos_lockstep`; a product
+    applies the rescaled blocks, then their transposes, forming no matrix."""
+    pi, (rows, cols, values), (a, b) = M.tree.pi, M.blocks, M._slots()
+    W = np.sqrt(pi[rows] / pi[cols])[:, None, None] * values
+    n, m = M.row_nodes.size, M.col_nodes.size
+    if W.shape[1] * n < W.shape[2] * m:  # the Gram of the transpose
+        W, a, b, n, m = W.transpose(0, 2, 1), b, a, m, n
+    S, St = _block_action(W, a, b, n), _block_action(W.transpose(0, 2, 1), b, a, m)
 
-    Equals the spectral norm after rescaling each block by
-    ``sqrt(pi_row / pi_col)``; the formula is applied verbatim to every
-    block regardless of how the two nodes relate in the tree.  The
-    rescaled matrix stays sparse; its squared norm is the largest
-    eigenvalue of its Gram operator on the smaller side.
-    """
-    pi, (rows, cols, _) = M.tree.pi, M.blocks
-    S = M.sparse(np.sqrt(pi[rows] / pi[cols]))
-    op = spla.aslinearoperator(S if S.shape[0] >= S.shape[1] else S.T)
-    return math.sqrt(_lanczos(op.T @ op, which="LA"))
+    def gram(live, vectors):  # S' S
+        return [St(S(vectors[0].reshape(m, -1))).ravel()]
+
+    return math.sqrt(max(float(_lanczos_lockstep(gram, [W.shape[2] * m])[0]), 0.0))
 
 
 def stage_norm(pi, blocks):

@@ -1,5 +1,6 @@
 """Shared fixture factories for the test suite."""
 
+import ast
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,3 +159,19 @@ def depth_one_nonconvex_tree():
         [0.5**t for t in stages],
         stack([good] * 14 + [bad]),
     )
+
+
+def imported_modules(tree):
+    """Every module an ``import`` statement or an ``import_module`` /
+    ``__import__`` call with a literal name brings in; relative imports
+    keep their leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Call) and node.args:
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            arg = node.args[0]
+            if name in ("import_module", "__import__") and isinstance(arg, ast.Constant):
+                yield str(arg.value)

@@ -423,25 +423,32 @@ def here_and_now_dense(tree, w_prev):
     return v, x, objective
 
 
-def dense_pi_norm(pi, row_nodes, col_nodes, blocks):
-    """Probability-weighted operator norm of a block matrix, by one dense SVD.
+def dense_blocks(row_nodes, col_nodes, blocks, pi=None):
+    """Dense form of a block matrix between two node sets.
 
     ``blocks`` is a ``(rows, cols, values)`` triple: block m is the dense
     matrix ``values[m]`` at row node ``rows[m]`` and column node
-    ``cols[m]``; missing pairs are zero and repeated pairs add up.  Block
-    (i, j) is rescaled by sqrt(pi_i / pi_j) and added into a dense matrix
-    whose largest singular value is returned.
+    ``cols[m]``; missing pairs are zero and repeated pairs add up.  With
+    ``pi`` given, block (i, j) is first rescaled by sqrt(pi_i / pi_j).
     """
     rows, cols, values = blocks
-    if len(values) == 0:
-        return 0.0
-    nr, nc = np.shape(values[0])
+    nr, nc = np.shape(values)[1:]
     rpos = {int(n): a for a, n in enumerate(row_nodes)}
     cpos = {int(n): b for b, n in enumerate(col_nodes)}
     dense = np.zeros((nr * len(row_nodes), nc * len(col_nodes)))
     for i, j, blk in zip(rows, cols, values):
         a, b = rpos[int(i)] * nr, cpos[int(j)] * nc
-        dense[a : a + nr, b : b + nc] += math.sqrt(pi[i] / pi[j]) * np.asarray(blk)
+        scale = 1.0 if pi is None else math.sqrt(pi[i] / pi[j])
+        dense[a : a + nr, b : b + nc] += scale * np.asarray(blk)
+    return dense
+
+
+def dense_pi_norm(pi, row_nodes, col_nodes, blocks):
+    """Probability-weighted operator norm of a block matrix, by one dense SVD
+    of its rescaled dense form (:func:`dense_blocks`)."""
+    if len(blocks[2]) == 0:
+        return 0.0
+    dense = dense_blocks(row_nodes, col_nodes, blocks, pi)
     return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 

@@ -1,7 +1,9 @@
 """Probability-weighted norms: examples, oracles, and algebraic properties."""
 
+import ast
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from spc_lab import (
     pi_norm_vec,
     stage_norm,
 )
-from spc_lab.norms import stage_moments
+from spc_lab import norms
+from spc_lab.norms import _lanczos_lockstep, stage_moments
 
 from .helpers import (
     blocks_of,
     crossed_tree,
+    imported_modules,
     nd_scalar,
     random_tree,
     stack,
@@ -33,6 +37,7 @@ from .helpers import (
     uniform_outcome,
 )
 from .oracles import (
+    dense_blocks,
     dense_pi_norm,
     naive_pi_norm,
     sampled_operator_norm,
@@ -74,6 +79,10 @@ def diag_parent_matrix(rng, tree, dim):
 
 def oracle_norm(M):
     return dense_pi_norm(M.tree.pi, M.row_nodes, M.col_nodes, M.blocks)
+
+
+def dense_of(M, pi=None):
+    return dense_blocks(M.row_nodes, M.col_nodes, M.blocks, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +138,15 @@ def test_block_vector_refuses_misshaped_stack_and_foreign_node():
             BlockVector(tree, nodes, [[1.0], [2.0]])
 
 
+def test_block_vector_refuses_repeated_node():
+    # one node twice would count its weight twice in the norm
+    tree = two_leaf_tree()
+    with pytest.raises(TreeError, match="node 1 repeated"):
+        BlockVector(tree, (1, 1), [[1.0], [1.0]])
+    with pytest.raises(TreeError, match="node 2 repeated"):
+        BlockVector(tree, (2, 0, 1, 2), np.ones((4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # pi_norm_mat
 
@@ -165,7 +183,7 @@ def test_mat_norm_dominates_random_directions_and_is_attained():
     assert best <= norm + 1e-10
     # the scaled right-singular vector attains the norm
     pis = tree.pi
-    dense = M.sparse(np.sqrt(pis[M.blocks.rows] / pis[M.blocks.cols])).toarray()
+    dense = dense_of(M, pis)
     _, _, vt = np.linalg.svd(dense)
     v = BlockVector(tree, cols, vt[0].reshape(len(cols), 2) / np.sqrt(pis[list(cols)])[:, None])
     ratio = pi_norm_vec(M.apply(v)) / pi_norm_vec(v)
@@ -244,7 +262,7 @@ def test_block_matmul_matches_dense_product():
     M = random_block_matrix(rng, tree, s2, s1, (2, 3), density=1.0)
     N = random_block_matrix(rng, tree, s1, s0, (3, 2), density=1.0)
     v = BlockVector(tree, s0, rng.standard_normal((1, 2)))
-    dense = M.sparse().toarray() @ N.sparse().toarray()
+    dense = dense_of(M) @ dense_of(N)
     assert_allclose(M.apply(N.apply(v)).V.ravel(), dense @ v.V.ravel(), atol=1e-13)
 
 
@@ -255,13 +273,24 @@ def test_block_apply_matches_dense():
     s2 = tuple(tree.stage_nodes(2))
     M = random_block_matrix(rng, tree, s2, s1, (2, 3), density=1.0)
     v = BlockVector(tree, s1, rng.standard_normal((len(s1), 3)))
-    assert_allclose(M.apply(v).V.ravel(), M.sparse().toarray() @ v.V.ravel(), atol=1e-13)
+    assert_allclose(M.apply(v).V.ravel(), dense_of(M) @ v.V.ravel(), atol=1e-13)
 
 
 def test_block_matrix_rejects_block_outside_node_sets():
     tree = random_tree(seed=20, T=1, branching=2)
     with pytest.raises(TreeError):
         BlockMatrix(tree, (1,), (1,), blocks_of({(1, 2): np.eye(2)}))
+
+
+def test_block_matrix_refuses_repeated_node():
+    # a repeated row node would be a phantom zero block row; repeated
+    # (row, col) pairs in the blocks still add up
+    tree = random_tree(seed=20, T=1, branching=2)
+    blocks = blocks_of({(1, 2): np.eye(2)})
+    with pytest.raises(TreeError, match="node 1 repeated"):
+        BlockMatrix(tree, (1, 1), (2,), blocks)
+    with pytest.raises(TreeError, match="node 2 repeated"):
+        BlockMatrix(tree, (1,), (2, 0, 2), blocks)
 
 
 def test_stage_norm_rejects_general_block_pattern():
@@ -284,14 +313,14 @@ def test_repeated_pairs_add_up():
     expected = np.zeros((2 * n, 3 * n))
     for i, j, blk in zip(rows, cols, values):
         expected[2 * i : 2 * i + 2, 3 * j : 3 * j + 3] += blk
-    assert_allclose(M.sparse().toarray(), expected, rtol=0, atol=1e-14)
+    assert_allclose(dense_of(M), expected, rtol=0, atol=1e-14)
     v = BlockVector(tree, range(n), rng.standard_normal((n, 3)))
     assert_allclose(M.apply(v).V.ravel(), expected @ v.V.ravel(), rtol=0, atol=1e-13)
     assert pi_norm_mat(M) == pytest.approx(oracle_norm(M), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# sparse Lanczos pi_norm_mat against the dense oracle
+# Lanczos pi_norm_mat against the dense oracle
 
 
 @pytest.mark.parametrize(
@@ -356,6 +385,60 @@ def test_pi_norm_mat_peak_memory_below_half_a_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * n * n
+
+
+def test_norms_imports_nothing_from_scipy_sparse():
+    with open(norms.__file__) as fh:
+        tree = ast.parse(fh.read(), filename=norms.__file__)
+    names = [*imported_modules(tree), *(
+        f"{node.module}.{alias.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    )]
+    assert [m for m in names if m.startswith("scipy.sparse")] == []
+
+
+# ---------------------------------------------------------------------------
+# lockstep Lanczos kernel
+
+
+def matrix_gram(mats):
+    """The kernel's ``gram`` for explicit symmetric matrices."""
+    return lambda live, vectors: [mats[g] @ v for g, v in zip(live, vectors)]
+
+
+def psd_matrix(rng, n, rank=None):
+    F = rng.standard_normal((n, rank or n))
+    return F @ F.T
+
+
+def test_lanczos_lockstep_of_zero_operator_is_zero():
+    assert _lanczos_lockstep(matrix_gram([np.zeros((5, 5))]), [5])[0] == 0.0
+
+
+def test_lanczos_lockstep_of_order_one_and_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = _lanczos_lockstep(matrix_gram([np.array([[2.5]]), np.zeros((0, 0))]), [1, 0])
+    assert top.tolist() == [2.5, 0.0]
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (6, 6), (12, 3), (30, 30)])
+def test_lanczos_lockstep_matches_eigvalsh(n, rank):
+    # small orders: the basis spans the space, or converges before it does
+    A = psd_matrix(np.random.default_rng(n + rank), n, rank)
+    top = _lanczos_lockstep(matrix_gram([A]), [n])[0]
+    assert top == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
+
+
+def test_lanczos_lockstep_runs_as_alone_and_reruns_alike():
+    rng = np.random.default_rng(91)
+    mats = [psd_matrix(rng, n) for n in (3, 40, 1, 17, 60)]
+    mats.insert(2, np.zeros((8, 8)))
+    sizes = [len(A) for A in mats]
+    together = _lanczos_lockstep(matrix_gram(mats), sizes)
+    alone = [_lanczos_lockstep(matrix_gram([A]), [len(A)])[0] for A in mats]
+    assert together.tolist() == alone
+    assert together.tolist() == _lanczos_lockstep(matrix_gram(mats), sizes).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,9 @@ import ast
 import os
 import sys
 
+from .helpers import imported_modules
+
 ORACLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
-
-
-def imported_modules(tree):
-    """Every module an ``import`` statement or an ``import_module`` /
-    ``__import__`` call with a literal name brings in; relative imports
-    keep their leading dots."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            yield "." * node.level + (node.module or "")
-        elif isinstance(node, ast.Call) and node.args:
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            arg = node.args[0]
-            if name in ("import_module", "__import__") and isinstance(arg, ast.Constant):
-                yield str(arg.value)
 
 
 def test_oracles_do_not_import_the_library():
