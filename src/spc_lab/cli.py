@@ -325,31 +325,19 @@ def _suite_norms(tree, seed):
 
 def _suite_regularity(tree, constants):
     rep = check_uniform_regularity(tree, 0, tree.horizon, constants=constants)
-    entries = {
-        "H_norm": rep.H_norm,
-        "L_H": rep.L_H,
-        "FFt_min_eig": rep.FFt_min_eig,
-        "gamma_F": rep.gamma_F,
-        "ReH_min_eig": rep.ReH_min_eig,
-        "gamma_G": rep.gamma_G,
-        "rank_deficient": rep.rank_deficient,
-        "ok": rep.all_pass,
-    }
-    failures = []
-    if not rep.H_pass:
-        failures.append(
-            f"regularity: H_norm={_fmt(rep.H_norm)} exceeds L_H={_fmt(rep.L_H)}"
-        )
-    if not rep.FFt_pass:
-        failures.append(
-            f"regularity: FFt_min_eig={_fmt(rep.FFt_min_eig)} below "
-            f"gamma_F={_fmt(rep.gamma_F)}"
-        )
-    if not rep.ReH_pass:
-        failures.append(
-            f"regularity: ReH_min_eig={_fmt(rep.ReH_min_eig)} below "
-            f"gamma_G={_fmt(rep.gamma_G)}"
-        )
+    checks = [  # (name, value, relation, bound name, bound, passed)
+        ("H_norm", rep.H_norm, "exceeds", "L_H", rep.L_H, rep.H_pass),
+        ("FFt_min_eig", rep.FFt_min_eig, "below", "gamma_F", rep.gamma_F, rep.FFt_pass),
+        ("ReH_min_eig", rep.ReH_min_eig, "below", "gamma_G", rep.gamma_G, rep.ReH_pass),
+    ]
+    entries, failures = {}, []
+    for name, value, relation, bound_name, bound, passed in checks:
+        entries.update({name: value, bound_name: bound})
+        if not passed:
+            failures.append(
+                f"regularity: {name}={_fmt(value)} {relation} {bound_name}={_fmt(bound)}"
+            )
+    entries.update(rank_deficient=rep.rank_deficient, ok=rep.all_pass)
     return rep.all_pass, failures, entries
 
 

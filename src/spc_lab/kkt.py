@@ -34,10 +34,12 @@ a node to itself and to its parent only, and is exactly symmetric by
 construction.
 Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
 eigenvalues off that matrix H, its constraint rows F and its cost block
-G, by ARPACK (:func:`_lanczos`, the library's one ARPACK caller) on
-sparse operators with one sparse LU, of F F': the cost on the null space
-of F is a standard eigenproblem under the orthogonal projector onto that
-space, with no null-space basis and no KKT solve.
+G, by ARPACK (:func:`_lanczos`, the library's one ARPACK caller) with one
+sparse LU, of F F': the cost on the null space of F is a standard
+eigenproblem under the explicit projector ``v - F'(F F')^{-1} F v`` onto
+that space, with no null-space basis and no KKT solve.  ARPACK stops at
+the relative Ritz residual :data:`~spc_lab.norms.KRYLOV_TOL`, where every
+Krylov estimate of the library stops.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import _block_norm, _lanczos_lockstep
+from .norms import KRYLOV_TOL, _block_norm, _lanczos_lockstep
 from .tree import TreeError, _frozen, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
@@ -687,8 +689,9 @@ def measure_decay(tree, k, W):
 
 
 def _lanczos(A, **kw):
-    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric operator
-    from a fixed-seed random start at ``tol=0``, so reruns are bit-identical;
+    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric operator,
+    stopped at the relative Ritz residual ``KRYLOV_TOL`` like the lockstep
+    kernel, from a fixed-seed random start, so reruns are bit-identical;
     0.0 for the zero operator, whose start ARPACK refuses, and the one entry
     at order 1, where ARPACK needs ``k < n``."""
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
@@ -696,7 +699,7 @@ def _lanczos(A, **kw):
         return 0.0
     if A.shape[0] == 1:
         return float((A @ np.ones(1))[0])
-    return float(spla.eigsh(A, k=1, v0=v0, tol=0, return_eigenvectors=False, **kw)[0])
+    return float(spla.eigsh(A, k=1, v0=v0, tol=KRYLOV_TOL, return_eigenvectors=False, **kw)[0])
 
 
 def check_uniform_regularity(tree, k, W, constants=None):
@@ -706,9 +709,9 @@ def check_uniform_regularity(tree, k, W, constants=None):
     The claimed bounds come from ``constants`` (any object exposing
     ``L_H``, ``gamma_F``, ``gamma_G``).  F is the multiplier rows of the
     scaled KKT matrix H over its state-control columns, G its
-    state-control block.  Each quantity is one extreme eigenvalue of a
-    sparse operator, by Lanczos, with no dense matrix, and one sparse LU,
-    of F F', serves the last two:
+    state-control block.  Each quantity is one extreme eigenvalue, by ARPACK
+    Lanczos stopped at the relative Ritz residual ``KRYLOV_TOL``, with no
+    dense matrix, and one sparse LU, of F F', serves the last two:
 
     - ``H_norm``: the largest-magnitude eigenvalue of H (exactly symmetric).
     - ``FFt_min_eig``: the smallest eigenvalue of F F', by shift-invert at
@@ -718,12 +721,14 @@ def check_uniform_regularity(tree, k, W, constants=None):
     - ``ReH_min_eig``: the smallest eigenvalue of G on the null space of
       F, as ``sigma - lambda_max(P (sigma I - G) P)`` with
       ``sigma = H_norm`` and the projector ``P = I - F'(F F')^{-1} F``
-      onto that null space.  Since ``||G|| <= ||H||`` the operator is
-      positive semidefinite, vanishes on the range of F', and its largest
-      eigenvalue (``which="LA"``) gives the smallest algebraic eigenvalue
-      on the null space: on a nonconvex problem the negative one, not the
-      one nearest zero that shift-invert at 0 would find.  P is
-      conditioned by F F', not by the open-loop dynamics.
+      onto that null space, applied explicitly as ``v - F' lu.solve(F v)``
+      on both sides of the sparse ``sigma I - G``, in one function.  Since
+      ``||G|| <= ||H||`` the operator is positive semidefinite, vanishes
+      on the range of F', and its largest eigenvalue (``which="LA"``)
+      gives the smallest algebraic eigenvalue on the null space: on a
+      nonconvex problem the negative one, not the one nearest zero that
+      shift-invert at 0 would find.  P is conditioned by F F', not by the
+      open-loop dynamics.
     """
     system = ScaledKKT(tree, k, W)
     # each node block of H is laid out (x, u, y); w marks G's part (x, u)
@@ -732,11 +737,15 @@ def check_uniform_regularity(tree, k, W, constants=None):
     H = system.H.tocsr()
     F, G = H[~w][:, w], H[w][:, w]
     FFt = (F @ F.T).tocsc()
-    inv = spla.LinearOperator(FFt.shape, matvec=spla.splu(FFt).solve, dtype=float)
+    lu = spla.splu(FFt)
+    inv = spla.LinearOperator(FFt.shape, lu.solve, dtype=float)
     FFt_min = _lanczos(FFt, sigma=0, OPinv=inv)
-    F, eye = spla.aslinearoperator(F), sp.eye(G.shape[0])
-    P = spla.aslinearoperator(eye) - F.T @ inv @ F
-    shifted = P @ spla.aslinearoperator(H_norm * eye - G) @ P
+    S = H_norm * sp.eye(G.shape[0]) - G
+
+    def project(v):  # onto the null space of F
+        return v - F.T @ lu.solve(F @ v)
+
+    shifted = spla.LinearOperator(G.shape, lambda v: project(S @ project(v)), dtype=float)
     return RegularityReport(
         H_norm=H_norm,
         FFt_min_eig=FFt_min,

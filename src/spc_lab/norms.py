@@ -33,7 +33,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .tree import ScenarioTree, TreeError
 
-KRYLOV_TOL = 1e-13  # relative Ritz residual where lockstep Lanczos stops
+KRYLOV_TOL = 1e-13  # relative Ritz residual where every Krylov estimate stops
 
 
 class Blocks(NamedTuple):

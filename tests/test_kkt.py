@@ -1,5 +1,6 @@
 """Scaled QP assembly and solves against an independent dense oracle."""
 
+import ast
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -37,6 +38,7 @@ from spc_lab import (
 )
 from spc_lab import kkt
 from spc_lab.kkt import stage_costs
+from spc_lab.norms import KRYLOV_TOL
 
 from .helpers import (
     blocks_of,
@@ -889,9 +891,9 @@ def test_regularity_matches_dense_oracle(build, root):
     W = tree.horizon - int(tree.stage[root])
     report = check_uniform_regularity(tree, root, W)
     H_norm, FFt_min, ReH_min = dense_regularity(tree, subtree_nodes(tree, root, W).tolist())
-    assert report.H_norm == pytest.approx(H_norm, rel=1e-10)
-    assert report.FFt_min_eig == pytest.approx(FFt_min, rel=1e-10)
-    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
+    assert report.H_norm == pytest.approx(H_norm, rel=1e-12)
+    assert report.FFt_min_eig == pytest.approx(FFt_min, rel=1e-12)
+    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-12)
     assert not report.rank_deficient
 
 
@@ -903,7 +905,7 @@ def test_regularity_finds_smallest_not_nearest_zero_on_nonconvex_tree():
     ReH_min = dense_regularity(tree, tuple(range(tree.node_count)))[2]
     assert ReH_min == pytest.approx(-4.0080869578432985, rel=1e-12)
     report = check_uniform_regularity(tree, 0, tree.horizon)
-    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-10)
+    assert report.ReH_min_eig == pytest.approx(ReH_min, rel=1e-12)
     assert not report.ReH_pass
 
 
@@ -936,6 +938,30 @@ def test_regularity_reruns_bit_identical():
         return check_uniform_regularity(tree, 0, tree.horizon)
 
     assert fresh() == fresh()
+
+
+def test_regularity_eigsh_stops_at_the_krylov_tolerance(monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def recorded(A, *args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(kkt.spla, "eigsh", recorded)
+    tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
+    check_uniform_regularity(tree, 0, tree.horizon)
+    assert [call["tol"] for call in calls] == [KRYLOV_TOL] * 3
+
+
+def test_kkt_names_no_aslinearoperator():
+    with open(kkt.__file__) as fh:
+        tree = ast.parse(fh.read(), filename=kkt.__file__)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "aslinearoperator" not in names
 
 
 def test_regularity_peak_memory_below_half_a_dense_kkt():
