@@ -34,12 +34,11 @@ a node to itself and to its parent only, and is exactly symmetric by
 construction.
 Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
 eigenvalues off that matrix H, its constraint rows F and its cost block
-G, by ARPACK (:func:`_lanczos`, the library's one ARPACK caller) with one
-sparse LU, of F F': the cost on the null space of F is a standard
-eigenproblem under the explicit projector ``v - F'(F F')^{-1} F v`` onto
-that space, with no null-space basis and no KKT solve.  ARPACK stops at
-the relative Ritz residual :data:`~spc_lab.norms.KRYLOV_TOL`, where every
-Krylov estimate of the library stops.
+G, each the top eigenvalue of a PSD operator by the Lanczos kernel of
+:mod:`spc_lab.norms`, with one sparse LU, of F F': the cost on the null
+space of F is a standard eigenproblem under the explicit projector
+``v - F'(F F')^{-1} F v`` onto that space, with no null-space basis and
+no KKT solve.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .norms import KRYLOV_TOL, _block_norm, _lanczos_lockstep
+from .norms import _block_norm, _lanczos_lockstep
 from .tree import TreeError, _frozen, committed_pair, subtree_nodes
 
 RESIDUAL_TOL = 1e-8
@@ -688,20 +687,6 @@ def measure_decay(tree, k, W):
     ]
 
 
-def _lanczos(A, **kw):
-    """One extreme eigenvalue ``eigsh(A, k=1, **kw)`` of a symmetric operator,
-    stopped at the relative Ritz residual ``KRYLOV_TOL`` like the lockstep
-    kernel, from a fixed-seed random start, so reruns are bit-identical;
-    0.0 for the zero operator, whose start ARPACK refuses, and the one entry
-    at order 1, where ARPACK needs ``k < n``."""
-    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
-    if not np.any(A @ v0):
-        return 0.0
-    if A.shape[0] == 1:
-        return float((A @ np.ones(1))[0])
-    return float(spla.eigsh(A, k=1, v0=v0, tol=KRYLOV_TOL, return_eigenvectors=False, **kw)[0])
-
-
 def check_uniform_regularity(tree, k, W, constants=None):
     """Measure the three uniform-regularity quantities of the depth-W
     subtree problem at k.
@@ -709,47 +694,47 @@ def check_uniform_regularity(tree, k, W, constants=None):
     The claimed bounds come from ``constants`` (any object exposing
     ``L_H``, ``gamma_F``, ``gamma_G``).  F is the multiplier rows of the
     scaled KKT matrix H over its state-control columns, G its
-    state-control block.  Each quantity is one extreme eigenvalue, by ARPACK
-    Lanczos stopped at the relative Ritz residual ``KRYLOV_TOL``, with no
-    dense matrix, and one sparse LU, of F F', serves the last two:
+    state-control block.  Each quantity comes from the top eigenvalue of a
+    PSD operator by :func:`_lanczos_lockstep`, with no dense matrix; one
+    sparse LU, of F F', serves the last two, run in one lockstep call:
 
-    - ``H_norm``: the largest-magnitude eigenvalue of H (exactly symmetric).
-    - ``FFt_min_eig``: the smallest eigenvalue of F F', by shift-invert at
-      0 through that LU.  The state columns of F are block unit lower
-      triangular, so F has full row rank; ``rank_deficient`` reports F F'
-      singular to working precision, against ``||F|| <= ||H||``.
+    - ``H_norm``: the root of the top eigenvalue of ``v -> H (H v)``.
+    - ``FFt_min_eig``: the smallest eigenvalue of F F', as one over the
+      top eigenvalue of ``lu.solve``, the inverse through that LU.  The
+      state columns of F are block unit lower triangular, so F has full
+      row rank; ``rank_deficient`` reports F F' singular to working
+      precision, against ``||F|| <= ||H||``.
     - ``ReH_min_eig``: the smallest eigenvalue of G on the null space of
       F, as ``sigma - lambda_max(P (sigma I - G) P)`` with
       ``sigma = H_norm`` and the projector ``P = I - F'(F F')^{-1} F``
       onto that null space, applied explicitly as ``v - F' lu.solve(F v)``
-      on both sides of the sparse ``sigma I - G``, in one function.  Since
+      (F' formed once) on both sides of the sparse ``sigma I - G``.  Since
       ``||G|| <= ||H||`` the operator is positive semidefinite, vanishes
-      on the range of F', and its largest eigenvalue (``which="LA"``)
-      gives the smallest algebraic eigenvalue on the null space: on a
-      nonconvex problem the negative one, not the one nearest zero that
-      shift-invert at 0 would find.  P is conditioned by F F', not by the
-      open-loop dynamics.
+      on the range of F', and its largest eigenvalue gives the smallest
+      algebraic eigenvalue on the null space: on a nonconvex problem the
+      negative one, not the one nearest zero that shift-invert at 0 would
+      find.  P is conditioned by F F', not by the open-loop dynamics.
     """
     system = ScaledKKT(tree, k, W)
     # each node block of H is laid out (x, u, y); w marks G's part (x, u)
     w = np.arange(system.dim) % system.zdim < system.nx + system.nu
-    H_norm = abs(_lanczos(system.H, which="LM"))
     H = system.H.tocsr()
+    H_norm = math.sqrt(_lanczos_lockstep(lambda live, v: [H @ (H @ v[0])], [system.dim])[0])
     F, G = H[~w][:, w], H[w][:, w]
-    FFt = (F @ F.T).tocsc()
-    lu = spla.splu(FFt)
-    inv = spla.LinearOperator(FFt.shape, lu.solve, dtype=float)
-    FFt_min = _lanczos(FFt, sigma=0, OPinv=inv)
+    Ft, lu = F.T.tocsr(), spla.splu((F @ F.T).tocsc())
     S = H_norm * sp.eye(G.shape[0]) - G
 
     def project(v):  # onto the null space of F
-        return v - F.T @ lu.solve(F @ v)
+        return v - Ft @ lu.solve(F @ v)
 
-    shifted = spla.LinearOperator(G.shape, lambda v: project(S @ project(v)), dtype=float)
+    ops, sizes = [lu.solve, lambda v: project(S @ project(v))], [F.shape[0], G.shape[0]]
+    inv_top, shifted_top = _lanczos_lockstep(
+        lambda live, vectors: [ops[g](v) for g, v in zip(live, vectors)], sizes).tolist()
+    FFt_min = 1.0 / inv_top
     return RegularityReport(
         H_norm=H_norm,
         FFt_min_eig=FFt_min,
-        ReH_min_eig=H_norm - _lanczos(shifted, which="LA"),
+        ReH_min_eig=H_norm - shifted_top,
         L_H=float(getattr(constants, "L_H", math.inf)),
         gamma_F=float(getattr(constants, "gamma_F", 0.0)),
         gamma_G=float(getattr(constants, "gamma_G", 0.0)),

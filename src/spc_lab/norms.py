@@ -18,8 +18,10 @@ weighted by the caller, as the solution-map decay rows do with their
 stage blocks, weighted in place.  A weighted diagonal stage block of a
 solution map is symmetric, the map being self-adjoint in the weights, so
 the decay rows take its norm as its largest absolute eigenvalue, with no
-Gram.  One Lanczos kernel, :func:`_lanczos_lockstep`, serves
-:func:`pi_norm_mat` and the decay rows' large stage pairs.
+Gram.  One Lanczos kernel, :func:`_lanczos_lockstep`, the library's only
+Krylov eigensolver, serves :func:`pi_norm_mat`, the decay rows' large
+stage pairs and uniform regularity: each operator keeps a basis of at
+most ``KRYLOV_BASIS`` rows, restarted thick on its top Ritz vectors.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsyevr
 
 from .tree import ScenarioTree, TreeError
 
 KRYLOV_TOL = 1e-13  # relative Ritz residual where every Krylov estimate stops
+KRYLOV_BASIS = 24  # rows of a Lanczos basis; a full one restarts on its top half
 
 
 class Blocks(NamedTuple):
@@ -170,29 +173,41 @@ def _lanczos_lockstep(gram, sizes):
     """Largest eigenvalues of PSD operators of orders ``sizes`` by Lanczos
     in lockstep; ``gram(live, vectors)`` applies operator ``live[r]`` to
     ``vectors[r]``.  Each starts from one fixed-seed random vector (reruns
-    are bit-identical), keeps a fully reorthogonalised basis, and stops
-    once its top Ritz residual ``beta_j |s_j|`` is at most ``KRYLOV_TOL``
-    times the Ritz value or its basis spans the space.  An operator of
-    order 0, or whose first product is exactly zero, has eigenvalue 0.0."""
-    top, ab = np.zeros(len(sizes)), [([], []) for _ in sizes]
-    basis = [np.random.default_rng(0).standard_normal((1, n)) for n in sizes]
-    basis = [v / np.linalg.norm(v) for v in basis]
+    are bit-identical) and keeps a fully reorthogonalised basis of at most
+    ``KRYLOV_BASIS`` rows, preallocated; row j of its projected matrix sums
+    the Gram-Schmidt coefficients of the product of basis row j.  A full
+    basis restarts thick (Wu and Simon, 2000) on its top half of Ritz
+    vectors, their Ritz values on the diagonal.  It stops once its top Ritz
+    residual ``beta_j |s_j|`` is at most ``KRYLOV_TOL`` times the Ritz value
+    or it spans the space; 0.0 at order 0 or a zero first product."""
+    keep, top, at = KRYLOV_BASIS // 2, np.zeros(len(sizes)), [0] * len(sizes)
+    basis = [np.empty((min(KRYLOV_BASIS, n), n)) for n in sizes]
+    proj = [np.zeros((KRYLOV_BASIS, KRYLOV_BASIS)) for _ in sizes]
     live = [g for g, n in enumerate(sizes) if n]
+    for g in live:
+        basis[g][0] /= np.linalg.norm(np.random.default_rng(0).standard_normal(out=basis[g][0]))
     while live:
-        products, going = gram(live, [basis[g][len(ab[g][0])] for g in live]), []
+        products, going = gram(live, [basis[g][at[g]] for g in live]), []
         for g, w in zip(live, products):
-            (alpha, beta), Q = ab[g], basis[g][: len(ab[g][0]) + 1]
-            alpha.append(Q[-1] @ w)
-            for _ in range(2):
-                w = w - Q.T @ (Q @ w)
-            b, j = float(np.linalg.norm(w)), len(alpha)
-            theta, s = eigh_tridiagonal(alpha, beta, select="i", select_range=(j - 1, j - 1))
-            top[g] = theta[0]
-            if b * abs(s[-1, 0]) > KRYLOV_TOL * theta[0] and j < sizes[g]:
-                if j == len(basis[g]):  # double the basis storage
-                    basis[g] = np.resize(basis[g], (min(2 * j, sizes[g]), sizes[g]))
-                beta.append(b)
-                basis[g][j] = w / b
+            j, Q = at[g], basis[g][: at[g] + 1]
+            c = Q @ w
+            w = w - Q.T @ c
+            c2 = Q @ w
+            w -= Q.T @ c2
+            proj[g][j, : j + 1] = c + c2  # the lower triangle, which dsyevr reads
+            b, full = float(np.linalg.norm(w)), j + 1 == KRYLOV_BASIS
+            # the top Ritz pair, or the top half of them on a full basis
+            theta, S, _, _, info = dsyevr(proj[g][: j + 1, : j + 1], range="I", lower=1,
+                                          il=j + 2 - keep if full else j + 1, iu=j + 1)
+            if info:
+                raise np.linalg.LinAlgError(f"dsyevr failed on a Lanczos matrix (info {info})")
+            top[g] = theta[S.shape[1] - 1]
+            if b * abs(S[-1, -1]) > KRYLOV_TOL * top[g] and j + 1 < sizes[g]:
+                if full:  # thick restart
+                    for a in range(0, sizes[g], 1024):  # by columns: no second basis
+                        basis[g][:keep, a : a + 1024] = S.T @ basis[g][:, a : a + 1024]
+                    proj[g][:keep, :keep], j = np.diag(theta[:keep]), keep - 1
+                basis[g][j + 1], at[g] = w / b, j + 1
                 going.append(g)
         live = going
     return top

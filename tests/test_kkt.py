@@ -38,7 +38,6 @@ from spc_lab import (
 )
 from spc_lab import kkt
 from spc_lab.kkt import stage_costs
-from spc_lab.norms import KRYLOV_TOL
 
 from .helpers import (
     blocks_of,
@@ -940,28 +939,17 @@ def test_regularity_reruns_bit_identical():
     assert fresh() == fresh()
 
 
-def test_regularity_eigsh_stops_at_the_krylov_tolerance(monkeypatch):
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def recorded(A, *args, **kwargs):
-        calls.append(kwargs)
-        return eigsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(kkt.spla, "eigsh", recorded)
-    tree = random_tree(seed=95, T=4, branching=2, nx=2, nu=2)
-    check_uniform_regularity(tree, 0, tree.horizon)
-    assert [call["tol"] for call in calls] == [KRYLOV_TOL] * 3
-
-
-def test_kkt_names_no_aslinearoperator():
+@pytest.mark.parametrize("name", ["aslinearoperator", "LinearOperator", "eigsh", "_lanczos"])
+def test_kkt_names_no_aslinearoperator(name):
+    # regularity runs on the lockstep Lanczos kernel alone: no scipy
+    # operator wrapper, no ARPACK call and no helper of its own
     with open(kkt.__file__) as fh:
         tree = ast.parse(fh.read(), filename=kkt.__file__)
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert "aslinearoperator" not in names
+    assert name not in names
 
 
 def test_regularity_peak_memory_below_half_a_dense_kkt():

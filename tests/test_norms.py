@@ -24,7 +24,7 @@ from spc_lab import (
     stage_norm,
 )
 from spc_lab import norms
-from spc_lab.norms import _lanczos_lockstep, stage_moments
+from spc_lab.norms import KRYLOV_BASIS, _lanczos_lockstep, stage_moments
 
 from .helpers import (
     blocks_of,
@@ -411,6 +411,14 @@ def psd_matrix(rng, n, rank=None):
     return F @ F.T
 
 
+def clustered_matrix(rng, n):
+    """PSD matrix whose top five eigenvalues lie within 1e-3 of 1, the rest
+    spread over [0, 0.9], in a random orthonormal basis."""
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    spectrum = np.r_[rng.uniform(0.0, 0.9, n - 5), 1.0 - 1e-3 * rng.random(5)]
+    return (U * spectrum) @ U.T
+
+
 def test_lanczos_lockstep_of_zero_operator_is_zero():
     assert _lanczos_lockstep(matrix_gram([np.zeros((5, 5))]), [5])[0] == 0.0
 
@@ -422,10 +430,15 @@ def test_lanczos_lockstep_of_order_one_and_zero_without_warning():
     assert top.tolist() == [2.5, 0.0]
 
 
-@pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (6, 6), (12, 3), (30, 30)])
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 2), (6, 6), (12, 3), (30, 30),
+                                     (8 * KRYLOV_BASIS, "clustered")])
 def test_lanczos_lockstep_matches_eigvalsh(n, rank):
-    # small orders: the basis spans the space, or converges before it does
-    A = psd_matrix(np.random.default_rng(n + rank), n, rank)
+    # small orders: the basis spans the space, or converges before it does;
+    # the clustered one restarts its basis many times
+    if rank == "clustered":
+        A = clustered_matrix(np.random.default_rng(n), n)
+    else:
+        A = psd_matrix(np.random.default_rng(n + rank), n, rank)
     top = _lanczos_lockstep(matrix_gram([A]), [n])[0]
     assert top == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
 
@@ -434,11 +447,34 @@ def test_lanczos_lockstep_runs_as_alone_and_reruns_alike():
     rng = np.random.default_rng(91)
     mats = [psd_matrix(rng, n) for n in (3, 40, 1, 17, 60)]
     mats.insert(2, np.zeros((8, 8)))
+    mats.append(clustered_matrix(rng, 4 * KRYLOV_BASIS))  # restarts
     sizes = [len(A) for A in mats]
     together = _lanczos_lockstep(matrix_gram(mats), sizes)
     alone = [_lanczos_lockstep(matrix_gram([A]), [len(A)])[0] for A in mats]
     assert together.tolist() == alone
     assert together.tolist() == _lanczos_lockstep(matrix_gram(mats), sizes).tolist()
+
+
+def test_lanczos_lockstep_basis_holds_at_most_krylov_basis_rows():
+    # a diagonal operator of order 20 000 whose top eigenvalue 1.05 stands
+    # 5 % clear of the rest takes more than twice KRYLOV_BASIS products; the
+    # traced peak allows the basis plus four vectors of working space
+    n, products = 20_000, []
+    d = np.r_[np.linspace(0.0, 1.0, n - 1), 1.05]
+
+    def gram(live, vectors):
+        products.append(len(live))
+        return [d * vectors[0]]
+
+    tracemalloc.start()
+    try:
+        top = _lanczos_lockstep(gram, [n])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert top == pytest.approx(1.05, rel=1e-12)
+    assert len(products) > 2 * KRYLOV_BASIS
+    assert peak < (KRYLOV_BASIS + 4) * n * 8
 
 
 # ---------------------------------------------------------------------------
