@@ -4,13 +4,15 @@ A thin shell over the library: every behavior here is reachable through
 plain function calls, and the CLI only wires arguments, files, and exit
 codes together.
 
-Exit codes: 0 success, 2 input or validation error, 3 solver error,
-4 verification failure (the first failing datapoint is printed).
+Exit codes: 0 success, 2 input or validation error (or out of memory),
+3 solver error, 4 verification failure (the first failing datapoint is
+printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,10 +43,10 @@ from .norms import (
 )
 from .problem_io import (
     SIDECAR,
-    _fmt,
+    _cell,
     _number,
-    constants_dict,
     json_object,
+    key_values,
     load_certificate,
     load_problem,
     save_certificate,
@@ -161,10 +163,10 @@ def cmd_build_tree(args):
     tree, initial, assumption = load_problem(args.input)
     leaves = tree.leaves()
     stage_sizes = [len(tree.stage_nodes(t)) for t in range(tree.horizon + 1)]
-    print(
-        f"nodes={tree.node_count} horizon={tree.horizon} "
-        f"leaves={len(leaves)} nx={tree.nx} nu={tree.nu}"
-    )
+    print(key_values({
+        "nodes": tree.node_count, "horizon": tree.horizon, "leaves": len(leaves),
+        "nx": tree.nx, "nu": tree.nu,
+    }))
     if args.out:
         out = _outdir(args)
         write_manifest(
@@ -198,11 +200,11 @@ def cmd_solve(args):
         write_path_values_csv(
             os.path.join(out, "paths.csv"), tree, sol.path_values, {"J": sol.objective}
         )
-        print(f"policy=an J={_fmt(sol.objective)}")
+        print(key_values({"policy": "an", "J": sol.objective}))
         return EXIT_OK
     _check_dynamics(tree, x, u, initial, args.tol_kkt)
     write_trace_csv(os.path.join(out, "trace.csv"), tree, x, u, {"J": sol.objective})
-    print(f"policy={args.policy} J={_fmt(sol.objective)}")
+    print(key_values({"policy": args.policy, "J": sol.objective}))
     return EXIT_OK
 
 
@@ -214,17 +216,9 @@ def cmd_spc(args):
     star = solve_optimal(tree, initial)
     regret = checked_regret(trace.J_W, star.objective)
     _check_dynamics(tree, trace.x, trace.u, initial, args.tol_kkt)
-    write_trace_csv(
-        os.path.join(out, "trace.csv"),
-        tree,
-        trace.x,
-        trace.u,
-        {"J_W": trace.J_W, "J_star": star.objective, "regret": regret},
-    )
-    print(
-        f"W={W} J_W={_fmt(trace.J_W)} J_star={_fmt(star.objective)} "
-        f"regret={_fmt(regret)}"
-    )
+    summary = {"J_W": trace.J_W, "J_star": star.objective, "regret": regret}
+    write_trace_csv(os.path.join(out, "trace.csv"), tree, trace.x, trace.u, summary)
+    print(key_values({"W": W, **summary}))
     return EXIT_OK
 
 
@@ -244,15 +238,13 @@ def cmd_regret_sweep(args):
             "input": os.path.basename(args.input),
             "seed": args.seed,
             "windows": windows,
-            "constants": constants_dict(constants),
+            "constants": dataclasses.asdict(constants),
             "passed": report.passed,
             "slope": report.details["slope"],
         },
     )
-    print(
-        f"wrote regret.csv rows={len(report.details['rows'])} "
-        f"passed={'true' if report.passed else 'false'}"
-    )
+    rows = len(report.details["rows"])
+    print("wrote regret.csv " + key_values({"rows": rows, "passed": report.passed}))
     return EXIT_OK
 
 
@@ -266,8 +258,8 @@ def _points_pass(report, tol):
 
 def _fail_line(name, point):
     return (
-        f"{name}: index={point.index} measured={_fmt(point.measured)} "
-        f"bound={_fmt(point.bound)}"
+        f"{name}: index={point.index} measured={_cell(point.measured)} "
+        f"bound={_cell(point.bound)}"
     )
 
 
@@ -335,7 +327,7 @@ def _suite_regularity(tree, constants):
         entries.update({name: value, bound_name: bound})
         if not passed:
             failures.append(
-                f"regularity: {name}={_fmt(value)} {relation} {bound_name}={_fmt(bound)}"
+                f"regularity: {name}={_cell(value)} {relation} {bound_name}={_cell(bound)}"
             )
     entries.update(rank_deficient=rep.rank_deficient, ok=rep.all_pass)
     return rep.all_pass, failures, entries
@@ -421,8 +413,8 @@ def _suite_theorems(tree, constants, W, initial, tol, out):
             decay_ok = False
             failures.append(
                 f"solution_map_decay: (t={row.t}, t'={row.tprime}) "
-                f"psi={_fmt(row.psi_norm)} omega={_fmt(row.omega_norm)} "
-                f"bound={_fmt(bound)}"
+                f"psi={_cell(row.psi_norm)} omega={_cell(row.omega_norm)} "
+                f"bound={_cell(bound)}"
             )
             break
     entries.append({"name": "solution_map_decay", "points": len(rows), "passed": decay_ok})
@@ -505,13 +497,9 @@ def cmd_constants(args):
     tree, initial, assumption = load_problem(args.input)
     out = _outdir(args)
     constants = _constants_from(tree, initial, assumption)
-    write_manifest(os.path.join(out, "constants.json"), constants_dict(constants))
-    print(
-        f"L_H={_fmt(constants.L_H)} gamma_F={_fmt(constants.gamma_F)} "
-        f"gamma_G={_fmt(constants.gamma_G)} rho={_fmt(constants.rho)} "
-        f"one_minus_rho={_fmt(constants.one_minus_rho)} "
-        f"W_bar={_fmt(constants.W_bar)}"
-    )
+    write_manifest(os.path.join(out, "constants.json"), dataclasses.asdict(constants))
+    names = ("L_H", "gamma_F", "gamma_G", "rho", "one_minus_rho", "W_bar")
+    print(key_values({k: getattr(constants, k) for k in names}))
     return EXIT_OK
 
 
@@ -549,7 +537,7 @@ def cmd_generate(args):
     )
     for role, cert in sorted(inst.certificates.items()):
         save_certificate(os.path.join(out, f"{role}.json"), cert)
-    write_manifest(os.path.join(out, "constants.json"), constants_dict(c))
+    write_manifest(os.path.join(out, "constants.json"), dataclasses.asdict(c))
     write_manifest(
         os.path.join(out, "run.json"),
         {
@@ -698,6 +686,9 @@ def main(argv=None):
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -569,6 +569,23 @@ class TestSolve:
         assert "solver error" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2_in_one_line(tmp_path, monkeypatch, capsys):
+    # numpy raises its _ArrayMemoryError, a MemoryError, when an array
+    # cannot be allocated; a command that runs out must end in one stderr
+    # line, not a traceback.  Nothing large is allocated here
+    message = "Unable to allocate 8.00 TiB for an array with shape (2**20, 2**20)"
+
+    def starved(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.HANDLERS, "build-tree", starved)
+    rc = main(["build-tree", "--input", str(tmp_path / "p.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: out of memory: {message}\n"
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------------------ spc
 
 

@@ -11,6 +11,8 @@ import gc
 import hashlib
 import io
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spc_lab import (
+    BoundPoint,
+    BoundReport,
+    DecayRow,
     InstanceSpec,
     NodeArrays,
     ScenarioTree,
@@ -27,6 +32,9 @@ from spc_lab import (
     load_problem,
     save_certificate,
     save_problem,
+    write_decay_csv,
+    write_moments_csv,
+    write_regret_csv,
     write_trace_csv,
 )
 from spc_lab import problem_io
@@ -139,6 +147,121 @@ def test_trace_rows_match_csv_writer_across_batches(tmp_path):
         writer.writerow([k, int(tree.stage[k]), int(tree.parent[k])]
                         + [repr(float(v)) for v in values])
     assert path.read_text() == expected.getvalue() + "# J=0.5\n"
+
+
+# every kind of value a report cell holds, the edges of each kind included
+REPORT_CELLS = [
+    math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e16, 0.1, 2.0, 7, -3, 0, 2**63,
+    np.int64(-5), np.int32(4), np.uint8(255), True, False, np.True_, np.False_,
+    np.float64(1e16), np.float64(-0.0), np.float64(math.nan), np.float32(0.1), "kind", "x[0]",
+]
+
+
+def old_text(value):
+    """A report value as the writers rendered it by type before one formatter
+    did: ``true``/``false``, ``str(int(v))`` and ``repr(float(v))``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def stdlib_csv(header, rows, comment=None):
+    """The stdlib writer's report of ``rows`` over :func:`old_text`, with the
+    comment line ``# key=value,...`` last when ``comment`` is given."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([list(map(old_text, row)) for row in rows])
+    if comment is not None:
+        out.write("# " + ",".join(f"{k}={old_text(v)}" for k, v in comment.items()) + "\n")
+    return out.getvalue()
+
+
+def test_key_values_renders_each_value_like_a_cell():
+    pairs = {f"k{i}": v for i, v in enumerate(REPORT_CELLS)}
+    texts = [f"k{i}={old_text(v)}" for i, v in enumerate(REPORT_CELLS)]
+    assert problem_io.key_values(pairs) == " ".join(texts)
+    assert problem_io.key_values(pairs, ",") == ",".join(texts)
+    assert problem_io.key_values({}) == ""
+
+
+@pytest.mark.parametrize("comment", [None, {"slope": math.nan, "passed": np.True_, "rows": 3}])
+def test_write_csv_matches_stdlib_writer(tmp_path, comment):
+    n = len(REPORT_CELLS)
+    rows = [[REPORT_CELLS[(i + k) % n] for k in range(4)] for i in range(n)]
+    path = tmp_path / "report.csv"
+    problem_io._write_csv(str(path), ["a", "b", "c", "d"], rows, comment)
+    assert path.read_bytes() == stdlib_csv(["a", "b", "c", "d"], rows, comment).encode()
+    if comment is not None:
+        last = path.read_text().splitlines()[-1]
+        assert last == "# " + problem_io.key_values(comment, ",")
+
+
+EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, np.float64(0.1)]
+
+
+def edge(i):
+    return EDGE_VALUES[i % len(EDGE_VALUES)]
+
+
+def test_trace_and_path_writers_match_stdlib_writer(tmp_path):
+    tree = random_tree(4, T=3, nx=2, nu=1)
+    n = tree.node_count
+    x = np.array([[edge(i), edge(i + 3)] for i in range(n)], dtype=float)
+    u = np.array([[edge(i + 5)] for i in range(n)], dtype=float)
+    summary = {"J_W": np.float64(-0.0), "J_star": math.inf, "regret": 5e-324}
+    write_trace_csv(str(tmp_path / "trace.csv"), tree, x, u, summary)
+    rows = [[i, tree.stage[i], tree.parent[i], tree.pi[i], *x[i], *u[i]] for i in range(n)]
+    header = ["node", "stage", "parent", "pi", "x[0]", "x[1]", "u[0]"]
+    assert (tmp_path / "trace.csv").read_text() == stdlib_csv(header, rows, summary)
+
+    leaves = tree.leaves()
+    values = np.array([edge(i) for i in range(leaves.size)])
+    problem_io.write_path_values_csv(str(tmp_path / "paths.csv"), tree, values, {"J": math.nan})
+    rows = [[leaf, tree.pi[leaf], v] for leaf, v in zip(leaves, values)]
+    assert (tmp_path / "paths.csv").read_text() == stdlib_csv(
+        ["leaf", "pi", "J_path"], rows, {"J": math.nan})
+
+
+def test_sweep_decay_and_moment_writers_match_stdlib_writer(tmp_path):
+    keys = ["W", "J_W", "J_star", "regret", "bound", "applies"]
+    sweep = [dict(zip(keys, (W, edge(W), edge(W + 1), edge(W + 2), edge(W + 3), W % 2 == 0)))
+             for W in range(8)]
+    report = SimpleNamespace(
+        constants=SimpleNamespace(W_bar=math.inf, rho=np.float64(1.0)),
+        details={"rows": sweep, "slope": math.nan, "log_rho": -0.0},
+        passed=np.False_,
+    )
+    write_regret_csv(str(tmp_path / "regret.csv"), report)
+    header = [*keys, "Wbar", "rho"]
+    rows = [[*map(row.get, keys), math.inf, 1.0] for row in sweep]
+    comment = {"slope": math.nan, "log_rho": -0.0, "passed": False}
+    assert (tmp_path / "regret.csv").read_text() == stdlib_csv(header, rows, comment)
+
+    decay = [DecayRow(np.int64(t), tp, edge(t), edge(tp + 4)) for t in range(3) for tp in range(3)]
+    constants = SimpleNamespace(map_decay=edge)
+    write_decay_csv(str(tmp_path / "decay.csv"), decay, constants)
+    rows = [[r.t, r.tprime, r.psi_norm, r.omega_norm, edge(abs(r.t - r.tprime))] for r in decay]
+    assert (tmp_path / "decay.csv").read_text() == stdlib_csv(
+        ["t", "tprime", "psi_norm", "omega_norm", "bound"], rows)
+
+    points = {
+        "stage": (BoundPoint(np.int64(1), edge(0), edge(1)), BoundPoint(2, edge(2), edge(3))),
+        "node": (BoundPoint((np.int64(5), 3), edge(4), edge(5), applies=False),),
+    }
+    kinds = {k: BoundReport(k, p, True, None, {}) for k, p in points.items()}
+    write_moments_csv(str(tmp_path / "moments.csv"), kinds)
+    rows = [
+        [3, edge(4), edge(5), "node"],
+        [np.int64(1), edge(0), edge(1), "stage"],
+        [2, edge(2), edge(3), "stage"],
+    ]
+    assert (tmp_path / "moments.csv").read_text() == stdlib_csv(
+        ["t", "measured", "envelope", "kind"], rows)
 
 
 @st.composite
