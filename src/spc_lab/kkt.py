@@ -23,15 +23,17 @@ horizon, depends on them, so only that row can differ, by rounding, from
 the norm of its full block: it folds them in from the eigenvalues the
 factor already holds.
 
-Where the assembled matrix itself is needed (uniform regularity, and
-the here-and-now baseline, whose shared stage controls couple every node
-of a stage), :class:`ScaledKKT` builds the probability-scaled system,
-whose variables are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the
-scaled KKT matrix is uniformly well conditioned, while the raw weighted
-system is not.  The per-node variable layout is ``(x, u, y)``, one block
-per node of the window in ascending order; the scaled KKT matrix couples
-a node to itself and to its parent only, and is exactly symmetric by
-construction.
+Where the assembled matrix itself is needed (uniform regularity),
+:class:`ScaledKKT` builds the probability-scaled system, whose variables
+are ``z_i`` premultiplied by ``sqrt(pi_{i|k})``: the scaled KKT matrix is
+uniformly well conditioned, while the raw weighted system is not.  The
+per-node variable layout is ``(x, u, y)``, one block per node of the
+window in ascending order; the scaled KKT matrix couples a node to
+itself and to its parent only, and is exactly symmetric by
+construction.  The here-and-now baseline, whose shared stage controls
+couple every node of a stage, assembles its own system, leaves first
+(:func:`spc_lab.controller.here_and_now_system`); it shares only
+:func:`factor_kkt` and :func:`solve_kkt`.
 Uniform regularity (:func:`check_uniform_regularity`) reads three extreme
 eigenvalues off that matrix H, its constraint rows F and its cost block
 G, each the top eigenvalue of a PSD operator by the Lanczos kernel of
@@ -152,14 +154,15 @@ class RegularityReport:
         return self.H_pass and self.FFt_pass and self.ReH_pass
 
 
-def factor_kkt(H):
+def factor_kkt(H, **options):
     """Sparse LU of a KKT matrix, refused when numerically singular.
 
+    ``options`` go to :func:`scipy.sparse.linalg.splu` as they are.
     Raises :class:`SingularKKTError` carrying the smallest relative pivot
     when it falls below ``PIVOT_TOL``.
     """
     try:
-        lu = spla.splu(H.tocsc())
+        lu = spla.splu(H.tocsc(), **options)
     except RuntimeError as exc:
         raise SingularKKTError(
             f"KKT factorization failed: {exc}", pivot=0.0
@@ -197,7 +200,9 @@ class ScaledKKT:
     sparse LU factorization with the library's deterministic default
     column permutation.  Node blocks follow ``nodes``, the window's
     read-only array of ascending nodes; ``window`` keeps the whole
-    :func:`_window` forest it was assembled from.
+    :func:`_window` forest it was assembled from.  It serves uniform
+    regularity alone, which reads ``H``; :meth:`factor`, :meth:`solve`
+    and :meth:`unscale` stay because ``bench/tracer.py`` wraps them.
     """
 
     def __init__(self, tree, k, W):

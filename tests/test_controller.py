@@ -34,15 +34,19 @@ from spc_lab import (
 )
 
 from spc_lab.cli import DEFAULT_SPEC
-from spc_lab.controller import checked_regret, run_spc_windows
+from spc_lab.controller import checked_regret, here_and_now_system, run_spc_windows
+from spc_lab.kkt import factor_kkt
+from spc_lab.tree import build_tree_stagewise
 
 from .helpers import (
     chain_tree,
     crossed_tree,
+    node_data,
     nd_scalar,
     random_node_data,
     random_tree,
     stack,
+    stagewise,
     uneven_tree,
     unstable_chain,
 )
@@ -439,6 +443,87 @@ def test_here_and_now_states_follow_dynamics():
         t = int(tree.stage[n])
         forced = nd.A @ hn.x[par] + nd.B @ hn.v[t - 1] + nd.d
         assert np.allclose(hn.x[n], forced, atol=1e-8)
+
+
+def ci_stagewise_tree():
+    """The stagewise product tree of the CI's stagewise problem file: nx = 2,
+    nu = 1, T = 4, two outcomes per stage with probabilities 0.4 and 0.6."""
+    def outcome(s):
+        return node_data(
+            A=[[0.9, 0.1 * s], [0.0, 0.8]], B=[[0.0], [1.0]], d=[0.1 * s, 0.0],
+            Q=[[1.0, 0.0], [0.0, 0.5]], R=[[1.0]], q=[0.1, -0.1 * s], r=[0.05 * s],
+        )
+    return build_tree_stagewise(
+        stagewise([[(outcome(0), 1.0)]] + [[(outcome(1), 0.4), (outcome(-1), 0.6)]] * 4)
+    )
+
+
+HN_TREES = {
+    "branching3": lambda rng: random_tree(51, T=3, branching=3, nx=2, nu=1),
+    "ci_stagewise": lambda rng: ci_stagewise_tree(),
+    "nx1_nu2": lambda rng: random_tree(52, T=4, branching=2, nx=1, nu=2),
+    "crossed": crossed_tree,
+    "uneven": uneven_tree,
+}
+
+
+@pytest.mark.parametrize("make", HN_TREES.values(), ids=HN_TREES.keys())
+def test_here_and_now_matches_oracle_on_other_trees(make):
+    rng = np.random.default_rng(53)
+    tree = make(rng)
+    w_prev = random_pair(rng, tree)
+    hn = solve_here_and_now(tree, w_prev)
+    v_or, x_or, J_or = here_and_now_dense(tree, w_prev)
+    assert hn.objective == pytest.approx(J_or, rel=0, abs=1e-10)
+    assert_allclose(hn.v, v_or, rtol=0, atol=1e-10)
+    assert_allclose(hn.x, x_or, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", HN_TREES.values(), ids=HN_TREES.keys())
+def test_here_and_now_system_is_ordered_leaves_first(make):
+    # node i's (x~, y~) block sits at position N - 1 - i, so every block
+    # couples only to its children's blocks, before it, and its parent's,
+    # after it; the shared controls close the system
+    rng = np.random.default_rng(54)
+    tree = make(rng)
+    H, rhs = here_and_now_system(tree, random_pair(rng, tree))
+    N, T, nx, nu, zd = tree.node_count, tree.horizon, tree.nx, tree.nu, 2 * tree.nx
+    V = zd * N
+    assert H.shape == (V + nu * (T + 1),) * 2 == (rhs.size,) * 2
+    assert H.has_canonical_format
+    assert (H != H.T).nnz == 0  # exactly symmetric
+    pos = N - 1 - np.arange(N)
+    for i in range(N):
+        own = H[zd * pos[i] : zd * pos[i] + zd][:, zd * pos[i] : zd * pos[i] + zd].toarray()
+        assert np.array_equal(own, np.block([[tree.arrays.Q[i], np.eye(nx)],
+                                             [np.eye(nx), np.zeros((nx, nx))]]))
+    coo = H[:V, :V].tocoo()
+    row_blk, col_blk = coo.row // zd, coo.col // zd
+    cross = {(int(a), int(b)) for a, b in zip(row_blk, col_blk) if a < b}
+    kids = np.arange(1, N)
+    assert cross == set(zip(pos[kids].tolist(), pos[tree.parent[kids]].tolist()))
+    assert all(pos[c] < pos[tree.parent[c]] for c in kids)
+    # the controls: stage t's block is sum s_i^2 R_i, they couple to no
+    # other control, and only to the multiplier rows y~ of stages >= 1
+    s2 = tree.pi / tree.pi[0]
+    want = np.zeros((nu * (T + 1),) * 2)
+    for i in range(N):
+        t = int(tree.stage[i])
+        want[nu * t : nu * t + nu, nu * t : nu * t + nu] += s2[i] * tree.arrays.R[i]
+    assert_allclose(H[V:, V:].toarray(), want, rtol=1e-15, atol=0)
+    coupled = np.unique(H[:V, V:].tocoo().row)
+    assert np.all(coupled % zd >= nx)
+    assert set((N - 1 - coupled // zd).tolist()) <= set(range(1, N))
+
+
+def test_here_and_now_order_fills_less_than_colamd():
+    # eliminated leaves first, the system fills in less than under
+    # SuperLU's fill-reducing column search
+    tree = random_tree(55, T=6, branching=2, nx=2, nu=2)
+    H, _ = here_and_now_system(tree, zero_pair(tree))
+    natural = factor_kkt(H, permc_spec="NATURAL")
+    colamd = factor_kkt(H)
+    assert natural.L.nnz + natural.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_anticipative_singleton_equals_optimal():
